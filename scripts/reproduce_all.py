@@ -6,8 +6,7 @@ hashes, so two invocations of this script should produce byte-identical
 datasets. Total runtime is a few minutes on a laptop.
 
 Usage:
-    python3 scripts/reproduce_all.py [--output-root out] [--threads N]
-            [--only spectrum fig1 ...]
+    python3 scripts/reproduce_all.py [--output-root out] [--only spectrum fig1 ...]
 """
 
 import argparse
@@ -32,7 +31,6 @@ ALL_EXPERIMENTS = [
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output-root", default="out", help="parent directory for results")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--only", nargs="+", choices=ALL_EXPERIMENTS, default=None,
                         help="run only these experiments")
     args = parser.parse_args(argv)
@@ -44,11 +42,7 @@ def main(argv=None) -> int:
     for name in experiments:
         out_dir = root / name
         print(f"=== {name} -> {out_dir}")
-        code = cli.main([
-            name,
-            "--output-dir", str(out_dir),
-            "--threads", str(args.threads),
-        ])
+        code = cli.main([name, "--output-dir", str(out_dir)])
         if code != 0:
             failures.append((name, code))
     elapsed = time.perf_counter() - t_start

@@ -14,7 +14,14 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import numerics
-from .dynamics import IntegratorConfig, integrate_constant, integrate_scheduled, validate_density_matrix
+from .dynamics import (
+    MIN_SCHEDULED_STEPS,
+    IntegratorConfig,
+    integrate_constant,
+    integrate_scheduled,
+    step_count,
+    validate_density_matrix,
+)
 from .errors import DegenerateInput, DomainError, InsufficientData, LiouvlabError, OutOfRange
 from .liouvillian import build_superoperator, vec
 from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, basis_ket
@@ -449,7 +456,7 @@ def sweep_metrics(
     fin_ccw = np.empty_like(fin_cw)
     for i, v in enumerate(vals):
         base = replace(schedule_family, **{vary: float(v)})
-        n_steps = max(1000, int(math.ceil(base.T / cfg.dt)))
+        n_steps = max(MIN_SCHEDULED_STEPS, step_count(base.T, cfg.dt))
         evo_cw = integrate_scheduled(
             system, replace(base, direction="cw"), rho0_cw, n_steps, cfg
         )

@@ -1,9 +1,11 @@
 """Command-line entry point: named experiments with reproducible outputs.
 
 Each experiment loads a strict JSON config (all values in 1/us and rad/us, or
-MHz with --units mhz), runs the corresponding pipeline, writes CSV/JSON
-datasets with pinned number formatting, and emits a RunManifest with content
-hashes. Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+MHz with --units mhz) and runs the corresponding pipeline. It returns its
+tables, an ordered mapping from file stem to (header, rows), and its summary
+dict; one writer turns them into CSV/JSON datasets with pinned number
+formatting and emits a RunManifest with content hashes. Exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
@@ -26,9 +28,16 @@ from .config import (
     parse_set_override,
     resolve,
 )
-from .dynamics import IntegratorConfig, integrate_constant, integrate_scheduled
+from .dynamics import (
+    MIN_SCHEDULED_STEPS,
+    IntegratorConfig,
+    integrate_constant,
+    integrate_scheduled,
+    observables_from_states,
+    step_count,
+)
 from .errors import ConfigError, LiouvlabError
-from .liouvillian import build_superoperator, ep_scan, pair_branches, steady_state, vec
+from .liouvillian import build_superoperator, ep_scan, pair_branches, steady_state
 from .model import DriveParams, Rates, basis_ket, make_system, minus_x, plus_x
 from .trajectories import run_ensemble, run_trajectory
 
@@ -88,16 +97,8 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
-    return np.outer(psi, psi.conj())
-
-
-def _bloch_of_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bloch components of an array of qubit pure states (n, 2)."""
-    pair = states[:, 0] * states[:, 1].conj()
-    x = 2.0 * pair.real
-    y = -2.0 * pair.imag
-    z = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
-    return x, y, z
+    """|psi><psi|, or the stack of them for an array of states (n, d)."""
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def _j_grid(scan: dict) -> np.ndarray:
@@ -115,15 +116,59 @@ def _j_grid(scan: dict) -> np.ndarray:
     return grid
 
 
-def _scheduled_steps(T: float, dt: float) -> int:
-    return max(1000, int(math.ceil(T / dt)))
+def _encircling_runs(system, schedule, n_steps: int, integrator: IntegratorConfig) -> dict:
+    """Lindblad runs from |+x> and |-x> around the loop in both directions."""
+    return {
+        (tag, direction): integrate_scheduled(
+            system, replace(schedule, direction=direction), _density(psi), n_steps, integrator)
+        for tag, psi in (("plus", plus_x()), ("minus", minus_x()))
+        for direction in ("ccw", "cw")
+    }
+
+
+def _final_x(runs: dict) -> dict:
+    return {f"{tag}_{direction}": float(evo.observables["x"][-1])
+            for (tag, direction), evo in runs.items()}
+
+
+def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
+    """One seeded trajectory, the ensemble, and the ensemble's Lindblad reference.
+
+    The runs follow the schedule when there is one and last ensemble.t_final
+    otherwise. Returns (trajectory, ensemble, reference, trace distance per
+    stored time).
+    """
+    if cfg.schedule is not None:
+        n_steps = step_count(cfg.schedule.T, cfg.ensemble_dt)
+        if n_steps < MIN_SCHEDULED_STEPS:
+            raise ConfigError(
+                f"ensemble.dt too coarse: schedule needs >= {MIN_SCHEDULED_STEPS} steps")
+    traj = run_trajectory(
+        cfg.system, psi0, cfg.ensemble_dt, cfg.master_seed,
+        schedule=cfg.schedule, t_final=cfg.t_final, store_every=cfg.ensemble_store_every,
+    )
+    ens = run_ensemble(
+        cfg.system, cfg.schedule, psi0, cfg.ensemble_dt,
+        cfg.ensemble_n, cfg.master_seed,
+        store_every=cfg.ensemble_store_every, t_final=cfg.t_final,
+    )
+    lind_cfg = IntegratorConfig(dt=cfg.ensemble_dt, store_every=cfg.ensemble_store_every)
+    if cfg.schedule is not None:
+        lind = integrate_scheduled(cfg.system, cfg.schedule, _density(psi0), n_steps, lind_cfg)
+    else:
+        lind = integrate_constant(cfg.system, _density(psi0), ens.times, lind_cfg)
+    td = np.array([
+        numerics.trace_distance(ens.mean_density[i], lind.states[i])
+        for i in range(len(ens.times))
+    ])
+    return traj, ens, lind, td
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (tables, summary) for _write_outputs
 
 
-def cmd_spectrum(cfg: ExperimentConfig) -> list[Path]:
+def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Eigenvalue branches versus J at fixed Delta, with EP markers."""
     J_grid = _j_grid(cfg.scan)
     Delta = float(cfg.scan.get("Delta", 0.0))
@@ -153,61 +198,48 @@ def cmd_spectrum(cfg: ExperimentConfig) -> list[Path]:
         [J, *branches[i].real, *branches[i].imag, int(near_ep[i])]
         for i, J in enumerate(J_grid)
     ]
-    out = []
-    if cfg.wants("csv"):
-        out.append(io.write_csv(cfg.output_dir / "spectrum.csv", header, rows))
-    if cfg.wants("json"):
-        out.append(io.write_json(cfg.output_dir / "spectrum_summary.json", {
-            "n_branches": n_modes,
-            "ep_markers": markers,
-            "J_min": float(J_grid[0]),
-            "J_max": float(J_grid[-1]),
-            "Delta": Delta,
-        }))
-    return out
+    return {"spectrum": (header, rows)}, {
+        "n_branches": n_modes,
+        "ep_markers": markers,
+        "J_min": float(J_grid[0]),
+        "J_max": float(J_grid[-1]),
+        "Delta": Delta,
+    }
 
 
-def cmd_ep_map(cfg: ExperimentConfig) -> list[Path]:
+def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Grid survey of the (J, Delta) plane with EP lines and triple points."""
     scan = cfg.scan
     J_range = tuple(map(float, scan.get("J_range", [0.05, 1.1])))
     Delta_range = tuple(map(float, scan.get("Delta_range", [-1.1, 1.1])))
     resolution = int(scan.get("resolution", 45))
-    ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution, threads=cfg.threads)
+    ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution)
 
-    out = []
-    if cfg.wants("csv"):
-        header = ["J", "Delta", "gap", "angle", "ep_order"]
-        rows = [
-            [ep_map.J_values[iJ], ep_map.Delta_values[iD],
-             ep_map.gap[iD, iJ], ep_map.angle[iD, iJ], int(ep_map.ep_order[iD, iJ])]
-            for iD in range(len(ep_map.Delta_values))
-            for iJ in range(len(ep_map.J_values))
-        ]
-        out.append(io.write_csv(cfg.output_dir / "ep_map_grid.csv", header, rows))
-        line_rows = [
-            [line_id, k, point[0], point[1]]
-            for line_id, line in enumerate(ep_map.ep_lines)
-            for k, point in enumerate(line)
-        ]
-        out.append(io.write_csv(
-            cfg.output_dir / "ep_map_lines.csv",
-            ["line_id", "point_idx", "J", "Delta"],
-            line_rows,
-        ))
-    if cfg.wants("json"):
-        out.append(io.write_json(cfg.output_dir / "ep_map_summary.json", {
-            "n_lines": len(ep_map.ep_lines),
-            "line_lengths": [int(len(line)) for line in ep_map.ep_lines],
-            "ep3_points": [list(p) for p in ep_map.ep3_points],
-            "J_range": list(J_range),
-            "Delta_range": list(Delta_range),
-            "resolution": resolution,
-        }))
-    return out
+    grid_rows = [
+        [ep_map.J_values[iJ], ep_map.Delta_values[iD],
+         ep_map.gap[iD, iJ], ep_map.angle[iD, iJ], int(ep_map.ep_order[iD, iJ])]
+        for iD in range(len(ep_map.Delta_values))
+        for iJ in range(len(ep_map.J_values))
+    ]
+    line_rows = [
+        [line_id, k, point[0], point[1]]
+        for line_id, line in enumerate(ep_map.ep_lines)
+        for k, point in enumerate(line)
+    ]
+    return {
+        "ep_map_grid": (["J", "Delta", "gap", "angle", "ep_order"], grid_rows),
+        "ep_map_lines": (["line_id", "point_idx", "J", "Delta"], line_rows),
+    }, {
+        "n_lines": len(ep_map.ep_lines),
+        "line_lengths": [int(len(line)) for line in ep_map.ep_lines],
+        "ep3_points": [list(p) for p in ep_map.ep3_points],
+        "J_range": list(J_range),
+        "Delta_range": list(Delta_range),
+        "resolution": resolution,
+    }
 
 
-def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
+def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qubit excited-population dynamics across J plus the transition scan."""
     if cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system")
@@ -235,54 +267,36 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
         cfg=cfg.integrator,
     )
 
-    out = []
-    if cfg.wants("csv"):
-        out.append(io.write_csv(cfg.output_dir / "fig1_heatmap.csv",
-                                ["J", "t", "rho_ee"], heat_rows))
-        cut_header = ["t"] + [f"rho_ee_J{J:g}" for J in cut_values]
-        cut_rows = [
-            [float(t)] + [float(cut_series[J][i]) for J in cut_values]
-            for i, t in enumerate(t_hm)
-        ]
-        out.append(io.write_csv(cfg.output_dir / "fig1_cuts.csv", cut_header, cut_rows))
-        header, rows = scan_result.table()
-        out.append(io.write_csv(cfg.output_dir / "fig1_transition.csv", header, rows))
-    if cfg.wants("json"):
-        out.append(io.write_json(cfg.output_dir / "fig1_summary.json", {
-            "j_ep": scan_result.j_ep,
-            "transition_estimate": scan_result.transition_estimate(),
-            "n_fit_failures": len(scan_result.failures),
-            "cut_J_values": list(cut_values),
-        }))
-    return out
+    cut_header = ["t"] + [f"rho_ee_J{J:g}" for J in cut_values]
+    cut_rows = [
+        [float(t)] + [float(cut_series[J][i]) for J in cut_values]
+        for i, t in enumerate(t_hm)
+    ]
+    return {
+        "fig1_heatmap": (["J", "t", "rho_ee"], heat_rows),
+        "fig1_cuts": (cut_header, cut_rows),
+        "fig1_transition": scan_result.table(),
+    }, {
+        "j_ep": scan_result.j_ep,
+        "transition_estimate": scan_result.transition_estimate(),
+        "n_fit_failures": len(scan_result.failures),
+        "cut_J_values": list(cut_values),
+    }
 
 
-def cmd_fig2(cfg: ExperimentConfig) -> list[Path]:
+def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Encircling runs (Lindblad), one seeded trajectory, and an ensemble."""
     if cfg.schedule is None or cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system with a schedule")
-    schedule = cfg.schedule
-    n_steps = _scheduled_steps(schedule.T, cfg.integrator.dt)
+    n_steps = max(MIN_SCHEDULED_STEPS, step_count(cfg.schedule.T, cfg.integrator.dt))
+    runs = _encircling_runs(cfg.system, cfg.schedule, n_steps, cfg.integrator)
 
-    runs = {}
-    for state_tag, psi in (("plus", plus_x()), ("minus", minus_x())):
-        for direction in ("ccw", "cw"):
-            evo = integrate_scheduled(
-                cfg.system, replace(schedule, direction=direction),
-                _density(psi), n_steps, cfg.integrator,
-            )
-            runs[(state_tag, direction)] = evo
-
-    times = runs[("plus", "ccw")].times
     header = ["t"]
-    columns = [times]
-    for state_tag in ("plus", "minus"):
-        for direction in ("ccw", "cw"):
-            obs = runs[(state_tag, direction)].observables
-            for comp in ("x", "y", "z"):
-                header.append(f"{comp}_{state_tag}_{direction}")
-                columns.append(obs[comp])
-    bloch_rows = np.column_stack(columns)
+    columns = [runs[("plus", "ccw")].times]
+    for (tag, direction), evo in runs.items():
+        for comp in ("x", "y", "z"):
+            header.append(f"{comp}_{tag}_{direction}")
+            columns.append(evo.observables[comp])
 
     chi_plus = analysis.chirality(
         runs[("plus", "cw")].final_state, runs[("plus", "ccw")].final_state)
@@ -290,65 +304,35 @@ def cmd_fig2(cfg: ExperimentConfig) -> list[Path]:
         runs[("minus", "cw")].final_state, runs[("minus", "ccw")].final_state)
 
     # stochastic side: one seeded trajectory plus the averaged ensemble
-    traj = run_trajectory(
-        cfg.system, plus_x(), cfg.ensemble_dt, cfg.master_seed,
-        schedule=schedule, store_every=cfg.ensemble_store_every,
-    )
-    tx, ty, tz = _bloch_of_states(traj.states)
+    traj, ens, lind, td = _stochastic_runs(cfg, plus_x())
+    traj_obs = observables_from_states(_density(traj.states), 2)
+    ens_obs = observables_from_states(ens.mean_density, 2)
 
-    ens_steps = int(round(schedule.T / cfg.ensemble_dt))
-    if ens_steps < 1000:
-        raise ConfigError("ensemble.dt too coarse: schedule needs >= 1000 steps")
-    ens = run_ensemble(
-        cfg.system, schedule, plus_x(), cfg.ensemble_dt,
-        cfg.ensemble_n, cfg.master_seed, store_every=cfg.ensemble_store_every,
-    )
-    lind_cfg = IntegratorConfig(dt=cfg.ensemble_dt, store_every=cfg.ensemble_store_every)
-    lind = integrate_scheduled(cfg.system, schedule, _density(plus_x()), ens_steps, lind_cfg)
-    td = np.array([
-        numerics.trace_distance(ens.mean_density[i], lind.states[i])
-        for i in range(len(ens.times))
-    ])
-    ens_obs = {
-        "x": 2.0 * ens.mean_density[:, 0, 1].real,
-        "y": -2.0 * ens.mean_density[:, 0, 1].imag,
-        "z": (ens.mean_density[:, 0, 0] - ens.mean_density[:, 1, 1]).real,
-    }
-
-    out = []
-    if cfg.wants("csv"):
-        out.append(io.write_csv(cfg.output_dir / "fig2_bloch.csv", header, bloch_rows))
-        traj_rows = np.column_stack([traj.times, tx, ty, tz])
-        out.append(io.write_csv(cfg.output_dir / "fig2_trajectory.csv",
-                                ["t", "x", "y", "z"], traj_rows))
-        ens_rows = np.column_stack([
-            ens.times, ens_obs["x"], ens_obs["y"], ens_obs["z"],
-            lind.observables["x"], lind.observables["y"], lind.observables["z"], td,
-        ])
-        out.append(io.write_csv(
-            cfg.output_dir / "fig2_ensemble.csv",
+    return {
+        "fig2_bloch": (header, np.column_stack(columns)),
+        "fig2_trajectory": (["t", "x", "y", "z"], np.column_stack(
+            [traj.times, traj_obs["x"], traj_obs["y"], traj_obs["z"]])),
+        "fig2_ensemble": (
             ["t", "x_mean", "y_mean", "z_mean", "x_lindblad", "y_lindblad", "z_lindblad",
              "trace_distance"],
-            ens_rows,
-        ))
-    if cfg.wants("json"):
-        out.append(io.write_json(cfg.output_dir / "fig2_summary.json", {
-            "chirality_plus": chi_plus,
-            "chirality_minus": chi_minus,
-            "final_x": {
-                f"{tag}_{direction}": float(runs[(tag, direction)].observables["x"][-1])
-                for tag in ("plus", "minus") for direction in ("ccw", "cw")
-            },
-            "trajectory_jumps": [[t, lab] for t, lab in traj.jumps],
-            "ensemble_n": cfg.ensemble_n,
-            "master_seed": cfg.master_seed,
-            "jump_count_histogram": ens.jump_count_histogram,
-            "max_trace_distance": float(td.max()),
-        }))
-    return out
+            np.column_stack([
+                ens.times, ens_obs["x"], ens_obs["y"], ens_obs["z"],
+                lind.observables["x"], lind.observables["y"], lind.observables["z"], td,
+            ]),
+        ),
+    }, {
+        "chirality_plus": chi_plus,
+        "chirality_minus": chi_minus,
+        "final_x": _final_x(runs),
+        "trajectory_jumps": [[t, lab] for t, lab in traj.jumps],
+        "ensemble_n": cfg.ensemble_n,
+        "master_seed": cfg.master_seed,
+        "jump_count_histogram": ens.jump_count_histogram,
+        "max_trace_distance": float(td.max()),
+    }
 
 
-def cmd_fig4(cfg: ExperimentConfig) -> list[Path]:
+def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qutrit g-f coherence dynamics across J plus the transition scan."""
     if cfg.system.dim != 3:
         raise ConfigError("this experiment needs a dim=3 system")
@@ -376,25 +360,17 @@ def cmd_fig4(cfg: ExperimentConfig) -> list[Path]:
         cfg=cfg.integrator,
     )
 
-    out = []
-    if cfg.wants("csv"):
-        out.append(io.write_csv(
-            cfg.output_dir / "fig4_coherence.csv",
-            ["J", "t", "abs_rho_gf", "re_rho_gf", "im_rho_gf"],
-            heat_rows,
-        ))
-        header, rows = scan_result.table()
-        out.append(io.write_csv(cfg.output_dir / "fig4_transition.csv", header, rows))
-    if cfg.wants("json"):
-        out.append(io.write_json(cfg.output_dir / "fig4_summary.json", {
-            "j_ep": scan_result.j_ep,
-            "transition_estimate": scan_result.transition_estimate(),
-            "n_fit_failures": len(scan_result.failures),
-        }))
-    return out
+    return {
+        "fig4_coherence": (["J", "t", "abs_rho_gf", "re_rho_gf", "im_rho_gf"], heat_rows),
+        "fig4_transition": scan_result.table(),
+    }, {
+        "j_ep": scan_result.j_ep,
+        "transition_estimate": scan_result.transition_estimate(),
+        "n_fit_failures": len(scan_result.failures),
+    }
 
 
-def cmd_sweeps(cfg: ExperimentConfig) -> list[Path]:
+def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Duration/detuning sweeps, Hermitian-limit control, gamma_e schedules."""
     if cfg.schedule is None or cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system with a schedule")
@@ -413,18 +389,15 @@ def cmd_sweeps(cfg: ExperimentConfig) -> list[Path]:
 
     # Hermitian limit: same path with all dissipation off
     system0 = make_system(cfg.system.drive, Rates(gamma_e=0.0, gamma_phi=0.0), dim=2)
-    n_steps = _scheduled_steps(schedule.T, cfg.integrator.dt)
-    hermitian_runs = {}
-    for tag, psi in (("plus", plus_x()), ("minus", minus_x())):
-        for direction in ("ccw", "cw"):
-            evo = integrate_scheduled(
-                system0, replace(schedule, direction=direction),
-                _density(psi), n_steps, cfg.integrator)
-            hermitian_runs[(tag, direction)] = evo
+    n_steps = max(MIN_SCHEDULED_STEPS, step_count(schedule.T, cfg.integrator.dt))
+    hermitian_runs = _encircling_runs(system0, schedule, n_steps, cfg.integrator)
     chi_hermitian = analysis.chirality(
         hermitian_runs[("plus", "cw")].final_state,
         hermitian_runs[("plus", "ccw")].final_state,
     )
+    h_header = ["t"] + [f"x_{tag}_{direction}" for tag, direction in hermitian_runs]
+    h_cols = [hermitian_runs[("plus", "ccw")].times] + [
+        evo.observables["x"] for evo in hermitian_runs.values()]
 
     # constant versus ramped gamma_e at fixed (T, Delta_max)
     comparison_rows = []
@@ -441,151 +414,91 @@ def cmd_sweeps(cfg: ExperimentConfig) -> list[Path]:
         comparison_rows.append([kind, chi, s_cw, s_ccw])
         schedule_metrics[kind] = {"chirality": chi, "entropy_cw": s_cw, "entropy_ccw": s_ccw}
 
-    out = []
-    if cfg.wants("csv"):
-        header, rows = duration.table()
-        out.append(io.write_csv(cfg.output_dir / "sweeps_duration.csv", header, rows))
-        header, rows = detuning.table()
-        out.append(io.write_csv(cfg.output_dir / "sweeps_detuning.csv", header, rows))
-        times = hermitian_runs[("plus", "ccw")].times
-        h_header = ["t"]
-        h_cols = [times]
-        for tag in ("plus", "minus"):
-            for direction in ("ccw", "cw"):
-                h_header.append(f"x_{tag}_{direction}")
-                h_cols.append(hermitian_runs[(tag, direction)].observables["x"])
-        out.append(io.write_csv(cfg.output_dir / "sweeps_hermitian.csv",
-                                h_header, np.column_stack(h_cols)))
-        out.append(io.write_csv(
-            cfg.output_dir / "sweeps_schedule_comparison.csv",
-            ["gamma_e_schedule", "chirality", "entropy_cw", "entropy_ccw"],
-            comparison_rows,
-        ))
-    if cfg.wants("json"):
-        t_best = float(T_values[int(np.argmax(duration.chirality))])
-        out.append(io.write_json(cfg.output_dir / "sweeps_summary.json", {
-            "duration_chirality_argmax_T": t_best,
-            "detuning_chirality_monotone_increasing":
-                bool(np.all(np.diff(detuning.chirality) > 0.0)),
-            "detuning_entropy_ccw_monotone_decreasing":
-                bool(np.all(np.diff(detuning.entropy_ccw) < 0.0)),
-            "hermitian_chirality": chi_hermitian,
-            "hermitian_final_x": {
-                f"{tag}_{direction}": float(hermitian_runs[(tag, direction)].observables["x"][-1])
-                for tag in ("plus", "minus") for direction in ("ccw", "cw")
-            },
-            "gamma_e_schedules": schedule_metrics,
-        }))
-    return out
+    return {
+        "sweeps_duration": duration.table(),
+        "sweeps_detuning": detuning.table(),
+        "sweeps_hermitian": (h_header, np.column_stack(h_cols)),
+        "sweeps_schedule_comparison": (
+            ["gamma_e_schedule", "chirality", "entropy_cw", "entropy_ccw"], comparison_rows),
+    }, {
+        "duration_chirality_argmax_T": float(T_values[int(np.argmax(duration.chirality))]),
+        "detuning_chirality_monotone_increasing":
+            bool(np.all(np.diff(detuning.chirality) > 0.0)),
+        "detuning_entropy_ccw_monotone_decreasing":
+            bool(np.all(np.diff(detuning.entropy_ccw) < 0.0)),
+        "hermitian_chirality": chi_hermitian,
+        "hermitian_final_x": _final_x(hermitian_runs),
+        "gamma_e_schedules": schedule_metrics,
+    }
 
 
-def cmd_steady_state(cfg: ExperimentConfig) -> list[Path]:
+def cmd_steady_state(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Steady state and spectrum of the configured system."""
     sop = build_superoperator(cfg.system)
     rho_inf = steady_state(sop)
     dec = numerics.eig_general(sop.matrix)
 
-    out = []
-    if cfg.wants("csv"):
-        d = cfg.system.dim
-        rows = [
-            [i, j, rho_inf[i, j].real, rho_inf[i, j].imag]
-            for i in range(d) for j in range(d)
-        ]
-        out.append(io.write_csv(cfg.output_dir / "steady_state.csv",
-                                ["row", "col", "re", "im"], rows))
-        spec_rows = [
-            [k, lam.real, lam.imag] for k, lam in enumerate(dec.eigenvalues)
-        ]
-        out.append(io.write_csv(cfg.output_dir / "steady_state_spectrum.csv",
-                                ["index", "re", "im"], spec_rows))
-    if cfg.wants("json"):
-        out.append(io.write_json(cfg.output_dir / "steady_state_summary.json", {
-            "purity": float(np.trace(rho_inf @ rho_inf).real),
-            "entropy_bits": analysis.entropy(rho_inf),
-            "populations": [float(rho_inf[i, i].real) for i in range(cfg.system.dim)],
-            "slowest_decay_rate": float(
-                -max(l.real for l in dec.eigenvalues if abs(l) > 1e-9)
-            ),
-        }))
-    return out
+    d = cfg.system.dim
+    rows = [
+        [i, j, rho_inf[i, j].real, rho_inf[i, j].imag]
+        for i in range(d) for j in range(d)
+    ]
+    spec_rows = [[k, lam.real, lam.imag] for k, lam in enumerate(dec.eigenvalues)]
+    return {
+        "steady_state": (["row", "col", "re", "im"], rows),
+        "steady_state_spectrum": (["index", "re", "im"], spec_rows),
+    }, {
+        "purity": float(np.trace(rho_inf @ rho_inf).real),
+        "entropy_bits": analysis.entropy(rho_inf),
+        "populations": [float(rho_inf[i, i].real) for i in range(d)],
+        "slowest_decay_rate": float(
+            -max(l.real for l in dec.eigenvalues if abs(l) > 1e-9)
+        ),
+    }
 
 
-def cmd_trajectories(cfg: ExperimentConfig) -> list[Path]:
+def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Seeded single trajectory plus ensemble average with Lindblad reference."""
     dim = cfg.system.dim
     if cfg.schedule is not None:
         psi0 = plus_x(dim)
-        t_final = None
-        total = cfg.schedule.T
     else:
         if cfg.t_final is None:
             raise ConfigError("constant-parameter trajectories need ensemble.t_final")
         psi0 = basis_ket(dim, 1)
-        t_final = cfg.t_final
-        total = t_final
+    traj, ens, _lind, td = _stochastic_runs(cfg, psi0)
 
-    traj = run_trajectory(
-        cfg.system, psi0, cfg.ensemble_dt, cfg.master_seed,
-        schedule=cfg.schedule, t_final=t_final, store_every=cfg.ensemble_store_every,
-    )
-    ens = run_ensemble(
-        cfg.system, cfg.schedule, psi0, cfg.ensemble_dt,
-        cfg.ensemble_n, cfg.master_seed,
-        store_every=cfg.ensemble_store_every, t_final=t_final,
-    )
-
-    n_steps = int(round(total / cfg.ensemble_dt))
-    lind_cfg = IntegratorConfig(dt=cfg.ensemble_dt, store_every=cfg.ensemble_store_every)
-    if cfg.schedule is not None:
-        if n_steps < 1000:
-            raise ConfigError("ensemble.dt too coarse: schedule needs >= 1000 steps")
-        lind = integrate_scheduled(cfg.system, cfg.schedule, _density(psi0), n_steps, lind_cfg)
-        lind_states = lind.states
+    if dim == 2:
+        obs = observables_from_states(_density(traj.states), 2)
+        traj_rows = np.column_stack([traj.times, obs["x"], obs["y"], obs["z"]])
+        traj_header = ["t", "x", "y", "z"]
+        pop_cols = [
+            (ens.mean_density[:, 0, 0].real, "pop_g"),
+            (ens.mean_density[:, 1, 1].real, "pop_e"),
+        ]
     else:
-        lind = integrate_constant(cfg.system, _density(psi0), ens.times, lind_cfg)
-        lind_states = lind.states
-    td = np.array([
-        numerics.trace_distance(ens.mean_density[i], lind_states[i])
-        for i in range(len(ens.times))
-    ])
-
-    out = []
-    if cfg.wants("csv"):
-        if dim == 2:
-            tx, ty, tz = _bloch_of_states(traj.states)
-            traj_rows = np.column_stack([traj.times, tx, ty, tz])
-            traj_header = ["t", "x", "y", "z"]
-            pop_cols = [
-                (ens.mean_density[:, 0, 0].real, "pop_g"),
-                (ens.mean_density[:, 1, 1].real, "pop_e"),
-            ]
-        else:
-            traj_rows = np.column_stack(
-                [traj.times] + [np.abs(traj.states[:, k]) ** 2 for k in range(dim)])
-            traj_header = ["t"] + [f"pop_{lvl}" for lvl in "gef"[:dim]]
-            pop_cols = [
-                (ens.mean_density[:, k, k].real, f"pop_{lvl}")
-                for k, lvl in enumerate("gef"[:dim])
-            ]
-        out.append(io.write_csv(cfg.output_dir / "trajectories_single.csv",
-                                traj_header, traj_rows))
-        ens_header = ["t"] + [name for _, name in pop_cols] + ["trace_distance"]
-        ens_rows = np.column_stack([ens.times] + [c for c, _ in pop_cols] + [td])
-        out.append(io.write_csv(cfg.output_dir / "trajectories_ensemble.csv",
-                                ens_header, ens_rows))
-    if cfg.wants("json"):
-        per_traj = np.array([len(j) for j in ens.jumps_per_trajectory])
-        out.append(io.write_json(cfg.output_dir / "trajectories_summary.json", {
-            "ensemble_n": cfg.ensemble_n,
-            "master_seed": cfg.master_seed,
-            "dt": cfg.ensemble_dt,
-            "jump_count_histogram": ens.jump_count_histogram,
-            "mean_jumps_per_trajectory": float(per_traj.mean()),
-            "single_trajectory_jumps": [[t, lab] for t, lab in traj.jumps],
-            "max_trace_distance": float(td.max()),
-        }))
-    return out
+        traj_rows = np.column_stack(
+            [traj.times] + [np.abs(traj.states[:, k]) ** 2 for k in range(dim)])
+        traj_header = ["t"] + [f"pop_{lvl}" for lvl in "gef"[:dim]]
+        pop_cols = [
+            (ens.mean_density[:, k, k].real, f"pop_{lvl}")
+            for k, lvl in enumerate("gef"[:dim])
+        ]
+    ens_header = ["t"] + [name for _, name in pop_cols] + ["trace_distance"]
+    ens_rows = np.column_stack([ens.times] + [c for c, _ in pop_cols] + [td])
+    per_traj = np.array([len(j) for j in ens.jumps_per_trajectory])
+    return {
+        "trajectories_single": (traj_header, traj_rows),
+        "trajectories_ensemble": (ens_header, ens_rows),
+    }, {
+        "ensemble_n": cfg.ensemble_n,
+        "master_seed": cfg.master_seed,
+        "dt": cfg.ensemble_dt,
+        "jump_count_histogram": ens.jump_count_histogram,
+        "mean_jumps_per_trajectory": float(per_traj.mean()),
+        "single_trajectory_jumps": [[t, lab] for t, lab in traj.jumps],
+        "max_trace_distance": float(td.max()),
+    }
 
 
 EXPERIMENTS = {
@@ -598,6 +511,25 @@ EXPERIMENTS = {
     "steady-state": cmd_steady_state,
     "trajectories": cmd_trajectories,
 }
+
+
+def _write_outputs(
+    experiment: str, cfg: ExperimentConfig, tables: dict, summary: dict, started: float
+) -> list[Path]:
+    """Write the run's datasets in the configured formats, then its manifest.
+
+    Returns the written paths in order: one <stem>.csv per table, the
+    <experiment>_summary.json, and last the manifest, which lists the others.
+    """
+    stem = experiment.replace("-", "_")
+    files = []
+    if "csv" in cfg.formats:
+        for name, (header, rows) in tables.items():
+            files.append(io.write_csv(cfg.output_dir / f"{name}.csv", header, rows))
+    if "json" in cfg.formats:
+        files.append(io.write_json(cfg.output_dir / f"{stem}_summary.json", summary))
+    manifest = io.build_manifest(experiment, __version__, cfg.echo, files, started)
+    return files + [io.write_json(cfg.output_dir / f"{stem}_manifest.json", manifest.as_dict())]
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +563,6 @@ def _resolve_config(args) -> ExperimentConfig:
         merged["output_dir"] = args.output_dir
     elif os.environ.get("LIOUVLAB_OUTPUT_DIR"):
         merged["output_dir"] = os.environ["LIOUVLAB_OUTPUT_DIR"]
-    if args.threads is not None:
-        merged["threads"] = args.threads
-    elif os.environ.get("LIOUVLAB_THREADS"):
-        try:
-            merged["threads"] = int(os.environ["LIOUVLAB_THREADS"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"LIOUVLAB_THREADS must be an integer, got "
-                f"{os.environ['LIOUVLAB_THREADS']!r}"
-            ) from exc
     if args.formats is not None:
         merged["formats"] = [f.strip() for f in args.formats.split(",") if f.strip()]
 
@@ -655,7 +577,6 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--output-dir", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for scans")
     parser.add_argument("--units", choices=("rad", "mhz"), default=None,
                         help="unit system for angular config inputs")
     parser.add_argument("--formats", default=None, help="comma list from {csv,json}")
@@ -672,7 +593,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        files = EXPERIMENTS[args.experiment](cfg)
+        tables, summary = EXPERIMENTS[args.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -680,13 +601,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    manifest = io.build_manifest(
-        args.experiment, __version__, cfg.echo, files, started)
-    manifest_path = io.write_json(
-        cfg.output_dir / f"{args.experiment.replace('-', '_')}_manifest.json",
-        manifest.as_dict(),
-    )
-    for path in [*files, manifest_path]:
+    for path in _write_outputs(args.experiment, cfg, tables, summary, started):
         print(f"wrote {path}")
     print(f"{args.experiment}: ok ({time.monotonic() - started:.2f}s)")
     return 0

@@ -1,11 +1,11 @@
 """Experiment configuration: strict JSON parsing, defaults, and overrides.
 
-Precedence, highest first: command-line flags, then the LIOUVLAB_* environment
-variables, then the config file, then per-experiment defaults. Unknown keys at
-any level are rejected so a typo in a rate name cannot silently fall back to a
-default. All quantities are in 1/us and rad/us; under `units = "mhz"` the
-angular inputs (couplings and detunings, not decay rates) are multiplied by
-2 pi on load.
+Precedence, highest first: command-line flags, then the LIOUVLAB_OUTPUT_DIR
+environment variable, then the config file, then per-experiment defaults.
+Unknown keys at any level are rejected so a typo in a rate name cannot
+silently fall back to a default. All quantities are in 1/us and rad/us; under
+`units = "mhz"` the angular inputs (couplings and detunings, not decay rates)
+are multiplied by 2 pi on load.
 """
 
 import json
@@ -20,7 +20,7 @@ from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, make_sy
 
 TOP_LEVEL_KEYS = {
     "experiment", "system", "schedule", "integrator", "ensemble", "scan",
-    "output_dir", "formats", "threads", "units",
+    "output_dir", "formats", "units",
 }
 SYSTEM_KEYS = {"dim", "gamma_e", "gamma_phi", "gamma_f", "gamma_f_extra", "J", "Delta", "f_decay_to"}
 SCHEDULE_KEYS = {"T", "direction", "J_max", "Delta_max", "gamma_e_schedule"}
@@ -65,11 +65,7 @@ class ExperimentConfig:
     scan: dict
     output_dir: Path
     formats: tuple
-    threads: int
     echo: dict = field(default_factory=dict)
-
-    def wants(self, fmt: str) -> bool:
-        return fmt in self.formats
 
 
 def load_config_file(path) -> dict:
@@ -223,10 +219,6 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"unsupported formats: {sorted(bad)}")
     formats = tuple(dict.fromkeys(formats_raw))
 
-    threads = _integer(None, "threads", raw.get("threads"), 1)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-
     echo = _echo_dict(raw)
     return ExperimentConfig(
         experiment=experiment,
@@ -241,7 +233,6 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
         scan=scan,
         output_dir=output_dir,
         formats=formats,
-        threads=threads,
         echo=echo,
     )
 

@@ -16,9 +16,23 @@ import numpy as np
 from . import numerics
 from .errors import NotDensityMatrix, OutOfRange
 from .liouvillian import build_superoperator, vec
-from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, schedule_eval
+from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, system_at
 
 MIN_SCHEDULED_STEPS = 1000
+
+
+def step_count(total: float, dt: float) -> int:
+    """Number of steps of about dt that cover total.
+
+    The nearest whole count is used unless it falls short of total, and then
+    the count is rounded up; callers step at total / step_count(total, dt).
+    """
+    if total <= 0.0 or dt <= 0.0:
+        raise OutOfRange(f"duration and dt must be positive, got {total}, {dt}")
+    n_steps = int(round(total / dt))
+    if n_steps < 1 or n_steps * dt < total - 1e-9 * total:
+        n_steps = max(1, math.ceil(total / dt))
+    return n_steps
 
 
 @dataclass
@@ -162,10 +176,7 @@ def integrate_scheduled(
     states[0] = v.reshape(system.dim, system.dim)
     si = 1
     for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        drive, rates = schedule_eval(schedule, t_mid, system.rates)
-        stepped = _rebuild(system, drive, rates)
-        L = build_superoperator(stepped).matrix
+        L = build_superoperator(system_at(system, schedule, (k + 0.5) * dt)).matrix
         v = _propagate_interval(L, v, dt, cfg)
         if si < len(stored_idx) and k + 1 == stored_idx[si]:
             states[si] = v.reshape(system.dim, system.dim)
@@ -173,12 +184,6 @@ def integrate_scheduled(
     return EvolutionResult(
         times=times, states=states, observables=observables_from_states(states, system.dim)
     )
-
-
-def _rebuild(system: QuantumSystem, drive: DriveParams, rates: Rates) -> QuantumSystem:
-    from .model import make_system
-
-    return make_system(drive, rates, dim=system.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -19,31 +19,6 @@ from .errors import ConfigError
 
 CSV_FLOAT_FORMAT = "%.12g"
 
-MANIFEST_SCHEMA = {
-    "type": "object",
-    "required": ["experiment", "artifact_version", "timestamp_utc", "duration_s", "config", "files"],
-    "properties": {
-        "experiment": {"type": "string"},
-        "artifact_version": {"type": "string"},
-        "timestamp_utc": {"type": "string"},
-        "duration_s": {"type": "number"},
-        "config": {"type": "object"},
-        "files": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "sha256", "bytes"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "sha256": {"type": "string"},
-                    "bytes": {"type": "integer"},
-                },
-            },
-        },
-    },
-}
-
-
 def fmt_float(x) -> str:
     """Canonical CSV cell for a float: 12 significant digits."""
     return CSV_FLOAT_FORMAT % float(x)
@@ -162,10 +137,10 @@ def build_manifest(
 
 
 def validate_manifest(doc: dict) -> None:
-    """Check a manifest dict against the published schema; ConfigError on mismatch."""
+    """Check the keys and types of a manifest dict; ConfigError on mismatch."""
     if not isinstance(doc, dict):
         raise ConfigError("manifest must be a JSON object")
-    for key in MANIFEST_SCHEMA["required"]:
+    for key in ("experiment", "artifact_version", "timestamp_utc", "duration_s", "config", "files"):
         if key not in doc:
             raise ConfigError(f"manifest missing required key {key!r}")
     if not isinstance(doc["experiment"], str) or not isinstance(doc["artifact_version"], str):

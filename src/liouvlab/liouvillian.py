@@ -14,7 +14,7 @@ is the d^2 x d^2 matrix
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -441,8 +441,6 @@ def ep_scan(
     resolution: int,
     gap_tol: Optional[float] = None,
     angle_tol: float = DEFAULT_ANGLE_TOL,
-    spectrum_fn: Optional[Callable[[DriveParams], SpectralResult]] = None,
-    threads: int = 1,
     gap_accept: float = 1e-4,
 ) -> EpMap:
     """Survey the (J, Delta) plane, extract EP lines and triple points.
@@ -472,39 +470,25 @@ def ep_scan(
     J_values = np.linspace(J_lo, J_hi, nJ)
     Delta_values = np.linspace(D_lo, D_hi, nD)
 
-    def one_point(args):
-        iD, iJ = args
-        params = DriveParams(J=J_values[iJ], Delta=Delta_values[iD])
-        if spectrum_fn is not None:
-            return spectrum_fn(params)
-        sop = build_superoperator(system_template.with_drive(params))
-        return spectrum(sop, params=params, gap_tol=gap_tol, angle_tol=angle_tol)
-
-    tasks = [(iD, iJ) for iD in range(nD) for iJ in range(nJ)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one_point, tasks))
-    else:
-        results = [one_point(t) for t in tasks]
-
-    n_modes = len(results[0].eigenvalues)
+    n_modes = system_template.dim ** 2
     eigenvalues = np.empty((nD, nJ, n_modes), dtype=complex)
     gap = np.empty((nD, nJ))
     angle = np.empty((nD, nJ))
     order = np.zeros((nD, nJ), dtype=int)
     indicator = np.empty((nD, nJ))
     pq_grid = np.empty((nD, nJ, 2))
-    for (iD, iJ), res in zip(tasks, results):
-        eigenvalues[iD, iJ] = res.eigenvalues
-        gap[iD, iJ] = res.min_eigenvalue_gap
-        angle[iD, iJ] = res.min_eigenvector_angle
-        order[iD, iJ] = res.ep_order
-        scale = 1.0  # indicator sign only depends on the splitting direction
-        lam_nz = _nonzero_eigenvalues(res.eigenvalues, np.max(np.abs(res.eigenvalues)) + 1e-30)
-        indicator[iD, iJ] = _coalescence_indicator(lam_nz) * scale
-        pq_grid[iD, iJ] = _pq_from_modes(lam_nz)
+    for iD in range(nD):
+        for iJ in range(nJ):
+            params = DriveParams(J=J_values[iJ], Delta=Delta_values[iD])
+            sop = build_superoperator(system_template.with_drive(params))
+            res = spectrum(sop, params=params, gap_tol=gap_tol, angle_tol=angle_tol)
+            eigenvalues[iD, iJ] = res.eigenvalues
+            gap[iD, iJ] = res.min_eigenvalue_gap
+            angle[iD, iJ] = res.min_eigenvector_angle
+            order[iD, iJ] = res.ep_order
+            lam_nz = _nonzero_eigenvalues(res.eigenvalues, np.max(np.abs(res.eigenvalues)) + 1e-30)
+            indicator[iD, iJ] = _coalescence_indicator(lam_nz)
+            pq_grid[iD, iJ] = _pq_from_modes(lam_nz)
 
     # sign changes along grid edges -> refined second-order points
     points: list[tuple[float, float]] = []

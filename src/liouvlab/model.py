@@ -150,6 +150,7 @@ class QuantumSystem:
     rates: Rates
     drive: DriveParams
     jump_ops: list[tuple[np.ndarray, str]] = field(default_factory=list)
+    f_decay_to: str = "e"
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -178,6 +179,7 @@ def make_system(
         rates=rates,
         drive=drive,
         jump_ops=jump_operators(rates, dim, f_decay_to),
+        f_decay_to=f_decay_to,
     )
 
 
@@ -238,3 +240,13 @@ def schedule_eval(s: ParameterSchedule, t: float, rates: Rates) -> tuple[DrivePa
     else:
         ge = rates.gamma_e
     return DriveParams(J=J, Delta=Delta), replace(rates, gamma_e=ge)
+
+
+def system_at(system: QuantumSystem, schedule: ParameterSchedule, t: float) -> QuantumSystem:
+    """The system with the schedule's drive and rates at time t.
+
+    Dimension and |f> decay target are kept, so every scheduled route runs
+    the jump channels the system was configured with.
+    """
+    drive, rates = schedule_eval(schedule, t, system.rates)
+    return make_system(drive, rates, dim=system.dim, f_decay_to=system.f_decay_to)

@@ -21,8 +21,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import numerics
+from .dynamics import step_count
 from .errors import OutOfRange, ZeroNorm
-from .model import ParameterSchedule, QuantumSystem, schedule_eval
+from .model import ParameterSchedule, QuantumSystem, system_at
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -93,15 +94,12 @@ def _step_table(
         ops_arr = np.array(ops) if ops else np.zeros((0, d, d), dtype=complex)
         return [P] * n_steps, [ops_arr] * n_steps, [labels] * n_steps, list(labels)
 
-    from .model import make_system
-
     props = []
     ops_steps = []
     labels_steps = []
     all_labels: list[str] = []
     for k in range(n_steps):
-        drive, rates = schedule_eval(schedule, (k + 0.5) * dt, system.rates)
-        stepped = make_system(drive, rates, dim=d)
+        stepped = system_at(system, schedule, (k + 0.5) * dt)
         ops = [L for L, _ in stepped.jump_ops]
         labels = [label for _, label in stepped.jump_ops]
         props.append(numerics.expm(-1j * _h_eff(stepped.hamiltonian(), ops, d) * dt))
@@ -115,19 +113,16 @@ def _step_table(
 
 def _resolve_steps(
     schedule: Optional[ParameterSchedule], t_final: Optional[float], dt: float
-) -> int:
+) -> tuple[int, float]:
+    """(n_steps, step): the run covers its duration exactly in steps of about dt."""
     if schedule is not None:
         total = schedule.T
     elif t_final is not None:
         total = float(t_final)
     else:
         raise OutOfRange("constant-parameter trajectories need t_final")
-    if total <= 0.0 or dt <= 0.0:
-        raise OutOfRange(f"duration and dt must be positive, got {total}, {dt}")
-    n_steps = int(round(total / dt))
-    if n_steps < 1 or n_steps * dt < total - 1e-9 * total:
-        n_steps = max(1, int(np.ceil(total / dt)))
-    return n_steps
+    n_steps = step_count(total, dt)
+    return n_steps, total / n_steps
 
 
 def _run_batch(
@@ -225,9 +220,9 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """One stochastic pure-state trajectory; deterministic given (seed, dt)."""
     psi = _unit_state(psi0)
-    n_steps = _resolve_steps(schedule, t_final, dt)
+    n_steps, step = _resolve_steps(schedule, t_final, dt)
     uniforms = _as_generator(seed).random(n_steps)[None, :]
-    times, stored, jumps, _hist = _run_batch(system, schedule, psi, dt, uniforms, store_every)
+    times, stored, jumps, _hist = _run_batch(system, schedule, psi, step, uniforms, store_every)
     return TrajectoryRecord(seed=seed, times=times, states=stored[0], jumps=jumps[0])
 
 
@@ -245,11 +240,11 @@ def run_ensemble(
     if n < 1:
         raise OutOfRange(f"ensemble size must be >= 1, got {n}")
     psi = _unit_state(psi0)
-    n_steps = _resolve_steps(schedule, t_final, dt)
+    n_steps, step = _resolve_steps(schedule, t_final, dt)
     uniforms = np.empty((n, n_steps))
     for i in range(n):
         uniforms[i] = _as_generator(split_seed(master_seed, i)).random(n_steps)
-    times, stored, jumps, histogram = _run_batch(system, schedule, psi, dt, uniforms, store_every)
+    times, stored, jumps, histogram = _run_batch(system, schedule, psi, step, uniforms, store_every)
     mean_density = np.einsum("nti,ntj->tij", stored, stored.conj()) / n
     return EnsembleResult(
         n_trajectories=n,

@@ -40,6 +40,45 @@ def test_steady_state_run_writes_expected_artifacts(tmp_path, capsys):
     assert summary["slowest_decay_rate"] > 0.0
 
 
+# each experiment at a tiny config, and the datasets it writes, in order
+TINY_RUNS = {
+    "spectrum": (["--set", "scan.J_stop=0.2", "--set", "scan.J_step=0.1"],
+                 ["spectrum.csv"]),
+    "ep-map": (["--set", "scan.resolution=5"],
+               ["ep_map_grid.csv", "ep_map_lines.csv"]),
+    "fig1": (["--set", "scan.J_values=[0.3, 1.2]", "--set", "scan.heatmap_samples=11"],
+             ["fig1_heatmap.csv", "fig1_cuts.csv", "fig1_transition.csv"]),
+    "fig2": (["--set", "schedule.T=1.0", "--set", "ensemble.n=5", "--set", "ensemble.dt=0.001"],
+             ["fig2_bloch.csv", "fig2_trajectory.csv", "fig2_ensemble.csv"]),
+    "fig4": (["--set", "scan.J_values=[0.5, 1.5]", "--set", "scan.heatmap_samples=11"],
+             ["fig4_coherence.csv", "fig4_transition.csv"]),
+    "sweeps": (["--set", "schedule.T=1.0", "--set", "scan.T_values=[1.0]",
+                "--set", "scan.Delta_max_values=[6.0]"],
+               ["sweeps_duration.csv", "sweeps_detuning.csv", "sweeps_hermitian.csv",
+                "sweeps_schedule_comparison.csv"]),
+    "steady-state": ([], ["steady_state.csv", "steady_state_spectrum.csv"]),
+    "trajectories": (["--set", "schedule.T=0.5", "--set", "ensemble.n=5"],
+                     ["trajectories_single.csv", "trajectories_ensemble.csv"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("experiment", sorted(TINY_RUNS))
+def test_run_writes_its_fixed_file_set(experiment, fmt, tmp_path, capsys):
+    extra, csv_names = TINY_RUNS[experiment]
+    stem = experiment.replace("-", "_")
+    datasets = csv_names if fmt == "csv" else [f"{stem}_summary.json"]
+    code = run(experiment, "--output-dir", str(tmp_path), "--formats", fmt, *extra)
+    out = capsys.readouterr().out
+    assert code == 0
+    written = datasets + [f"{stem}_manifest.json"]
+    assert {p.name for p in tmp_path.iterdir()} == set(written)
+    assert [line.split("/")[-1] for line in out.splitlines() if line.startswith("wrote ")] == written
+    manifest = json.loads((tmp_path / f"{stem}_manifest.json").read_text())
+    validate_manifest(manifest)
+    assert [e["name"] for e in manifest["files"]] == datasets
+
+
 def test_config_file_and_override_flow(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -147,17 +186,6 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert without_output_dir(m1["config"]) == without_output_dir(m2["config"])
 
 
-def test_thread_count_does_not_change_ep_map(tmp_path, capsys):
-    args = ("ep-map", "--set", "scan.resolution=15",
-            "--set", "scan.J_range=[0.3, 0.9]", "--set", "scan.Delta_range=[-0.4, 0.4]")
-    d1, d2 = tmp_path / "serial", tmp_path / "threaded"
-    assert run(*args, "--output-dir", str(d1), "--threads", "1") == 0
-    assert run(*args, "--output-dir", str(d2), "--threads", "2") == 0
-    capsys.readouterr()
-    assert (d1 / "ep_map_grid.csv").read_bytes() == (d2 / "ep_map_grid.csv").read_bytes()
-    assert (d1 / "ep_map_lines.csv").read_bytes() == (d2 / "ep_map_lines.csv").read_bytes()
-
-
 def test_mhz_units_scale_into_the_rad_pipeline(tmp_path, capsys):
     # 1 MHz scales to 2 pi rad/us; literals below are the exact binary floats
     rad = tmp_path / "rad"
@@ -182,14 +210,6 @@ def test_environment_variable_plumbing(tmp_path, capsys, monkeypatch):
     assert run("steady-state", "--output-dir", str(flag_dir)) == 0
     assert (flag_dir / "steady_state_manifest.json").exists()
 
-    monkeypatch.setenv("LIOUVLAB_THREADS", "not-a-number")
-    code = run("steady-state", "--output-dir", str(tmp_path / "t"))
-    assert code == 2
-    assert "LIOUVLAB_THREADS" in capsys.readouterr().err
-
-    monkeypatch.setenv("LIOUVLAB_THREADS", "2")
-    assert run("steady-state", "--output-dir", str(tmp_path / "t2")) == 0
-
 
 def test_constant_parameter_trajectories_via_schedule_null(tmp_path, capsys):
     code = run("trajectories", "--output-dir", str(tmp_path),
@@ -203,6 +223,15 @@ def test_constant_parameter_trajectories_via_schedule_null(tmp_path, capsys):
     summary = json.loads((tmp_path / "trajectories_summary.json").read_text())
     assert set(summary["jump_count_histogram"]) <= {"e"}
     assert summary["max_trace_distance"] < 0.2
+
+
+def test_scheduled_trajectories_accept_a_loop_that_is_not_a_whole_number_of_steps(
+        tmp_path, capsys):
+    code = run("trajectories", "--output-dir", str(tmp_path),
+               "--set", "schedule.T=1.0002", "--set", "ensemble.n=10")
+    assert code == 0, capsys.readouterr().err
+    rows = (tmp_path / "trajectories_ensemble.csv").read_text().split()
+    assert float(rows[-1].split(",")[0]) == pytest.approx(1.0002, abs=1e-12)
 
 
 def test_constant_trajectories_require_a_duration(tmp_path, capsys):

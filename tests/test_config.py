@@ -10,10 +10,10 @@ from liouvlab.errors import ConfigError
 
 
 def test_deep_merge_nested_override():
-    base = {"system": {"gamma_e": 4.4, "J": 0.3}, "threads": 1}
-    override = {"system": {"J": 1.0}, "threads": 4}
+    base = {"system": {"gamma_e": 4.4, "J": 0.3}, "units": "rad"}
+    override = {"system": {"J": 1.0}, "units": "mhz"}
     merged = cfg.deep_merge(base, override)
-    assert merged == {"system": {"gamma_e": 4.4, "J": 1.0}, "threads": 4}
+    assert merged == {"system": {"gamma_e": 4.4, "J": 1.0}, "units": "mhz"}
     assert base["system"]["J"] == 0.3  # inputs are not mutated
 
 
@@ -78,7 +78,7 @@ def test_parse_set_override_forms():
     assert cfg.parse_set_override("system.gamma_e=4.4") == (["system", "gamma_e"], 4.4)
     assert cfg.parse_set_override("scan.J_values=[0.1, 0.2]") == (["scan", "J_values"], [0.1, 0.2])
     assert cfg.parse_set_override("system.f_decay_to=g") == (["system", "f_decay_to"], "g")
-    assert cfg.parse_set_override("threads=4") == (["threads"], 4)
+    assert cfg.parse_set_override("units=mhz") == (["units"], "mhz")
     assert cfg.parse_set_override("schedule.direction=cw") == (["schedule", "direction"], "cw")
     path, val = cfg.parse_set_override("scan.resolution=15")
     assert val == 15 and isinstance(val, int)
@@ -93,7 +93,7 @@ def test_parse_set_override_rejects_malformed_specs():
 
 def test_nest_override():
     assert cfg.nest_override(["system", "J"], 1.0) == {"system": {"J": 1.0}}
-    assert cfg.nest_override(["threads"], 2) == {"threads": 2}
+    assert cfg.nest_override(["units"], "mhz") == {"units": "mhz"}
 
 
 # --- resolution -----------------------------------------------------------------------
@@ -115,8 +115,6 @@ def test_resolve_defaults():
     assert out.scan == {}
     assert str(out.output_dir) == "out"
     assert out.formats == ("csv", "json")
-    assert out.threads == 1
-    assert out.wants("csv") and out.wants("json") and not out.wants("hdf5")
 
 
 def test_resolve_full_document():
@@ -129,7 +127,6 @@ def test_resolve_full_document():
         "scan": {"J_start": 0.1, "J_stop": 1.8, "J_step": 0.05},
         "output_dir": "results/run1",
         "formats": ["csv"],
-        "threads": 2,
     }
     out = cfg.resolve(raw, "fig4")
     assert out.system.dim == 3
@@ -144,8 +141,6 @@ def test_resolve_full_document():
     assert out.t_final == 1.5
     assert out.scan["J_step"] == 0.05
     assert out.formats == ("csv",)
-    assert not out.wants("json")
-    assert out.threads == 2
     assert out.echo["system"]["dim"] == 3
 
 
@@ -171,8 +166,8 @@ def test_resolve_error_paths():
         cfg.resolve({"formats": []}, "spectrum")
     with pytest.raises(ConfigError):
         cfg.resolve({"formats": ["yaml"]}, "spectrum")
-    with pytest.raises(ConfigError):
-        cfg.resolve({"threads": 0}, "spectrum")
+    with pytest.raises(ConfigError, match="top-level"):
+        cfg.resolve({"threads": 2}, "spectrum")
 
 
 def test_load_config_file_errors(tmp_path):

@@ -127,6 +127,18 @@ def test_scheduled_constant_profile_matches_fixed_parameters():
     assert np.max(np.abs(sched.states - fixed.states)) <= 1e-9
 
 
+@pytest.mark.parametrize("target", ["e", "g"])
+def test_scheduled_run_keeps_the_f_decay_target(target):
+    # on a loop of zero amplitude the scheduled run is the constant one
+    system = make_system(DriveParams(J=0.0), Rates(gamma_e=1.0, gamma_f=2.0),
+                         dim=3, f_decay_to=target)
+    schedule = ParameterSchedule(T=1.0, J_max=0.0, Delta_max=0.0)
+    rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    sched = integrate_scheduled(system, schedule, rho0, n_steps=1000)
+    fixed = integrate_constant(system, rho0, [1.0])
+    assert np.max(np.abs(sched.final_state - fixed.final_state)) <= 1e-12
+
+
 def test_scheduled_step_floor_enforced():
     schedule = ParameterSchedule(T=2.0)
     system = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6))

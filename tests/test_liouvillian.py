@@ -351,13 +351,3 @@ def test_refine_triple_point_converges_from_cell_away():
     assert got[0] == pytest.approx(4.5 / math.sqrt(54.0), abs=1e-8)
     assert got[1] == pytest.approx(4.5 / math.sqrt(108.0), abs=1e-8)
 
-
-def test_ep_map_threading_is_deterministic():
-    kw = dict(J_range=(0.3, 0.9), Delta_range=(-0.3, 0.3), resolution=9)
-    serial = lv.ep_scan(qubit_template(4.5), threads=1, **kw)
-    threaded = lv.ep_scan(qubit_template(4.5), threads=2, **kw)
-    assert np.array_equal(serial.gap, threaded.gap)
-    assert np.array_equal(serial.eigenvalues, threaded.eigenvalues)
-    assert len(serial.ep_lines) == len(threaded.ep_lines)
-    for a, b in zip(serial.ep_lines, threaded.ep_lines):
-        assert np.array_equal(a, b)

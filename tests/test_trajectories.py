@@ -187,6 +187,16 @@ def test_emission_dominates_dephasing_on_the_control_loop():
     assert hist.get("e", 0) > 0
 
 
+def test_scheduled_ensemble_keeps_the_f_decay_target():
+    # |f> decays straight to |g>, so no trajectory ever populates |e>
+    system = make_system(DriveParams(J=0.0), Rates(gamma_e=1.0, gamma_f=2.0),
+                         dim=3, f_decay_to="g")
+    schedule = ParameterSchedule(T=1.0, J_max=0.0, Delta_max=0.0)
+    ens = tj.run_ensemble(system, schedule, basis_ket(3, 2), dt=1e-3, n=50, master_seed=3)
+    assert ens.jump_count_histogram["f"] > 0
+    assert np.max(ens.mean_density[:, 1, 1].real) == 0.0
+
+
 def test_closed_loop_has_no_jumps_without_dissipation():
     schedule = ParameterSchedule(T=2.0)
     sys2 = make_system(DriveParams(J=16.0), Rates(gamma_e=0.0))
