@@ -8,7 +8,7 @@ metrics for encircling protocols.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -30,6 +30,8 @@ MIN_FIT_SAMPLES = 8
 DEFAULT_FIT_WINDOW = 10.0  # us, about forty decay times of the fast branch
 DEFAULT_FIT_SAMPLES = 500
 EP_FLAG_RADIUS = 0.05  # rad/us; fits this close to the EP see t*exp(lambda t) terms
+FIT_MAX_NFEV = 500  # residual evaluations per variable-projection start
+FIT_TOL = 1e-15  # relative xtol, ftol and gtol of that iteration
 
 
 # ---------------------------------------------------------------------------
@@ -62,79 +64,49 @@ class DampedSineFit:
         )
 
 
-def _model_pq(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # x = (P, Q, gamma, omega, C); P cos + Q sin avoids the phase-wrap
-    # discontinuity during iteration.
-    P, Q, g, w, C = x
-    env = np.exp(-g * t)
-    return env * (P * np.cos(w * t) + Q * np.sin(w * t)) + C
-
-
-def _jacobian_pq(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    P, Q, g, w, C = x
-    env = np.exp(-g * t)
-    c = np.cos(w * t)
-    s = np.sin(w * t)
-    jac = np.empty((t.size, 5))
-    jac[:, 0] = env * c
-    jac[:, 1] = env * s
-    jac[:, 2] = -t * env * (P * c + Q * s)
-    jac[:, 3] = t * env * (Q * c - P * s)
-    jac[:, 4] = 1.0
-    return jac
-
-
-def _linear_init(t: np.ndarray, y: np.ndarray, gamma: float, omega: float):
-    """Least-squares (P, Q, C) at fixed (gamma, omega)."""
+def _linear_solve(t: np.ndarray, y: np.ndarray, gamma: float, omega: float):
+    """Least-squares (P, Q, C) at fixed (gamma, omega), and the residual."""
     env = np.exp(-gamma * t)
     cols = np.column_stack([env * np.cos(omega * t), env * np.sin(omega * t), np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    return coef
+    return coef, cols @ coef - y
 
 
-def _offset_guess(y: np.ndarray) -> float:
-    tail = y[-max(len(y) // 4, 2):]
-    return float(tail.mean())
+def _pencil_seeds(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
+    """(gamma, omega) seeds from the poles of a rank-3 matrix pencil.
 
-
-def _frequency_guess(t: np.ndarray, y_detrended: np.ndarray) -> float:
-    """Angular frequency of the discrete-spectrum peak (Hann window)."""
+    The series is resampled onto a uniform grid of the same length, since
+    the pencil needs uniform samples. Of the three poles, the one closest to
+    z = 1 models the offset and is dropped; each other pole z gives
+    gamma = -ln|z| / dt and omega = |arg z| / dt, with omega = 0 for a real
+    pole (a negative real pole would otherwise seed omega at Nyquist).
+    """
     n = len(t)
-    dt_mean = float(np.diff(t).mean())
-    spec = np.abs(np.fft.rfft(np.hanning(n) * y_detrended))
-    if len(spec) < 2:
-        return 0.0
-    k = 1 + int(np.argmax(spec[1:]))
-    return 2.0 * math.pi * k / (n * dt_mean)
+    dt = (t[-1] - t[0]) / (n - 1)
+    u = np.interp(np.linspace(t[0], t[-1], n), t, y)
+    hankel = np.lib.stride_tricks.sliding_window_view(u, n // 2 + 1)
+    v = np.linalg.svd(hankel, full_matrices=False)[2][:3].T
+    z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
+    z = np.delete(z, np.argmin(np.abs(z - 1.0)))
+    seeds = []
+    for zk in z:
+        # a zero pole (a step) seeds the largest finite decay rate
+        gamma = -math.log(max(abs(zk), np.finfo(float).tiny)) / dt
+        omega = 0.0 if zk.imag == 0.0 else abs(np.angle(zk)) / dt
+        seeds.append((max(gamma, 0.0), omega))
+    return list(dict.fromkeys(seeds))  # a conjugate pair seeds one start
 
 
-def _decay_guess(t: np.ndarray, y_detrended: np.ndarray) -> float:
-    """Slope of the log envelope, from block maxima of |y - C|."""
-    n = len(t)
-    n_blocks = min(8, max(2, n // 25))
-    edges = np.linspace(0, n, n_blocks + 1).astype(int)
-    centers, logs = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        peak = float(np.max(np.abs(y_detrended[a:b])))
-        if peak > 0.0:
-            centers.append(0.5 * (t[a] + t[b - 1]))
-            logs.append(math.log(peak))
-    if len(centers) < 2:
-        return 1.0 / max(float(t[-1] - t[0]), 1e-12)
-    slope = np.polyfit(centers, logs, 1)[0]
-    return float(np.clip(-slope, 0.0, 1e6))
-
-
-def fit_damped_sine(times, values, max_nfev: int = 2000) -> DampedSineFit:
+def fit_damped_sine(times, values) -> DampedSineFit:
     """Fit f(t) = A exp(-Gamma t) cos(omega t + phi) + C to a time series.
 
-    Initial guesses: C from the tail mean, omega from the windowed discrete
-    spectrum of (values - C), Gamma from the log-envelope slope, then a
-    linear solve for the quadrature amplitudes. Three omega seeds
-    (0, peak, 2 x peak) are run through a trust-region least-squares
-    iteration and the lowest-residual solution is kept. A constant series
+    Variable projection (Golub & Pereyra 1973): for fixed (Gamma, omega) the
+    quadrature amplitudes and the offset solve a linear least-squares
+    problem, so the trust-region iteration runs over (Gamma, omega) only,
+    on the projected residual. The iteration starts from each non-offset
+    pole of a rank-3 matrix pencil (Hua & Sarkar 1990), and the start with
+    the lower residual is kept. `converged` reports whether that start met
+    a convergence test within the evaluation budget. A constant series
     short-circuits to the degenerate fit A = 0, omega = 0, Gamma = 0.
     """
     t = np.asarray(times, dtype=float)
@@ -154,34 +126,20 @@ def fit_damped_sine(times, values, max_nfev: int = 2000) -> DampedSineFit:
             offset=float(y[0]), residual_rms=0.0, converged=True,
         )
 
-    c0 = _offset_guess(y)
-    detrended = y - c0
-    omega_peak = _frequency_guess(t, detrended)
-    gamma0 = _decay_guess(t, detrended)
-
-    lower = [-np.inf, -np.inf, 0.0, 0.0, -np.inf]
-    upper = [np.inf] * 5
     best = None
-    for omega_seed in dict.fromkeys([0.0, omega_peak, 2.0 * omega_peak]):
-        p0, q0, c_init = _linear_init(t, y, gamma0, omega_seed)
-        x0 = np.array([p0, q0, gamma0, omega_seed, c_init])
-        if not np.all(np.isfinite(x0)):
-            continue
+    for seed in _pencil_seeds(t, y):
         res = least_squares(
-            lambda x: _model_pq(x, t) - y,
-            x0,
-            jac=lambda x: _jacobian_pq(x, t),
-            bounds=(lower, upper),
-            method="trf",
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=max_nfev,
+            lambda x: _linear_solve(t, y, x[0], x[1])[1],
+            seed,
+            bounds=([0.0, 0.0], [np.inf, np.inf]),
+            xtol=FIT_TOL, ftol=FIT_TOL, gtol=FIT_TOL,
+            max_nfev=FIT_MAX_NFEV,
         )
         if best is None or res.cost < best.cost:
             best = res
 
-    if best is None:
-        raise DegenerateInput("no finite initial guess could be formed")
-    P, Q, gamma, omega, offset = best.x
+    gamma, omega = best.x
+    (P, Q, offset), _ = _linear_solve(t, y, gamma, omega)
     amplitude = math.hypot(P, Q)
     phase = math.atan2(-Q, P) if amplitude > 0.0 else 0.0
     return DampedSineFit(
@@ -249,7 +207,7 @@ class TransitionScan:
 
     fits holds one DampedSineFit per J (None where the fit raised);
     predicted holds the representative eigenvalue as (Re, Im) rows. Points
-    with |J - j_ep| < flag radius are flagged: the defective-point dynamics
+    with |J - j_ep| < EP_FLAG_RADIUS are flagged: the defective-point dynamics
     carries secular t exp(lambda t) terms that bias the fit there.
     """
 
@@ -263,6 +221,11 @@ class TransitionScan:
     flagged: np.ndarray
     failures: list[tuple[int, str]] = field(default_factory=list)
     j_ep: float = 0.0
+
+    @property
+    def n_unconverged(self) -> int:
+        """Fits that returned without meeting a convergence test."""
+        return sum(1 for f in self.fits if f is not None and not f.converged)
 
     def transition_estimate(self, threshold: float = 0.1) -> float:
         """Smallest scanned J whose fitted omega exceeds the threshold."""
@@ -291,34 +254,11 @@ def _initial_state_for(dim: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _resolve_selector(
-    selector: Union[str, Callable[[np.ndarray], np.ndarray]], dim: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Map a selector spec to (series extractor, vectorized observable index)."""
-    if callable(selector):
-        default_idx = dim * 1 + 1 if dim == 2 else 2
-        return selector, default_idx
-    name = selector
-    if name == "auto":
-        name = "rho_ee" if dim == 2 else "rho_gf_abs"
-    if name == "rho_ee":
-        if dim < 2:
-            raise DomainError("rho_ee selector needs dim >= 2")
-        return (lambda states: states[:, 1, 1].real), dim * 1 + 1
-    if name == "rho_gf_abs":
-        if dim != 3:
-            raise DomainError("rho_gf_abs selector needs dim = 3")
-        return (lambda states: np.abs(states[:, 0, 2])), 2
-    raise DomainError(f"unknown observable selector {selector!r}")
-
-
 def scan_transition(
     system_template: QuantumSystem,
     J_values,
-    observable_selector: Union[str, Callable[[np.ndarray], np.ndarray]] = "auto",
     window: float = DEFAULT_FIT_WINDOW,
     n_samples: int = DEFAULT_FIT_SAMPLES,
-    ep_flag_radius: float = EP_FLAG_RADIUS,
     cfg: Optional[IntegratorConfig] = None,
 ) -> TransitionScan:
     """Sweep J, fitting the simulated transient and attaching predictions.
@@ -333,7 +273,7 @@ def scan_transition(
     if J_arr.ndim != 1 or len(J_arr) == 0:
         raise OutOfRange("J_values must be a non-empty 1-d array")
     dim = system_template.dim
-    extractor, obs_index = _resolve_selector(observable_selector, dim)
+    obs_index = 3 if dim == 2 else 2  # vectorized index of rho_ee, rho_gf
     rho0 = _initial_state_for(dim)
     t_grid = np.linspace(0.0, window, n_samples)
     j_ep = ep_coupling(system_template.rates, dim)
@@ -350,7 +290,7 @@ def scan_transition(
             DriveParams(J=float(J), Delta=system_template.drive.Delta)
         )
         evo = integrate_constant(system, rho0, t_grid, cfg)
-        series = np.asarray(extractor(evo.states), dtype=float)
+        series = evo.states[:, 1, 1].real if dim == 2 else np.abs(evo.states[:, 0, 2])
         omega_pred[i], gamma_pred[i] = predict_rates(system, rho0, obs_index)
         try:
             fit = fit_damped_sine(t_grid, series)
@@ -363,7 +303,7 @@ def scan_transition(
         gamma_fit[i] = fit.gamma
 
     predicted = np.column_stack([-gamma_pred, omega_pred])
-    flagged = np.abs(J_arr - j_ep) < ep_flag_radius
+    flagged = np.abs(J_arr - j_ep) < EP_FLAG_RADIUS
     return TransitionScan(
         J_values=J_arr,
         fits=fits,

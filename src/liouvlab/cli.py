@@ -280,6 +280,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "j_ep": scan_result.j_ep,
         "transition_estimate": scan_result.transition_estimate(),
         "n_fit_failures": len(scan_result.failures),
+        "n_fits_unconverged": scan_result.n_unconverged,
         "cut_J_values": list(cut_values),
     }
 
@@ -367,6 +368,7 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "j_ep": scan_result.j_ep,
         "transition_estimate": scan_result.transition_estimate(),
         "n_fit_failures": len(scan_result.failures),
+        "n_fits_unconverged": scan_result.n_unconverged,
     }
 
 

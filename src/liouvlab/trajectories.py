@@ -28,6 +28,7 @@ from .model import ParameterSchedule, QuantumSystem, system_at
 SeedLike = Union[int, np.random.SeedSequence]
 
 JUMP_PROBABILITY_GUIDELINE = 0.1
+UNIFORM_BLOCK = 256  # steps of uniforms held per trajectory at a time
 
 
 @dataclass
@@ -130,15 +131,19 @@ def _run_batch(
     schedule: Optional[ParameterSchedule],
     psi0: np.ndarray,
     dt: float,
-    uniforms: np.ndarray,  # (n, n_steps)
+    n_steps: int,
+    generators: list[np.random.Generator],
     store_every: int,
 ):
     """Advance a batch of trajectories with shared per-step propagators.
 
     All trajectories see the identical arithmetic whatever the batch size,
     so a batch of one reproduces any member of a larger batch bit for bit.
+    Trajectory i draws its uniforms from generators[i], UNIFORM_BLOCK steps
+    at a time; consecutive draws continue one stream, so the values do not
+    depend on the block size.
     """
-    n, n_steps = uniforms.shape
+    n = len(generators)
     d = system.dim
     props, ops_steps, labels_steps, all_labels = _step_table(system, schedule, dt, n_steps)
 
@@ -156,6 +161,9 @@ def _run_batch(
     warned = False
 
     for k in range(n_steps):
+        if k % UNIFORM_BLOCK == 0:
+            width = min(UNIFORM_BLOCK, n_steps - k)
+            block = np.array([g.random(width) for g in generators])
         ops_arr = ops_steps[k]
         labels = labels_steps[k]
         n_ops = len(ops_arr)
@@ -169,7 +177,7 @@ def _run_batch(
                     stacklevel=3,
                 )
                 warned = True
-            u = uniforms[:, k]
+            u = block[:, k % UNIFORM_BLOCK]
             ptot = probs.sum(axis=1)
             jumped = u < ptot
         else:
@@ -221,8 +229,8 @@ def run_trajectory(
     """One stochastic pure-state trajectory; deterministic given (seed, dt)."""
     psi = _unit_state(psi0)
     n_steps, step = _resolve_steps(schedule, t_final, dt)
-    uniforms = _as_generator(seed).random(n_steps)[None, :]
-    times, stored, jumps, _hist = _run_batch(system, schedule, psi, step, uniforms, store_every)
+    times, stored, jumps, _hist = _run_batch(
+        system, schedule, psi, step, n_steps, [_as_generator(seed)], store_every)
     return TrajectoryRecord(seed=seed, times=times, states=stored[0], jumps=jumps[0])
 
 
@@ -241,10 +249,9 @@ def run_ensemble(
         raise OutOfRange(f"ensemble size must be >= 1, got {n}")
     psi = _unit_state(psi0)
     n_steps, step = _resolve_steps(schedule, t_final, dt)
-    uniforms = np.empty((n, n_steps))
-    for i in range(n):
-        uniforms[i] = _as_generator(split_seed(master_seed, i)).random(n_steps)
-    times, stored, jumps, histogram = _run_batch(system, schedule, psi, step, uniforms, store_every)
+    generators = [_as_generator(split_seed(master_seed, i)) for i in range(n)]
+    times, stored, jumps, histogram = _run_batch(
+        system, schedule, psi, step, n_steps, generators, store_every)
     mean_density = np.einsum("nti,ntj->tij", stored, stored.conj()) / n
     return EnsembleResult(
         n_trajectories=n,

@@ -37,6 +37,11 @@ def test_fit_recovers_exact_parameters():
     assert fit.residual_rms <= 1e-9
 
 
+# a strictly increasing grid: each sample moves by less than half a step
+JITTERED_TIMES = (np.linspace(0.0, 6.0, 300)
+                  + np.random.default_rng(5).uniform(-0.4, 0.4, 300) * (6.0 / 299))
+
+
 @settings(max_examples=100)
 @given(
     A=st.floats(0.5, 2.0),
@@ -44,11 +49,12 @@ def test_fit_recovers_exact_parameters():
     omega=st.floats(0.3, 8.0),
     phi=st.floats(-3.0, 3.0),
     C=st.floats(-1.0, 1.0),
+    jittered=st.booleans(),
 )
-def test_fit_recovery_property(A, gamma, omega, phi, C):
+def test_fit_recovery_property(A, gamma, omega, phi, C, jittered):
     # omega is kept away from 0: at omega ~ 0 the amplitude, phase, and
     # offset merge into fewer identifiable degrees of freedom.
-    t = np.linspace(0.0, 6.0, 300)
+    t = JITTERED_TIMES if jittered else np.linspace(0.0, 6.0, 300)
     y = damped_cosine(t, A, gamma, omega, phi, C)
     fit = analysis.fit_damped_sine(t, y)
     assert abs(fit.omega - omega) <= 1e-6 * max(1.0, omega)
@@ -162,6 +168,15 @@ def test_scan_transition_qutrit_point_above_transition():
     scan = analysis.scan_transition(template, [1.4])
     assert scan.j_ep == pytest.approx(1.05)
     assert scan.omega_fit[0] > 0.1
+
+
+def test_qutrit_fits_below_the_transition_converge():
+    # the acceptance-04 system just below its EP, where the series is overdamped
+    template = make_system(DriveParams(J=1.0), Rates(4.2, 0.2, 0.3, 0.75), dim=3, f_decay_to="e")
+    scan = analysis.scan_transition(template, [0.9, 1.0, 1.025])
+    assert scan.failures == []
+    assert [fit.converged for fit in scan.fits] == [True, True, True]
+    assert scan.n_unconverged == 0
 
 
 def test_scan_transition_records_failures_instead_of_raising():

@@ -77,6 +77,9 @@ def test_run_writes_its_fixed_file_set(experiment, fmt, tmp_path, capsys):
     manifest = json.loads((tmp_path / f"{stem}_manifest.json").read_text())
     validate_manifest(manifest)
     assert [e["name"] for e in manifest["files"]] == datasets
+    if fmt == "json" and experiment in ("fig1", "fig4"):
+        summary = json.loads((tmp_path / datasets[0]).read_text())
+        assert summary["n_fits_unconverged"] == 0
 
 
 def test_config_file_and_override_flow(tmp_path, capsys):

@@ -203,3 +203,14 @@ def test_closed_loop_has_no_jumps_without_dissipation():
     ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=5e-4, n=20, master_seed=99)
     assert ens.jump_count_histogram == {}
     assert all(j == [] for j in ens.jumps_per_trajectory)
+
+
+def test_ensemble_reproduces_its_recorded_jumps():
+    # golden values from one whole-run uniform draw per trajectory; 600 steps
+    # is not a whole number of 256-step blocks
+    schedule = ParameterSchedule(T=0.6)
+    sys2 = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=2.0))
+    ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=1e-3, n=6, master_seed=11)
+    assert ens.jump_count_histogram == {"e": 6, "phi": 4}
+    assert ens.jumps_per_trajectory[0] == [(0.025, "phi"), (0.095, "e")]
+    assert [len(j) for j in ens.jumps_per_trajectory] == [2, 2, 2, 1, 0, 3]
