@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import numerics
 from .errors import DegenerateSteadyState, DomainError, NoSteadyState
-from .model import DriveParams, QuantumSystem, Rates
+from .model import DriveParams, OperatorStack, QuantumSystem, Rates, drive_operators, hamiltonians
 
 DEFAULT_GAP_TOL_FACTOR = 1e-4
 DEFAULT_ANGLE_TOL = 1e-3
@@ -46,16 +46,44 @@ class Superoperator:
 
 
 def build_superoperator(system: QuantumSystem) -> Superoperator:
-    d = system.dim
-    ident = np.eye(d, dtype=complex)
-    h = system.hamiltonian()
-    m = -1j * (numerics.kron(h, ident) - numerics.kron(ident, h.T))
-    for L, _label in system.jump_ops:
-        ldl = L.conj().T @ L
-        m = m + numerics.kron(L, L.conj())
-        m = m - 0.5 * numerics.kron(ldl, ident)
-        m = m - 0.5 * numerics.kron(ident, ldl.T)
-    return Superoperator(matrix=m, d=d)
+    """The system's Liouvillian: the one-point case of superoperator_stack."""
+    ops = drive_operators(system, [system.drive.J], [system.drive.Delta])
+    return Superoperator(matrix=superoperator_stack(ops)[0], d=system.dim)
+
+
+def superoperator_stack(ops: OperatorStack) -> np.ndarray:
+    """The (n, d^2, d^2) Liouvillians of n parameter points, built in one pass.
+
+    Point k gets the module formula for its Hamiltonian and its jump set,
+    with the same products and the same order of additions as a system built
+    alone, so every slice equals its own build_superoperator bit for bit.
+    """
+    return _assemble(ops.hamiltonians, _dissipator_terms(ops.jumps))
+
+
+def _dissipator_terms(jumps) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per channel: L kron L^*, (L^+L kron I)/2, (I kron L^T L^*)/2 and the active mask."""
+    terms = []
+    for L, _label, active in jumps:
+        ident = np.eye(L.shape[-1], dtype=complex)
+        ldl = L.conj().swapaxes(-1, -2) @ L
+        terms.append((
+            numerics.kron(L, L.conj()),
+            0.5 * numerics.kron(ldl, ident),
+            0.5 * numerics.kron(ident, ldl.swapaxes(-1, -2)),
+            active,
+        ))
+    return terms
+
+
+def _assemble(h: np.ndarray, terms) -> np.ndarray:
+    """Hamiltonian part of a stack h (n, d, d) plus precomputed dissipator terms."""
+    ident = np.eye(h.shape[-1], dtype=complex)
+    m = -1j * (numerics.kron(h, ident) - numerics.kron(ident, h.swapaxes(-1, -2)))
+    for jump, left, right, active in terms:
+        with_channel = m + jump - left - right
+        m = with_channel if active.all() else np.where(active[:, None, None], with_channel, m)
+    return m
 
 
 @dataclass
@@ -89,15 +117,7 @@ def spectrum(
     if gap_tol is None:
         gap_tol = DEFAULT_GAP_TOL_FACTOR * max(scale, 1e-30)
 
-    min_gap = math.inf
-    pair = (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = abs(lam[i] - lam[j])
-            if g < min_gap:
-                min_gap = g
-                pair = (i, j)
-    i, j = pair
+    min_gap, i, j = _closest_pair(lam)
     angle = numerics.principal_angle(vecs[:, i], vecs[:, j])
 
     order = 0
@@ -242,6 +262,23 @@ def _nonzero_eigenvalues(lam: np.ndarray, scale: float) -> np.ndarray:
     return lam[keep]
 
 
+def _closest_pair(lam: np.ndarray) -> tuple[float, int, int]:
+    """(|lam[i] - lam[j]|, i, j) for the closest pair i < j.
+
+    Ties go to the first pair in row-major (i, then j) order. The gaps are
+    np.hypot of the differences, which is the scalar abs() of each complex
+    difference bit for bit (np.abs on a complex array may differ in the last
+    place).
+    """
+    rows, cols = np.triu_indices(len(lam), 1)
+    if len(rows) == 0:
+        return math.inf, 0, 1
+    diff = lam[rows] - lam[cols]
+    gaps = np.hypot(diff.real, diff.imag)
+    k = int(np.argmin(gaps))
+    return float(gaps[k]), int(rows[k]), int(cols[k])
+
+
 def _coalescence_indicator(lam_nz: np.ndarray) -> float:
     """Signed closest-pair gap among the decaying modes.
 
@@ -250,32 +287,42 @@ def _coalescence_indicator(lam_nz: np.ndarray) -> float:
     axis (-). Crossing a second-order EP flips the splitting character, so
     this indicator changes sign across an EP line and admits bisection.
     """
-    n = len(lam_nz)
-    best = math.inf
-    diff = 0.0 + 0.0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = abs(lam_nz[i] - lam_nz[j])
-            if g < best:
-                best = g
-                diff = lam_nz[i] - lam_nz[j]
+    best, i, j = _closest_pair(lam_nz)
     if not math.isfinite(best):
         return 0.0
+    diff = lam_nz[i] - lam_nz[j]
     sign = 1.0 if abs(diff.real) >= abs(diff.imag) else -1.0
     return sign * best
 
 
-def _indicator_at(system: QuantumSystem, J: float, Delta: float) -> tuple[float, float]:
-    sop = build_superoperator(system.with_drive(DriveParams(J=max(J, 0.0), Delta=Delta)))
-    lam = np.linalg.eigvals(sop.matrix)
-    scale = np.linalg.norm(sop.matrix)
+def _liouvillian_at(system: QuantumSystem):
+    """A function (J, Delta) -> the system's Liouvillian at that drive.
+
+    The dissipator terms are built once; each call adds them to the new
+    Hamiltonian part in build_superoperator's order, so the matrix equals
+    build_superoperator of the system at that drive bit for bit. A negative
+    J is clamped to 0.
+    """
+    terms = _dissipator_terms(
+        drive_operators(system, [system.drive.J], [system.drive.Delta]).jumps)
+
+    def at(J: float, Delta: float) -> np.ndarray:
+        return _assemble(hamiltonians([max(J, 0.0)], [Delta], system.dim), terms)[0]
+
+    return at
+
+
+def _indicator_at(liouvillian_at, J: float, Delta: float) -> tuple[float, float]:
+    m = liouvillian_at(J, Delta)
+    lam = np.linalg.eigvals(m)
+    scale = np.linalg.norm(m)
     lam_nz = _nonzero_eigenvalues(lam, scale)
     s = _coalescence_indicator(lam_nz)
     return s, abs(s)
 
 
 def _bisect_edge(
-    system: QuantumSystem,
+    liouvillian_at,
     p0: tuple[float, float],
     p1: tuple[float, float],
     s0: float,
@@ -296,7 +343,7 @@ def _bisect_edge(
     while (b - a) * seg > width_floor:
         t = 0.5 * (a + b)
         pt = (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-        s, gap = _indicator_at(system, *pt)
+        s, gap = _indicator_at(liouvillian_at, *pt)
         if gap < best_gap:
             best_gap, best_t = gap, t
         if gap <= gap_target:
@@ -328,16 +375,16 @@ def _pq_from_modes(lam_nz: np.ndarray) -> np.ndarray:
     return np.array([p.real, q.real])
 
 
-def _depressed_cubic_residual(system: QuantumSystem, J: float, Delta: float) -> np.ndarray:
+def _depressed_cubic_residual(liouvillian_at, J: float, Delta: float) -> np.ndarray:
     """(p, q) evaluated at one parameter point.
 
     Unlike eigenvalue gaps, these are symmetric functions of the spectrum and
     stay smooth at coalescence, so Newton iteration on them converges even
     where the gaps have square-root cusps.
     """
-    sop = build_superoperator(system.with_drive(DriveParams(J=max(J, 0.0), Delta=Delta)))
-    lam = np.linalg.eigvals(sop.matrix)
-    scale = np.linalg.norm(sop.matrix)
+    m = liouvillian_at(J, Delta)
+    lam = np.linalg.eigvals(m)
+    scale = np.linalg.norm(m)
     return _pq_from_modes(_nonzero_eigenvalues(lam, scale))
 
 
@@ -349,17 +396,18 @@ def refine_triple_point(
     fd_step: float = 1e-7,
 ) -> Optional[tuple[float, float]]:
     """Newton iteration on the depressed-cubic coefficients from a seed."""
+    at = _liouvillian_at(system)
     x = np.array([J0, Delta0], dtype=float)
     for _ in range(max_iter):
-        f = _depressed_cubic_residual(system, x[0], x[1])
+        f = _depressed_cubic_residual(at, x[0], x[1])
         if np.max(np.abs(f)) < 1e-13:
             break
         jac = np.empty((2, 2))
         for k in range(2):
             dx = np.zeros(2)
             dx[k] = fd_step
-            fp = _depressed_cubic_residual(system, *(x + dx))
-            fm = _depressed_cubic_residual(system, *(x - dx))
+            fp = _depressed_cubic_residual(at, *(x + dx))
+            fm = _depressed_cubic_residual(at, *(x - dx))
             jac[:, k] = (fp - fm) / (2.0 * fd_step)
         try:
             step = np.linalg.solve(jac, f)
@@ -370,7 +418,7 @@ def refine_triple_point(
             return None
         if np.max(np.abs(step)) < 1e-14:
             break
-    f = _depressed_cubic_residual(system, x[0], x[1])
+    f = _depressed_cubic_residual(at, x[0], x[1])
     if np.max(np.abs(f)) > 1e-9:
         return None
     return float(x[0]), float(x[1])
@@ -477,10 +525,13 @@ def ep_scan(
     order = np.zeros((nD, nJ), dtype=int)
     indicator = np.empty((nD, nJ))
     pq_grid = np.empty((nD, nJ, 2))
+    # every grid point's Liouvillian in one stack, row by row in Delta
+    grid = superoperator_stack(drive_operators(
+        system_template, np.tile(J_values, nD), np.repeat(Delta_values, nJ)))
     for iD in range(nD):
         for iJ in range(nJ):
             params = DriveParams(J=J_values[iJ], Delta=Delta_values[iD])
-            sop = build_superoperator(system_template.with_drive(params))
+            sop = Superoperator(matrix=grid[iD * nJ + iJ], d=system_template.dim)
             res = spectrum(sop, params=params, gap_tol=gap_tol, angle_tol=angle_tol)
             eigenvalues[iD, iJ] = res.eigenvalues
             gap[iD, iJ] = res.min_eigenvalue_gap
@@ -491,6 +542,7 @@ def ep_scan(
             pq_grid[iD, iJ] = _pq_from_modes(lam_nz)
 
     # sign changes along grid edges -> refined second-order points
+    liouvillian_at = _liouvillian_at(system_template)
     points: list[tuple[float, float]] = []
     edge_cells: list[set[tuple[int, int]]] = []
 
@@ -516,7 +568,7 @@ def ep_scan(
             if (s0 > 0.0) != (s1 > 0.0):
                 p0 = (J_values[iJ], Delta_values[iD])
                 p1 = (J_values[iJ + 1], Delta_values[iD])
-                Jr, Dr, g = _bisect_edge(system_template, p0, p1, s0)
+                Jr, Dr, g = _bisect_edge(liouvillian_at, p0, p1, s0)
                 if g <= gap_accept:
                     points.append((Jr, Dr))
                     edge_cells.append(cells_of_horizontal_edge(iD, iJ))
@@ -526,7 +578,7 @@ def ep_scan(
             if (s0 > 0.0) != (s1 > 0.0):
                 p0 = (J_values[iJ], Delta_values[iD])
                 p1 = (J_values[iJ], Delta_values[iD + 1])
-                Jr, Dr, g = _bisect_edge(system_template, p0, p1, s0)
+                Jr, Dr, g = _bisect_edge(liouvillian_at, p0, p1, s0)
                 if g <= gap_accept:
                     points.append((Jr, Dr))
                     edge_cells.append(cells_of_vertical_edge(iD, iJ))

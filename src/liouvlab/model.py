@@ -101,12 +101,24 @@ def hamiltonian(drive: DriveParams, dim: int = 2) -> np.ndarray:
     For dim 3 the same operator acts on the g-e block and the |f> row and
     column are zero (the drive does not couple to |f>).
     """
+    return hamiltonians([drive.J], [drive.Delta], dim)[0]
+
+
+def hamiltonians(J, Delta, dim: int = 2) -> np.ndarray:
+    """H_c at n drive points: a (n, dim, dim) stack for length-n J and Delta."""
     if dim not in (2, 3):
         raise OutOfRange(f"dim must be 2 or 3, got {dim}")
-    h = np.zeros((dim, dim), dtype=complex)
-    h[0, 1] = h[1, 0] = drive.J
-    h[0, 0] = 0.5 * drive.Delta
-    h[1, 1] = -0.5 * drive.Delta
+    J = np.asarray(J, dtype=float)
+    Delta = np.asarray(Delta, dtype=float)
+    if not (np.all(np.isfinite(J)) and np.all(np.isfinite(Delta))):
+        raise OutOfRange("drive parameters must be finite")
+    if np.any(J < 0.0):
+        raise OutOfRange(
+            f"J must be >= 0 (negative J is gauge-equivalent), got {J[J < 0.0][0]}")
+    h = np.zeros((len(J), dim, dim), dtype=complex)
+    h[:, 0, 1] = h[:, 1, 0] = J
+    h[:, 0, 0] = 0.5 * Delta
+    h[:, 1, 1] = -0.5 * Delta
     return h
 
 
@@ -118,28 +130,50 @@ def jump_operators(rates: Rates, dim: int = 2, f_decay_to: str = "e") -> list[tu
     configurable to "g") and L_f_extra = sqrt(gamma_f_extra)|f><f|, a pure
     dephasing channel on |f> modeling extra decoherence of that level.
     """
+    channels = jump_operator_stack(
+        rates.gamma_e, rates.gamma_phi, rates.gamma_f, rates.gamma_f_extra, dim, f_decay_to)
+    return [(L[0], label) for L, label, _active in channels]
+
+
+def jump_operator_stack(
+    gamma_e, gamma_phi, gamma_f, gamma_f_extra, dim: int = 2, f_decay_to: str = "e"
+) -> list[tuple[np.ndarray, str, np.ndarray]]:
+    """The jump_operators channels at n rate points, as (L, label, active).
+
+    Each rate is a number, or an array of its values at the n points. L
+    stacks the channel's operator at each of the rate's points, and active
+    is True where the rate is positive, so point k carries exactly the
+    channels jump_operators would give it. A channel whose rate is zero
+    everywhere is omitted.
+    """
     if dim not in (2, 3):
         raise OutOfRange(f"dim must be 2 or 3, got {dim}")
     if f_decay_to not in ("e", "g"):
         raise OutOfRange(f"f_decay_to must be 'e' or 'g', got {f_decay_to!r}")
-    ops: list[tuple[np.ndarray, str]] = []
-    if rates.gamma_e > 0.0:
-        L = np.zeros((dim, dim), dtype=complex)
-        L[0, 1] = math.sqrt(rates.gamma_e)
-        ops.append((L, "e"))
-    if rates.gamma_phi > 0.0:
-        ops.append((math.sqrt(rates.gamma_phi / 2.0) * sigma_z(dim), "phi"))
+    target = 1 if f_decay_to == "e" else 0
+    # (rate name, label, the operator's single entry, or None for sigma_z)
+    channels = [("gamma_e", "e", (0, 1)), ("gamma_phi", "phi", None)]
     if dim == 3:
-        if rates.gamma_f > 0.0:
-            L = np.zeros((dim, dim), dtype=complex)
-            target = 1 if f_decay_to == "e" else 0
-            L[target, 2] = math.sqrt(rates.gamma_f)
-            ops.append((L, "f"))
-        if rates.gamma_f_extra > 0.0:
-            L = np.zeros((dim, dim), dtype=complex)
-            L[2, 2] = math.sqrt(rates.gamma_f_extra)
-            ops.append((L, "f_extra"))
-    return ops
+        channels += [("gamma_f", "f", (target, 2)), ("gamma_f_extra", "f_extra", (2, 2))]
+    rates = {"gamma_e": gamma_e, "gamma_phi": gamma_phi,
+             "gamma_f": gamma_f, "gamma_f_extra": gamma_f_extra}
+    out = []
+    for name, label, entry in channels:
+        r = np.atleast_1d(np.asarray(rates[name], dtype=float))
+        if not np.all(np.isfinite(r)):
+            raise OutOfRange(f"{name} must be finite, got {r[~np.isfinite(r)][0]!r}")
+        if np.any(r < 0.0):
+            raise OutOfRange(f"{name} must be >= 0, got {r[r < 0.0][0]}")
+        active = r > 0.0
+        if not active.any():
+            continue
+        if entry is None:
+            L = np.sqrt(r / 2.0)[:, None, None] * sigma_z(dim)
+        else:
+            L = np.zeros((len(r), dim, dim), dtype=complex)
+            L[:, entry[0], entry[1]] = np.sqrt(r)
+        out.append((L, label, active))
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,8 +254,8 @@ class ParameterSchedule:
         return replace(self, direction="cw" if self.direction == "ccw" else "ccw")
 
 
-def schedule_eval(s: ParameterSchedule, t: float, rates: Rates) -> tuple[DriveParams, Rates]:
-    """Evaluate the path at time t, applying the direction sign to Delta."""
+def _path_point(s: ParameterSchedule, t: float, gamma_e: float) -> tuple[float, float, float]:
+    """(J, Delta, gamma_e) of the path at time t, with the direction sign on Delta."""
     if not (0.0 <= t <= s.T):
         raise OutOfRange(f"t={t} outside schedule domain [0, {s.T}]")
     sign = 1.0 if s.direction == "ccw" else -1.0
@@ -236,17 +270,51 @@ def schedule_eval(s: ParameterSchedule, t: float, rates: Rates) -> tuple[DrivePa
     if s.gamma_e_of_t is not None:
         ge = float(s.gamma_e_of_t(t))
     elif s.gamma_e_schedule == "cosine":
-        ge = rates.gamma_e * (1.0 - math.cos(2.0 * math.pi * t / s.T)) / 2.0
+        ge = gamma_e * (1.0 - math.cos(2.0 * math.pi * t / s.T)) / 2.0
     else:
-        ge = rates.gamma_e
+        ge = gamma_e
+    return J, Delta, ge
+
+
+def schedule_eval(s: ParameterSchedule, t: float, rates: Rates) -> tuple[DriveParams, Rates]:
+    """Evaluate the path at time t, applying the direction sign to Delta."""
+    J, Delta, ge = _path_point(s, t, rates.gamma_e)
     return DriveParams(J=J, Delta=Delta), replace(rates, gamma_e=ge)
 
 
-def system_at(system: QuantumSystem, schedule: ParameterSchedule, t: float) -> QuantumSystem:
-    """The system with the schedule's drive and rates at time t.
+@dataclass(frozen=True)
+class OperatorStack:
+    """A system's Hamiltonian and collapse operators at n parameter points.
 
-    Dimension and |f> decay target are kept, so every scheduled route runs
-    the jump channels the system was configured with.
+    hamiltonians is (n, d, d). Each jump entry is (L, label, active): L is
+    (n, d, d), or (1, d, d) when the operator is the same at every point, and
+    active (length n, or 1 for every point) marks the points whose jump set
+    contains the channel.
     """
-    drive, rates = schedule_eval(schedule, t, system.rates)
-    return make_system(drive, rates, dim=system.dim, f_decay_to=system.f_decay_to)
+
+    hamiltonians: np.ndarray
+    jumps: list[tuple[np.ndarray, str, np.ndarray]]
+
+
+def drive_operators(system: QuantumSystem, J, Delta) -> OperatorStack:
+    """The system at n drive points (J[k], Delta[k]), with its own jump operators."""
+    jumps = [(L[None], label, np.ones(1, dtype=bool)) for L, label in system.jump_ops]
+    return OperatorStack(hamiltonians(J, Delta, system.dim), jumps)
+
+
+def scheduled_operators(
+    system: QuantumSystem, schedule: ParameterSchedule, times
+) -> OperatorStack:
+    """The system at each of the given times of the schedule.
+
+    The schedule sets the drive and gamma_e at each time, with the same
+    arithmetic as schedule_eval; dimension, the other rates and the |f> decay
+    target are the system's, and each time keeps exactly the jump set
+    jump_operators gives its rates.
+    """
+    points = [_path_point(schedule, float(t), system.rates.gamma_e) for t in times]
+    J, Delta, ge = np.array(points, dtype=float).reshape(-1, 3).T
+    r = system.rates
+    jumps = jump_operator_stack(
+        ge, r.gamma_phi, r.gamma_f, r.gamma_f_extra, system.dim, system.f_decay_to)
+    return OperatorStack(hamiltonians(J, Delta, system.dim), jumps)

@@ -18,10 +18,13 @@ EXPM_NORM_BOUND = 700.0
 HERMITICITY_TOL = 1e-8
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Validate and return a as a square complex matrix with finite entries."""
+def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Validate and return a as a square complex matrix with finite entries.
+
+    With stacked=True a stack of square matrices (n, m, m) is accepted too.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
@@ -71,25 +74,37 @@ def eig_general(a) -> EigenDecomposition:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; entry [(i*rb+k),(j*cb+l)] = a[i,j]*b[k,l]."""
+    """Kronecker product over the last two axes, broadcast over any leading axes.
+
+    Entry [..., i*rb + k, j*cb + l] = a[..., i, j] * b[..., k, l], so a stack
+    of n matrices against one matrix, or two stacks of n, give n products.
+    For two plain matrices this is np.kron, bit for bit.
+    """
     am = np.asarray(a, dtype=complex)
     bm = np.asarray(b, dtype=complex)
     if am.size == 0 or bm.size == 0:
         raise ValueError("kron requires non-empty matrices")
-    return np.kron(am, bm)
+    out = am[..., :, None, :, None] * bm[..., None, :, None, :]
+    rows = am.shape[-2] * bm.shape[-2]
+    cols = am.shape[-1] * bm.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade core).
+    """Matrix exponential (scaling-and-squaring Pade core) of a matrix or a stack.
 
-    Raises Overflow when the 1-norm exceeds EXPM_NORM_BOUND, beyond which
-    exp() leaves double range for generic matrices.
+    A stack (n, m, m) is exponentiated slice by slice, each slice exactly as
+    it would be alone. Raises Overflow when the 1-norm of any matrix exceeds
+    EXPM_NORM_BOUND, beyond which exp() leaves double range for generic
+    matrices.
     """
-    m = as_complex_matrix(a)
-    norm1 = np.linalg.norm(m, 1)
-    if norm1 > EXPM_NORM_BOUND:
+    m = as_complex_matrix(a, stacked=True)
+    norm1 = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+    worst = norm1.max(initial=0.0)
+    if worst > EXPM_NORM_BOUND:
+        where = f" (matrix {int(np.argmax(norm1))} of the stack)" if m.ndim == 3 else ""
         raise Overflow(
-            f"matrix 1-norm {norm1:.3e} exceeds safe expm bound {EXPM_NORM_BOUND}"
+            f"matrix 1-norm {worst:.3e}{where} exceeds safe expm bound {EXPM_NORM_BOUND}"
         )
     return scipy.linalg.expm(m)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import numerics
 from .dynamics import step_count
 from .errors import OutOfRange, ZeroNorm
-from .model import ParameterSchedule, QuantumSystem, system_at
+from .model import ParameterSchedule, QuantumSystem, drive_operators, scheduled_operators
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -68,13 +68,6 @@ def apply_jump(L: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return phi / norm
 
 
-def _h_eff(h: np.ndarray, ops: list[np.ndarray], d: int) -> np.ndarray:
-    acc = np.zeros((d, d), dtype=complex)
-    for L in ops:
-        acc = acc + L.conj().T @ L
-    return h - 0.5j * acc
-
-
 def _step_table(
     system: QuantumSystem,
     schedule: Optional[ParameterSchedule],
@@ -84,32 +77,38 @@ def _step_table(
     """Per-step no-jump propagators and jump operators.
 
     Returns (props, ops_steps, labels_steps, all_labels). For a constant
-    system the same entries are reused every step; for a scheduled run each
-    step is built from the midpoint parameters.
+    system the same entries are reused every step; for a scheduled run every
+    step's H_eff = H - (i/2) sum_k L_k^+ L_k is built from its midpoint
+    parameters as one stack and exponentiated in one batch. Each step keeps
+    the jump set of its own rates; all_labels lists the labels in order of
+    first appearance.
     """
     d = system.dim
     if schedule is None:
-        ops = [L for L, _ in system.jump_ops]
-        labels = [label for _, label in system.jump_ops]
-        P = numerics.expm(-1j * _h_eff(system.hamiltonian(), ops, d) * dt)
-        ops_arr = np.array(ops) if ops else np.zeros((0, d, d), dtype=complex)
-        return [P] * n_steps, [ops_arr] * n_steps, [labels] * n_steps, list(labels)
+        ops = drive_operators(system, [system.drive.J], [system.drive.Delta])
+    else:
+        ops = scheduled_operators(system, schedule, (np.arange(n_steps) + 0.5) * dt)
+    h = ops.hamiltonians
+    n = len(h)
+    acc = np.zeros_like(h)
+    for L, _label, active in ops.jumps:
+        with_channel = acc + L.conj().swapaxes(-1, -2) @ L
+        acc = with_channel if active.all() else np.where(active[:, None, None], with_channel, acc)
+    props = numerics.expm(-1j * (h - 0.5j * acc) * dt)
 
-    props = []
-    ops_steps = []
-    labels_steps = []
-    all_labels: list[str] = []
-    for k in range(n_steps):
-        stepped = system_at(system, schedule, (k + 0.5) * dt)
-        ops = [L for L, _ in stepped.jump_ops]
-        labels = [label for _, label in stepped.jump_ops]
-        props.append(numerics.expm(-1j * _h_eff(stepped.hamiltonian(), ops, d) * dt))
-        ops_steps.append(np.array(ops) if ops else np.zeros((0, d, d), dtype=complex))
-        labels_steps.append(labels)
-        for lab in labels:
-            if lab not in all_labels:
-                all_labels.append(lab)
-    return props, ops_steps, labels_steps, all_labels
+    labels = [label for _L, label, _active in ops.jumps]
+    ops_all = np.zeros((n, len(labels), d, d), dtype=complex)
+    active_all = np.zeros((n, len(labels)), dtype=bool)
+    for c, (L, _label, active) in enumerate(ops.jumps):
+        ops_all[:, c] = L
+        active_all[:, c] = active
+    ops_steps = [ops_all[k][active_all[k]] for k in range(n)]
+    labels_steps = [[labels[c] for c in np.flatnonzero(active_all[k])] for k in range(n)]
+    first_step = active_all.argmax(axis=0)
+    all_labels = [labels[c] for c in np.argsort(first_step, kind="stable")]
+    if n == 1:
+        return [props[0]] * n_steps, ops_steps * n_steps, labels_steps * n_steps, all_labels
+    return list(props), ops_steps, labels_steps, all_labels
 
 
 def _resolve_steps(
@@ -134,9 +133,12 @@ def _run_batch(
     n_steps: int,
     generators: list[np.random.Generator],
     store_every: int,
+    store,
 ):
     """Advance a batch of trajectories with shared per-step propagators.
 
+    store(psi) is called with the batch's (n, d) states at t = 0 and at every
+    stored step. Returns (times, jumps per trajectory, jump histogram).
     All trajectories see the identical arithmetic whatever the batch size,
     so a batch of one reproduces any member of a larger batch bit for bit.
     Trajectory i draws its uniforms from generators[i], UNIFORM_BLOCK steps
@@ -144,17 +146,15 @@ def _run_batch(
     depend on the block size.
     """
     n = len(generators)
-    d = system.dim
     props, ops_steps, labels_steps, all_labels = _step_table(system, schedule, dt, n_steps)
 
     stored_idx = list(range(0, n_steps + 1, store_every))
     if stored_idx[-1] != n_steps:
         stored_idx.append(n_steps)
     times = np.array([i * dt for i in stored_idx])
-    stored = np.empty((n, len(stored_idx), d), dtype=complex)
 
     psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
-    stored[:, 0] = psi
+    store(psi)
     jumps: list[list[tuple[float, str]]] = [[] for _ in range(n)]
     histogram: dict[str, int] = {lab: 0 for lab in all_labels}
     si = 1
@@ -203,10 +203,10 @@ def _run_batch(
             sub = sub / np.linalg.norm(sub, axis=1)[:, None]
             psi[not_jumped] = sub
         if si < len(stored_idx) and k + 1 == stored_idx[si]:
-            stored[:, si] = psi
+            store(psi)
             si += 1
 
-    return times, stored, jumps, histogram
+    return times, jumps, histogram
 
 
 def _unit_state(psi0) -> np.ndarray:
@@ -229,9 +229,11 @@ def run_trajectory(
     """One stochastic pure-state trajectory; deterministic given (seed, dt)."""
     psi = _unit_state(psi0)
     n_steps, step = _resolve_steps(schedule, t_final, dt)
-    times, stored, jumps, _hist = _run_batch(
-        system, schedule, psi, step, n_steps, [_as_generator(seed)], store_every)
-    return TrajectoryRecord(seed=seed, times=times, states=stored[0], jumps=jumps[0])
+    states = []
+    times, jumps, _hist = _run_batch(
+        system, schedule, psi, step, n_steps, [_as_generator(seed)], store_every,
+        lambda batch: states.append(batch[0].copy()))
+    return TrajectoryRecord(seed=seed, times=times, states=np.array(states), jumps=jumps[0])
 
 
 def run_ensemble(
@@ -250,9 +252,13 @@ def run_ensemble(
     psi = _unit_state(psi0)
     n_steps, step = _resolve_steps(schedule, t_final, dt)
     generators = [_as_generator(split_seed(master_seed, i)) for i in range(n)]
-    times, stored, jumps, histogram = _run_batch(
-        system, schedule, psi, step, n_steps, generators, store_every)
-    mean_density = np.einsum("nti,ntj->tij", stored, stored.conj()) / n
+    # the mean density is summed as the batch advances, so no stored state
+    # of any trajectory is kept
+    sums = []
+    times, jumps, histogram = _run_batch(
+        system, schedule, psi, step, n_steps, generators, store_every,
+        lambda batch: sums.append(np.einsum("ni,nj->ij", batch, batch.conj())))
+    mean_density = np.array(sums) / n
     return EnsembleResult(
         n_trajectories=n,
         times=times,

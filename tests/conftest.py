@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from liouvlab.model import ParameterSchedule
 
 settings.register_profile(
     "default",
@@ -21,3 +25,33 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def superoperator_reference(system) -> np.ndarray:
+    """The Liouvillian formula written out with np.kron for one system.
+
+    Same products and order of additions as liouvillian.build_superoperator,
+    so a correct stacked build matches it bit for bit.
+    """
+    d = system.dim
+    ident = np.eye(d, dtype=complex)
+    h = system.hamiltonian()
+    m = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    for L, _label in system.jump_ops:
+        ldl = L.conj().T @ L
+        m = m + np.kron(L, L.conj())
+        m = m - 0.5 * np.kron(ldl, ident)
+        m = m - 0.5 * np.kron(ident, ldl.T)
+    return m
+
+
+def gated_emission_schedule(first_half: bool = True):
+    """A loop whose gamma_e is zero on one half, so the jump set changes mid-loop.
+
+    first_half=True puts the emission on the first half of the loop.
+    """
+    sign = 1.0 if first_half else -1.0
+    return ParameterSchedule(
+        T=1.0, J_max=2.0, Delta_max=3.0,
+        gamma_e_of_t=lambda t: max(0.0, sign * 3.0 * math.sin(2.0 * math.pi * t)),
+    )

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+import scipy.linalg
+
+from conftest import gated_emission_schedule, random_density_matrix, superoperator_reference
 from liouvlab import dynamics
 from liouvlab.dynamics import IntegratorConfig, integrate_bloch, integrate_constant, integrate_scheduled
 from liouvlab.errors import NotDensityMatrix, OutOfRange
-from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system
+from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, schedule_eval
 
 
 def bloch_state(x, y, z):
@@ -137,6 +139,40 @@ def test_scheduled_run_keeps_the_f_decay_target(target):
     sched = integrate_scheduled(system, schedule, rho0, n_steps=1000)
     fixed = integrate_constant(system, rho0, [1.0])
     assert np.max(np.abs(sched.final_state - fixed.final_state)) <= 1e-12
+
+
+def _reference_step(L, v, dt, method):
+    if method == "propagator_expm":
+        return scipy.linalg.expm(L * dt) @ v
+    # one classical RK4 substep: the step equals the integrator's dt
+    k1 = L @ v
+    k2 = L @ (v + 0.5 * dt * k1)
+    k3 = L @ (v + 0.5 * dt * k2)
+    k4 = L @ (v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("method", ["propagator_expm", "rk4"])
+@pytest.mark.parametrize("dim,target", [(2, "e"), (3, "g")])
+def test_scheduled_run_matches_a_per_step_reference_loop(dim, target, method, monkeypatch, rng):
+    rates = Rates(gamma_e=3.0, gamma_phi=0.4, gamma_f=1.5 if dim == 3 else 0.0)
+    system = make_system(DriveParams(J=0.0), rates, dim=dim, f_decay_to=target)
+    schedule = gated_emission_schedule()
+    rho0 = random_density_matrix(rng, dim)
+    n_steps = 1000
+    dt = schedule.T / n_steps
+    v = rho0.reshape(-1)
+    for k in range(n_steps):
+        drive, r = schedule_eval(schedule, (k + 0.5) * dt, rates)
+        L = superoperator_reference(make_system(drive, r, dim=dim, f_decay_to=target))
+        v = _reference_step(L, v, dt, method)
+    cfg = IntegratorConfig(dt=dt, method=method)
+    whole = integrate_scheduled(system, schedule, rho0, n_steps, cfg)
+    assert whole.final_state.tobytes() == v.reshape(dim, dim).tobytes()
+    # building the stack in blocks does not change any step
+    monkeypatch.setattr(dynamics, "STEP_BLOCK", 300)
+    blocked = integrate_scheduled(system, schedule, rho0, n_steps, cfg)
+    assert blocked.states.tobytes() == whole.states.tobytes()
 
 
 def test_scheduled_step_floor_enforced():

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gated_emission_schedule, superoperator_reference
 from liouvlab import liouvillian as lv
 from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState
-from liouvlab.model import DriveParams, Rates, make_system
+from liouvlab.model import (
+    DriveParams,
+    Rates,
+    drive_operators,
+    make_system,
+    schedule_eval,
+    scheduled_operators,
+)
 from liouvlab.numerics import trace_distance
 
 
@@ -304,6 +312,52 @@ def test_pair_branches_rows_are_permutations():
 
 def test_pair_branches_empty():
     assert lv.pair_branches([]).shape == (0, 0)
+
+
+# --- stacked generators -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim,target", [(2, "e"), (3, "e"), (3, "g")])
+def test_superoperator_stack_equals_single_builds_bit_for_bit(dim, target):
+    rates = Rates(gamma_e=3.0, gamma_phi=0.4,
+                  gamma_f=1.5 if dim == 3 else 0.0, gamma_f_extra=0.7 if dim == 3 else 0.0)
+    system = make_system(DriveParams(J=0.0), rates, dim=dim, f_decay_to=target)
+    schedule = gated_emission_schedule()
+    times = (np.arange(40) + 0.5) / 40
+    stack = lv.superoperator_stack(scheduled_operators(system, schedule, times))
+    assert stack.shape == (40, dim * dim, dim * dim)
+    jump_sets = set()
+    for k, t in enumerate(times):
+        drive, r = schedule_eval(schedule, t, rates)
+        alone = make_system(drive, r, dim=dim, f_decay_to=target)
+        jump_sets.add(tuple(label for _, label in alone.jump_ops))
+        single = lv.build_superoperator(alone).matrix
+        assert stack[k].tobytes() == single.tobytes()
+        assert single.tobytes() == superoperator_reference(alone).tobytes()
+    # the emission channel is on for the first half of the loop only
+    assert len(jump_sets) == 2
+
+
+def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
+    system = make_system(DriveParams(J=0.1), Rates(gamma_e=4.5, gamma_phi=0.3))
+    Js = np.array([0.0, 0.3, 0.7, 1.1])
+    Ds = np.array([-1.0, 0.0, 0.25, 1.0])
+    stack = lv.superoperator_stack(drive_operators(system, Js, Ds))
+    at = lv._liouvillian_at(system)
+    for k in range(len(Js)):
+        alone = system.with_drive(DriveParams(J=Js[k], Delta=Ds[k]))
+        single = lv.build_superoperator(alone).matrix
+        assert stack[k].tobytes() == single.tobytes()
+        assert at(Js[k], Ds[k]).tobytes() == single.tobytes()
+        assert single.tobytes() == superoperator_reference(alone).tobytes()
+
+
+def test_closest_pair_keeps_the_first_pair_on_ties():
+    assert lv._closest_pair(np.array([0.0, 1.0 + 1.0j, 0.0, 1.0 + 1.0j, 5.0])) == (0.0, 0, 2)
+    # (0, 1) and (0, 2) tie at 1; the first is split along the imaginary axis
+    assert lv._coalescence_indicator(np.array([0.0, 1.0j, 1.0])) == -1.0
+    assert lv._coalescence_indicator(np.array([0.0, 2.0, 2.0 + 3.0j, 2.5])) == 0.5
+    assert lv._coalescence_indicator(np.array([1.0])) == 0.0
 
 
 # --- plane scans ------------------------------------------------------------------

@@ -59,6 +59,18 @@ def test_kron_rejects_empty():
         numerics.kron(np.empty((0, 0)), I2)
 
 
+def test_kron_of_stacks_matches_np_kron_bit_for_bit(rng):
+    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    b = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    both = numerics.kron(a, b)
+    one = numerics.kron(a, c)
+    assert both.shape == one.shape == (5, 6, 6)
+    for k in range(5):
+        assert both[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+        assert one[k].tobytes() == np.kron(a[k], c).tobytes()
+
+
 # --- eig_general ------------------------------------------------------------
 
 
@@ -141,6 +153,34 @@ def test_expm_inverse_property(rng):
 def test_expm_overflow_guard():
     with pytest.raises(Overflow):
         numerics.expm(1e4 * np.eye(2))
+
+
+def test_expm_of_a_stack_equals_each_slice_alone(rng):
+    a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    a *= 10.0 / np.linalg.norm(a, axis=(1, 2))[:, None, None]
+    got = numerics.expm(a)
+    for k in range(6):
+        assert got[k].tobytes() == numerics.expm(a[k]).tobytes()
+
+
+def test_expm_stack_bound_is_per_matrix():
+    # each slice is under the bound although the stack's sum is not
+    ok = np.stack([600.0 * np.eye(2), -600.0 * np.eye(2)])
+    assert numerics.expm(ok).shape == (2, 2, 2)
+    bad = np.zeros((3, 2, 2))
+    bad[1] = 1e4 * np.eye(2)
+    with pytest.raises(Overflow, match="matrix 1 of the stack"):
+        numerics.expm(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_expm_rejects_non_finite_entries(value):
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[2, 0, 1] = value
+    with pytest.raises(ValueError):
+        numerics.expm(stack)
+    with pytest.raises(ValueError):
+        numerics.expm(stack[2])
 
 
 # --- trace_distance ---------------------------------------------------------

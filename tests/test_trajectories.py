@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gated_emission_schedule
 from liouvlab import trajectories as tj
 from liouvlab.dynamics import integrate_constant
 from liouvlab.errors import OutOfRange, ZeroNorm
@@ -14,7 +15,9 @@ from liouvlab.model import (
     jump_operators,
     make_system,
     plus_x,
+    schedule_eval,
 )
+from liouvlab.numerics import expm
 
 GROUND = basis_ket(2, 0)
 EXCITED_KET = basis_ket(2, 1)
@@ -70,6 +73,39 @@ def test_ensemble_member_matches_standalone_run_bitwise():
     assert ens.jumps_per_trajectory[0] == solo.jumps
     expected = np.einsum("ti,tj->tij", solo.states, solo.states.conj())
     assert np.array_equal(ens.mean_density, expected)
+
+
+def test_ensemble_mean_equals_the_mean_of_its_members_bitwise():
+    schedule = ParameterSchedule(T=1.0)
+    sys2 = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=2.0))
+    n = 5
+    ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=1e-3, n=n, master_seed=8)
+    states = np.array([
+        tj.run_trajectory(sys2, plus_x(), dt=1e-3, seed=tj.split_seed(8, i),
+                          schedule=schedule).states
+        for i in range(n)])
+    expected = np.einsum("nti,ntj->tij", states, states.conj()) / n
+    assert ens.mean_density.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("first_half", [True, False])
+def test_scheduled_step_table_keeps_each_steps_jump_set(first_half):
+    system = make_system(DriveParams(J=0.0), Rates(gamma_e=3.0, gamma_phi=0.4))
+    schedule = gated_emission_schedule(first_half)
+    dt, n_steps = 1e-3, 1000
+    props, ops, labels, all_labels = tj._step_table(system, schedule, dt, n_steps)
+    # labels are listed in order of first appearance along the loop
+    assert all_labels == (["e", "phi"] if first_half else ["phi", "e"])
+    for k in (0, 499, 500, 999):
+        drive, rates = schedule_eval(schedule, (k + 0.5) * dt, system.rates)
+        alone = make_system(drive, rates)
+        assert labels[k] == [label for _, label in alone.jump_ops]
+        assert ops[k].tobytes() == np.array([L for L, _ in alone.jump_ops]).tobytes()
+        acc = np.zeros((2, 2), dtype=complex)
+        for L, _ in alone.jump_ops:
+            acc = acc + L.conj().T @ L
+        h_eff = alone.hamiltonian() - 0.5j * acc
+        assert props[k].tobytes() == expm(-1j * h_eff * dt).tobytes()
 
 
 def test_seed_splitting_is_stable():
