@@ -246,7 +246,8 @@ class TransitionScan:
         return header, rows
 
 
-def _initial_state_for(dim: int) -> np.ndarray:
+def initial_state_for(dim: int) -> np.ndarray:
+    """The transition scans' start: |e><e| for dim 2, (|g> - |f>)/sqrt(2) for dim 3."""
     if dim == 2:
         e = basis_ket(2, 1)
         return np.outer(e, e.conj())
@@ -274,7 +275,7 @@ def scan_transition(
         raise OutOfRange("J_values must be a non-empty 1-d array")
     dim = system_template.dim
     obs_index = 3 if dim == 2 else 2  # vectorized index of rho_ee, rho_gf
-    rho0 = _initial_state_for(dim)
+    rho0 = initial_state_for(dim)
     t_grid = np.linspace(0.0, window, n_samples)
     j_ep = ep_coupling(system_template.rates, dim)
 

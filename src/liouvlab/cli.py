@@ -247,7 +247,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     J_grid = _j_grid(scan)
     t_hm = np.linspace(0.0, float(scan.get("heatmap_t_max", 3.0)),
                        int(scan.get("heatmap_samples", 301)))
-    rho0 = _density(basis_ket(2, 1))
+    rho0 = analysis.initial_state_for(2)
 
     heat_rows = []
     cut_series = {}
@@ -341,8 +341,7 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     J_grid = _j_grid(scan)
     t_hm = np.linspace(0.0, float(scan.get("heatmap_t_max", 3.0)),
                        int(scan.get("heatmap_samples", 301)))
-    psi = (basis_ket(3, 0) - basis_ket(3, 2)) / math.sqrt(2.0)
-    rho0 = _density(psi)
+    rho0 = analysis.initial_state_for(3)
 
     heat_rows = []
     for J in J_grid:

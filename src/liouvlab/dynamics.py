@@ -3,12 +3,12 @@
 Scheduled integration uses piecewise-constant midpoint propagation: step k
 applies the matrix exponential of the Liouvillian at the midpoint of its
 interval. The generators of a run are built as one stack from the
-schedule's midpoint parameters (liouvillian.superoperator_stack) and
-exponentiated in one batch, up to STEP_BLOCK steps at a time; only the
-matrix-vector products run step by step. Every step is exactly trace
-preserving and completely positive, and the scheme is second-order accurate
-in the step size, which stays robust at parameter points where the
-Liouvillian is defective.
+schedule's midpoint parameters (model.operators, then
+liouvillian.superoperator_stack) and exponentiated in one batch, up to
+STEP_BLOCK steps at a time; only the matrix-vector products run step by step.
+Every step is exactly trace preserving and completely positive, and the
+scheme is second-order accurate in the step size, which stays robust at
+parameter points where the Liouvillian is defective.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .errors import NotDensityMatrix, OutOfRange
 from .liouvillian import build_superoperator, superoperator_stack, vec
-from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, scheduled_operators
+from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, operators, path_points
 
 MIN_SCHEDULED_STEPS = 1000
 STEP_BLOCK = 4096  # scheduled steps built and exponentiated per batch
@@ -181,8 +181,8 @@ def integrate_scheduled(
     states[0] = v.reshape(system.dim, system.dim)
     si = 1
     for start in range(0, n_steps, STEP_BLOCK):
-        block = superoperator_stack(
-            scheduled_operators(system, schedule, midpoints[start:start + STEP_BLOCK]))
+        path = path_points(schedule, midpoints[start:start + STEP_BLOCK], system.rates.gamma_e)
+        block = superoperator_stack(operators(system, *path))
         if expm_steps:
             block = numerics.expm(block * dt)
         for k, step in enumerate(block, start):

@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import numerics
 from .errors import DegenerateSteadyState, DomainError, NoSteadyState
-from .model import DriveParams, OperatorStack, QuantumSystem, Rates, drive_operators, hamiltonians
+from .model import DriveParams, OperatorStack, QuantumSystem, Rates, hamiltonians, operators
 
 DEFAULT_GAP_TOL_FACTOR = 1e-4
 DEFAULT_ANGLE_TOL = 1e-3
@@ -47,7 +47,7 @@ class Superoperator:
 
 def build_superoperator(system: QuantumSystem) -> Superoperator:
     """The system's Liouvillian: the one-point case of superoperator_stack."""
-    ops = drive_operators(system, [system.drive.J], [system.drive.Delta])
+    ops = operators(system, [system.drive.J], [system.drive.Delta], system.rates.gamma_e)
     return Superoperator(matrix=superoperator_stack(ops)[0], d=system.dim)
 
 
@@ -100,12 +100,10 @@ class SpectralResult:
     min_eigenvalue_gap: float
     min_eigenvector_angle: float
     ep_order: int
-    params: Optional[DriveParams] = None
 
 
 def spectrum(
     sop: Superoperator,
-    params: Optional[DriveParams] = None,
     gap_tol: Optional[float] = None,
     angle_tol: float = DEFAULT_ANGLE_TOL,
 ) -> SpectralResult:
@@ -141,7 +139,6 @@ def spectrum(
         min_eigenvalue_gap=float(min_gap),
         min_eigenvector_angle=float(angle),
         ep_order=order,
-        params=params,
     )
 
 
@@ -304,7 +301,7 @@ def _liouvillian_at(system: QuantumSystem):
     J is clamped to 0.
     """
     terms = _dissipator_terms(
-        drive_operators(system, [system.drive.J], [system.drive.Delta]).jumps)
+        operators(system, [system.drive.J], [system.drive.Delta], system.rates.gamma_e).jumps)
 
     def at(J: float, Delta: float) -> np.ndarray:
         return _assemble(hamiltonians([max(J, 0.0)], [Delta], system.dim), terms)[0]
@@ -312,12 +309,14 @@ def _liouvillian_at(system: QuantumSystem):
     return at
 
 
-def _indicator_at(liouvillian_at, J: float, Delta: float) -> tuple[float, float]:
+def _decaying_modes(liouvillian_at, J: float, Delta: float) -> np.ndarray:
+    """The nonzero eigenvalues of the Liouvillian at (J, Delta)."""
     m = liouvillian_at(J, Delta)
-    lam = np.linalg.eigvals(m)
-    scale = np.linalg.norm(m)
-    lam_nz = _nonzero_eigenvalues(lam, scale)
-    s = _coalescence_indicator(lam_nz)
+    return _nonzero_eigenvalues(np.linalg.eigvals(m), np.linalg.norm(m))
+
+
+def _indicator_at(liouvillian_at, J: float, Delta: float) -> tuple[float, float]:
+    s = _coalescence_indicator(_decaying_modes(liouvillian_at, J, Delta))
     return s, abs(s)
 
 
@@ -382,10 +381,7 @@ def _depressed_cubic_residual(liouvillian_at, J: float, Delta: float) -> np.ndar
     stay smooth at coalescence, so Newton iteration on them converges even
     where the gaps have square-root cusps.
     """
-    m = liouvillian_at(J, Delta)
-    lam = np.linalg.eigvals(m)
-    scale = np.linalg.norm(m)
-    return _pq_from_modes(_nonzero_eigenvalues(lam, scale))
+    return _pq_from_modes(_decaying_modes(liouvillian_at, J, Delta))
 
 
 def refine_triple_point(
@@ -526,13 +522,13 @@ def ep_scan(
     indicator = np.empty((nD, nJ))
     pq_grid = np.empty((nD, nJ, 2))
     # every grid point's Liouvillian in one stack, row by row in Delta
-    grid = superoperator_stack(drive_operators(
-        system_template, np.tile(J_values, nD), np.repeat(Delta_values, nJ)))
+    grid = superoperator_stack(operators(
+        system_template, np.tile(J_values, nD), np.repeat(Delta_values, nJ),
+        system_template.rates.gamma_e))
     for iD in range(nD):
         for iJ in range(nJ):
-            params = DriveParams(J=J_values[iJ], Delta=Delta_values[iD])
             sop = Superoperator(matrix=grid[iD * nJ + iJ], d=system_template.dim)
-            res = spectrum(sop, params=params, gap_tol=gap_tol, angle_tol=angle_tol)
+            res = spectrum(sop, gap_tol=gap_tol, angle_tol=angle_tol)
             eigenvalues[iD, iJ] = res.eigenvalues
             gap[iD, iJ] = res.min_eigenvalue_gap
             angle[iD, iJ] = res.min_eigenvector_angle

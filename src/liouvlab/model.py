@@ -3,10 +3,14 @@
 Basis ordering is fixed as (|g>, |e>) for dim 2 and (|g>, |e>, |f>) for dim 3,
 with index 0 the ground state. The sign convention sigma_z = |g><g| - |e><e|
 puts the excited state at z = -1, so relaxation drives z toward +1.
+
+A system's collapse operators follow from its rates alone. `operators` is
+the one builder of a system's Hamiltonians and jump sets at many parameter
+points, and every route's generators are built from its OperatorStack.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -128,7 +132,8 @@ def jump_operators(rates: Rates, dim: int = 2, f_decay_to: str = "e") -> list[tu
     Qubit: L_e = sqrt(gamma_e)|g><e|, L_phi = sqrt(gamma_phi/2) sigma_z.
     Qutrit adds L_f = sqrt(gamma_f)|target><f| (target "e" by default,
     configurable to "g") and L_f_extra = sqrt(gamma_f_extra)|f><f|, a pure
-    dephasing channel on |f> modeling extra decoherence of that level.
+    dephasing channel on |f> modeling extra decoherence of that level. A
+    qubit with a nonzero f-level rate is rejected.
     """
     channels = jump_operator_stack(
         rates.gamma_e, rates.gamma_phi, rates.gamma_f, rates.gamma_f_extra, dim, f_decay_to)
@@ -148,6 +153,8 @@ def jump_operator_stack(
     """
     if dim not in (2, 3):
         raise OutOfRange(f"dim must be 2 or 3, got {dim}")
+    if dim == 2 and (np.any(gamma_f) or np.any(gamma_f_extra)):
+        raise OutOfRange("gamma_f and gamma_f_extra act on |f> and need dim 3")
     if f_decay_to not in ("e", "g"):
         raise OutOfRange(f"f_decay_to must be 'e' or 'g', got {f_decay_to!r}")
     target = 1 if f_decay_to == "e" else 0
@@ -178,22 +185,24 @@ def jump_operator_stack(
 
 @dataclass(frozen=True)
 class QuantumSystem:
-    """A dim-level system with its drive, rates, and collapse operators."""
+    """A dim-level system with its drive and rates.
+
+    The collapse operators are not stored: the rates, the dimension and the
+    |f> decay target fix them, and every route builds them from these.
+    """
 
     dim: int
     rates: Rates
     drive: DriveParams
-    jump_ops: list[tuple[np.ndarray, str]] = field(default_factory=list)
     f_decay_to: str = "e"
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise OutOfRange(f"dim must be 2 or 3, got {self.dim}")
-        for L, label in self.jump_ops:
-            if L.shape != (self.dim, self.dim):
-                raise OutOfRange(
-                    f"jump operator {label!r} has shape {L.shape}, expected {(self.dim, self.dim)}"
-                )
+        # rejects a bad dimension or decay target, and f-level rates on a qubit
+        jump_operators(self.rates, self.dim, self.f_decay_to)
+
+    @property
+    def jump_ops(self) -> list[tuple[np.ndarray, str]]:
+        return jump_operators(self.rates, self.dim, self.f_decay_to)
 
     def with_drive(self, drive: DriveParams) -> "QuantumSystem":
         return replace(self, drive=drive)
@@ -208,13 +217,7 @@ def make_system(
     dim: int = 2,
     f_decay_to: str = "e",
 ) -> QuantumSystem:
-    return QuantumSystem(
-        dim=dim,
-        rates=rates,
-        drive=drive,
-        jump_ops=jump_operators(rates, dim, f_decay_to),
-        f_decay_to=f_decay_to,
-    )
+    return QuantumSystem(dim=dim, rates=rates, drive=drive, f_decay_to=f_decay_to)
 
 
 @dataclass(frozen=True)
@@ -296,25 +299,23 @@ class OperatorStack:
     jumps: list[tuple[np.ndarray, str, np.ndarray]]
 
 
-def drive_operators(system: QuantumSystem, J, Delta) -> OperatorStack:
-    """The system at n drive points (J[k], Delta[k]), with its own jump operators."""
-    jumps = [(L[None], label, np.ones(1, dtype=bool)) for L, label in system.jump_ops]
-    return OperatorStack(hamiltonians(J, Delta, system.dim), jumps)
+def path_points(s: ParameterSchedule, times, gamma_e: float) -> np.ndarray:
+    """The path's (J, Delta, gamma_e) at the given times, as a (3, n) array.
 
-
-def scheduled_operators(
-    system: QuantumSystem, schedule: ParameterSchedule, times
-) -> OperatorStack:
-    """The system at each of the given times of the schedule.
-
-    The schedule sets the drive and gamma_e at each time, with the same
-    arithmetic as schedule_eval; dimension, the other rates and the |f> decay
-    target are the system's, and each time keeps exactly the jump set
-    jump_operators gives its rates.
+    Each time is evaluated with the same arithmetic as schedule_eval.
     """
-    points = [_path_point(schedule, float(t), system.rates.gamma_e) for t in times]
-    J, Delta, ge = np.array(points, dtype=float).reshape(-1, 3).T
+    points = [_path_point(s, float(t), gamma_e) for t in times]
+    return np.array(points, dtype=float).reshape(-1, 3).T
+
+
+def operators(system: QuantumSystem, J, Delta, gamma_e) -> OperatorStack:
+    """The system at n points (J[k], Delta[k], gamma_e[k]).
+
+    gamma_e is a number or an array of its n values. Dimension, the other
+    rates and the |f> decay target are the system's, and each point keeps
+    exactly the jump set jump_operators gives its rates.
+    """
     r = system.rates
     jumps = jump_operator_stack(
-        ge, r.gamma_phi, r.gamma_f, r.gamma_f_extra, system.dim, system.f_decay_to)
+        gamma_e, r.gamma_phi, r.gamma_f, r.gamma_f_extra, system.dim, system.f_decay_to)
     return OperatorStack(hamiltonians(J, Delta, system.dim), jumps)

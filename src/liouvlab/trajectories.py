@@ -23,7 +23,7 @@ import numpy as np
 from . import numerics
 from .dynamics import step_count
 from .errors import OutOfRange, ZeroNorm
-from .model import ParameterSchedule, QuantumSystem, drive_operators, scheduled_operators
+from .model import ParameterSchedule, QuantumSystem, operators, path_points
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -74,20 +74,22 @@ def _step_table(
     dt: float,
     n_steps: int,
 ):
-    """Per-step no-jump propagators and jump operators.
+    """Per-step no-jump propagators and jump operators, m = 1 or n_steps rows.
 
-    Returns (props, ops_steps, labels_steps, all_labels). For a constant
-    system the same entries are reused every step; for a scheduled run every
-    step's H_eff = H - (i/2) sum_k L_k^+ L_k is built from its midpoint
-    parameters as one stack and exponentiated in one batch. Each step keeps
-    the jump set of its own rates; all_labels lists the labels in order of
-    first appearance.
+    Returns (props, ops, active, labels, all_labels): props (m, d, d), the
+    operators of every channel (m, c, d, d), the (m, c) mask of the channels
+    in each row's jump set, the c channel labels, and the labels in order of
+    first appearance. A constant system has one row, used at every step; a
+    scheduled run has one per step, each H_eff = H - (i/2) sum_k L_k^+ L_k
+    built from the step's midpoint parameters, and all are exponentiated in
+    one batch.
     """
     d = system.dim
     if schedule is None:
-        ops = drive_operators(system, [system.drive.J], [system.drive.Delta])
+        ops = operators(system, [system.drive.J], [system.drive.Delta], system.rates.gamma_e)
     else:
-        ops = scheduled_operators(system, schedule, (np.arange(n_steps) + 0.5) * dt)
+        midpoints = (np.arange(n_steps) + 0.5) * dt
+        ops = operators(system, *path_points(schedule, midpoints, system.rates.gamma_e))
     h = ops.hamiltonians
     n = len(h)
     acc = np.zeros_like(h)
@@ -102,13 +104,9 @@ def _step_table(
     for c, (L, _label, active) in enumerate(ops.jumps):
         ops_all[:, c] = L
         active_all[:, c] = active
-    ops_steps = [ops_all[k][active_all[k]] for k in range(n)]
-    labels_steps = [[labels[c] for c in np.flatnonzero(active_all[k])] for k in range(n)]
     first_step = active_all.argmax(axis=0)
     all_labels = [labels[c] for c in np.argsort(first_step, kind="stable")]
-    if n == 1:
-        return [props[0]] * n_steps, ops_steps * n_steps, labels_steps * n_steps, all_labels
-    return list(props), ops_steps, labels_steps, all_labels
+    return props, ops_all, active_all, labels, all_labels
 
 
 def _resolve_steps(
@@ -146,7 +144,8 @@ def _run_batch(
     depend on the block size.
     """
     n = len(generators)
-    props, ops_steps, labels_steps, all_labels = _step_table(system, schedule, dt, n_steps)
+    props, ops, active, labels, all_labels = _step_table(system, schedule, dt, n_steps)
+    per_step = len(props) > 1
 
     stored_idx = list(range(0, n_steps + 1, store_every))
     if stored_idx[-1] != n_steps:
@@ -164,9 +163,10 @@ def _run_batch(
         if k % UNIFORM_BLOCK == 0:
             width = min(UNIFORM_BLOCK, n_steps - k)
             block = np.array([g.random(width) for g in generators])
-        ops_arr = ops_steps[k]
-        labels = labels_steps[k]
-        n_ops = len(ops_arr)
+        row = k if per_step else 0
+        channels = np.flatnonzero(active[row])
+        ops_arr = ops[row, channels]
+        n_ops = len(channels)
         if n_ops:
             amp = np.einsum("oab,nb->noa", ops_arr, psi)
             probs = dt * np.einsum("noa,noa->no", amp, amp.conj()).real
@@ -194,12 +194,12 @@ def _run_batch(
             psi[rows] = phi / nrm[:, None]
             t_jump = (k + 1) * dt
             for r, c in zip(rows, chans):
-                lab = labels[int(c)]
+                lab = labels[channels[c]]
                 jumps[int(r)].append((t_jump, lab))
                 histogram[lab] += 1
         not_jumped = ~jumped
         if not_jumped.any():
-            sub = np.einsum("ab,nb->na", props[k], psi[not_jumped])
+            sub = np.einsum("ab,nb->na", props[row], psi[not_jumped])
             sub = sub / np.linalg.norm(sub, axis=1)[:, None]
             psi[not_jumped] = sub
         if si < len(stored_idx) and k + 1 == stored_idx[si]:

@@ -324,11 +324,12 @@ def test_criterion_08_property_suite(capsys):
     worst_re = -math.inf
     for k in range(50):
         dim = 2 if k % 2 == 0 else 3
-        system = make_system(
-            DriveParams(J=rng.uniform(0, 3), Delta=rng.uniform(-2, 2)),
-            Rates(rng.uniform(0, 5), rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 2)),
-            dim=dim,
-        )
+        drive = DriveParams(J=rng.uniform(0, 3), Delta=rng.uniform(-2, 2))
+        rates = Rates(rng.uniform(0, 5), rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 2))
+        if dim == 2:
+            # a qubit has no |f> level, so its f-level draws never enter the generator
+            rates = Rates(rates.gamma_e, rates.gamma_phi)
+        system = make_system(drive, rates, dim=dim)
         lam = np.linalg.eigvals(build_superoperator(system).matrix)
         worst_zero = max(worst_zero, float(np.min(np.abs(lam))))
         worst_re = max(worst_re, float(np.max(lam.real)))

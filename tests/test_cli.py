@@ -145,6 +145,12 @@ def test_empty_scan_grid_exits_2(tmp_path, capsys):
     assert "J_step" in capsys.readouterr().err
 
 
+def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
+    code = run("steady-state", "--output-dir", str(tmp_path), "--set", "system.gamma_f=3.0")
+    assert code == 2
+    assert "need dim 3" in capsys.readouterr().err
+
+
 def test_degenerate_steady_state_exits_3(tmp_path, capsys):
     code = run("steady-state", "--output-dir", str(tmp_path),
                "--set", "system.gamma_e=0", "--set", "system.gamma_phi=0.5",

@@ -5,16 +5,18 @@ import pytest
 
 from conftest import gated_emission_schedule, superoperator_reference
 from liouvlab import liouvillian as lv
+from liouvlab import trajectories as tj
 from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState
 from liouvlab.model import (
     DriveParams,
+    ParameterSchedule,
     Rates,
-    drive_operators,
     make_system,
+    operators,
+    path_points,
     schedule_eval,
-    scheduled_operators,
 )
-from liouvlab.numerics import trace_distance
+from liouvlab.numerics import expm, trace_distance
 
 
 def lindblad_rhs_dense(H, Ls, rho):
@@ -163,12 +165,6 @@ def test_spectrum_zero_generator_is_not_exceptional():
     assert res.min_eigenvalue_gap == 0.0
     assert res.ep_order == 0  # diagonalizable degeneracy, eigenvectors stay apart
     assert res.min_eigenvector_angle > 1.0
-
-
-def test_spectrum_params_passthrough():
-    params = DriveParams(J=0.3)
-    sop = lv.build_superoperator(make_system(params, Rates(gamma_e=4.0)))
-    assert lv.spectrum(sop, params=params).params is params
 
 
 # --- steady state ---------------------------------------------------------------
@@ -324,7 +320,7 @@ def test_superoperator_stack_equals_single_builds_bit_for_bit(dim, target):
     system = make_system(DriveParams(J=0.0), rates, dim=dim, f_decay_to=target)
     schedule = gated_emission_schedule()
     times = (np.arange(40) + 0.5) / 40
-    stack = lv.superoperator_stack(scheduled_operators(system, schedule, times))
+    stack = lv.superoperator_stack(operators(system, *path_points(schedule, times, rates.gamma_e)))
     assert stack.shape == (40, dim * dim, dim * dim)
     jump_sets = set()
     for k, t in enumerate(times):
@@ -339,17 +335,36 @@ def test_superoperator_stack_equals_single_builds_bit_for_bit(dim, target):
 
 
 def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
-    system = make_system(DriveParams(J=0.1), Rates(gamma_e=4.5, gamma_phi=0.3))
     Js = np.array([0.0, 0.3, 0.7, 1.1])
     Ds = np.array([-1.0, 0.0, 0.25, 1.0])
-    stack = lv.superoperator_stack(drive_operators(system, Js, Ds))
-    at = lv._liouvillian_at(system)
-    for k in range(len(Js)):
-        alone = system.with_drive(DriveParams(J=Js[k], Delta=Ds[k]))
-        single = lv.build_superoperator(alone).matrix
-        assert stack[k].tobytes() == single.tobytes()
-        assert at(Js[k], Ds[k]).tobytes() == single.tobytes()
-        assert single.tobytes() == superoperator_reference(alone).tobytes()
+    n_steps, dt = 4, 0.25
+    times = (np.arange(n_steps) + 0.5) * dt
+    for dim, target in [(2, "e"), (3, "e"), (3, "g")]:
+        rates = Rates(gamma_e=4.5, gamma_phi=0.3,
+                      gamma_f=1.5 if dim == 3 else 0.0, gamma_f_extra=0.7 if dim == 3 else 0.0)
+        system = make_system(DriveParams(J=0.1), rates, dim=dim, f_decay_to=target)
+        stack = lv.superoperator_stack(operators(system, Js, Ds, rates.gamma_e))
+        at = lv._liouvillian_at(system)
+        for k, (J, D) in enumerate(zip(Js, Ds)):
+            alone = system.with_drive(DriveParams(J=J, Delta=D))
+            single = lv.build_superoperator(alone).matrix
+            assert stack[k].tobytes() == single.tobytes()
+            assert at(J, D).tobytes() == single.tobytes()
+            assert single.tobytes() == superoperator_reference(alone).tobytes()
+            # the same point held along a whole loop, through the scheduled routes
+            constant = ParameterSchedule(
+                T=n_steps * dt, J_of_t=lambda t, J=J: J, Delta_of_t=lambda t, D=D: D,
+                gamma_e_of_t=lambda t: rates.gamma_e)
+            scheduled = lv.superoperator_stack(
+                operators(system, *path_points(constant, times, rates.gamma_e)))
+            assert all(m.tobytes() == single.tobytes() for m in scheduled)
+            acc = np.zeros((dim, dim), dtype=complex)
+            for L, _ in alone.jump_ops:
+                acc = acc + L.conj().T @ L
+            prop = expm(-1j * (alone.hamiltonian() - 0.5j * acc) * dt).tobytes()
+            assert tj._step_table(alone, None, dt, n_steps)[0][0].tobytes() == prop
+            assert all(p.tobytes() == prop
+                       for p in tj._step_table(system, constant, dt, n_steps)[0])
 
 
 def test_closest_pair_keeps_the_first_pair_on_ties():

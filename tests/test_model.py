@@ -100,14 +100,9 @@ def test_jump_ops_f_decay_target_configurable():
         model.jump_operators(rates, dim=3, f_decay_to="x")
 
 
-def test_system_rejects_mismatched_jump_op():
-    with pytest.raises(OutOfRange):
-        model.QuantumSystem(
-            dim=3,
-            rates=model.Rates(gamma_e=1.0),
-            drive=model.DriveParams(J=0.0),
-            jump_ops=[(np.zeros((2, 2), dtype=complex), "e")],
-        )
+def test_qubit_rejects_f_level_rates():
+    with pytest.raises(OutOfRange, match="need dim 3"):
+        model.make_system(model.DriveParams(J=0.0), model.Rates(gamma_e=1.0, gamma_f=0.5), dim=2)
 
 
 # --- schedules ----------------------------------------------------------------

@@ -93,14 +93,16 @@ def test_scheduled_step_table_keeps_each_steps_jump_set(first_half):
     system = make_system(DriveParams(J=0.0), Rates(gamma_e=3.0, gamma_phi=0.4))
     schedule = gated_emission_schedule(first_half)
     dt, n_steps = 1e-3, 1000
-    props, ops, labels, all_labels = tj._step_table(system, schedule, dt, n_steps)
+    props, ops, active, labels, all_labels = tj._step_table(system, schedule, dt, n_steps)
+    assert len(props) == len(ops) == len(active) == n_steps
     # labels are listed in order of first appearance along the loop
     assert all_labels == (["e", "phi"] if first_half else ["phi", "e"])
     for k in (0, 499, 500, 999):
         drive, rates = schedule_eval(schedule, (k + 0.5) * dt, system.rates)
         alone = make_system(drive, rates)
-        assert labels[k] == [label for _, label in alone.jump_ops]
-        assert ops[k].tobytes() == np.array([L for L, _ in alone.jump_ops]).tobytes()
+        assert [labels[c] for c in np.flatnonzero(active[k])] == [
+            label for _, label in alone.jump_ops]
+        assert ops[k][active[k]].tobytes() == np.array([L for L, _ in alone.jump_ops]).tobytes()
         acc = np.zeros((2, 2), dtype=complex)
         for L, _ in alone.jump_ops:
             acc = acc + L.conj().T @ L
