@@ -73,7 +73,6 @@ from .dynamics import (
 from .trajectories import (
     EnsembleResult,
     TrajectoryRecord,
-    apply_jump,
     run_ensemble,
     run_trajectory,
     split_seed,
@@ -116,7 +115,7 @@ __all__ = [
     "validate_density_matrix", "observables_from_states",
     # trajectories
     "TrajectoryRecord", "EnsembleResult", "run_trajectory", "run_ensemble",
-    "split_seed", "apply_jump",
+    "split_seed",
     # analysis
     "DampedSineFit", "TransitionScan", "SweepResult", "fit_damped_sine",
     "scan_transition", "chirality", "entropy", "sweep_metrics",

@@ -205,15 +205,14 @@ def predict_rates(system: QuantumSystem, rho0: np.ndarray, obs_index: int) -> tu
 class TransitionScan:
     """Fit-versus-prediction survey across coupling strengths.
 
-    fits holds one DampedSineFit per J (None where the fit raised);
-    predicted holds the representative eigenvalue as (Re, Im) rows. Points
+    fits holds one DampedSineFit per J (None where the fit raised), and
+    omega_pred, gamma_pred the spectrum's prediction at each J. Points
     with |J - j_ep| < EP_FLAG_RADIUS are flagged: the defective-point dynamics
     carries secular t exp(lambda t) terms that bias the fit there.
     """
 
     J_values: np.ndarray
     fits: list[Optional[DampedSineFit]]
-    predicted: np.ndarray  # (n, 2) columns (Re lambda, Im lambda)
     omega_fit: np.ndarray
     gamma_fit: np.ndarray
     omega_pred: np.ndarray
@@ -303,12 +302,10 @@ def scan_transition(
         omega_fit[i] = fit.omega
         gamma_fit[i] = fit.gamma
 
-    predicted = np.column_stack([-gamma_pred, omega_pred])
     flagged = np.abs(J_arr - j_ep) < EP_FLAG_RADIUS
     return TransitionScan(
         J_values=J_arr,
         fits=fits,
-        predicted=predicted,
         omega_fit=omega_fit,
         gamma_fit=gamma_fit,
         omega_pred=omega_pred,

@@ -116,6 +116,14 @@ def _j_grid(scan: dict) -> np.ndarray:
     return grid
 
 
+def _range(scan: dict, key: str) -> tuple[float, float]:
+    value = scan[key]
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+        raise ConfigError(f"scan.{key} must be two numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
 def _encircling_runs(system, schedule, n_steps: int, integrator: IntegratorConfig) -> dict:
     """Lindblad runs from |+x> and |-x> around the loop in both directions."""
     return {
@@ -171,7 +179,7 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
 def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Eigenvalue branches versus J at fixed Delta, with EP markers."""
     J_grid = _j_grid(cfg.scan)
-    Delta = float(cfg.scan.get("Delta", 0.0))
+    Delta = float(cfg.scan["Delta"])
     raw = []
     for J in J_grid:
         system = cfg.system.with_drive(DriveParams(J=float(J), Delta=Delta))
@@ -210,9 +218,11 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Grid survey of the (J, Delta) plane with EP lines and triple points."""
     scan = cfg.scan
-    J_range = tuple(map(float, scan.get("J_range", [0.05, 1.1])))
-    Delta_range = tuple(map(float, scan.get("Delta_range", [-1.1, 1.1])))
-    resolution = int(scan.get("resolution", 45))
+    J_range = _range(scan, "J_range")
+    Delta_range = _range(scan, "Delta_range")
+    resolution = scan["resolution"]
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise ConfigError(f"scan.resolution must be an integer >= 1, got {resolution!r}")
     ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution)
 
     grid_rows = [
@@ -245,8 +255,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError("this experiment needs a dim=2 system")
     scan = cfg.scan
     J_grid = _j_grid(scan)
-    t_hm = np.linspace(0.0, float(scan.get("heatmap_t_max", 3.0)),
-                       int(scan.get("heatmap_samples", 301)))
+    t_hm = np.linspace(0.0, float(scan["heatmap_t_max"]), int(scan["heatmap_samples"]))
     rho0 = analysis.initial_state_for(2)
 
     heat_rows = []
@@ -262,8 +271,8 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     scan_result = analysis.scan_transition(
         cfg.system, J_grid,
-        window=float(scan.get("window", 10.0)),
-        n_samples=int(scan.get("n_samples", 500)),
+        window=float(scan["window"]),
+        n_samples=int(scan["n_samples"]),
         cfg=cfg.integrator,
     )
 
@@ -339,8 +348,7 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError("this experiment needs a dim=3 system")
     scan = cfg.scan
     J_grid = _j_grid(scan)
-    t_hm = np.linspace(0.0, float(scan.get("heatmap_t_max", 3.0)),
-                       int(scan.get("heatmap_samples", 301)))
+    t_hm = np.linspace(0.0, float(scan["heatmap_t_max"]), int(scan["heatmap_samples"]))
     rho0 = analysis.initial_state_for(3)
 
     heat_rows = []
@@ -355,8 +363,8 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     scan_result = analysis.scan_transition(
         cfg.system, J_grid,
-        window=float(scan.get("window", 10.0)),
-        n_samples=int(scan.get("n_samples", 500)),
+        window=float(scan["window"]),
+        n_samples=int(scan["n_samples"]),
         cfg=cfg.integrator,
     )
 
@@ -379,12 +387,11 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     scan = cfg.scan
     rho_mx = _density(minus_x())
 
-    T_values = np.asarray(scan.get("T_values", [0.5, 1.0, 2.0]), dtype=float)
+    T_values = np.asarray(scan["T_values"], dtype=float)
     duration = analysis.sweep_metrics(
         cfg.system, schedule, "T", T_values, (rho_mx, rho_mx), cfg.integrator)
 
-    D_values = np.asarray(
-        scan.get("Delta_max_values", [TWO_PI, 2 * TWO_PI, 4 * TWO_PI]), dtype=float)
+    D_values = np.asarray(scan["Delta_max_values"], dtype=float)
     detuning = analysis.sweep_metrics(
         cfg.system, schedule, "Delta_max", D_values, (rho_mx, rho_mx), cfg.integrator)
 

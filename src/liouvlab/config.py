@@ -97,9 +97,11 @@ def validate_keys(raw: dict) -> None:
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
     for section, allowed in SECTION_KEYS.items():
-        body = raw.get(section)
-        if body is None:
+        if section not in raw:
             continue
+        body = raw[section]
+        if body is None and section == "schedule":
+            continue  # null schedule: constant parameters
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
         bad = set(body) - allowed

@@ -40,6 +40,14 @@ def step_count(total: float, dt: float) -> int:
     return n_steps
 
 
+def stored_steps(n_steps: int, every: int, dt: float) -> tuple[list[int], np.ndarray]:
+    """The stored step indices, every `every`-th and the last, and their times."""
+    idx = list(range(0, n_steps + 1, every))
+    if idx[-1] != n_steps:
+        idx.append(n_steps)
+    return idx, np.array([i * dt for i in idx])
+
+
 @dataclass
 class IntegratorConfig:
     dt: float = 1e-3
@@ -169,10 +177,7 @@ def integrate_scheduled(
     rho = validate_density_matrix(rho0, system.dim)
     dt = schedule.T / n_steps
 
-    stored_idx = list(range(0, n_steps + 1, cfg.store_every))
-    if stored_idx[-1] != n_steps:
-        stored_idx.append(n_steps)
-    times = np.array([i * dt for i in stored_idx])
+    stored_idx, times = stored_steps(n_steps, cfg.store_every, dt)
     states = np.empty((len(stored_idx), system.dim, system.dim), dtype=complex)
 
     midpoints = (np.arange(n_steps) + 0.5) * dt

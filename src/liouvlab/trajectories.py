@@ -9,6 +9,12 @@ through channel k" (apply L_k, renormalize). One uniform is consumed per
 step regardless of outcome, so any trajectory of an ensemble is exactly
 reproducible in isolation from its child seed.
 
+A batch of trajectories advances with one update per step: the jump
+probabilities are taken from the batch, every row is propagated and
+renormalized, and the rows that jumped are then overwritten by their
+renormalized jump images. Each row sees the same arithmetic whatever the
+batch holds, so a batch of one reproduces any member bit for bit.
+
 Seed splitting: trajectory i of an ensemble draws its uniforms from
 numpy.random.SeedSequence(master_seed, spawn_key=(i,)). This counter-based
 construction is stable across runs, processes, and thread counts.
@@ -21,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import numerics
-from .dynamics import step_count
+from .dynamics import step_count, stored_steps
 from .errors import OutOfRange, ZeroNorm
 from .model import ParameterSchedule, QuantumSystem, operators, path_points
 
@@ -59,30 +65,20 @@ def _as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
-def apply_jump(L: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """L psi / ||L psi||; raises ZeroNorm when the state is annihilated."""
-    phi = L @ psi
-    norm = np.linalg.norm(phi)
-    if norm == 0.0:
-        raise ZeroNorm("jump operator annihilated the state")
-    return phi / norm
-
-
 def _step_table(
     system: QuantumSystem,
     schedule: Optional[ParameterSchedule],
     dt: float,
     n_steps: int,
 ):
-    """Per-step no-jump propagators and jump operators, m = 1 or n_steps rows.
+    """Per-step no-jump propagators and jump operators, one row per step.
 
-    Returns (props, ops, active, labels, all_labels): props (m, d, d), the
-    operators of every channel (m, c, d, d), the (m, c) mask of the channels
-    in each row's jump set, the c channel labels, and the labels in order of
-    first appearance. A constant system has one row, used at every step; a
-    scheduled run has one per step, each H_eff = H - (i/2) sum_k L_k^+ L_k
-    built from the step's midpoint parameters, and all are exponentiated in
-    one batch.
+    Returns (props, ops, active, labels): props (n_steps, d, d), the
+    operators of every channel (n_steps, c, d, d), the (n_steps, c) mask of
+    the channels in each step's jump set, and the c channel labels. A
+    scheduled run builds each step's H_eff = H - (i/2) sum_k L_k^+ L_k from
+    its midpoint parameters and exponentiates all of them in one batch; a
+    constant system builds one row, and every step reads a view of it.
     """
     d = system.dim
     if schedule is None:
@@ -104,9 +100,9 @@ def _step_table(
     for c, (L, _label, active) in enumerate(ops.jumps):
         ops_all[:, c] = L
         active_all[:, c] = active
-    first_step = active_all.argmax(axis=0)
-    all_labels = [labels[c] for c in np.argsort(first_step, kind="stable")]
-    return props, ops_all, active_all, labels, all_labels
+    props, ops_all, active_all = (
+        np.broadcast_to(a, (n_steps,) + a.shape[1:]) for a in (props, ops_all, active_all))
+    return props, ops_all, active_all, labels
 
 
 def _resolve_steps(
@@ -136,26 +132,19 @@ def _run_batch(
     """Advance a batch of trajectories with shared per-step propagators.
 
     store(psi) is called with the batch's (n, d) states at t = 0 and at every
-    stored step. Returns (times, jumps per trajectory, jump histogram).
-    All trajectories see the identical arithmetic whatever the batch size,
-    so a batch of one reproduces any member of a larger batch bit for bit.
-    Trajectory i draws its uniforms from generators[i], UNIFORM_BLOCK steps
-    at a time; consecutive draws continue one stream, so the values do not
-    depend on the block size.
+    stored step. Returns (times, jumps per trajectory, jump histogram), the
+    histogram keyed in channel order. Trajectory i draws its uniforms from
+    generators[i], UNIFORM_BLOCK steps at a time; consecutive draws continue
+    one stream, so the values do not depend on the block size.
     """
     n = len(generators)
-    props, ops, active, labels, all_labels = _step_table(system, schedule, dt, n_steps)
-    per_step = len(props) > 1
-
-    stored_idx = list(range(0, n_steps + 1, store_every))
-    if stored_idx[-1] != n_steps:
-        stored_idx.append(n_steps)
-    times = np.array([i * dt for i in stored_idx])
+    props, ops, active, labels = _step_table(system, schedule, dt, n_steps)
+    stored_idx, times = stored_steps(n_steps, store_every, dt)
 
     psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
     store(psi)
     jumps: list[list[tuple[float, str]]] = [[] for _ in range(n)]
-    histogram: dict[str, int] = {lab: 0 for lab in all_labels}
+    histogram: dict[str, int] = {lab: 0 for lab in labels}
     si = 1
     warned = False
 
@@ -163,29 +152,25 @@ def _run_batch(
         if k % UNIFORM_BLOCK == 0:
             width = min(UNIFORM_BLOCK, n_steps - k)
             block = np.array([g.random(width) for g in generators])
-        row = k if per_step else 0
-        channels = np.flatnonzero(active[row])
-        ops_arr = ops[row, channels]
-        n_ops = len(channels)
-        if n_ops:
-            amp = np.einsum("oab,nb->noa", ops_arr, psi)
-            probs = dt * np.einsum("noa,noa->no", amp, amp.conj()).real
-            if not warned and probs.max() > JUMP_PROBABILITY_GUIDELINE:
-                warnings.warn(
-                    f"per-step jump probability reached {probs.max():.3f} > "
-                    f"{JUMP_PROBABILITY_GUIDELINE}; decrease dt for unbiased sampling",
-                    stacklevel=3,
-                )
-                warned = True
-            u = block[:, k % UNIFORM_BLOCK]
-            ptot = probs.sum(axis=1)
-            jumped = u < ptot
-        else:
-            jumped = np.zeros(n, dtype=bool)
-        if n_ops and jumped.any():
-            rows = np.nonzero(jumped)[0]
+        channels = np.flatnonzero(active[k])
+        amp = np.einsum("oab,nb->noa", ops[k, channels], psi)
+        probs = dt * np.einsum("noa,noa->no", amp, amp.conj()).real
+        if not warned and probs.max(initial=0.0) > JUMP_PROBABILITY_GUIDELINE:
+            warnings.warn(
+                f"per-step jump probability reached {probs.max():.3f} > "
+                f"{JUMP_PROBABILITY_GUIDELINE}; decrease dt for unbiased sampling",
+                stacklevel=3,
+            )
+            warned = True
+        u = block[:, k % UNIFORM_BLOCK]
+        rows = np.flatnonzero(u < probs.sum(axis=1))
+        # every row takes the no-jump step; the rows that jumped are then
+        # overwritten by their jump images, taken from the state before it
+        psi = np.einsum("ab,nb->na", props[k], psi)
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        if rows.size:
             cum = np.cumsum(probs[rows], axis=1)
-            chans = np.minimum((u[rows, None] >= cum).sum(axis=1), n_ops - 1)
+            chans = np.minimum((u[rows, None] >= cum).sum(axis=1), len(channels) - 1)
             phi = amp[rows, chans]
             nrm = np.linalg.norm(phi, axis=1)
             if np.any(nrm == 0.0):
@@ -197,11 +182,6 @@ def _run_batch(
                 lab = labels[channels[c]]
                 jumps[int(r)].append((t_jump, lab))
                 histogram[lab] += 1
-        not_jumped = ~jumped
-        if not_jumped.any():
-            sub = np.einsum("ab,nb->na", props[row], psi[not_jumped])
-            sub = sub / np.linalg.norm(sub, axis=1)[:, None]
-            psi[not_jumped] = sub
         if si < len(stored_idx) and k + 1 == stored_idx[si]:
             store(psi)
             si += 1

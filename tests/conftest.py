@@ -55,3 +55,14 @@ def gated_emission_schedule(first_half: bool = True):
         T=1.0, J_max=2.0, Delta_max=3.0,
         gamma_e_of_t=lambda t: max(0.0, sign * 3.0 * math.sin(2.0 * math.pi * t)),
     )
+
+
+def sigma_x_mirror_deviation(rho_cw, rho_ccw) -> float:
+    """Largest entry of |rho_cw - sigma_x rho_ccw sigma_x|, over any leading axes.
+
+    With gamma_e = 0 the cw loop is the sigma_x image of the ccw loop: the
+    Hamiltonians satisfy sigma_x H_ccw sigma_x = H_cw, and the |+-x> starts
+    and the dephasing dissipator are invariant under sigma_x.
+    """
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return float(np.max(np.abs(rho_cw - sx @ rho_ccw @ sx)))

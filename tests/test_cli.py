@@ -151,6 +151,24 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     assert "need dim 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, override", [
+    ("steady-state", "system=null"),
+    ("steady-state", "integrator=null"),
+    ("steady-state", "ensemble=null"),
+    ("steady-state", "scan=null"),
+    ("ep-map", "scan.resolution=0"),
+    ("ep-map", "scan.resolution=1.5"),
+    ("ep-map", "scan.J_range=[1]"),
+    ("ep-map", "scan.J_range=5"),
+    ("ep-map", "scan.Delta_range=[-1, 0, 1]"),
+])
+def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
+    code = run(experiment, "--output-dir", str(tmp_path), "--set", override)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_degenerate_steady_state_exits_3(tmp_path, capsys):
     code = run("steady-state", "--output-dir", str(tmp_path),
                "--set", "system.gamma_e=0", "--set", "system.gamma_phi=0.5",

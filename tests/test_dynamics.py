@@ -5,11 +5,24 @@ import pytest
 
 import scipy.linalg
 
-from conftest import gated_emission_schedule, random_density_matrix, superoperator_reference
+from conftest import (
+    gated_emission_schedule,
+    random_density_matrix,
+    sigma_x_mirror_deviation,
+    superoperator_reference,
+)
 from liouvlab import dynamics
 from liouvlab.dynamics import IntegratorConfig, integrate_bloch, integrate_constant, integrate_scheduled
 from liouvlab.errors import NotDensityMatrix, OutOfRange
-from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, schedule_eval
+from liouvlab.model import (
+    DriveParams,
+    ParameterSchedule,
+    Rates,
+    make_system,
+    minus_x,
+    plus_x,
+    schedule_eval,
+)
 
 
 def bloch_state(x, y, z):
@@ -201,6 +214,26 @@ def test_scheduled_methods_agree():
     b = integrate_scheduled(system, schedule, rho0,
                             cfg=IntegratorConfig(method="rk4", dt=5e-4, store_every=200), **kw)
     assert np.max(np.abs(a.states - b.states)) <= 1e-6
+
+
+@pytest.mark.parametrize("method", ["propagator_expm", "rk4"])
+@pytest.mark.parametrize("psi0", [plus_x(), minus_x()], ids=["plus_x", "minus_x"])
+@pytest.mark.parametrize("gamma_e, gamma_phi, mirrored", [
+    (0.0, 0.0, True), (0.0, 0.7, True), (4.6, 0.0, False), (4.6, 0.7, False)])
+def test_loop_directions_are_sigma_x_mirrors_without_emission(
+        method, psi0, gamma_e, gamma_phi, mirrored):
+    system = make_system(DriveParams(J=16.0), Rates(gamma_e=gamma_e, gamma_phi=gamma_phi))
+    rho0 = np.outer(psi0, psi0.conj())
+    cfg = IntegratorConfig(method=method)
+    final = {
+        direction: integrate_scheduled(
+            system, ParameterSchedule(T=1.0, direction=direction), rho0, 1000, cfg).final_state
+        for direction in ("cw", "ccw")}
+    deviation = sigma_x_mirror_deviation(final["cw"], final["ccw"])
+    if mirrored:
+        assert deviation <= 1e-12
+    else:  # emission is not sigma_x invariant, and breaks the relation
+        assert deviation > 0.1
 
 
 # --- Bloch-vector route ------------------------------------------------------------

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gated_emission_schedule
+from conftest import gated_emission_schedule, sigma_x_mirror_deviation
 from liouvlab import trajectories as tj
 from liouvlab.dynamics import integrate_constant
-from liouvlab.errors import OutOfRange, ZeroNorm
+from liouvlab.errors import OutOfRange
 from liouvlab.model import (
     DriveParams,
     ParameterSchedule,
     Rates,
     basis_ket,
-    jump_operators,
     make_system,
+    minus_x,
     plus_x,
     schedule_eval,
 )
@@ -93,10 +93,10 @@ def test_scheduled_step_table_keeps_each_steps_jump_set(first_half):
     system = make_system(DriveParams(J=0.0), Rates(gamma_e=3.0, gamma_phi=0.4))
     schedule = gated_emission_schedule(first_half)
     dt, n_steps = 1e-3, 1000
-    props, ops, active, labels, all_labels = tj._step_table(system, schedule, dt, n_steps)
+    props, ops, active, labels = tj._step_table(system, schedule, dt, n_steps)
     assert len(props) == len(ops) == len(active) == n_steps
-    # labels are listed in order of first appearance along the loop
-    assert all_labels == (["e", "phi"] if first_half else ["phi", "e"])
+    # labels are in channel order, whichever channel is active first
+    assert labels == ["e", "phi"]
     for k in (0, 499, 500, 999):
         drive, rates = schedule_eval(schedule, (k + 0.5) * dt, system.rates)
         alone = make_system(drive, rates)
@@ -145,14 +145,6 @@ def test_input_validation():
         tj.run_trajectory(sys2, 2.0 * EXCITED_KET, dt=1e-3, seed=0, t_final=1.0)
     with pytest.raises(OutOfRange):
         tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=0, master_seed=0, t_final=1.0)
-
-
-def test_apply_jump_rejects_annihilated_state():
-    (L_e, _), = jump_operators(Rates(gamma_e=4.0))
-    with pytest.raises(ZeroNorm):
-        tj.apply_jump(L_e, GROUND)
-    out = tj.apply_jump(L_e, EXCITED_KET)
-    assert np.allclose(out, GROUND)
 
 
 def test_coarse_steps_trigger_sampling_warning():
@@ -241,6 +233,27 @@ def test_closed_loop_has_no_jumps_without_dissipation():
     ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=5e-4, n=20, master_seed=99)
     assert ens.jump_count_histogram == {}
     assert all(j == [] for j in ens.jumps_per_trajectory)
+
+
+@pytest.mark.parametrize("psi0", [plus_x(), minus_x()], ids=["plus_x", "minus_x"])
+@pytest.mark.parametrize("gamma_e, gamma_phi, mirrored", [
+    (0.0, 0.0, True), (0.0, 0.7, True), (4.6, 0.0, False), (4.6, 0.7, False)])
+def test_ensemble_loop_directions_are_sigma_x_mirrors_without_emission(
+        psi0, gamma_e, gamma_phi, mirrored):
+    # the dephasing jump probability dt gamma_phi / 2 does not depend on the
+    # state, so each cw trajectory jumps with its ccw twin and mirrors it
+    system = make_system(DriveParams(J=16.0), Rates(gamma_e=gamma_e, gamma_phi=gamma_phi))
+    ens = {
+        direction: tj.run_ensemble(
+            system, ParameterSchedule(T=1.0, direction=direction), psi0,
+            dt=1e-3, n=20, master_seed=7)
+        for direction in ("cw", "ccw")}
+    deviation = sigma_x_mirror_deviation(ens["cw"].mean_density, ens["ccw"].mean_density)
+    if mirrored:
+        assert ens["cw"].jumps_per_trajectory == ens["ccw"].jumps_per_trajectory
+        assert deviation <= 1e-12
+    else:
+        assert deviation > 0.1
 
 
 def test_ensemble_reproduces_its_recorded_jumps():
