@@ -16,16 +16,7 @@ from pathlib import Path
 
 from liouvlab import cli
 
-ALL_EXPERIMENTS = [
-    "spectrum",
-    "ep-map",
-    "fig1",
-    "fig2",
-    "fig4",
-    "sweeps",
-    "steady-state",
-    "trajectories",
-]
+ALL_EXPERIMENTS = list(cli.EXPERIMENTS)
 
 
 def main(argv=None) -> int:

@@ -23,8 +23,10 @@ from .config import (
     ExperimentConfig,
     apply_units,
     deep_merge,
+    integer,
     load_config_file,
     nest_override,
+    number,
     parse_set_override,
     resolve,
 )
@@ -105,9 +107,9 @@ def _j_grid(scan: dict) -> np.ndarray:
     if "J_values" in scan:
         grid = np.asarray(scan["J_values"], dtype=float)
     else:
-        start = float(scan.get("J_start", 0.0))
-        stop = float(scan.get("J_stop", 0.0))
-        step = float(scan.get("J_step", 0.0))
+        start = number("scan", "J_start", scan["J_start"])
+        stop = number("scan", "J_stop", scan["J_stop"])
+        step = number("scan", "J_step", scan["J_step"])
         if step <= 0.0 or stop < start:
             raise ConfigError("scan needs J_values or J_start <= J_stop with J_step > 0")
         grid = np.arange(start, stop + 0.5 * step, step)
@@ -121,6 +123,8 @@ def _range(scan: dict, key: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
         raise ConfigError(f"scan.{key} must be two numbers, got {value!r}")
+    if value[1] < value[0]:
+        raise ConfigError(f"scan.{key} must be increasing or equal, got {value!r}")
     return float(value[0]), float(value[1])
 
 
@@ -179,7 +183,7 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
 def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Eigenvalue branches versus J at fixed Delta, with EP markers."""
     J_grid = _j_grid(cfg.scan)
-    Delta = float(cfg.scan["Delta"])
+    Delta = number("scan", "Delta", cfg.scan["Delta"])
     raw = []
     for J in J_grid:
         system = cfg.system.with_drive(DriveParams(J=float(J), Delta=Delta))
@@ -220,8 +224,8 @@ def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     scan = cfg.scan
     J_range = _range(scan, "J_range")
     Delta_range = _range(scan, "Delta_range")
-    resolution = scan["resolution"]
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+    resolution = integer("scan", "resolution", scan["resolution"])
+    if resolution < 1:
         raise ConfigError(f"scan.resolution must be an integer >= 1, got {resolution!r}")
     ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution)
 
@@ -255,7 +259,8 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError("this experiment needs a dim=2 system")
     scan = cfg.scan
     J_grid = _j_grid(scan)
-    t_hm = np.linspace(0.0, float(scan["heatmap_t_max"]), int(scan["heatmap_samples"]))
+    t_hm = np.linspace(0.0, number("scan", "heatmap_t_max", scan["heatmap_t_max"]),
+                       integer("scan", "heatmap_samples", scan["heatmap_samples"]))
     rho0 = analysis.initial_state_for(2)
 
     heat_rows = []
@@ -271,8 +276,8 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     scan_result = analysis.scan_transition(
         cfg.system, J_grid,
-        window=float(scan["window"]),
-        n_samples=int(scan["n_samples"]),
+        window=number("scan", "window", scan["window"]),
+        n_samples=integer("scan", "n_samples", scan["n_samples"]),
         cfg=cfg.integrator,
     )
 
@@ -348,7 +353,8 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError("this experiment needs a dim=3 system")
     scan = cfg.scan
     J_grid = _j_grid(scan)
-    t_hm = np.linspace(0.0, float(scan["heatmap_t_max"]), int(scan["heatmap_samples"]))
+    t_hm = np.linspace(0.0, number("scan", "heatmap_t_max", scan["heatmap_t_max"]),
+                       integer("scan", "heatmap_samples", scan["heatmap_samples"]))
     rho0 = analysis.initial_state_for(3)
 
     heat_rows = []
@@ -363,8 +369,8 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     scan_result = analysis.scan_transition(
         cfg.system, J_grid,
-        window=float(scan["window"]),
-        n_samples=int(scan["n_samples"]),
+        window=number("scan", "window", scan["window"]),
+        n_samples=integer("scan", "n_samples", scan["n_samples"]),
         cfg=cfg.integrator,
     )
 

@@ -135,16 +135,21 @@ def apply_units(raw: dict, units: str) -> dict:
     return out
 
 
-def _number(section: str, key: str, value, default=None) -> Optional[float]:
-    if value is None:
+_REQUIRED = object()
+
+
+def number(section: str, key: str, value, default=_REQUIRED) -> Optional[float]:
+    """The config value as a float; null gives the default, or fails if there is none."""
+    if value is None and default is not _REQUIRED:
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _integer(section: str, key: str, value, default=None) -> Optional[int]:
-    if value is None:
+def integer(section: str, key: str, value, default=_REQUIRED) -> Optional[int]:
+    """The config value as an int; null gives the default, or fails if there is none."""
+    if value is None and default is not _REQUIRED:
         return default
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
@@ -156,17 +161,17 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
     validate_keys(raw)
 
     sys_raw = raw.get("system", {})
-    dim = _integer("system", "dim", sys_raw.get("dim"), 2)
+    dim = integer("system", "dim", sys_raw.get("dim"), 2)
     try:
         rates = Rates(
-            gamma_e=_number("system", "gamma_e", sys_raw.get("gamma_e"), 0.0),
-            gamma_phi=_number("system", "gamma_phi", sys_raw.get("gamma_phi"), 0.0),
-            gamma_f=_number("system", "gamma_f", sys_raw.get("gamma_f"), 0.0),
-            gamma_f_extra=_number("system", "gamma_f_extra", sys_raw.get("gamma_f_extra"), 0.0),
+            gamma_e=number("system", "gamma_e", sys_raw.get("gamma_e"), 0.0),
+            gamma_phi=number("system", "gamma_phi", sys_raw.get("gamma_phi"), 0.0),
+            gamma_f=number("system", "gamma_f", sys_raw.get("gamma_f"), 0.0),
+            gamma_f_extra=number("system", "gamma_f_extra", sys_raw.get("gamma_f_extra"), 0.0),
         )
         drive = DriveParams(
-            J=_number("system", "J", sys_raw.get("J"), 0.0),
-            Delta=_number("system", "Delta", sys_raw.get("Delta"), 0.0),
+            J=number("system", "J", sys_raw.get("J"), 0.0),
+            Delta=number("system", "Delta", sys_raw.get("Delta"), 0.0),
         )
         f_decay_to = sys_raw.get("f_decay_to", "e")
         system = make_system(drive, rates, dim=dim, f_decay_to=f_decay_to)
@@ -178,10 +183,10 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
     if sched_raw is not None:
         try:
             schedule = ParameterSchedule(
-                T=_number("schedule", "T", sched_raw.get("T"), 2.0),
+                T=number("schedule", "T", sched_raw.get("T"), 2.0),
                 direction=sched_raw.get("direction", "ccw"),
-                J_max=_number("schedule", "J_max", sched_raw.get("J_max"), 16.0),
-                Delta_max=_number("schedule", "Delta_max", sched_raw.get("Delta_max"), 10.0 * math.pi),
+                J_max=number("schedule", "J_max", sched_raw.get("J_max"), 16.0),
+                Delta_max=number("schedule", "Delta_max", sched_raw.get("Delta_max"), 10.0 * math.pi),
                 gamma_e_schedule=sched_raw.get("gamma_e_schedule", "constant"),
             )
         except LiouvlabError as exc:
@@ -190,19 +195,19 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
     integ_raw = raw.get("integrator", {})
     try:
         integrator = IntegratorConfig(
-            dt=_number("integrator", "dt", integ_raw.get("dt"), 1e-3),
+            dt=number("integrator", "dt", integ_raw.get("dt"), 1e-3),
             method=integ_raw.get("method", "propagator_expm"),
-            store_every=_integer("integrator", "store_every", integ_raw.get("store_every"), 1),
+            store_every=integer("integrator", "store_every", integ_raw.get("store_every"), 1),
         )
     except LiouvlabError as exc:
         raise ConfigError(f"invalid integrator section: {exc}") from exc
 
     ens_raw = raw.get("ensemble", {})
-    ensemble_n = _integer("ensemble", "n", ens_raw.get("n"), 1000)
-    master_seed = _integer("ensemble", "master_seed", ens_raw.get("master_seed"), 12345)
-    ensemble_dt = _number("ensemble", "dt", ens_raw.get("dt"), 5e-4)
-    ensemble_store_every = _integer("ensemble", "store_every", ens_raw.get("store_every"), 20)
-    t_final = _number("ensemble", "t_final", ens_raw.get("t_final"), None)
+    ensemble_n = integer("ensemble", "n", ens_raw.get("n"), 1000)
+    master_seed = integer("ensemble", "master_seed", ens_raw.get("master_seed"), 12345)
+    ensemble_dt = number("ensemble", "dt", ens_raw.get("dt"), 5e-4)
+    ensemble_store_every = integer("ensemble", "store_every", ens_raw.get("store_every"), 20)
+    t_final = number("ensemble", "t_final", ens_raw.get("t_final"), None)
     if ensemble_n < 1:
         raise ConfigError(f"ensemble.n must be >= 1, got {ensemble_n}")
     if ensemble_dt <= 0:

@@ -20,12 +20,17 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import numerics
-from .errors import DegenerateSteadyState, DomainError, NoSteadyState
+from .errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
 from .model import DriveParams, OperatorStack, QuantumSystem, Rates, hamiltonians, operators
 
-DEFAULT_GAP_TOL_FACTOR = 1e-4
-DEFAULT_ANGLE_TOL = 1e-3
+GAP_TOL_FACTOR = 1e-4  # spectrum: coalescence gap bound, relative to ||L||_F
+ANGLE_TOL = 1e-3  # spectrum: coalescence bound on the eigenvector angle
 ZERO_EIGENVALUE_TOL = 1e-9
+EDGE_GAP_ACCEPT = 1e-4  # ep_scan: largest refined gap kept as an EP line point
+BISECT_GAP_TARGET = 1e-8  # _bisect_edge: stop once the gap is this small
+BISECT_WIDTH_FLOOR = 1e-13  # _bisect_edge: smallest bracket width
+NEWTON_MAX_ITER = 40  # refine_triple_point: iteration budget
+NEWTON_FD_STEP = 1e-7  # refine_triple_point: central-difference step
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -91,8 +96,9 @@ class SpectralResult:
     """Eigensystem of one superoperator with EP classification.
 
     ep_order is 0 unless the closest eigenvalue pair coalesces in both value
-    (gap <= gap_tol) and direction (principal angle <= angle_tol); plain
-    degeneracies with orthogonal eigenvectors are not exceptional points.
+    (gap <= GAP_TOL_FACTOR * ||L||_F) and direction (principal angle <=
+    ANGLE_TOL); plain degeneracies with orthogonal eigenvectors are not
+    exceptional points.
     """
 
     eigenvalues: np.ndarray
@@ -102,24 +108,18 @@ class SpectralResult:
     ep_order: int
 
 
-def spectrum(
-    sop: Superoperator,
-    gap_tol: Optional[float] = None,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
-) -> SpectralResult:
+def spectrum(sop: Superoperator) -> SpectralResult:
     eig = numerics.eig_general(sop.matrix)
     lam = eig.eigenvalues
     vecs = eig.right_eigenvectors
     n = len(lam)
-    scale = np.linalg.norm(sop.matrix)
-    if gap_tol is None:
-        gap_tol = DEFAULT_GAP_TOL_FACTOR * max(scale, 1e-30)
+    gap_tol = GAP_TOL_FACTOR * max(np.linalg.norm(sop.matrix), 1e-30)
 
     min_gap, i, j = _closest_pair(lam)
     angle = numerics.principal_angle(vecs[:, i], vecs[:, j])
 
     order = 0
-    if min_gap <= gap_tol and angle <= angle_tol:
+    if min_gap <= gap_tol and angle <= ANGLE_TOL:
         # grow the coalescing cluster around the closest pair
         cluster = {i, j}
         rest = sorted(
@@ -128,7 +128,7 @@ def spectrum(
         )
         for k in rest:
             if abs(lam[k] - lam[i]) <= gap_tol and all(
-                numerics.principal_angle(vecs[:, k], vecs[:, c]) <= angle_tol for c in cluster
+                numerics.principal_angle(vecs[:, k], vecs[:, c]) <= ANGLE_TOL for c in cluster
             ):
                 cluster.add(k)
         order = min(len(cluster), 3)
@@ -241,7 +241,6 @@ class EpMap:
 
     J_values: np.ndarray
     Delta_values: np.ndarray
-    eigenvalues: np.ndarray  # (nD, nJ, n_modes), canonical order per point
     gap: np.ndarray  # (nD, nJ)
     angle: np.ndarray  # (nD, nJ)
     ep_order: np.ndarray  # (nD, nJ) int
@@ -315,18 +314,11 @@ def _decaying_modes(liouvillian_at, J: float, Delta: float) -> np.ndarray:
     return _nonzero_eigenvalues(np.linalg.eigvals(m), np.linalg.norm(m))
 
 
-def _indicator_at(liouvillian_at, J: float, Delta: float) -> tuple[float, float]:
-    s = _coalescence_indicator(_decaying_modes(liouvillian_at, J, Delta))
-    return s, abs(s)
-
-
 def _bisect_edge(
     liouvillian_at,
     p0: tuple[float, float],
     p1: tuple[float, float],
     s0: float,
-    gap_target: float = 1e-8,
-    width_floor: float = 1e-13,
 ) -> tuple[float, float, float]:
     """Bisection along the segment p0-p1 for the indicator sign change.
 
@@ -339,13 +331,14 @@ def _bisect_edge(
     seg = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
     best_gap = math.inf
     best_t = 0.5
-    while (b - a) * seg > width_floor:
+    while (b - a) * seg > BISECT_WIDTH_FLOOR:
         t = 0.5 * (a + b)
         pt = (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-        s, gap = _indicator_at(liouvillian_at, *pt)
+        s = _coalescence_indicator(_decaying_modes(liouvillian_at, *pt))
+        gap = abs(s)
         if gap < best_gap:
             best_gap, best_t = gap, t
-        if gap <= gap_target:
+        if gap <= BISECT_GAP_TARGET:
             best_gap, best_t = gap, t
             break
         if (s > 0.0) == (s0 > 0.0):
@@ -361,7 +354,10 @@ def _pq_from_modes(lam_nz: np.ndarray) -> np.ndarray:
     """Depressed-cubic coefficients (p, q) of the three decaying eigenvalues.
 
     The spectrum is conjugation-symmetric, so both are real up to rounding;
-    they vanish together exactly at a triple root.
+    they vanish together exactly at a triple root. Unlike eigenvalue gaps,
+    they are symmetric functions of the spectrum and stay smooth at
+    coalescence, so Newton iteration on them converges even where the gaps
+    have square-root cusps.
     """
     if len(lam_nz) != 3:
         # keep the three largest-magnitude modes if the zero filter misfired
@@ -374,37 +370,21 @@ def _pq_from_modes(lam_nz: np.ndarray) -> np.ndarray:
     return np.array([p.real, q.real])
 
 
-def _depressed_cubic_residual(liouvillian_at, J: float, Delta: float) -> np.ndarray:
-    """(p, q) evaluated at one parameter point.
-
-    Unlike eigenvalue gaps, these are symmetric functions of the spectrum and
-    stay smooth at coalescence, so Newton iteration on them converges even
-    where the gaps have square-root cusps.
-    """
-    return _pq_from_modes(_decaying_modes(liouvillian_at, J, Delta))
-
-
-def refine_triple_point(
-    system: QuantumSystem,
-    J0: float,
-    Delta0: float,
-    max_iter: int = 40,
-    fd_step: float = 1e-7,
-) -> Optional[tuple[float, float]]:
+def refine_triple_point(system: QuantumSystem, J0: float, Delta0: float) -> Optional[tuple[float, float]]:
     """Newton iteration on the depressed-cubic coefficients from a seed."""
     at = _liouvillian_at(system)
     x = np.array([J0, Delta0], dtype=float)
-    for _ in range(max_iter):
-        f = _depressed_cubic_residual(at, x[0], x[1])
+    for _ in range(NEWTON_MAX_ITER):
+        f = _pq_from_modes(_decaying_modes(at, *x))
         if np.max(np.abs(f)) < 1e-13:
             break
         jac = np.empty((2, 2))
         for k in range(2):
             dx = np.zeros(2)
-            dx[k] = fd_step
-            fp = _depressed_cubic_residual(at, *(x + dx))
-            fm = _depressed_cubic_residual(at, *(x - dx))
-            jac[:, k] = (fp - fm) / (2.0 * fd_step)
+            dx[k] = NEWTON_FD_STEP
+            fp = _pq_from_modes(_decaying_modes(at, *(x + dx)))
+            fm = _pq_from_modes(_decaying_modes(at, *(x - dx)))
+            jac[:, k] = (fp - fm) / (2.0 * NEWTON_FD_STEP)
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
@@ -414,7 +394,7 @@ def refine_triple_point(
             return None
         if np.max(np.abs(step)) < 1e-14:
             break
-    f = _depressed_cubic_residual(at, x[0], x[1])
+    f = _pq_from_modes(_decaying_modes(at, *x))
     if np.max(np.abs(f)) > 1e-9:
         return None
     return float(x[0]), float(x[1])
@@ -483,24 +463,22 @@ def ep_scan(
     J_range: tuple[float, float],
     Delta_range: tuple[float, float],
     resolution: int,
-    gap_tol: Optional[float] = None,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
-    gap_accept: float = 1e-4,
 ) -> EpMap:
     """Survey the (J, Delta) plane, extract EP lines and triple points.
 
     Candidate points come from sign changes of a coalescence indicator along
     grid edges, refined by bisection. The indicator also flips where the
     closest eigenvalue pair merely changes character without coalescing, so
-    refined points are kept only when the achieved gap is below gap_accept.
-    Third-order points are located independently: cells where both
-    depressed-cubic coefficients of the decaying trio change sign seed a
-    Newton search, and the second-order lines are split at those junctions.
-    A degenerate Delta_range (equal endpoints) scans a single row, which is
-    the usual way to locate the on-axis EP.
+    refined points are kept only when the achieved gap is at most
+    EDGE_GAP_ACCEPT. Third-order points are located independently: cells
+    where both depressed-cubic coefficients of the decaying trio change sign
+    seed a Newton search, and the second-order lines are split at those
+    junctions. Each range must be increasing or have equal endpoints; equal
+    endpoints scan a single row or column, which is the usual way to locate
+    the on-axis EP.
     """
     if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+        raise OutOfRange(f"resolution must be >= 1, got {resolution}")
     if system_template.dim != 2:
         raise DomainError(
             "ep_scan supports dim=2 systems; the qutrit zero-eigenvalue "
@@ -509,13 +487,14 @@ def ep_scan(
 
     J_lo, J_hi = map(float, J_range)
     D_lo, D_hi = map(float, Delta_range)
+    if J_hi < J_lo or D_hi < D_lo:
+        raise OutOfRange(
+            f"scan ranges must be increasing or equal, got J {J_range} and Delta {Delta_range}")
     nJ = resolution if J_hi > J_lo else 1
     nD = resolution if D_hi > D_lo else 1
     J_values = np.linspace(J_lo, J_hi, nJ)
     Delta_values = np.linspace(D_lo, D_hi, nD)
 
-    n_modes = system_template.dim ** 2
-    eigenvalues = np.empty((nD, nJ, n_modes), dtype=complex)
     gap = np.empty((nD, nJ))
     angle = np.empty((nD, nJ))
     order = np.zeros((nD, nJ), dtype=int)
@@ -527,9 +506,7 @@ def ep_scan(
         system_template.rates.gamma_e))
     for iD in range(nD):
         for iJ in range(nJ):
-            sop = Superoperator(matrix=grid[iD * nJ + iJ], d=system_template.dim)
-            res = spectrum(sop, gap_tol=gap_tol, angle_tol=angle_tol)
-            eigenvalues[iD, iJ] = res.eigenvalues
+            res = spectrum(Superoperator(matrix=grid[iD * nJ + iJ], d=system_template.dim))
             gap[iD, iJ] = res.min_eigenvalue_gap
             angle[iD, iJ] = res.min_eigenvector_angle
             order[iD, iJ] = res.ep_order
@@ -537,69 +514,49 @@ def ep_scan(
             indicator[iD, iJ] = _coalescence_indicator(lam_nz)
             pq_grid[iD, iJ] = _pq_from_modes(lam_nz)
 
-    # sign changes along grid edges -> refined second-order points
+    # Sign changes along grid edges -> refined second-order points. An edge
+    # runs from (iD, iJ) by (dD, dJ); the J-direction edges come row by row,
+    # then the Delta-direction edges column by column, the order the line
+    # clustering depends on. An edge borders the cells (iD, iJ) and
+    # (iD - dJ, iJ - dD) that lie inside the grid; on a one-row or
+    # one-column grid neither does, and the edge's own index stands in.
+    positive = indicator > 0.0
+    along_J = np.argwhere(positive[:, :-1] != positive[:, 1:]).tolist()
+    along_D = np.argwhere((positive[:-1] != positive[1:]).T).tolist()
+    edges = [(iD, iJ, 0, 1) for iD, iJ in along_J] + [(iD, iJ, 1, 0) for iJ, iD in along_D]
     liouvillian_at = _liouvillian_at(system_template)
     points: list[tuple[float, float]] = []
     edge_cells: list[set[tuple[int, int]]] = []
-
-    def cells_of_horizontal_edge(iD, iJ):
-        cells = set()
-        if iD < nD - 1:
-            cells.add((iD, iJ))
-        if iD > 0:
-            cells.add((iD - 1, iJ))
-        return cells or {(iD, iJ)}
-
-    def cells_of_vertical_edge(iD, iJ):
-        cells = set()
-        if iJ < nJ - 1:
-            cells.add((iD, iJ))
-        if iJ > 0:
-            cells.add((iD, iJ - 1))
-        return cells or {(iD, iJ)}
-
-    for iD in range(nD):
-        for iJ in range(nJ - 1):
-            s0, s1 = indicator[iD, iJ], indicator[iD, iJ + 1]
-            if (s0 > 0.0) != (s1 > 0.0):
-                p0 = (J_values[iJ], Delta_values[iD])
-                p1 = (J_values[iJ + 1], Delta_values[iD])
-                Jr, Dr, g = _bisect_edge(liouvillian_at, p0, p1, s0)
-                if g <= gap_accept:
-                    points.append((Jr, Dr))
-                    edge_cells.append(cells_of_horizontal_edge(iD, iJ))
-    for iJ in range(nJ):
-        for iD in range(nD - 1):
-            s0, s1 = indicator[iD, iJ], indicator[iD + 1, iJ]
-            if (s0 > 0.0) != (s1 > 0.0):
-                p0 = (J_values[iJ], Delta_values[iD])
-                p1 = (J_values[iJ], Delta_values[iD + 1])
-                Jr, Dr, g = _bisect_edge(liouvillian_at, p0, p1, s0)
-                if g <= gap_accept:
-                    points.append((Jr, Dr))
-                    edge_cells.append(cells_of_vertical_edge(iD, iJ))
+    for iD, iJ, dD, dJ in edges:
+        p0 = (J_values[iJ], Delta_values[iD])
+        p1 = (J_values[iJ + dJ], Delta_values[iD + dD])
+        Jr, Dr, g = _bisect_edge(liouvillian_at, p0, p1, indicator[iD, iJ])
+        if g <= EDGE_GAP_ACCEPT:
+            points.append((Jr, Dr))
+            cells = {(a, b) for a, b in ((iD, iJ), (iD - dJ, iJ - dD))
+                     if 0 <= a < nD - 1 and 0 <= b < nJ - 1}
+            edge_cells.append(cells or {(iD, iJ)})
 
     # Third-order points: both depressed-cubic coefficients of the decaying
     # trio vanish there, so cells where p and q each change sign seed a
     # Newton refinement from the cell center.
     junction_cells: set[tuple[int, int]] = set()
     ep3: list[tuple[float, float]] = []
-    if nD > 1 and nJ > 1:
-        for iD in range(nD - 1):
-            for iJ in range(nJ - 1):
-                pc = pq_grid[iD : iD + 2, iJ : iJ + 2, 0]
-                qc = pq_grid[iD : iD + 2, iJ : iJ + 2, 1]
-                if pc.min() < 0.0 < pc.max() and qc.min() < 0.0 < qc.max():
-                    junction_cells.add((iD, iJ))
-        for iD, iJ in sorted(junction_cells):
-            J0 = 0.5 * (J_values[iJ] + J_values[iJ + 1])
-            D0 = 0.5 * (Delta_values[iD] + Delta_values[iD + 1])
-            refined = refine_triple_point(system_template, J0, D0)
-            if refined is None:
-                continue
-            if not any(math.hypot(refined[0] - e[0], refined[1] - e[1]) < 1e-6 for e in ep3):
-                ep3.append(refined)
-        ep3.sort()
+    for iD in range(nD - 1):
+        for iJ in range(nJ - 1):
+            pc = pq_grid[iD : iD + 2, iJ : iJ + 2, 0]
+            qc = pq_grid[iD : iD + 2, iJ : iJ + 2, 1]
+            if pc.min() < 0.0 < pc.max() and qc.min() < 0.0 < qc.max():
+                junction_cells.add((iD, iJ))
+    for iD, iJ in sorted(junction_cells):
+        J0 = 0.5 * (J_values[iJ] + J_values[iJ + 1])
+        D0 = 0.5 * (Delta_values[iD] + Delta_values[iD + 1])
+        refined = refine_triple_point(system_template, J0, D0)
+        if refined is None:
+            continue
+        if not any(math.hypot(refined[0] - e[0], refined[1] - e[1]) < 1e-6 for e in ep3):
+            ep3.append(refined)
+    ep3.sort()
 
     # Second-order lines meet in a cusp at each third-order star, and within
     # a couple of grid cells of the cusp the branches run closer than one
@@ -623,7 +580,6 @@ def ep_scan(
     return EpMap(
         J_values=J_values,
         Delta_values=Delta_values,
-        eigenvalues=eigenvalues,
         gap=gap,
         angle=angle,
         ep_order=order,

@@ -161,6 +161,15 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("ep-map", "scan.J_range=[1]"),
     ("ep-map", "scan.J_range=5"),
     ("ep-map", "scan.Delta_range=[-1, 0, 1]"),
+    ("ep-map", "scan.J_range=[1.1, 0.05]"),
+    ("ep-map", "scan.Delta_range=[1.1, -1.1]"),
+    ("spectrum", "scan.Delta=null"),
+    ("spectrum", "scan.J_step=null"),
+    ("fig1", "scan.J_start=null"),
+    ("fig1", "scan.window=abc"),
+    ("fig1", "scan.n_samples=2.5"),
+    ("fig1", "scan.heatmap_samples=null"),
+    ("fig4", "scan.heatmap_t_max=null"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
     code = run(experiment, "--output-dir", str(tmp_path), "--set", override)

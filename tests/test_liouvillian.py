@@ -6,7 +6,7 @@ import pytest
 from conftest import gated_emission_schedule, superoperator_reference
 from liouvlab import liouvillian as lv
 from liouvlab import trajectories as tj
-from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState
+from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
 from liouvlab.model import (
     DriveParams,
     ParameterSchedule,
@@ -407,6 +407,46 @@ def test_ep_scan_finds_mirrored_triple_points():
     assert J_b == pytest.approx(star_J, abs=1e-6)
     assert D_a == pytest.approx(-star_D, abs=1e-6)
     assert D_b == pytest.approx(star_D, abs=1e-6)
+
+
+# ep_lines and ep3_points recorded before the two edge loops became one pass
+PINNED_15x15_LINES = [
+    [(0.4, -0.15304555965920896), (0.4285714285714286, -0.17801999310495378),
+     (0.4571428571428572, -0.20561884581684356), (0.4655492636306008, -0.2142857142857143),
+     (0.48571428571428577, -0.23618556357509338), (0.5142857142857143, -0.27020965349252685),
+     (0.5262981473893888, -0.2857142857142857)],
+    [(0.4, 0.15304555965920885), (0.4285714285714286, 0.17801999310495367),
+     (0.4571428571428572, 0.20561884581684342), (0.4655492636306008, 0.2142857142857142),
+     (0.48571428571428577, 0.23618556357509332), (0.5142857142857143, 0.27020965349252685),
+     (0.5262981473893888, 0.2857142857142857)],
+    [(0.5625, 0.0), (0.563637245096418, 0.0714285714285714),
+     (0.5670920126022663, 0.1428571428571428), (0.5714285714285714, 0.19799037821745247),
+     (0.5730064243333409, 0.2142857142857142), (0.563637245096418, -0.07142857142857145),
+     (0.5670920126022663, -0.1428571428571429), (0.5714285714285714, -0.19799037821745258),
+     (0.5730064243333409, -0.2142857142857143)],
+]
+PINNED_15x15_EP3 = [(0.6123724356957937, 0.4330127018922218),
+                    (0.6123724356957956, -0.4330127018922195)]
+PINNED_COLUMN_LINES = [[(0.5, -0.2527266338391473)], [(0.5, 0.2527266338391475)]]
+
+
+@pytest.mark.parametrize("J_range, Delta_range, resolution, lines, ep3", [
+    ((0.4, 0.8), (-0.5, 0.5), 15, PINNED_15x15_LINES, PINNED_15x15_EP3),
+    ((0.5, 0.5), (-1.1, 1.1), 21, PINNED_COLUMN_LINES, []),
+], ids=["15x15", "single-column"])
+def test_ep_scan_reproduces_its_recorded_lines(J_range, Delta_range, resolution, lines, ep3):
+    emap = lv.ep_scan(qubit_template(4.5), J_range, Delta_range, resolution)
+    assert [[tuple(map(float, point)) for point in line] for line in emap.ep_lines] == lines
+    assert emap.ep3_points == ep3
+
+
+def test_ep_scan_rejects_reversed_range():
+    with pytest.raises(OutOfRange, match="increasing or equal"):
+        lv.ep_scan(qubit_template(4.5), (1.1, 0.05), (0.0, 0.0), resolution=3)
+    with pytest.raises(OutOfRange, match="increasing or equal"):
+        lv.ep_scan(qubit_template(4.5), (0.05, 1.1), (1.1, -1.1), resolution=3)
+    with pytest.raises(OutOfRange, match="resolution"):
+        lv.ep_scan(qubit_template(4.5), (0.05, 1.1), (0.0, 0.0), resolution=0)
 
 
 def test_ep_scan_rejects_qutrit():
