@@ -379,8 +379,6 @@ def sweep_metrics(
     """
     if vary not in ("T", "Delta_max"):
         raise OutOfRange(f"vary must be 'T' or 'Delta_max', got {vary!r}")
-    if any(f is not None for f in (schedule_family.J_of_t, schedule_family.Delta_of_t, schedule_family.gamma_e_of_t)):
-        raise DomainError("sweeps require the default path parameterization")
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or len(vals) == 0:
         raise OutOfRange("values must be a non-empty 1-d array")

@@ -27,6 +27,7 @@ from .config import (
     load_config_file,
     nest_override,
     number,
+    numbers,
     parse_set_override,
     resolve,
 )
@@ -105,7 +106,7 @@ def _density(psi: np.ndarray) -> np.ndarray:
 
 def _j_grid(scan: dict) -> np.ndarray:
     if "J_values" in scan:
-        grid = np.asarray(scan["J_values"], dtype=float)
+        grid = np.asarray(numbers("scan", "J_values", scan["J_values"]))
     else:
         start = number("scan", "J_start", scan["J_start"])
         stop = number("scan", "J_stop", scan["J_stop"])
@@ -113,19 +114,34 @@ def _j_grid(scan: dict) -> np.ndarray:
         if step <= 0.0 or stop < start:
             raise ConfigError("scan needs J_values or J_start <= J_stop with J_step > 0")
         grid = np.arange(start, stop + 0.5 * step, step)
-    if grid.ndim != 1 or len(grid) == 0:
+    if len(grid) == 0:
         raise ConfigError("empty J grid")
     return grid
 
 
+def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """(J grid, heatmap times, fit window, fit samples) of fig1 and fig4."""
+    J_grid = _j_grid(scan)
+    t_max = number("scan", "heatmap_t_max", scan["heatmap_t_max"])
+    samples = integer("scan", "heatmap_samples", scan["heatmap_samples"])
+    window = number("scan", "window", scan["window"])
+    n_samples = integer("scan", "n_samples", scan["n_samples"])
+    if t_max <= 0.0 or window <= 0.0:
+        raise ConfigError(
+            f"scan.heatmap_t_max and scan.window must be > 0, got {t_max} and {window}")
+    if samples < 1 or n_samples < 1:
+        raise ConfigError(
+            f"scan.heatmap_samples and scan.n_samples must be >= 1, got {samples} and {n_samples}")
+    return J_grid, np.linspace(0.0, t_max, samples), window, n_samples
+
+
 def _range(scan: dict, key: str) -> tuple[float, float]:
-    value = scan[key]
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-        raise ConfigError(f"scan.{key} must be two numbers, got {value!r}")
+    value = numbers("scan", key, scan[key])
+    if len(value) != 2:
+        raise ConfigError(f"scan.{key} must be two numbers, got {scan[key]!r}")
     if value[1] < value[0]:
-        raise ConfigError(f"scan.{key} must be increasing or equal, got {value!r}")
-    return float(value[0]), float(value[1])
+        raise ConfigError(f"scan.{key} must be increasing or equal, got {scan[key]!r}")
+    return value[0], value[1]
 
 
 def _encircling_runs(system, schedule, n_steps: int, integrator: IntegratorConfig) -> dict:
@@ -257,10 +273,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qubit excited-population dynamics across J plus the transition scan."""
     if cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system")
-    scan = cfg.scan
-    J_grid = _j_grid(scan)
-    t_hm = np.linspace(0.0, number("scan", "heatmap_t_max", scan["heatmap_t_max"]),
-                       integer("scan", "heatmap_samples", scan["heatmap_samples"]))
+    J_grid, t_hm, window, n_samples = _transition_scan(cfg.scan)
     rho0 = analysis.initial_state_for(2)
 
     heat_rows = []
@@ -276,9 +289,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     scan_result = analysis.scan_transition(
         cfg.system, J_grid,
-        window=number("scan", "window", scan["window"]),
-        n_samples=integer("scan", "n_samples", scan["n_samples"]),
-        cfg=cfg.integrator,
+        window=window, n_samples=n_samples, cfg=cfg.integrator,
     )
 
     cut_header = ["t"] + [f"rho_ee_J{J:g}" for J in cut_values]
@@ -351,10 +362,7 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qutrit g-f coherence dynamics across J plus the transition scan."""
     if cfg.system.dim != 3:
         raise ConfigError("this experiment needs a dim=3 system")
-    scan = cfg.scan
-    J_grid = _j_grid(scan)
-    t_hm = np.linspace(0.0, number("scan", "heatmap_t_max", scan["heatmap_t_max"]),
-                       integer("scan", "heatmap_samples", scan["heatmap_samples"]))
+    J_grid, t_hm, window, n_samples = _transition_scan(cfg.scan)
     rho0 = analysis.initial_state_for(3)
 
     heat_rows = []
@@ -369,9 +377,7 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     scan_result = analysis.scan_transition(
         cfg.system, J_grid,
-        window=number("scan", "window", scan["window"]),
-        n_samples=integer("scan", "n_samples", scan["n_samples"]),
-        cfg=cfg.integrator,
+        window=window, n_samples=n_samples, cfg=cfg.integrator,
     )
 
     return {
@@ -393,11 +399,10 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     scan = cfg.scan
     rho_mx = _density(minus_x())
 
-    T_values = np.asarray(scan["T_values"], dtype=float)
+    T_values = np.asarray(numbers("scan", "T_values", scan["T_values"]))
+    D_values = np.asarray(numbers("scan", "Delta_max_values", scan["Delta_max_values"]))
     duration = analysis.sweep_metrics(
         cfg.system, schedule, "T", T_values, (rho_mx, rho_mx), cfg.integrator)
-
-    D_values = np.asarray(scan["Delta_max_values"], dtype=float)
     detuning = analysis.sweep_metrics(
         cfg.system, schedule, "Delta_max", D_values, (rho_mx, rho_mx), cfg.integrator)
 
@@ -417,14 +422,10 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     comparison_rows = []
     schedule_metrics = {}
     for kind in ("constant", "cosine"):
-        sched_kind = replace(schedule, gamma_e_schedule=kind)
-        evo_cw = integrate_scheduled(
-            cfg.system, replace(sched_kind, direction="cw"), rho_mx, n_steps, cfg.integrator)
-        evo_ccw = integrate_scheduled(
-            cfg.system, replace(sched_kind, direction="ccw"), rho_mx, n_steps, cfg.integrator)
-        chi = analysis.chirality(evo_cw.final_state, evo_ccw.final_state)
-        s_cw = analysis.entropy(evo_cw.final_state)
-        s_ccw = analysis.entropy(evo_ccw.final_state)
+        single = analysis.sweep_metrics(
+            cfg.system, replace(schedule, gamma_e_schedule=kind), "T", [schedule.T],
+            (rho_mx, rho_mx), cfg.integrator)
+        _T, chi, s_cw, s_ccw = single.table()[1][0]
         comparison_rows.append([kind, chi, s_cw, s_ccw])
         schedule_metrics[kind] = {"chirality": chi, "entropy_cw": s_cw, "entropy_ccw": s_ccw}
 

@@ -139,12 +139,21 @@ _REQUIRED = object()
 
 
 def number(section: str, key: str, value, default=_REQUIRED) -> Optional[float]:
-    """The config value as a float; null gives the default, or fails if there is none."""
+    """The config value as a finite float; null gives the default, or fails if there is none."""
     if value is None and default is not _REQUIRED:
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     return float(value)
+
+
+def numbers(section: str, key: str, value) -> list[float]:
+    """The config value as a non-empty list of finite floats."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{section}.{key} must be a non-empty list of numbers, got {value!r}")
+    return [number(section, key, v) for v in value]
 
 
 def integer(section: str, key: str, value, default=_REQUIRED) -> Optional[int]:

@@ -135,6 +135,8 @@ def integrate_constant(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise OutOfRange("t_grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
+        raise OutOfRange("t_grid must hold finite times >= 0")
     if np.any(np.diff(t) <= 0.0) and len(t) > 1:
         raise OutOfRange("t_grid must be strictly increasing")
     rho = validate_density_matrix(rho0, system.dim)

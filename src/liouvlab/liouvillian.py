@@ -59,24 +59,25 @@ def build_superoperator(system: QuantumSystem) -> Superoperator:
 def superoperator_stack(ops: OperatorStack) -> np.ndarray:
     """The (n, d^2, d^2) Liouvillians of n parameter points, built in one pass.
 
-    Point k gets the module formula for its Hamiltonian and its jump set,
-    with the same products and the same order of additions as a system built
-    alone, so every slice equals its own build_superoperator bit for bit.
+    Point k gets the module formula for its Hamiltonian and the stack's
+    channels, with the same products and the same order of additions as a
+    system built alone, so every slice equals its own build_superoperator
+    bit for bit. A channel whose rate is zero at point k adds only zeros
+    there, so that slice equals its build in value.
     """
     return _assemble(ops.hamiltonians, _dissipator_terms(ops.jumps))
 
 
-def _dissipator_terms(jumps) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per channel: L kron L^*, (L^+L kron I)/2, (I kron L^T L^*)/2 and the active mask."""
+def _dissipator_terms(jumps) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per channel: L kron L^*, (L^+L kron I)/2 and (I kron L^T L^*)/2."""
     terms = []
-    for L, _label, active in jumps:
+    for L, _label in jumps:
         ident = np.eye(L.shape[-1], dtype=complex)
         ldl = L.conj().swapaxes(-1, -2) @ L
         terms.append((
             numerics.kron(L, L.conj()),
             0.5 * numerics.kron(ldl, ident),
             0.5 * numerics.kron(ident, ldl.swapaxes(-1, -2)),
-            active,
         ))
     return terms
 
@@ -85,9 +86,8 @@ def _assemble(h: np.ndarray, terms) -> np.ndarray:
     """Hamiltonian part of a stack h (n, d, d) plus precomputed dissipator terms."""
     ident = np.eye(h.shape[-1], dtype=complex)
     m = -1j * (numerics.kron(h, ident) - numerics.kron(ident, h.swapaxes(-1, -2)))
-    for jump, left, right, active in terms:
-        with_channel = m + jump - left - right
-        m = with_channel if active.all() else np.where(active[:, None, None], with_channel, m)
+    for jump, left, right in terms:
+        m = m + jump - left - right
     return m
 
 

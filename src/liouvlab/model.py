@@ -11,7 +11,6 @@ points, and every route's generators are built from its OperatorStack.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -137,18 +136,18 @@ def jump_operators(rates: Rates, dim: int = 2, f_decay_to: str = "e") -> list[tu
     """
     channels = jump_operator_stack(
         rates.gamma_e, rates.gamma_phi, rates.gamma_f, rates.gamma_f_extra, dim, f_decay_to)
-    return [(L[0], label) for L, label, _active in channels]
+    return [(L[0], label) for L, label in channels]
 
 
 def jump_operator_stack(
     gamma_e, gamma_phi, gamma_f, gamma_f_extra, dim: int = 2, f_decay_to: str = "e"
-) -> list[tuple[np.ndarray, str, np.ndarray]]:
-    """The jump_operators channels at n rate points, as (L, label, active).
+) -> list[tuple[np.ndarray, str]]:
+    """The jump_operators channels at n rate points, as (L, label).
 
     Each rate is a number, or an array of its values at the n points. L
-    stacks the channel's operator at each of the rate's points, and active
-    is True where the rate is positive, so point k carries exactly the
-    channels jump_operators would give it. A channel whose rate is zero
+    stacks the channel's operator at each of the rate's points. A channel
+    whose rate is positive at some point is present at every point, with
+    the zero operator where its rate is zero; a channel whose rate is zero
     everywhere is omitted.
     """
     if dim not in (2, 3):
@@ -171,15 +170,14 @@ def jump_operator_stack(
             raise OutOfRange(f"{name} must be finite, got {r[~np.isfinite(r)][0]!r}")
         if np.any(r < 0.0):
             raise OutOfRange(f"{name} must be >= 0, got {r[r < 0.0][0]}")
-        active = r > 0.0
-        if not active.any():
+        if not np.any(r > 0.0):
             continue
         if entry is None:
             L = np.sqrt(r / 2.0)[:, None, None] * sigma_z(dim)
         else:
             L = np.zeros((len(r), dim, dim), dtype=complex)
             L[:, entry[0], entry[1]] = np.sqrt(r)
-        out.append((L, label, active))
+        out.append((L, label))
     return out
 
 
@@ -224,10 +222,8 @@ def make_system(
 class ParameterSchedule:
     """Closed parameter loop J(t), Delta(t), gamma_e(t) over t in [0, T].
 
-    The default path is J(t) = J_max cos^2(pi t/T) and
+    The path is J(t) = J_max cos^2(pi t/T) and
     Delta(t) = s * Delta_max sin(2 pi t/T), with s = +1 for ccw and -1 for cw.
-    Custom profile callables, when given, describe the ccw branch; the cw
-    direction negates the detuning profile pointwise.
 
     gamma_e_schedule selects between a constant emission rate and the ramp
     gamma_e(t) = gamma_e0 [1 - cos(2 pi t/T)]/2, which suppresses dissipation
@@ -239,9 +235,6 @@ class ParameterSchedule:
     J_max: float = DEFAULT_J_MAX
     Delta_max: float = DEFAULT_DELTA_MAX
     gamma_e_schedule: str = "constant"
-    J_of_t: Optional[Callable[[float], float]] = None
-    Delta_of_t: Optional[Callable[[float], float]] = None
-    gamma_e_of_t: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0.0):
@@ -253,26 +246,15 @@ class ParameterSchedule:
                 f"gamma_e_schedule must be 'constant' or 'cosine', got {self.gamma_e_schedule!r}"
             )
 
-    def flipped(self) -> "ParameterSchedule":
-        return replace(self, direction="cw" if self.direction == "ccw" else "ccw")
-
 
 def _path_point(s: ParameterSchedule, t: float, gamma_e: float) -> tuple[float, float, float]:
     """(J, Delta, gamma_e) of the path at time t, with the direction sign on Delta."""
     if not (0.0 <= t <= s.T):
         raise OutOfRange(f"t={t} outside schedule domain [0, {s.T}]")
     sign = 1.0 if s.direction == "ccw" else -1.0
-    if s.J_of_t is not None:
-        J = float(s.J_of_t(t))
-    else:
-        J = s.J_max * math.cos(math.pi * t / s.T) ** 2
-    if s.Delta_of_t is not None:
-        Delta = sign * float(s.Delta_of_t(t))
-    else:
-        Delta = sign * s.Delta_max * math.sin(2.0 * math.pi * t / s.T)
-    if s.gamma_e_of_t is not None:
-        ge = float(s.gamma_e_of_t(t))
-    elif s.gamma_e_schedule == "cosine":
+    J = s.J_max * math.cos(math.pi * t / s.T) ** 2
+    Delta = sign * s.Delta_max * math.sin(2.0 * math.pi * t / s.T)
+    if s.gamma_e_schedule == "cosine":
         ge = gamma_e * (1.0 - math.cos(2.0 * math.pi * t / s.T)) / 2.0
     else:
         ge = gamma_e
@@ -289,14 +271,13 @@ def schedule_eval(s: ParameterSchedule, t: float, rates: Rates) -> tuple[DrivePa
 class OperatorStack:
     """A system's Hamiltonian and collapse operators at n parameter points.
 
-    hamiltonians is (n, d, d). Each jump entry is (L, label, active): L is
-    (n, d, d), or (1, d, d) when the operator is the same at every point, and
-    active (length n, or 1 for every point) marks the points whose jump set
-    contains the channel.
+    hamiltonians is (n, d, d). Each jump entry is (L, label): L is (n, d, d),
+    or (1, d, d) when the operator is the same at every point, and is the
+    zero matrix at a point where the channel's rate is zero.
     """
 
     hamiltonians: np.ndarray
-    jumps: list[tuple[np.ndarray, str, np.ndarray]]
+    jumps: list[tuple[np.ndarray, str]]
 
 
 def path_points(s: ParameterSchedule, times, gamma_e: float) -> np.ndarray:
@@ -312,8 +293,9 @@ def operators(system: QuantumSystem, J, Delta, gamma_e) -> OperatorStack:
     """The system at n points (J[k], Delta[k], gamma_e[k]).
 
     gamma_e is a number or an array of its n values. Dimension, the other
-    rates and the |f> decay target are the system's, and each point keeps
-    exactly the jump set jump_operators gives its rates.
+    rates and the |f> decay target are the system's. Every point carries the
+    same channels, those of jump_operator_stack; a point where a channel's
+    rate is zero adds only zero terms through it.
     """
     r = system.rates
     jumps = jump_operator_stack(

@@ -73,11 +73,10 @@ def _step_table(
 ):
     """Per-step no-jump propagators and jump operators, one row per step.
 
-    Returns (props, ops, active, labels): props (n_steps, d, d), the
-    operators of every channel (n_steps, c, d, d), the (n_steps, c) mask of
-    the channels in each step's jump set, and the c channel labels. A
-    scheduled run builds each step's H_eff = H - (i/2) sum_k L_k^+ L_k from
-    its midpoint parameters and exponentiates all of them in one batch; a
+    Returns (props, ops, labels): props (n_steps, d, d), the operators of
+    every channel (n_steps, c, d, d), and the c channel labels. A scheduled
+    run builds each step's H_eff = H - (i/2) sum_k L_k^+ L_k from its
+    midpoint parameters and exponentiates all of them in one batch; a
     constant system builds one row, and every step reads a view of it.
     """
     d = system.dim
@@ -89,20 +88,16 @@ def _step_table(
     h = ops.hamiltonians
     n = len(h)
     acc = np.zeros_like(h)
-    for L, _label, active in ops.jumps:
-        with_channel = acc + L.conj().swapaxes(-1, -2) @ L
-        acc = with_channel if active.all() else np.where(active[:, None, None], with_channel, acc)
+    for L, _label in ops.jumps:
+        acc = acc + L.conj().swapaxes(-1, -2) @ L
     props = numerics.expm(-1j * (h - 0.5j * acc) * dt)
 
-    labels = [label for _L, label, _active in ops.jumps]
+    labels = [label for _L, label in ops.jumps]
     ops_all = np.zeros((n, len(labels), d, d), dtype=complex)
-    active_all = np.zeros((n, len(labels)), dtype=bool)
-    for c, (L, _label, active) in enumerate(ops.jumps):
+    for c, (L, _label) in enumerate(ops.jumps):
         ops_all[:, c] = L
-        active_all[:, c] = active
-    props, ops_all, active_all = (
-        np.broadcast_to(a, (n_steps,) + a.shape[1:]) for a in (props, ops_all, active_all))
-    return props, ops_all, active_all, labels
+    props, ops_all = (np.broadcast_to(a, (n_steps,) + a.shape[1:]) for a in (props, ops_all))
+    return props, ops_all, labels
 
 
 def _resolve_steps(
@@ -138,7 +133,7 @@ def _run_batch(
     one stream, so the values do not depend on the block size.
     """
     n = len(generators)
-    props, ops, active, labels = _step_table(system, schedule, dt, n_steps)
+    props, ops, labels = _step_table(system, schedule, dt, n_steps)
     stored_idx, times = stored_steps(n_steps, store_every, dt)
 
     psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
@@ -152,8 +147,7 @@ def _run_batch(
         if k % UNIFORM_BLOCK == 0:
             width = min(UNIFORM_BLOCK, n_steps - k)
             block = np.array([g.random(width) for g in generators])
-        channels = np.flatnonzero(active[k])
-        amp = np.einsum("oab,nb->noa", ops[k, channels], psi)
+        amp = np.einsum("oab,nb->noa", ops[k], psi)
         probs = dt * np.einsum("noa,noa->no", amp, amp.conj()).real
         if not warned and probs.max(initial=0.0) > JUMP_PROBABILITY_GUIDELINE:
             warnings.warn(
@@ -170,7 +164,7 @@ def _run_batch(
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         if rows.size:
             cum = np.cumsum(probs[rows], axis=1)
-            chans = np.minimum((u[rows, None] >= cum).sum(axis=1), len(channels) - 1)
+            chans = np.minimum((u[rows, None] >= cum).sum(axis=1), len(labels) - 1)
             phi = amp[rows, chans]
             nrm = np.linalg.norm(phi, axis=1)
             if np.any(nrm == 0.0):
@@ -179,7 +173,7 @@ def _run_batch(
             psi[rows] = phi / nrm[:, None]
             t_jump = (k + 1) * dt
             for r, c in zip(rows, chans):
-                lab = labels[channels[c]]
+                lab = labels[c]
                 jumps[int(r)].append((t_jump, lab))
                 histogram[lab] += 1
         if si < len(stored_idx) and k + 1 == stored_idx[si]:

@@ -1,10 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-
-from liouvlab.model import ParameterSchedule
 
 settings.register_profile(
     "default",
@@ -43,18 +39,6 @@ def superoperator_reference(system) -> np.ndarray:
         m = m - 0.5 * np.kron(ldl, ident)
         m = m - 0.5 * np.kron(ident, ldl.T)
     return m
-
-
-def gated_emission_schedule(first_half: bool = True):
-    """A loop whose gamma_e is zero on one half, so the jump set changes mid-loop.
-
-    first_half=True puts the emission on the first half of the loop.
-    """
-    sign = 1.0 if first_half else -1.0
-    return ParameterSchedule(
-        T=1.0, J_max=2.0, Delta_max=3.0,
-        gamma_e_of_t=lambda t: max(0.0, sign * 3.0 * math.sin(2.0 * math.pi * t)),
-    )
 
 
 def sigma_x_mirror_deviation(rho_cw, rho_ccw) -> float:

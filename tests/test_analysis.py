@@ -250,6 +250,3 @@ def test_sweep_metrics_input_validation():
         analysis.sweep_metrics(system, ParameterSchedule(T=2.0), "J_max", [1.0], (rho0, rho0))
     with pytest.raises(OutOfRange):
         analysis.sweep_metrics(system, ParameterSchedule(T=2.0), "T", [], (rho0, rho0))
-    custom = ParameterSchedule(T=2.0, J_of_t=lambda t: 1.0)
-    with pytest.raises(DomainError):
-        analysis.sweep_metrics(system, custom, "T", [1.0], (rho0, rho0))

@@ -170,6 +170,17 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig1", "scan.n_samples=2.5"),
     ("fig1", "scan.heatmap_samples=null"),
     ("fig4", "scan.heatmap_t_max=null"),
+    ("fig1", "scan.heatmap_samples=-1"),
+    ("fig1", "scan.window=-1"),
+    ("fig1", "scan.window=NaN"),
+    ("fig1", "scan.heatmap_t_max=Infinity"),
+    ("fig1", "scan.n_samples=0"),
+    ("fig4", "scan.heatmap_samples=0"),
+    ("fig4", "scan.heatmap_t_max=0"),
+    ("ep-map", "scan.J_range=[0.05, NaN]"),
+    ("spectrum", "scan.J_values=abc"),
+    ("sweeps", "scan.T_values=null"),
+    ("sweeps", "scan.Delta_max_values=[1,null]"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
     code = run(experiment, "--output-dir", str(tmp_path), "--set", override)

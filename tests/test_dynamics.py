@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg
 
 from conftest import (
-    gated_emission_schedule,
     random_density_matrix,
     sigma_x_mirror_deviation,
     superoperator_reference,
@@ -67,6 +66,14 @@ def test_bad_grids_are_rejected():
         integrate_constant(system, EXCITED, [0.0, 0.5, 0.5])
     with pytest.raises(OutOfRange):
         integrate_constant(system, EXCITED, np.zeros((2, 2)))
+
+
+def test_non_finite_or_negative_times_are_rejected():
+    # a NaN step compares False with 0, so it would be skipped silently
+    system = make_system(DriveParams(J=0.0), Rates(gamma_e=1.0))
+    for grid in ([0.0, math.nan, 2.0], [-1.0, 0.0], [0.0, math.inf]):
+        with pytest.raises(OutOfRange):
+            integrate_constant(system, EXCITED, grid)
 
 
 def test_propagation_preserves_state_validity(rng):
@@ -135,8 +142,8 @@ def test_integrator_config_validation():
 
 
 def test_scheduled_constant_profile_matches_fixed_parameters():
-    schedule = ParameterSchedule(T=1.0, J_of_t=lambda t: 1.3, Delta_of_t=lambda t: 0.7)
-    base = make_system(DriveParams(J=1.3, Delta=0.7), Rates(gamma_e=3.0, gamma_phi=0.2))
+    schedule = ParameterSchedule(T=1.0, J_max=0.0, Delta_max=0.0)
+    base = make_system(DriveParams(J=0.0), Rates(gamma_e=3.0, gamma_phi=0.2))
     sched = integrate_scheduled(base, schedule, EXCITED, n_steps=1000)
     fixed = integrate_constant(base, EXCITED, sched.times)
     assert np.max(np.abs(sched.states - fixed.states)) <= 1e-9
@@ -170,7 +177,7 @@ def _reference_step(L, v, dt, method):
 def test_scheduled_run_matches_a_per_step_reference_loop(dim, target, method, monkeypatch, rng):
     rates = Rates(gamma_e=3.0, gamma_phi=0.4, gamma_f=1.5 if dim == 3 else 0.0)
     system = make_system(DriveParams(J=0.0), rates, dim=dim, f_decay_to=target)
-    schedule = gated_emission_schedule()
+    schedule = ParameterSchedule(T=1.0, J_max=2.0, Delta_max=3.0, gamma_e_schedule="cosine")
     rho0 = random_density_matrix(rng, dim)
     n_steps = 1000
     dt = schedule.T / n_steps

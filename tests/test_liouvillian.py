@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gated_emission_schedule, superoperator_reference
+from conftest import superoperator_reference
 from liouvlab import liouvillian as lv
 from liouvlab import trajectories as tj
 from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
@@ -318,27 +318,36 @@ def test_superoperator_stack_equals_single_builds_bit_for_bit(dim, target):
     rates = Rates(gamma_e=3.0, gamma_phi=0.4,
                   gamma_f=1.5 if dim == 3 else 0.0, gamma_f_extra=0.7 if dim == 3 else 0.0)
     system = make_system(DriveParams(J=0.0), rates, dim=dim, f_decay_to=target)
-    schedule = gated_emission_schedule()
+    # the cosine ramp changes the emission operator at every point
+    schedule = ParameterSchedule(T=1.0, J_max=2.0, Delta_max=3.0, gamma_e_schedule="cosine")
     times = (np.arange(40) + 0.5) / 40
     stack = lv.superoperator_stack(operators(system, *path_points(schedule, times, rates.gamma_e)))
     assert stack.shape == (40, dim * dim, dim * dim)
-    jump_sets = set()
     for k, t in enumerate(times):
         drive, r = schedule_eval(schedule, t, rates)
         alone = make_system(drive, r, dim=dim, f_decay_to=target)
-        jump_sets.add(tuple(label for _, label in alone.jump_ops))
         single = lv.build_superoperator(alone).matrix
         assert stack[k].tobytes() == single.tobytes()
         assert single.tobytes() == superoperator_reference(alone).tobytes()
-    # the emission channel is on for the first half of the loop only
-    assert len(jump_sets) == 2
+
+
+def test_a_zero_rate_point_keeps_the_channel_as_a_zero_operator():
+    drive = DriveParams(J=0.5, Delta=0.2)
+    system = make_system(drive, Rates(gamma_e=3.0, gamma_phi=0.4))
+    ops = operators(system, [0.5, 0.5], [0.2, 0.2], [0.0, 3.0])
+    assert [label for _, label in ops.jumps] == ["e", "phi"]
+    emission = ops.jumps[0][0]
+    assert not emission[0].any() and emission[1].any()
+    stack = lv.superoperator_stack(ops)
+    no_emission = make_system(drive, Rates(gamma_e=0.0, gamma_phi=0.4))
+    assert np.array_equal(stack[0], lv.build_superoperator(no_emission).matrix)
+    assert stack[1].tobytes() == lv.build_superoperator(system).matrix.tobytes()
 
 
 def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
     Js = np.array([0.0, 0.3, 0.7, 1.1])
     Ds = np.array([-1.0, 0.0, 0.25, 1.0])
     n_steps, dt = 4, 0.25
-    times = (np.arange(n_steps) + 0.5) * dt
     for dim, target in [(2, "e"), (3, "e"), (3, "g")]:
         rates = Rates(gamma_e=4.5, gamma_phi=0.3,
                       gamma_f=1.5 if dim == 3 else 0.0, gamma_f_extra=0.7 if dim == 3 else 0.0)
@@ -351,20 +360,24 @@ def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
             assert stack[k].tobytes() == single.tobytes()
             assert at(J, D).tobytes() == single.tobytes()
             assert single.tobytes() == superoperator_reference(alone).tobytes()
-            # the same point held along a whole loop, through the scheduled routes
-            constant = ParameterSchedule(
-                T=n_steps * dt, J_of_t=lambda t, J=J: J, Delta_of_t=lambda t, D=D: D,
-                gamma_e_of_t=lambda t: rates.gamma_e)
-            scheduled = lv.superoperator_stack(
-                operators(system, *path_points(constant, times, rates.gamma_e)))
-            assert all(m.tobytes() == single.tobytes() for m in scheduled)
-            acc = np.zeros((dim, dim), dtype=complex)
-            for L, _ in alone.jump_ops:
-                acc = acc + L.conj().T @ L
-            prop = expm(-1j * (alone.hamiltonian() - 0.5j * acc) * dt).tobytes()
+            # the same point held at every step of a stack
+            held = lv.superoperator_stack(
+                operators(system, np.full(n_steps, J), np.full(n_steps, D), rates.gamma_e))
+            assert all(m.tobytes() == single.tobytes() for m in held)
+            prop = _no_jump_propagator(alone, dt)
             assert tj._step_table(alone, None, dt, n_steps)[0][0].tobytes() == prop
-            assert all(p.tobytes() == prop
-                       for p in tj._step_table(system, constant, dt, n_steps)[0])
+        # a loop of zero amplitude holds J = Delta = 0 at every step
+        at_rest = system.with_drive(DriveParams(J=0.0))
+        still = ParameterSchedule(T=n_steps * dt, J_max=0.0, Delta_max=0.0)
+        prop = _no_jump_propagator(at_rest, dt)
+        assert all(p.tobytes() == prop for p in tj._step_table(at_rest, still, dt, n_steps)[0])
+
+
+def _no_jump_propagator(system, dt: float) -> bytes:
+    acc = np.zeros((system.dim, system.dim), dtype=complex)
+    for L, _ in system.jump_ops:
+        acc = acc + L.conj().T @ L
+    return expm(-1j * (system.hamiltonian() - 0.5j * acc) * dt).tobytes()
 
 
 def test_closest_pair_keeps_the_first_pair_on_ties():

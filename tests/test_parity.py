@@ -1,0 +1,54 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
+
+
+@pytest.fixture(scope="module")
+def parity():
+    spec = importlib.util.spec_from_file_location("parity", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_runs(root: Path, runs: dict) -> Path:
+    """One run directory per entry, each with a manifest of {file name: sha256}."""
+    for run_name, hashes in runs.items():
+        (root / run_name).mkdir(parents=True)
+        files = [{"name": name, "sha256": digest} for name, digest in hashes.items()]
+        (root / run_name / "exp_manifest.json").write_text(json.dumps({"files": files}))
+    return root
+
+
+RUNS = {
+    "default-fig1": {"fig1_heatmap.csv": "aa", "fig1_summary.json": "bb"},
+    "default-sweeps": {"sweeps_duration.csv": "cc"},
+}
+
+
+def test_identical_hashes_exit_0(parity, tmp_path, capsys):
+    base = write_runs(tmp_path / "base", RUNS)
+    other = write_runs(tmp_path / "other", RUNS)
+    assert parity.compare(base, other) == 0
+    assert "3 datasets identical, 0 differ, over 2 runs" in capsys.readouterr().out
+
+
+def test_a_changed_hash_exits_1_and_names_the_file(parity, tmp_path, capsys):
+    base = write_runs(tmp_path / "base", RUNS)
+    changed = dict(RUNS, **{"default-sweeps": {"sweeps_duration.csv": "dd"}})
+    other = write_runs(tmp_path / "other", changed)
+    assert parity.compare(base, other) == 1
+    out = capsys.readouterr().out
+    assert "DIFF default-sweeps/sweeps_duration.csv" in out
+    assert "2 datasets identical, 1 differ" in out
+
+
+def test_a_missing_run_exits_1(parity, tmp_path, capsys):
+    base = write_runs(tmp_path / "base", RUNS)
+    other = write_runs(tmp_path / "other", {"default-fig1": RUNS["default-fig1"]})
+    assert parity.compare(base, other) == 1
+    assert "DIFF default-sweeps: run missing" in capsys.readouterr().out

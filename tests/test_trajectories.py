@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gated_emission_schedule, sigma_x_mirror_deviation
+from conftest import sigma_x_mirror_deviation
 from liouvlab import trajectories as tj
 from liouvlab.dynamics import integrate_constant
 from liouvlab.errors import OutOfRange
@@ -88,21 +88,18 @@ def test_ensemble_mean_equals_the_mean_of_its_members_bitwise():
     assert ens.mean_density.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("first_half", [True, False])
-def test_scheduled_step_table_keeps_each_steps_jump_set(first_half):
+def test_scheduled_step_table_keeps_each_steps_jump_set():
     system = make_system(DriveParams(J=0.0), Rates(gamma_e=3.0, gamma_phi=0.4))
-    schedule = gated_emission_schedule(first_half)
+    schedule = ParameterSchedule(T=1.0, J_max=2.0, Delta_max=3.0, gamma_e_schedule="cosine")
     dt, n_steps = 1e-3, 1000
-    props, ops, active, labels = tj._step_table(system, schedule, dt, n_steps)
-    assert len(props) == len(ops) == len(active) == n_steps
-    # labels are in channel order, whichever channel is active first
+    props, ops, labels = tj._step_table(system, schedule, dt, n_steps)
+    assert len(props) == len(ops) == n_steps
     assert labels == ["e", "phi"]
     for k in (0, 499, 500, 999):
         drive, rates = schedule_eval(schedule, (k + 0.5) * dt, system.rates)
         alone = make_system(drive, rates)
-        assert [labels[c] for c in np.flatnonzero(active[k])] == [
-            label for _, label in alone.jump_ops]
-        assert ops[k][active[k]].tobytes() == np.array([L for L, _ in alone.jump_ops]).tobytes()
+        assert [label for _, label in alone.jump_ops] == labels
+        assert ops[k].tobytes() == np.array([L for L, _ in alone.jump_ops]).tobytes()
         acc = np.zeros((2, 2), dtype=complex)
         for L, _ in alone.jump_ops:
             acc = acc + L.conj().T @ L
