@@ -15,11 +15,10 @@ from scipy.optimize import least_squares
 
 from . import numerics
 from .dynamics import (
-    MIN_SCHEDULED_STEPS,
     IntegratorConfig,
     integrate_constant,
     integrate_scheduled,
-    step_count,
+    scheduled_step_count,
     validate_density_matrix,
 )
 from .errors import DegenerateInput, DomainError, InsufficientData, LiouvlabError, OutOfRange
@@ -259,7 +258,6 @@ def scan_transition(
     J_values,
     window: float = DEFAULT_FIT_WINDOW,
     n_samples: int = DEFAULT_FIT_SAMPLES,
-    cfg: Optional[IntegratorConfig] = None,
 ) -> TransitionScan:
     """Sweep J, fitting the simulated transient and attaching predictions.
 
@@ -289,7 +287,7 @@ def scan_transition(
         system = system_template.with_drive(
             DriveParams(J=float(J), Delta=system_template.drive.Delta)
         )
-        evo = integrate_constant(system, rho0, t_grid, cfg)
+        evo = integrate_constant(system, rho0, t_grid)
         series = evo.states[:, 1, 1].real if dim == 2 else np.abs(evo.states[:, 0, 2])
         omega_pred[i], gamma_pred[i] = predict_rates(system, rho0, obs_index)
         try:
@@ -374,8 +372,7 @@ def sweep_metrics(
 
     For each value the family schedule is rebuilt with that duration or
     detuning amplitude and integrated once per direction from the paired
-    initial states (cw first). Step count follows the integrator dt with the
-    scheduled-integration minimum.
+    initial states (cw first), in scheduled_step_count(T, cfg.dt) steps.
     """
     if vary not in ("T", "Delta_max"):
         raise OutOfRange(f"vary must be 'T' or 'Delta_max', got {vary!r}")
@@ -392,7 +389,7 @@ def sweep_metrics(
     fin_ccw = np.empty_like(fin_cw)
     for i, v in enumerate(vals):
         base = replace(schedule_family, **{vary: float(v)})
-        n_steps = max(MIN_SCHEDULED_STEPS, step_count(base.T, cfg.dt))
+        n_steps = scheduled_step_count(base.T, cfg.dt)
         evo_cw = integrate_scheduled(
             system, replace(base, direction="cw"), rho0_cw, n_steps, cfg
         )

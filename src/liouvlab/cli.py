@@ -37,6 +37,7 @@ from .dynamics import (
     integrate_constant,
     integrate_scheduled,
     observables_from_states,
+    scheduled_step_count,
     step_count,
 )
 from .errors import ConfigError, LiouvlabError
@@ -45,6 +46,7 @@ from .model import DriveParams, Rates, basis_ket, make_system, minus_x, plus_x
 from .trajectories import run_ensemble, run_trajectory
 
 TWO_PI = 2.0 * math.pi
+MAX_J_GRID_POINTS = 100_000  # far above any shipped grid (spectrum's 401 points)
 
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "spectrum": {
@@ -105,6 +107,7 @@ def _density(psi: np.ndarray) -> np.ndarray:
 
 
 def _j_grid(scan: dict) -> np.ndarray:
+    """scan.J_values, or the grid J_start, J_start + J_step, ... up to J_stop; all >= 0."""
     if "J_values" in scan:
         grid = np.asarray(numbers("scan", "J_values", scan["J_values"]))
     else:
@@ -113,9 +116,15 @@ def _j_grid(scan: dict) -> np.ndarray:
         step = number("scan", "J_step", scan["J_step"])
         if step <= 0.0 or stop < start:
             raise ConfigError("scan needs J_values or J_start <= J_stop with J_step > 0")
+        # the grid's length is the ceiling of this; check it before allocating
+        if not (stop - start) / step + 0.5 <= MAX_J_GRID_POINTS:
+            raise ConfigError(
+                f"scan J_start/J_stop/J_step give more than {MAX_J_GRID_POINTS} points")
         grid = np.arange(start, stop + 0.5 * step, step)
     if len(grid) == 0:
         raise ConfigError("empty J grid")
+    if np.any(grid < 0.0):
+        raise ConfigError(f"scan J values must be >= 0, got {grid.min()}")
     return grid
 
 
@@ -180,11 +189,11 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
         cfg.ensemble_n, cfg.master_seed,
         store_every=cfg.ensemble_store_every, t_final=cfg.t_final,
     )
-    lind_cfg = IntegratorConfig(dt=cfg.ensemble_dt, store_every=cfg.ensemble_store_every)
     if cfg.schedule is not None:
+        lind_cfg = IntegratorConfig(dt=cfg.ensemble_dt, store_every=cfg.ensemble_store_every)
         lind = integrate_scheduled(cfg.system, cfg.schedule, _density(psi0), n_steps, lind_cfg)
     else:
-        lind = integrate_constant(cfg.system, _density(psi0), ens.times, lind_cfg)
+        lind = integrate_constant(cfg.system, _density(psi0), ens.times)
     td = np.array([
         numerics.trace_distance(ens.mean_density[i], lind.states[i])
         for i in range(len(ens.times))
@@ -281,16 +290,13 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     cut_values = (float(J_grid[0]), float(J_grid[-1]))
     for J in J_grid:
         system = cfg.system.with_drive(DriveParams(J=float(J), Delta=cfg.system.drive.Delta))
-        evo = integrate_constant(system, rho0, t_hm, cfg.integrator)
+        evo = integrate_constant(system, rho0, t_hm)
         pop_e = evo.states[:, 1, 1].real
         heat_rows.extend([float(J), float(t), float(p)] for t, p in zip(t_hm, pop_e))
         if float(J) in cut_values:
             cut_series[float(J)] = pop_e
 
-    scan_result = analysis.scan_transition(
-        cfg.system, J_grid,
-        window=window, n_samples=n_samples, cfg=cfg.integrator,
-    )
+    scan_result = analysis.scan_transition(cfg.system, J_grid, window=window, n_samples=n_samples)
 
     cut_header = ["t"] + [f"rho_ee_J{J:g}" for J in cut_values]
     cut_rows = [
@@ -314,7 +320,7 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Encircling runs (Lindblad), one seeded trajectory, and an ensemble."""
     if cfg.schedule is None or cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system with a schedule")
-    n_steps = max(MIN_SCHEDULED_STEPS, step_count(cfg.schedule.T, cfg.integrator.dt))
+    n_steps = scheduled_step_count(cfg.schedule.T, cfg.integrator.dt)
     runs = _encircling_runs(cfg.system, cfg.schedule, n_steps, cfg.integrator)
 
     header = ["t"]
@@ -368,17 +374,14 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     heat_rows = []
     for J in J_grid:
         system = cfg.system.with_drive(DriveParams(J=float(J), Delta=cfg.system.drive.Delta))
-        evo = integrate_constant(system, rho0, t_hm, cfg.integrator)
+        evo = integrate_constant(system, rho0, t_hm)
         gf = evo.states[:, 0, 2]
         heat_rows.extend(
             [float(J), float(t), float(abs(c)), float(c.real), float(c.imag)]
             for t, c in zip(t_hm, gf)
         )
 
-    scan_result = analysis.scan_transition(
-        cfg.system, J_grid,
-        window=window, n_samples=n_samples, cfg=cfg.integrator,
-    )
+    scan_result = analysis.scan_transition(cfg.system, J_grid, window=window, n_samples=n_samples)
 
     return {
         "fig4_coherence": (["J", "t", "abs_rho_gf", "re_rho_gf", "im_rho_gf"], heat_rows),
@@ -401,6 +404,8 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     T_values = np.asarray(numbers("scan", "T_values", scan["T_values"]))
     D_values = np.asarray(numbers("scan", "Delta_max_values", scan["Delta_max_values"]))
+    if np.any(T_values <= 0.0):
+        raise ConfigError(f"scan.T_values must be > 0, got {T_values.min()}")
     duration = analysis.sweep_metrics(
         cfg.system, schedule, "T", T_values, (rho_mx, rho_mx), cfg.integrator)
     detuning = analysis.sweep_metrics(
@@ -408,7 +413,7 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     # Hermitian limit: same path with all dissipation off
     system0 = make_system(cfg.system.drive, Rates(gamma_e=0.0, gamma_phi=0.0), dim=2)
-    n_steps = max(MIN_SCHEDULED_STEPS, step_count(schedule.T, cfg.integrator.dt))
+    n_steps = scheduled_step_count(schedule.T, cfg.integrator.dt)
     hermitian_runs = _encircling_runs(system0, schedule, n_steps, cfg.integrator)
     chi_hermitian = analysis.chirality(
         hermitian_runs[("plus", "cw")].final_state,

@@ -24,7 +24,7 @@ TOP_LEVEL_KEYS = {
 }
 SYSTEM_KEYS = {"dim", "gamma_e", "gamma_phi", "gamma_f", "gamma_f_extra", "J", "Delta", "f_decay_to"}
 SCHEDULE_KEYS = {"T", "direction", "J_max", "Delta_max", "gamma_e_schedule"}
-INTEGRATOR_KEYS = {"dt", "method", "store_every"}
+INTEGRATOR_KEYS = {"dt", "store_every"}
 ENSEMBLE_KEYS = {"n", "master_seed", "dt", "store_every", "t_final"}
 SCAN_KEYS = {
     "J_values", "J_start", "J_stop", "J_step", "Delta", "window", "n_samples",
@@ -205,7 +205,6 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
     try:
         integrator = IntegratorConfig(
             dt=number("integrator", "dt", integ_raw.get("dt"), 1e-3),
-            method=integ_raw.get("method", "propagator_expm"),
             store_every=integer("integrator", "store_every", integ_raw.get("store_every"), 1),
         )
     except LiouvlabError as exc:

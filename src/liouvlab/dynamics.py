@@ -1,14 +1,16 @@
 """Lindblad time evolution (constant and scheduled) and the Bloch-vector route.
 
-Scheduled integration uses piecewise-constant midpoint propagation: step k
-applies the matrix exponential of the Liouvillian at the midpoint of its
-interval. The generators of a run are built as one stack from the
-schedule's midpoint parameters (model.operators, then
-liouvillian.superoperator_stack) and exponentiated in one batch, up to
-STEP_BLOCK steps at a time; only the matrix-vector products run step by step.
-Every step is exactly trace preserving and completely positive, and the
-scheme is second-order accurate in the step size, which stays robust at
-parameter points where the Liouvillian is defective.
+Matrix exponentials are the one Lindblad scheme. Constant-parameter runs
+apply the exact propagator between the requested times. Scheduled runs use
+piecewise-constant midpoint propagation: step k applies the matrix
+exponential of the Liouvillian at the midpoint of its interval. The
+generators of a run are built as one stack from the schedule's midpoint
+parameters (model.operators, then liouvillian.superoperator_stack) and
+exponentiated in one batch, up to STEP_BLOCK steps at a time; only the
+matrix-vector products run step by step. Every step is exactly trace
+preserving and completely positive, and the scheme is second-order accurate
+in the step size, which stays robust at parameter points where the
+Liouvillian is defective.
 """
 
 import math
@@ -48,17 +50,25 @@ def stored_steps(n_steps: int, every: int, dt: float) -> tuple[list[int], np.nda
     return idx, np.array([i * dt for i in idx])
 
 
+def scheduled_step_count(T: float, dt: float) -> int:
+    """Steps of a scheduled loop of duration T: about dt each, and at least MIN_SCHEDULED_STEPS."""
+    return max(MIN_SCHEDULED_STEPS, step_count(T, dt))
+
+
 @dataclass
 class IntegratorConfig:
+    """Settings of scheduled Lindblad runs; constant-parameter runs read neither.
+
+    dt is the target step, turned into a step count by scheduled_step_count;
+    store_every keeps every store_every-th state and the last.
+    """
+
     dt: float = 1e-3
-    method: str = "propagator_expm"
     store_every: int = 1
 
     def __post_init__(self):
         if self.dt <= 0.0 or not math.isfinite(self.dt):
             raise OutOfRange(f"dt must be positive, got {self.dt}")
-        if self.method not in ("propagator_expm", "rk4"):
-            raise OutOfRange(f"unknown integrator method {self.method!r}")
         if self.store_every < 1:
             raise OutOfRange(f"store_every must be >= 1, got {self.store_every}")
 
@@ -111,27 +121,11 @@ def observables_from_states(states: np.ndarray, dim: int) -> dict:
     }
 
 
-def _rk4(L: np.ndarray, v: np.ndarray, dt: float, cfg: IntegratorConfig) -> np.ndarray:
-    """Classical RK4 on v' = L v over dt, with substeps bounded by cfg.dt."""
-    n_sub = max(1, int(math.ceil(dt / cfg.dt)))
-    h = dt / n_sub
-    for _ in range(n_sub):
-        k1 = L @ v
-        k2 = L @ (v + 0.5 * h * k1)
-        k3 = L @ (v + 0.5 * h * k2)
-        k4 = L @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+def integrate_constant(system: QuantumSystem, rho0, t_grid) -> EvolutionResult:
+    """Evolve rho0 under the fixed-parameter Liouvillian onto t_grid, exactly.
 
-
-def integrate_constant(
-    system: QuantumSystem,
-    rho0,
-    t_grid,
-    cfg: Optional[IntegratorConfig] = None,
-) -> EvolutionResult:
-    """Evolve rho0 under the fixed-parameter Liouvillian onto t_grid."""
-    cfg = cfg or IntegratorConfig()
+    Each interval applies expm(L dt), built once per distinct interval length.
+    """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise OutOfRange("t_grid must be a non-empty 1-D array")
@@ -149,14 +143,11 @@ def integrate_constant(
     for k, tk in enumerate(t):
         dt = tk - prev_t
         if dt > 0.0:
-            if cfg.method == "propagator_expm":
-                P = prop_cache.get(dt)
-                if P is None:
-                    P = numerics.expm(L * dt)
-                    prop_cache[dt] = P
-                v = P @ v
-            else:
-                v = _rk4(L, v, dt, cfg)
+            P = prop_cache.get(dt)
+            if P is None:
+                P = numerics.expm(L * dt)
+                prop_cache[dt] = P
+            v = P @ v
         states[k] = v.reshape(system.dim, system.dim)
         prev_t = tk
     return EvolutionResult(times=t, states=states, observables=observables_from_states(states, system.dim))
@@ -169,7 +160,11 @@ def integrate_scheduled(
     n_steps: int,
     cfg: Optional[IntegratorConfig] = None,
 ) -> EvolutionResult:
-    """Propagate through one loop of the schedule in n_steps midpoint steps."""
+    """Propagate through one loop of the schedule in n_steps midpoint steps.
+
+    Only cfg.store_every is read; the step is schedule.T / n_steps, whatever
+    cfg.dt says.
+    """
     cfg = cfg or IntegratorConfig()
     if n_steps < MIN_SCHEDULED_STEPS:
         raise OutOfRange(
@@ -183,17 +178,14 @@ def integrate_scheduled(
     states = np.empty((len(stored_idx), system.dim, system.dim), dtype=complex)
 
     midpoints = (np.arange(n_steps) + 0.5) * dt
-    expm_steps = cfg.method == "propagator_expm"
     v = vec(rho)
     states[0] = v.reshape(system.dim, system.dim)
     si = 1
     for start in range(0, n_steps, STEP_BLOCK):
         path = path_points(schedule, midpoints[start:start + STEP_BLOCK], system.rates.gamma_e)
-        block = superoperator_stack(operators(system, *path))
-        if expm_steps:
-            block = numerics.expm(block * dt)
+        block = numerics.expm(superoperator_stack(operators(system, *path)) * dt)
         for k, step in enumerate(block, start):
-            v = step @ v if expm_steps else _rk4(step, v, dt, cfg)
+            v = step @ v
             if si < len(stored_idx) and k + 1 == stored_idx[si]:
                 states[si] = v.reshape(system.dim, system.dim)
                 si += 1

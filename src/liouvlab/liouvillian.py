@@ -357,9 +357,12 @@ def _pq_from_modes(lam_nz: np.ndarray) -> np.ndarray:
     they vanish together exactly at a triple root. Unlike eigenvalue gaps,
     they are symmetric functions of the spectrum and stay smooth at
     coalescence, so Newton iteration on them converges even where the gaps
-    have square-root cusps.
+    have square-root cusps. With fewer than three decaying modes there is no
+    trio, and both are NaN, which seeds no triple-point search.
     """
-    if len(lam_nz) != 3:
+    if len(lam_nz) < 3:
+        return np.array([math.nan, math.nan])
+    if len(lam_nz) > 3:
         # keep the three largest-magnitude modes if the zero filter misfired
         lam_nz = lam_nz[np.argsort(-np.abs(lam_nz))][:3]
     b = -(lam_nz[0] + lam_nz[1] + lam_nz[2])
@@ -395,7 +398,7 @@ def refine_triple_point(system: QuantumSystem, J0: float, Delta0: float) -> Opti
         if np.max(np.abs(step)) < 1e-14:
             break
     f = _pq_from_modes(_decaying_modes(at, *x))
-    if np.max(np.abs(f)) > 1e-9:
+    if not np.max(np.abs(f)) <= 1e-9:  # NaN where the trio is gone
         return None
     return float(x[0]), float(x[1])
 

@@ -239,6 +239,10 @@ class ParameterSchedule:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise OutOfRange(f"T must be positive and finite, got {self.T!r}")
+        if not (math.isfinite(self.J_max) and self.J_max >= 0.0):
+            raise OutOfRange(f"J_max must be >= 0 and finite, got {self.J_max!r}")
+        if not math.isfinite(self.Delta_max):
+            raise OutOfRange(f"Delta_max must be finite, got {self.Delta_max!r}")
         if self.direction not in ("cw", "ccw"):
             raise OutOfRange(f"direction must be 'cw' or 'ccw', got {self.direction!r}")
         if self.gamma_e_schedule not in ("constant", "cosine"):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from liouvlab import __version__, cli
+from liouvlab.errors import ConfigError
 from liouvlab.io import validate_manifest
 
 
@@ -181,12 +182,36 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("spectrum", "scan.J_values=abc"),
     ("sweeps", "scan.T_values=null"),
     ("sweeps", "scan.Delta_max_values=[1,null]"),
+    ("fig2", "schedule.J_max=-1"),
+    ("spectrum", "scan.J_values=[-1,0.5]"),
+    ("spectrum", "scan.J_start=-0.5"),
+    ("sweeps", "scan.T_values=[-1]"),
+    ("fig1", "scan.J_step=1e-300"),
+    ("fig2", "integrator.method=rk4"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
     code = run(experiment, "--output-dir", str(tmp_path), "--set", override)
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_j_grid_rejects_a_grid_above_the_cap():
+    cap = cli.MAX_J_GRID_POINTS
+    assert len(cli._j_grid({"J_start": 0.0, "J_stop": cap - 1.0, "J_step": 1.0})) == cap
+    with pytest.raises(ConfigError, match=f"more than {cap} points"):
+        cli._j_grid({"J_start": 0.0, "J_stop": float(cap), "J_step": 1.0})
+
+
+@pytest.mark.parametrize("overrides", [
+    ["system.gamma_e=0"],
+    ["system.gamma_e=0", "system.gamma_phi=0.5", "scan.J_range=[0,1.1]"],
+], ids=["no-dissipation", "dephasing-only"])
+def test_ep_map_without_a_decaying_trio_exits_0(overrides, tmp_path):
+    sets = [arg for o in overrides + ["scan.resolution=5"] for arg in ("--set", o)]
+    assert run("ep-map", "--output-dir", str(tmp_path), *sets) == 0
+    summary = json.loads((tmp_path / "ep_map_summary.json").read_text())
+    assert summary["ep3_points"] == []
 
 
 def test_degenerate_steady_state_exits_3(tmp_path, capsys):

@@ -106,7 +106,6 @@ def test_resolve_defaults():
     assert out.system.rates.gamma_e == 0.0
     assert out.schedule is None
     assert out.integrator.dt == 1e-3
-    assert out.integrator.method == "propagator_expm"
     assert out.ensemble_n == 1000
     assert out.master_seed == 12345
     assert out.ensemble_dt == 5e-4
@@ -122,7 +121,7 @@ def test_resolve_full_document():
         "system": {"dim": 3, "gamma_e": 4.2, "gamma_f": 0.3, "J": 1.05, "f_decay_to": "g"},
         "schedule": {"T": 1.5, "direction": "cw", "J_max": 8.0, "Delta_max": 6.0,
                      "gamma_e_schedule": "cosine"},
-        "integrator": {"dt": 5e-4, "method": "rk4", "store_every": 10},
+        "integrator": {"dt": 5e-4, "store_every": 10},
         "ensemble": {"n": 250, "master_seed": 7, "dt": 1e-3, "t_final": 1.5},
         "scan": {"J_start": 0.1, "J_stop": 1.8, "J_step": 0.05},
         "output_dir": "results/run1",
@@ -136,7 +135,6 @@ def test_resolve_full_document():
     assert out.schedule.T == 1.5
     assert out.schedule.direction == "cw"
     assert out.schedule.gamma_e_schedule == "cosine"
-    assert out.integrator.method == "rk4"
     assert out.ensemble_n == 250
     assert out.t_final == 1.5
     assert out.scan["J_step"] == 0.05

@@ -462,6 +462,15 @@ def test_ep_scan_rejects_reversed_range():
         lv.ep_scan(qubit_template(4.5), (0.05, 1.1), (0.0, 0.0), resolution=0)
 
 
+@pytest.mark.parametrize("gamma_phi, J_range", [(0.0, (0.05, 1.1)), (0.5, (0.0, 1.1))],
+                         ids=["no-dissipation", "dephasing-only"])
+def test_ep_scan_without_a_decaying_trio_seeds_no_triple_point_search(gamma_phi, J_range):
+    # with gamma_e = 0 some grid points have fewer than three nonzero eigenvalues
+    emap = lv.ep_scan(qubit_template(0.0, gamma_phi), J_range, (-1.1, 1.1), resolution=5)
+    assert emap.gap.shape == (5, 5)
+    assert emap.ep3_points == []
+
+
 def test_ep_scan_rejects_qutrit():
     system = make_system(DriveParams(J=0.1), Rates(gamma_e=4.2), dim=3)
     with pytest.raises(DomainError):

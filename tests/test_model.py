@@ -176,6 +176,10 @@ def test_schedule_validation():
         model.ParameterSchedule(T=1.0, direction="up")
     with pytest.raises(OutOfRange):
         model.ParameterSchedule(T=1.0, gamma_e_schedule="linear")
+    for kw in ({"J_max": -1.0}, {"J_max": math.inf}, {"J_max": math.nan},
+               {"Delta_max": math.inf}, {"Delta_max": math.nan}):
+        with pytest.raises(OutOfRange):
+            model.ParameterSchedule(T=1.0, **kw)
 
 
 # --- states -------------------------------------------------------------------
