@@ -51,10 +51,10 @@ from .liouvillian import (
     SpectralResult,
     Superoperator,
     analytic_qubit_eigensystem,
+    bloch_transverse_rate,
     build_superoperator,
     ep_scan,
     pair_branches,
-    refine_triple_point,
     spectrum,
     steady_state,
     unvec,
@@ -108,7 +108,7 @@ __all__ = [
     "Superoperator", "SpectralResult", "EpMap", "vec", "unvec",
     "build_superoperator", "spectrum", "steady_state",
     "analytic_qubit_eigensystem", "pair_branches", "ep_scan",
-    "refine_triple_point",
+    "bloch_transverse_rate",
     # dynamics
     "IntegratorConfig", "EvolutionResult", "integrate_constant",
     "integrate_scheduled", "bloch_rhs", "integrate_bloch",

@@ -47,6 +47,7 @@ from .trajectories import run_ensemble, run_trajectory
 
 TWO_PI = 2.0 * math.pi
 MAX_J_GRID_POINTS = 100_000  # far above any shipped grid (spectrum's 401 points)
+MAX_TIME_STEPS = 1_000_000  # far above any shipped run (fig2's ensemble: 4,000 steps)
 
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "spectrum": {
@@ -142,6 +143,13 @@ def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
         raise ConfigError(
             f"scan.heatmap_samples and scan.n_samples must be >= 1, got {samples} and {n_samples}")
     return J_grid, np.linspace(0.0, t_max, samples), window, n_samples
+
+
+def _check_steps(total: float, dt: float, key: str) -> None:
+    """Reject a run of about total/dt steps above MAX_TIME_STEPS, before anything is allocated."""
+    if not total / dt <= MAX_TIME_STEPS:
+        raise ConfigError(
+            f"{key}={dt!r} over a duration of {total!r} gives more than {MAX_TIME_STEPS} steps")
 
 
 def _range(scan: dict, key: str) -> tuple[float, float]:
@@ -248,6 +256,8 @@ def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Grid survey of the (J, Delta) plane with EP lines and triple points."""
     scan = cfg.scan
     J_range = _range(scan, "J_range")
+    if J_range[0] < 0.0:
+        raise ConfigError(f"scan.J_range must be >= 0, got {scan['J_range']!r}")
     Delta_range = _range(scan, "Delta_range")
     resolution = integer("scan", "resolution", scan["resolution"])
     if resolution < 1:
@@ -320,6 +330,8 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Encircling runs (Lindblad), one seeded trajectory, and an ensemble."""
     if cfg.schedule is None or cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system with a schedule")
+    _check_steps(cfg.schedule.T, cfg.integrator.dt, "integrator.dt")
+    _check_steps(cfg.schedule.T, cfg.ensemble_dt, "ensemble.dt")
     n_steps = scheduled_step_count(cfg.schedule.T, cfg.integrator.dt)
     runs = _encircling_runs(cfg.system, cfg.schedule, n_steps, cfg.integrator)
 
@@ -406,6 +418,7 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     D_values = np.asarray(numbers("scan", "Delta_max_values", scan["Delta_max_values"]))
     if np.any(T_values <= 0.0):
         raise ConfigError(f"scan.T_values must be > 0, got {T_values.min()}")
+    _check_steps(max(schedule.T, float(T_values.max())), cfg.integrator.dt, "integrator.dt")
     duration = analysis.sweep_metrics(
         cfg.system, schedule, "T", T_values, (rho_mx, rho_mx), cfg.integrator)
     detuning = analysis.sweep_metrics(
@@ -486,6 +499,8 @@ def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
         if cfg.t_final is None:
             raise ConfigError("constant-parameter trajectories need ensemble.t_final")
         psi0 = basis_ket(dim, 1)
+    total = cfg.schedule.T if cfg.schedule is not None else cfg.t_final
+    _check_steps(total, cfg.ensemble_dt, "ensemble.dt")
     traj, ens, _lind, td = _stochastic_runs(cfg, psi0)
 
     if dim == 2:

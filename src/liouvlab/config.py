@@ -222,6 +222,8 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"ensemble.dt must be positive, got {ensemble_dt}")
     if ensemble_store_every < 1:
         raise ConfigError(f"ensemble.store_every must be >= 1, got {ensemble_store_every}")
+    if t_final is not None and t_final <= 0:
+        raise ConfigError(f"ensemble.t_final must be positive, got {t_final}")
 
     scan = dict(raw.get("scan", {}))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NotDensityMatrix, OutOfRange
-from .liouvillian import build_superoperator, superoperator_stack, vec
+from .liouvillian import bloch_transverse_rate, build_superoperator, superoperator_stack, vec
 from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, operators, path_points
 
 MIN_SCHEDULED_STEPS = 1000
@@ -207,7 +207,7 @@ def bloch_rhs(params: DriveParams, rates: Rates, v) -> np.ndarray:
     Fixed point at J = Delta = 0 is the ground state (0, 0, 1).
     """
     x, y, z = float(v[0]), float(v[1]), float(v[2])
-    a = 0.5 * rates.gamma_e + rates.gamma_phi
+    a = bloch_transverse_rate(rates)
     return np.array(
         [
             -a * x - params.Delta * y,

@@ -188,6 +188,13 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("sweeps", "scan.T_values=[-1]"),
     ("fig1", "scan.J_step=1e-300"),
     ("fig2", "integrator.method=rk4"),
+    ("trajectories", "ensemble.t_final=-1"),
+    ("trajectories", "ensemble.t_final=0"),
+    ("ep-map", "scan.J_range=[-0.5, 1.1]"),
+    ("fig2", "integrator.dt=1e-300"),
+    ("fig2", "ensemble.dt=1e-300"),
+    ("sweeps", "integrator.dt=1e-300"),
+    ("trajectories", "ensemble.dt=1e-300"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
     code = run(experiment, "--output-dir", str(tmp_path), "--set", override)
@@ -203,15 +210,23 @@ def test_j_grid_rejects_a_grid_above_the_cap():
         cli._j_grid({"J_start": 0.0, "J_stop": float(cap), "J_step": 1.0})
 
 
-@pytest.mark.parametrize("overrides", [
-    ["system.gamma_e=0"],
-    ["system.gamma_e=0", "system.gamma_phi=0.5", "scan.J_range=[0,1.1]"],
+def test_check_steps_rejects_a_run_above_the_cap():
+    cap = cli.MAX_TIME_STEPS
+    cli._check_steps(float(cap), 1.0, "integrator.dt")
+    with pytest.raises(ConfigError, match=f"more than {cap} steps"):
+        cli._check_steps(cap + 1.0, 1.0, "integrator.dt")
+
+
+@pytest.mark.parametrize("overrides, ep3", [
+    (["system.gamma_e=0"], []),
+    (["system.gamma_e=0", "system.gamma_phi=0.5", "scan.J_range=[0,1.1]"],
+     [[0.13608276348795434, -0.09622504486493763], [0.13608276348795434, 0.09622504486493763]]),
 ], ids=["no-dissipation", "dephasing-only"])
-def test_ep_map_without_a_decaying_trio_exits_0(overrides, tmp_path):
+def test_ep_map_without_a_decaying_trio_exits_0(overrides, ep3, tmp_path):
     sets = [arg for o in overrides + ["scan.resolution=5"] for arg in ("--set", o)]
     assert run("ep-map", "--output-dir", str(tmp_path), *sets) == 0
     summary = json.loads((tmp_path / "ep_map_summary.json").read_text())
-    assert summary["ep3_points"] == []
+    assert summary["ep3_points"] == ep3
 
 
 def test_degenerate_steady_state_exits_3(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from conftest import superoperator_reference
 from liouvlab import liouvillian as lv
 from liouvlab import trajectories as tj
+from liouvlab.analysis import ep_coupling
+from liouvlab.dynamics import bloch_rhs
 from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
 from liouvlab.model import (
     DriveParams,
@@ -353,12 +355,10 @@ def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
                       gamma_f=1.5 if dim == 3 else 0.0, gamma_f_extra=0.7 if dim == 3 else 0.0)
         system = make_system(DriveParams(J=0.1), rates, dim=dim, f_decay_to=target)
         stack = lv.superoperator_stack(operators(system, Js, Ds, rates.gamma_e))
-        at = lv._liouvillian_at(system)
         for k, (J, D) in enumerate(zip(Js, Ds)):
             alone = system.with_drive(DriveParams(J=J, Delta=D))
             single = lv.build_superoperator(alone).matrix
             assert stack[k].tobytes() == single.tobytes()
-            assert at(J, D).tobytes() == single.tobytes()
             assert single.tobytes() == superoperator_reference(alone).tobytes()
             # the same point held at every step of a stack
             held = lv.superoperator_stack(
@@ -382,10 +382,9 @@ def _no_jump_propagator(system, dt: float) -> bytes:
 
 def test_closest_pair_keeps_the_first_pair_on_ties():
     assert lv._closest_pair(np.array([0.0, 1.0 + 1.0j, 0.0, 1.0 + 1.0j, 5.0])) == (0.0, 0, 2)
-    # (0, 1) and (0, 2) tie at 1; the first is split along the imaginary axis
-    assert lv._coalescence_indicator(np.array([0.0, 1.0j, 1.0])) == -1.0
-    assert lv._coalescence_indicator(np.array([0.0, 2.0, 2.0 + 3.0j, 2.5])) == 0.5
-    assert lv._coalescence_indicator(np.array([1.0])) == 0.0
+    # (0, 1) and (0, 2) tie at 1
+    assert lv._closest_pair(np.array([0.0, 1.0j, 1.0])) == (1.0, 0, 1)
+    assert lv._closest_pair(np.array([1.0])) == (math.inf, 0, 1)
 
 
 # --- plane scans ------------------------------------------------------------------
@@ -409,6 +408,10 @@ def test_ep_scan_no_points_when_dephasing_balances_emission():
     emap = lv.ep_scan(qubit_template(0.4, 0.2), (0.1, 1.0), (0.0, 0.0), resolution=25)
     assert emap.ep_lines == []
     assert emap.ep3_points == []
+    # there M + gamma_e I is antisymmetric, so the whole plane is clean
+    emap = lv.ep_scan(qubit_template(4.5, 2.25), (0.05, 1.1), (-1.1, 1.1), resolution=21)
+    assert emap.ep_lines == []
+    assert emap.ep3_points == []
 
 
 def test_ep_scan_finds_mirrored_triple_points():
@@ -422,35 +425,61 @@ def test_ep_scan_finds_mirrored_triple_points():
     assert D_b == pytest.approx(star_D, abs=1e-6)
 
 
-# ep_lines and ep3_points recorded before the two edge loops became one pass
-PINNED_15x15_LINES = [
-    [(0.4, -0.15304555965920896), (0.4285714285714286, -0.17801999310495378),
-     (0.4571428571428572, -0.20561884581684356), (0.4655492636306008, -0.2142857142857143),
-     (0.48571428571428577, -0.23618556357509338), (0.5142857142857143, -0.27020965349252685),
-     (0.5262981473893888, -0.2857142857142857)],
-    [(0.4, 0.15304555965920885), (0.4285714285714286, 0.17801999310495367),
-     (0.4571428571428572, 0.20561884581684342), (0.4655492636306008, 0.2142857142857142),
-     (0.48571428571428577, 0.23618556357509332), (0.5142857142857143, 0.27020965349252685),
-     (0.5262981473893888, 0.2857142857142857)],
-    [(0.5625, 0.0), (0.563637245096418, 0.0714285714285714),
-     (0.5670920126022663, 0.1428571428571428), (0.5714285714285714, 0.19799037821745247),
-     (0.5730064243333409, 0.2142857142857142), (0.563637245096418, -0.07142857142857145),
-     (0.5670920126022663, -0.1428571428571429), (0.5714285714285714, -0.19799037821745258),
-     (0.5730064243333409, -0.2142857142857143)],
+# ep_lines and ep3_points recorded by the indicator bisection and Newton
+# search that the closed form replaced; each such point lies on a line now
+OLD_15x15_POINTS = [
+    (0.4, -0.15304555965920896), (0.4285714285714286, -0.17801999310495378),
+    (0.4571428571428572, -0.20561884581684356), (0.4655492636306008, -0.2142857142857143),
+    (0.48571428571428577, -0.23618556357509338), (0.5142857142857143, -0.27020965349252685),
+    (0.5262981473893888, -0.2857142857142857),
+    (0.4, 0.15304555965920885), (0.4285714285714286, 0.17801999310495367),
+    (0.4571428571428572, 0.20561884581684342), (0.4655492636306008, 0.2142857142857142),
+    (0.48571428571428577, 0.23618556357509332), (0.5142857142857143, 0.27020965349252685),
+    (0.5262981473893888, 0.2857142857142857),
+    (0.5625, 0.0), (0.563637245096418, 0.0714285714285714),
+    (0.5670920126022663, 0.1428571428571428), (0.5714285714285714, 0.19799037821745247),
+    (0.5730064243333409, 0.2142857142857142), (0.563637245096418, -0.07142857142857145),
+    (0.5670920126022663, -0.1428571428571429), (0.5714285714285714, -0.19799037821745258),
+    (0.5730064243333409, -0.2142857142857143),
+    (0.6123724356957937, 0.4330127018922218), (0.6123724356957956, -0.4330127018922195),
 ]
-PINNED_15x15_EP3 = [(0.6123724356957937, 0.4330127018922218),
-                    (0.6123724356957956, -0.4330127018922195)]
-PINNED_COLUMN_LINES = [[(0.5, -0.2527266338391473)], [(0.5, 0.2527266338391475)]]
+OLD_COLUMN_POINTS = [(0.5, -0.2527266338391473), (0.5, 0.2527266338391475)]
+
+# ep_lines and ep3_points of the closed-form geometry
+PINNED_15x15_LINES = [
+    [(0.5714285714285714, -0.35221529550123754), (0.5428571428571429, -0.3084449247239618),
+     (0.5262981473893867, -0.2857142857142857), (0.5142857142857143, -0.2702096534925012),
+     (0.48571428571428577, -0.23618556357507764), (0.4655492636305786, -0.2142857142857143),
+     (0.4571428571428572, -0.20561884581685683), (0.4285714285714286, -0.17801999310498035),
+     (0.4, -0.15304555965921038)],
+    [(0.4, 0.15304555965921038), (0.4285714285714286, 0.17801999310498032),
+     (0.4571428571428572, 0.20561884581685702), (0.4655492636305785, 0.2142857142857142),
+     (0.48571428571428577, 0.23618556357507758), (0.5142857142857143, 0.2702096534925012),
+     (0.5262981473893867, 0.2857142857142857), (0.5428571428571429, 0.30844492472396146),
+     (0.5714285714285714, 0.35221529550123626)],
+    [(0.5816735472293996, -0.2857142857142857), (0.5730064243333259, -0.2142857142857143),
+     (0.5714285714285714, -0.197990378217432), (0.5670920126022768, -0.1428571428571429),
+     (0.5636372450963998, -0.07142857142857145), (0.5624999999999999, 0.0),
+     (0.5636372450963998, 0.0714285714285714), (0.5670920126022768, 0.1428571428571428),
+     (0.5714285714285714, 0.19799037821743257), (0.573006424333326, 0.2142857142857142),
+     (0.5816735472293996, 0.2857142857142857)],
+]
+PINNED_15x15_EP3 = [(0.6123724356957945, -0.4330127018922193),
+                    (0.6123724356957945, 0.4330127018922193)]
+PINNED_COLUMN_LINES = [[(0.5, -0.2527266338391627)], [(0.5, 0.2527266338391627)]]
 
 
-@pytest.mark.parametrize("J_range, Delta_range, resolution, lines, ep3", [
-    ((0.4, 0.8), (-0.5, 0.5), 15, PINNED_15x15_LINES, PINNED_15x15_EP3),
-    ((0.5, 0.5), (-1.1, 1.1), 21, PINNED_COLUMN_LINES, []),
+@pytest.mark.parametrize("J_range, Delta_range, resolution, lines, ep3, old", [
+    ((0.4, 0.8), (-0.5, 0.5), 15, PINNED_15x15_LINES, PINNED_15x15_EP3, OLD_15x15_POINTS),
+    ((0.5, 0.5), (-1.1, 1.1), 21, PINNED_COLUMN_LINES, [], OLD_COLUMN_POINTS),
 ], ids=["15x15", "single-column"])
-def test_ep_scan_reproduces_its_recorded_lines(J_range, Delta_range, resolution, lines, ep3):
+def test_ep_scan_reproduces_its_recorded_lines(J_range, Delta_range, resolution, lines, ep3, old):
     emap = lv.ep_scan(qubit_template(4.5), J_range, Delta_range, resolution)
     assert [[tuple(map(float, point)) for point in line] for line in emap.ep_lines] == lines
     assert emap.ep3_points == ep3
+    found = np.vstack([emap.all_line_points(), np.array(ep3).reshape(-1, 2)])
+    for point in old:
+        assert np.min(np.max(np.abs(found - point), axis=1)) <= 1e-12
 
 
 def test_ep_scan_rejects_reversed_range():
@@ -462,13 +491,19 @@ def test_ep_scan_rejects_reversed_range():
         lv.ep_scan(qubit_template(4.5), (0.05, 1.1), (0.0, 0.0), resolution=0)
 
 
-@pytest.mark.parametrize("gamma_phi, J_range", [(0.0, (0.05, 1.1)), (0.5, (0.0, 1.1))],
-                         ids=["no-dissipation", "dephasing-only"])
-def test_ep_scan_without_a_decaying_trio_seeds_no_triple_point_search(gamma_phi, J_range):
-    # with gamma_e = 0 some grid points have fewer than three nonzero eigenvalues
+@pytest.mark.parametrize("gamma_phi, J_range, ep3", [
+    (0.0, (0.05, 1.1), []),
+    (0.5, (0.0, 1.1), [(0.13608276348795434, -0.09622504486493763),
+                       (0.13608276348795434, 0.09622504486493763)]),
+], ids=["no-dissipation", "dephasing-only"])
+def test_ep_scan_without_a_decaying_trio_seeds_no_triple_point_search(gamma_phi, J_range, ep3):
+    # with gamma_e = 0 some grid points have fewer than three nonzero
+    # eigenvalues; the dephasing-only grid has a node at J = Delta = 0, where
+    # the discriminant vanishes but M's double root is no EP
     emap = lv.ep_scan(qubit_template(0.0, gamma_phi), J_range, (-1.1, 1.1), resolution=5)
     assert emap.gap.shape == (5, 5)
-    assert emap.ep3_points == []
+    assert emap.ep3_points == ep3
+    assert emap.ep_lines == []
 
 
 def test_ep_scan_rejects_qutrit():
@@ -477,8 +512,60 @@ def test_ep_scan_rejects_qutrit():
         lv.ep_scan(system, (0.1, 1.8), (0.0, 0.0), resolution=5)
 
 
-def test_refine_triple_point_converges_from_cell_away():
-    got = lv.refine_triple_point(qubit_template(4.5), 0.6, 0.4)
-    assert got[0] == pytest.approx(4.5 / math.sqrt(54.0), abs=1e-8)
-    assert got[1] == pytest.approx(4.5 / math.sqrt(108.0), abs=1e-8)
+@pytest.mark.parametrize("resolution", [45, 61, 121])
+def test_ep_scan_finds_three_lines_and_two_triple_points_on_the_fine_window(resolution):
+    emap = lv.ep_scan(qubit_template(4.5), (0.05, 1.1), (-1.1, 1.1), resolution)
+    assert len(emap.ep_lines) == 3
+    assert len(emap.ep3_points) == 2
 
+
+def _bloch_matrix(J, Delta, rates):
+    """The Bloch matrix read off dynamics.bloch_rhs column by column."""
+    drive = DriveParams(J=J, Delta=Delta)
+    offset = bloch_rhs(drive, rates, np.zeros(3))
+    return np.column_stack([bloch_rhs(drive, rates, np.eye(3)[k]) - offset for k in range(3)])
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.3, 1.0, 3.0])
+def test_bloch_matrix_has_the_closed_form_characteristic_polynomial(gamma_phi):
+    rates = Rates(gamma_e=4.5, gamma_phi=gamma_phi)
+    a, g = lv.bloch_transverse_rate(rates), rates.gamma_e
+    for J, Delta in [(0.0, 0.0), (0.3, -0.7), (1.2, 0.4)]:
+        u, v = J * J, Delta * Delta
+        closed = [1.0, 2 * a + g, a * a + 2 * a * g + v + 4 * u, g * (a * a + v) + 4 * a * u]
+        assert np.allclose(np.poly(_bloch_matrix(J, Delta, rates)), closed, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.3, 1.0, 3.0])
+def test_ep_scan_triple_points_solve_the_2x2_system(gamma_phi):
+    rates = Rates(gamma_e=4.5, gamma_phi=gamma_phi)
+    a, g = lv.bloch_transverse_rate(rates), rates.gamma_e
+    b, c0, d0 = 2 * a + g, a * a + 2 * a * g, g * a * a
+    # the triple root -b/3: c = b^2/3 and d = b^3/27
+    v, u = np.linalg.solve([[1.0, 4.0], [g, 4.0 * a]], [b * b / 3 - c0, b**3 / 27 - d0])
+    emap = lv.ep_scan(qubit_template(4.5, gamma_phi), (0.05, 1.1), (-1.1, 1.1), resolution=15)
+    assert np.allclose(emap.ep3_points, [(math.sqrt(u), -math.sqrt(v)), (math.sqrt(u), math.sqrt(v))],
+                       rtol=0, atol=1e-12)
+    for J, Delta in emap.ep3_points:
+        system = qubit_template(4.5, gamma_phi).with_drive(DriveParams(J=J, Delta=Delta))
+        assert lv.spectrum(lv.build_superoperator(system)).ep_order == 3
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.3, 1.0])
+def test_every_line_point_is_a_coalescence(gamma_phi):
+    template = qubit_template(4.5, gamma_phi)
+    emap = lv.ep_scan(template, (0.05, 1.1), (-1.1, 1.1), resolution=31)
+    points = emap.all_line_points()
+    assert len(points) > 0
+    for J, Delta in points:
+        system = template.with_drive(DriveParams(J=float(J), Delta=float(Delta)))
+        assert lv.spectrum(lv.build_superoperator(system)).min_eigenvalue_gap <= 1e-4
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.3, 1.0, 2.0])
+def test_the_axis_arc_crosses_the_axis_at_ep_coupling(gamma_phi):
+    rates = Rates(gamma_e=4.5, gamma_phi=gamma_phi)
+    emap = lv.ep_scan(qubit_template(4.5, gamma_phi), (0.05, 1.1), (-1.1, 1.1), resolution=21)
+    on_axis = [point for point in emap.all_line_points() if point[1] == 0.0]
+    assert len(on_axis) == 1
+    assert on_axis[0][0] == pytest.approx(ep_coupling(rates, 2), abs=1e-12)
