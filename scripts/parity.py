@@ -5,7 +5,8 @@
 configs/*.json of a checkout, one child process each with BLAS at one thread,
 into OUT/default-<experiment>/ and OUT/config-<stem>/. `compare` reads the
 manifests of two such directories and lists every dataset whose sha256
-differs; it exits 1 when any does, or when a run is missing on either side.
+differs or that one side lacks; it exits 1 when there is any, or when a run
+is missing on either side.
 
 Usage:
     python3 scripts/parity.py run OUT [--checkout ROOT]
@@ -74,10 +75,12 @@ def compare(base: Path, other: Path) -> int:
             continue
         for file_name in sorted(set(a[run_name]) | set(b[run_name])):
             ha, hb = a[run_name].get(file_name), b[run_name].get(file_name)
-            if ha is not None and ha == hb:
+            if ha == hb:
                 same += 1
+            elif ha is None or hb is None:
+                problems.append(f"{run_name}/{file_name}: missing in {base if ha is None else other}")
             else:
-                problems.append(f"{run_name}/{file_name}: sha256 differs or is missing")
+                problems.append(f"{run_name}/{file_name}: differs")
     for line in problems:
         print(f"DIFF {line}")
     print(f"{same} datasets identical, {len(problems)} differ, over {len(set(a) | set(b))} runs")

@@ -159,13 +159,13 @@ def fit_damped_sine(times, values) -> DampedSineFit:
 def ep_coupling(rates: Rates, dim: int) -> float:
     """Coupling strength at the relevant exceptional point.
 
-    Qubit: J_EP = gamma_e/8 - gamma_phi/4 (clipped at zero). Qutrit: the
+    Qubit: J_EP = |gamma_e/8 - gamma_phi/4|. Qutrit: the
     g-f coherence block coalesces at J_EP = gamma_e/4 independently of the
     dephasing and f-level rates, which shift both block eigenvalues by the
     same real constant.
     """
     if dim == 2:
-        return max(rates.gamma_e / 8.0 - rates.gamma_phi / 4.0, 0.0)
+        return abs(rates.gamma_e / 8.0 - rates.gamma_phi / 4.0)
     if dim == 3:
         return rates.gamma_e / 4.0
     raise DomainError(f"dim must be 2 or 3, got {dim}")

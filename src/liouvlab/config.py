@@ -32,6 +32,8 @@ SCAN_KEYS = {
     "heatmap_t_max", "heatmap_samples",
 }
 
+MAX_ENSEMBLE_N = 100_000  # far above any shipped run (the largest, the benchmark's, is 4,000)
+
 # keys holding angular quantities (rad/us), scaled by 2 pi under units="mhz"
 ANGULAR_KEYS = {
     "system": {"J", "Delta"},
@@ -218,6 +220,9 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
     t_final = number("ensemble", "t_final", ens_raw.get("t_final"), None)
     if ensemble_n < 1:
         raise ConfigError(f"ensemble.n must be >= 1, got {ensemble_n}")
+    if ensemble_n > MAX_ENSEMBLE_N:
+        # run_ensemble builds one generator per trajectory before it steps
+        raise ConfigError(f"ensemble.n must be <= {MAX_ENSEMBLE_N}, got {ensemble_n}")
     if ensemble_dt <= 0:
         raise ConfigError(f"ensemble.dt must be positive, got {ensemble_dt}")
     if ensemble_store_every < 1:

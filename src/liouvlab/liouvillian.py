@@ -247,13 +247,13 @@ def pair_branches(spectra: list[np.ndarray]) -> np.ndarray:
 #
 # with u > 0 and v > 0 for s strictly between e/6 and -e/3, and both
 # monotone in s on each side of 0. The arc with s on e's side runs from the
-# third-order point to the axis at s = e/6, J = |e|/4 (for gamma_phi <
-# gamma_e/2 that is analysis.ep_coupling). The other arc runs to the double
-# root s = -e/3 of v, where u = 0 as well: at J = Delta = 0, M is
-# block-diagonal and its double root -a is no EP. For J > 0 every double
-# root is an EP (M is unreduced tridiagonal when Delta != 0, and on the axis
-# the decoupled x-mode meets the yz pair only at J = 0). At e = 0,
-# M + gamma_e I is antisymmetric, so M has no EP at all.
+# third-order point to the axis at s = e/6, J = |e|/4 (that is
+# analysis.ep_coupling). The other arc runs to the double root s = -e/3 of
+# v, where u = 0 as well: at J = Delta = 0, M is block-diagonal and its
+# double root -a is no EP. For J > 0 every double root is an EP (M is
+# unreduced tridiagonal when Delta != 0, and on the axis the decoupled
+# x-mode meets the yz pair only at J = 0). At e = 0, M + gamma_e I is
+# antisymmetric, so M has no EP at all.
 
 
 def bloch_transverse_rate(rates: Rates) -> float:

@@ -1,26 +1,26 @@
 """Monte-Carlo wavefunction unraveling of the Lindblad dynamics.
 
 Each trajectory alternates deterministic non-Hermitian evolution under
-H_eff = H - (i/2) sum_k L_k^+ L_k with stochastic quantum jumps. First-order
-jump sampling is used: at every step of size dt the jump probability of
-channel k is p_k = dt <psi|L_k^+ L_k|psi>, and a single uniform draw decides
-between "no jump" (propagate by exp(-i H_eff dt), renormalize) and "jump
-through channel k" (apply L_k, renormalize). One uniform is consumed per
-step regardless of outcome, so any trajectory of an ensemble is exactly
-reproducible in isolation from its child seed.
+H_eff = H - (i/2) sum_k L_k^+ L_k with stochastic quantum jumps, sampled by
+waiting time (Dalibard, Castin & Molmer, PRL 68, 580, 1992). A trajectory
+draws a threshold r uniform in [0, 1) and carries its state unnormalised
+through the no-jump propagators exp(-i H_eff dt). It jumps in the step where
+its squared norm first falls below r: a second uniform picks channel k with
+weight ||L_k psi||^2 of the post-step state, the state becomes the
+normalised jump image, and a new threshold is drawn. The probability of no
+jump up to the end of any step is exactly that step's squared norm, so the
+sampling has no first-order bias in dt; only the jump instant is rounded to
+the end of its step.
 
-A batch of trajectories advances with one update per step: the jump
-probabilities are taken from the batch, every row is propagated and
-renormalized, and the rows that jumped are then overwritten by their
-renormalized jump images. Each row sees the same arithmetic whatever the
-batch holds, so a batch of one reproduces any member bit for bit.
+A batch of trajectories advances with one propagation per step, and only the
+rows that jump do more. Each row sees the same arithmetic whatever the batch
+holds, so a batch of one reproduces any member bit for bit.
 
 Seed splitting: trajectory i of an ensemble draws its uniforms from
 numpy.random.SeedSequence(master_seed, spawn_key=(i,)). This counter-based
 construction is stable across runs, processes, and thread counts.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -32,9 +32,6 @@ from .errors import OutOfRange, ZeroNorm
 from .model import ParameterSchedule, QuantumSystem, operators, path_points
 
 SeedLike = Union[int, np.random.SeedSequence]
-
-JUMP_PROBABILITY_GUIDELINE = 0.1
-UNIFORM_BLOCK = 256  # steps of uniforms held per trajectory at a time
 
 
 @dataclass
@@ -126,58 +123,43 @@ def _run_batch(
 ):
     """Advance a batch of trajectories with shared per-step propagators.
 
-    store(psi) is called with the batch's (n, d) states at t = 0 and at every
-    stored step. Returns (times, jumps per trajectory, jump histogram), the
-    histogram keyed in channel order. Trajectory i draws its uniforms from
-    generators[i], UNIFORM_BLOCK steps at a time; consecutive draws continue
-    one stream, so the values do not depend on the block size.
+    store(psi) is called with the batch's (n, d) normalised states at t = 0
+    and at every stored step. Returns (times, jumps per trajectory, jump
+    histogram), the histogram keyed in channel order. Trajectory i draws its
+    thresholds and channel uniforms from generators[i].
     """
-    n = len(generators)
     props, ops, labels = _step_table(system, schedule, dt, n_steps)
     stored_idx, times = stored_steps(n_steps, store_every, dt)
 
-    psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
+    psi = np.tile(np.asarray(psi0, dtype=complex), (len(generators), 1))
     store(psi)
-    jumps: list[list[tuple[float, str]]] = [[] for _ in range(n)]
+    threshold = np.array([g.random() for g in generators])
+    jumps: list[list[tuple[float, str]]] = [[] for _ in generators]
     histogram: dict[str, int] = {lab: 0 for lab in labels}
     si = 1
-    warned = False
 
     for k in range(n_steps):
-        if k % UNIFORM_BLOCK == 0:
-            width = min(UNIFORM_BLOCK, n_steps - k)
-            block = np.array([g.random(width) for g in generators])
-        amp = np.einsum("oab,nb->noa", ops[k], psi)
-        probs = dt * np.einsum("noa,noa->no", amp, amp.conj()).real
-        if not warned and probs.max(initial=0.0) > JUMP_PROBABILITY_GUIDELINE:
-            warnings.warn(
-                f"per-step jump probability reached {probs.max():.3f} > "
-                f"{JUMP_PROBABILITY_GUIDELINE}; decrease dt for unbiased sampling",
-                stacklevel=3,
-            )
-            warned = True
-        u = block[:, k % UNIFORM_BLOCK]
-        rows = np.flatnonzero(u < probs.sum(axis=1))
-        # every row takes the no-jump step; the rows that jumped are then
-        # overwritten by their jump images, taken from the state before it
         psi = np.einsum("ab,nb->na", props[k], psi)
-        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        rows = np.flatnonzero(np.einsum("na,na->n", psi, psi.conj()).real < threshold)
         if rows.size:
-            cum = np.cumsum(probs[rows], axis=1)
-            chans = np.minimum((u[rows, None] >= cum).sum(axis=1), len(labels) - 1)
-            phi = amp[rows, chans]
-            nrm = np.linalg.norm(phi, axis=1)
-            if np.any(nrm == 0.0):
-                bad = int(rows[np.nonzero(nrm == 0.0)[0][0]])
+            amp = np.einsum("oab,nb->noa", ops[k], psi[rows])
+            cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
+            total = cum[:, -1]
+            if not total.all():
+                bad = int(rows[np.argmin(total)])
                 raise ZeroNorm(f"jump annihilated the state in trajectory {bad}")
-            psi[rows] = phi / nrm[:, None]
+            # a uniform u < 1 gives u * total < total, so chans < len(labels)
+            u = np.array([generators[r].random() for r in rows]) * total
+            chans = (u[:, None] >= cum).sum(axis=1)
+            phi = amp[np.arange(rows.size), chans]
+            psi[rows] = phi / np.linalg.norm(phi, axis=1)[:, None]
             t_jump = (k + 1) * dt
             for r, c in zip(rows, chans):
-                lab = labels[c]
-                jumps[int(r)].append((t_jump, lab))
-                histogram[lab] += 1
+                threshold[r] = generators[r].random()
+                jumps[int(r)].append((t_jump, labels[c]))
+                histogram[labels[c]] += 1
         if si < len(stored_idx) and k + 1 == stored_idx[si]:
-            store(psi)
+            store(psi / np.linalg.norm(psi, axis=1)[:, None])
             si += 1
 
     return times, jumps, histogram

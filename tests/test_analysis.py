@@ -120,6 +120,7 @@ def test_ep_coupling_formulas():
     assert analysis.ep_coupling(Rates(gamma_e=4.4, gamma_phi=0.1), 2) == pytest.approx(0.525)
     assert analysis.ep_coupling(Rates(gamma_e=4.5), 2) == pytest.approx(0.5625)
     assert analysis.ep_coupling(Rates(gamma_e=0.4, gamma_phi=0.2), 2) == 0.0
+    assert analysis.ep_coupling(Rates(gamma_e=4.5, gamma_phi=3.0), 2) == pytest.approx(0.1875)
     assert analysis.ep_coupling(Rates(gamma_e=4.2), 3) == pytest.approx(1.05)
     with pytest.raises(DomainError):
         analysis.ep_coupling(Rates(gamma_e=1.0), 4)

@@ -195,9 +195,14 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig2", "ensemble.dt=1e-300"),
     ("sweeps", "integrator.dt=1e-300"),
     ("trajectories", "ensemble.dt=1e-300"),
+    pytest.param("trajectories",
+                 ("schedule=null", "ensemble.t_final=0.001", "ensemble.n=100001"),
+                 id="trajectories-ensemble.n=100001"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
-    code = run(experiment, "--output-dir", str(tmp_path), "--set", override)
+    overrides = [override] if isinstance(override, str) else override
+    sets = [arg for value in overrides for arg in ("--set", value)]
+    code = run(experiment, "--output-dir", str(tmp_path), *sets)
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

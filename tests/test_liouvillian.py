@@ -562,7 +562,7 @@ def test_every_line_point_is_a_coalescence(gamma_phi):
         assert lv.spectrum(lv.build_superoperator(system)).min_eigenvalue_gap <= 1e-4
 
 
-@pytest.mark.parametrize("gamma_phi", [0.0, 0.3, 1.0, 2.0])
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.3, 1.0, 2.0, 3.0])
 def test_the_axis_arc_crosses_the_axis_at_ep_coupling(gamma_phi):
     rates = Rates(gamma_e=4.5, gamma_phi=gamma_phi)
     emap = lv.ep_scan(qubit_template(4.5, gamma_phi), (0.05, 1.1), (-1.1, 1.1), resolution=21)

@@ -43,7 +43,7 @@ def test_a_changed_hash_exits_1_and_names_the_file(parity, tmp_path, capsys):
     other = write_runs(tmp_path / "other", changed)
     assert parity.compare(base, other) == 1
     out = capsys.readouterr().out
-    assert "DIFF default-sweeps/sweeps_duration.csv" in out
+    assert "DIFF default-sweeps/sweeps_duration.csv: differs" in out
     assert "2 datasets identical, 1 differ" in out
 
 
@@ -52,3 +52,13 @@ def test_a_missing_run_exits_1(parity, tmp_path, capsys):
     other = write_runs(tmp_path / "other", {"default-fig1": RUNS["default-fig1"]})
     assert parity.compare(base, other) == 1
     assert "DIFF default-sweeps: run missing" in capsys.readouterr().out
+
+
+def test_a_missing_dataset_exits_1_and_names_the_side_that_lacks_it(parity, tmp_path, capsys):
+    base = write_runs(tmp_path / "base", RUNS)
+    fewer = dict(RUNS, **{"default-fig1": {"fig1_heatmap.csv": "aa"}})
+    other = write_runs(tmp_path / "other", fewer)
+    assert parity.compare(base, other) == 1
+    out = capsys.readouterr().out
+    assert f"DIFF default-fig1/fig1_summary.json: missing in {other}" in out
+    assert "2 datasets identical, 1 differ" in out

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import sigma_x_mirror_deviation
 from liouvlab import trajectories as tj
-from liouvlab.dynamics import integrate_constant
+from liouvlab.dynamics import IntegratorConfig, integrate_constant, integrate_scheduled, step_count
 from liouvlab.errors import OutOfRange
 from liouvlab.model import (
     DriveParams,
@@ -144,11 +144,6 @@ def test_input_validation():
         tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=0, master_seed=0, t_final=1.0)
 
 
-def test_coarse_steps_trigger_sampling_warning():
-    with pytest.warns(UserWarning, match="jump probability"):
-        tj.run_trajectory(decay_system(4.4), EXCITED_KET, dt=0.1, seed=0, t_final=1.0)
-
-
 # --- physics checks ------------------------------------------------------------------
 
 
@@ -205,6 +200,32 @@ def test_pure_decay_jump_statistics():
     assert abs(sample_mean - 1.0 / ge) <= 3.0 * se + 0.003
 
 
+def test_coarse_steps_sample_pure_decay_exactly():
+    # the chance of no jump by the end of a step is the squared norm of the
+    # no-jump state, exp(-gamma_e t), however coarse the step
+    ge, n = 4.4, 20000
+    ens = tj.run_ensemble(decay_system(ge), None, EXCITED_KET, dt=0.1, n=n,
+                          master_seed=31, t_final=1.0, store_every=1)
+    p = np.exp(-ge * ens.times)
+    sigma = np.sqrt(p * (1.0 - p) / n)
+    assert len(ens.times) == 11
+    assert np.all(np.abs(ens.mean_density[:, 1, 1].real - p) <= 5.0 * sigma)
+
+
+def test_jump_counts_match_the_lindblad_rates_on_the_control_loop():
+    ge, gphi, T, dt, n = 4.6, 0.2, 2.0, 5e-4, 4000
+    system = make_system(DriveParams(J=16.0), Rates(gamma_e=ge, gamma_phi=gphi))
+    schedule = ParameterSchedule(T=T)
+    ens = tj.run_ensemble(system, schedule, plus_x(), dt=dt, n=n, master_seed=2718)
+    ref = integrate_scheduled(system, schedule, np.outer(plus_x(), plus_x().conj()),
+                              step_count(T, dt), IntegratorConfig(dt=dt, store_every=1))
+    # emission fires at rate gamma_e rho_ee, dephasing at gamma_phi/2 in every state
+    expected = {"e": ge * np.trapezoid(ref.states[:, 1, 1].real, ref.times),
+                "phi": 0.5 * gphi * T}
+    for label, mean in expected.items():
+        assert abs(ens.jump_count_histogram[label] / n - mean) <= 4.0 * math.sqrt(mean / n)
+
+
 def test_emission_dominates_dephasing_on_the_control_loop():
     schedule = ParameterSchedule(T=2.0)
     sys2 = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=0.2))
@@ -237,8 +258,9 @@ def test_closed_loop_has_no_jumps_without_dissipation():
     (0.0, 0.0, True), (0.0, 0.7, True), (4.6, 0.0, False), (4.6, 0.7, False)])
 def test_ensemble_loop_directions_are_sigma_x_mirrors_without_emission(
         psi0, gamma_e, gamma_phi, mirrored):
-    # the dephasing jump probability dt gamma_phi / 2 does not depend on the
-    # state, so each cw trajectory jumps with its ccw twin and mirrors it
+    # under dephasing alone L^+ L = gamma_phi/2 is a multiple of the identity,
+    # so the norm decays the same for every state: each cw trajectory crosses
+    # its threshold, and jumps, with its ccw twin and mirrors it
     system = make_system(DriveParams(J=16.0), Rates(gamma_e=gamma_e, gamma_phi=gamma_phi))
     ens = {
         direction: tj.run_ensemble(
@@ -254,11 +276,11 @@ def test_ensemble_loop_directions_are_sigma_x_mirrors_without_emission(
 
 
 def test_ensemble_reproduces_its_recorded_jumps():
-    # golden values from one whole-run uniform draw per trajectory; 600 steps
-    # is not a whole number of 256-step blocks
+    # golden values of the waiting-time streams: a threshold per trajectory,
+    # then a channel uniform and a fresh threshold at each jump
     schedule = ParameterSchedule(T=0.6)
     sys2 = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=2.0))
     ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=1e-3, n=6, master_seed=11)
-    assert ens.jump_count_histogram == {"e": 6, "phi": 4}
-    assert ens.jumps_per_trajectory[0] == [(0.025, "phi"), (0.095, "e")]
-    assert [len(j) for j in ens.jumps_per_trajectory] == [2, 2, 2, 1, 0, 3]
+    assert ens.jump_count_histogram == {"e": 2, "phi": 3}
+    assert ens.jumps_per_trajectory[0] == [(0.037, "phi"), (0.132, "e"), (0.399, "phi")]
+    assert [len(j) for j in ens.jumps_per_trajectory] == [3, 2, 0, 0, 0, 0]
