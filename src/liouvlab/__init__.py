@@ -38,18 +38,14 @@ from .model import (
     QuantumSystem,
     Rates,
     basis_ket,
-    hamiltonian,
-    jump_operators,
     make_system,
     minus_x,
     plus_x,
-    schedule_eval,
     sigma_z,
 )
 from .liouvillian import (
     EpMap,
     SpectralResult,
-    Superoperator,
     analytic_qubit_eigensystem,
     bloch_transverse_rate,
     build_superoperator,
@@ -62,7 +58,6 @@ from .liouvillian import (
 )
 from .dynamics import (
     EvolutionResult,
-    IntegratorConfig,
     bloch_rhs,
     integrate_bloch,
     integrate_constant,
@@ -102,15 +97,14 @@ __all__ = [
     "trace_distance",
     # model
     "Rates", "DriveParams", "QuantumSystem", "ParameterSchedule",
-    "basis_ket", "plus_x", "minus_x", "sigma_z", "hamiltonian",
-    "jump_operators", "make_system", "schedule_eval",
+    "basis_ket", "plus_x", "minus_x", "sigma_z", "make_system",
     # liouvillian
-    "Superoperator", "SpectralResult", "EpMap", "vec", "unvec",
+    "SpectralResult", "EpMap", "vec", "unvec",
     "build_superoperator", "spectrum", "steady_state",
     "analytic_qubit_eigensystem", "pair_branches", "ep_scan",
     "bloch_transverse_rate",
     # dynamics
-    "IntegratorConfig", "EvolutionResult", "integrate_constant",
+    "EvolutionResult", "integrate_constant",
     "integrate_scheduled", "bloch_rhs", "integrate_bloch",
     "validate_density_matrix", "observables_from_states",
     # trajectories

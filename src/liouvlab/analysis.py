@@ -15,15 +15,14 @@ from scipy.optimize import least_squares
 
 from . import numerics
 from .dynamics import (
-    IntegratorConfig,
     integrate_constant,
     integrate_scheduled,
     scheduled_step_count,
     validate_density_matrix,
 )
 from .errors import DegenerateInput, DomainError, InsufficientData, LiouvlabError, OutOfRange
-from .liouvillian import build_superoperator, vec
-from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, basis_ket
+from .liouvillian import superoperator_stack, vec
+from .model import ParameterSchedule, QuantumSystem, Rates, basis_ket, operators
 
 MIN_FIT_SAMPLES = 8
 DEFAULT_FIT_WINDOW = 10.0  # us, about forty decay times of the fast branch
@@ -171,8 +170,8 @@ def ep_coupling(rates: Rates, dim: int) -> float:
     raise DomainError(f"dim must be 2 or 3, got {dim}")
 
 
-def predict_rates(system: QuantumSystem, rho0: np.ndarray, obs_index: int) -> tuple[float, float]:
-    """(omega, Gamma) predicted by the Liouvillian spectrum for one observable.
+def predict_rates(L: np.ndarray, rho0: np.ndarray, obs_index: int) -> tuple[float, float]:
+    """(omega, Gamma) predicted by the spectrum of the Liouvillian L for one observable.
 
     The initial state is expanded in the eigenbasis, each decaying mode is
     weighted by |coefficient| x |its component on the observed matrix
@@ -180,8 +179,7 @@ def predict_rates(system: QuantumSystem, rho0: np.ndarray, obs_index: int) -> tu
     predicted pair: omega = max |Im lambda|, Gamma = min(-Re lambda) over the
     pair (the slower branch when the pair has split into two real rates).
     """
-    sop = build_superoperator(system)
-    dec = numerics.eig_general(sop.matrix)
+    dec = numerics.eig_general(L)
     lam, V = dec.eigenvalues, dec.right_eigenvectors
     coeff = np.linalg.solve(V, vec(rho0))
     weight = np.abs(coeff) * np.abs(V[obs_index, :])
@@ -283,13 +281,12 @@ def scan_transition(
     omega_pred = np.empty(len(J_arr))
     gamma_pred = np.empty(len(J_arr))
 
-    for i, J in enumerate(J_arr):
-        system = system_template.with_drive(
-            DriveParams(J=float(J), Delta=system_template.drive.Delta)
-        )
-        evo = integrate_constant(system, rho0, t_grid)
+    generators = superoperator_stack(operators(
+        system_template, J_arr, system_template.drive.Delta, system_template.rates.gamma_e))
+    for i, L in enumerate(generators):
+        evo = integrate_constant(L, rho0, t_grid)
         series = evo.states[:, 1, 1].real if dim == 2 else np.abs(evo.states[:, 0, 2])
-        omega_pred[i], gamma_pred[i] = predict_rates(system, rho0, obs_index)
+        omega_pred[i], gamma_pred[i] = predict_rates(L, rho0, obs_index)
         try:
             fit = fit_damped_sine(t_grid, series)
         except (LiouvlabError, ValueError) as exc:
@@ -366,20 +363,19 @@ def sweep_metrics(
     vary: str,
     values,
     rho0_pair,
-    cfg: Optional[IntegratorConfig] = None,
+    dt: float,
 ) -> SweepResult:
     """Chirality and entropies of cw/ccw final states across T or Delta_max.
 
     For each value the family schedule is rebuilt with that duration or
     detuning amplitude and integrated once per direction from the paired
-    initial states (cw first), in scheduled_step_count(T, cfg.dt) steps.
+    initial states (cw first), in scheduled_step_count(T, dt) steps.
     """
     if vary not in ("T", "Delta_max"):
         raise OutOfRange(f"vary must be 'T' or 'Delta_max', got {vary!r}")
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or len(vals) == 0:
         raise OutOfRange("values must be a non-empty 1-d array")
-    cfg = cfg or IntegratorConfig()
     rho0_cw, rho0_ccw = rho0_pair
 
     chi = np.empty(len(vals))
@@ -389,13 +385,9 @@ def sweep_metrics(
     fin_ccw = np.empty_like(fin_cw)
     for i, v in enumerate(vals):
         base = replace(schedule_family, **{vary: float(v)})
-        n_steps = scheduled_step_count(base.T, cfg.dt)
-        evo_cw = integrate_scheduled(
-            system, replace(base, direction="cw"), rho0_cw, n_steps, cfg
-        )
-        evo_ccw = integrate_scheduled(
-            system, replace(base, direction="ccw"), rho0_ccw, n_steps, cfg
-        )
+        n_steps = scheduled_step_count(base.T, dt)
+        evo_cw = integrate_scheduled(system, replace(base, direction="cw"), rho0_cw, n_steps)
+        evo_ccw = integrate_scheduled(system, replace(base, direction="ccw"), rho0_ccw, n_steps)
         fin_cw[i] = evo_cw.final_state
         fin_ccw[i] = evo_ccw.final_state
         chi[i] = chirality(fin_cw[i], fin_ccw[i])

@@ -33,7 +33,6 @@ from .config import (
 )
 from .dynamics import (
     MIN_SCHEDULED_STEPS,
-    IntegratorConfig,
     integrate_constant,
     integrate_scheduled,
     observables_from_states,
@@ -41,12 +40,18 @@ from .dynamics import (
     step_count,
 )
 from .errors import ConfigError, LiouvlabError
-from .liouvillian import build_superoperator, ep_scan, pair_branches, steady_state
-from .model import DriveParams, Rates, basis_ket, make_system, minus_x, plus_x
+from .liouvillian import (
+    build_superoperator,
+    ep_scan,
+    pair_branches,
+    steady_state,
+    superoperator_stack,
+)
+from .model import Rates, basis_ket, make_system, minus_x, operators, plus_x
 from .trajectories import run_ensemble, run_trajectory
 
 TWO_PI = 2.0 * math.pi
-MAX_J_GRID_POINTS = 100_000  # far above any shipped grid (spectrum's 401 points)
+MAX_GRID_POINTS = 100_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
 MAX_TIME_STEPS = 1_000_000  # far above any shipped run (fig2's ensemble: 4,000 steps)
 
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
@@ -118,9 +123,9 @@ def _j_grid(scan: dict) -> np.ndarray:
         if step <= 0.0 or stop < start:
             raise ConfigError("scan needs J_values or J_start <= J_stop with J_step > 0")
         # the grid's length is the ceiling of this; check it before allocating
-        if not (stop - start) / step + 0.5 <= MAX_J_GRID_POINTS:
+        if not (stop - start) / step + 0.5 <= MAX_GRID_POINTS:
             raise ConfigError(
-                f"scan J_start/J_stop/J_step give more than {MAX_J_GRID_POINTS} points")
+                f"scan J_start/J_stop/J_step give more than {MAX_GRID_POINTS} points")
         grid = np.arange(start, stop + 0.5 * step, step)
     if len(grid) == 0:
         raise ConfigError("empty J grid")
@@ -139,10 +144,28 @@ def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
     if t_max <= 0.0 or window <= 0.0:
         raise ConfigError(
             f"scan.heatmap_t_max and scan.window must be > 0, got {t_max} and {window}")
-    if samples < 1 or n_samples < 1:
+    if not (1 <= samples <= MAX_TIME_STEPS and 1 <= n_samples <= MAX_TIME_STEPS):
         raise ConfigError(
-            f"scan.heatmap_samples and scan.n_samples must be >= 1, got {samples} and {n_samples}")
+            f"scan.heatmap_samples and scan.n_samples must be between 1 and {MAX_TIME_STEPS}, "
+            f"got {samples} and {n_samples}")
     return J_grid, np.linspace(0.0, t_max, samples), window, n_samples
+
+
+def _resolution(scan: dict, J_range, Delta_range) -> int:
+    """scan.resolution of an ep-map; its grid may hold at most MAX_GRID_POINTS points.
+
+    A range with equal endpoints contributes one row or column.
+    """
+    resolution = integer("scan", "resolution", scan["resolution"])
+    if resolution < 1:
+        raise ConfigError(f"scan.resolution must be an integer >= 1, got {resolution!r}")
+    n_points = 1
+    for lo, hi in (J_range, Delta_range):
+        n_points *= resolution if hi > lo else 1
+    if n_points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"scan.resolution={resolution} gives more than {MAX_GRID_POINTS} grid points")
+    return resolution
 
 
 def _check_steps(total: float, dt: float, key: str) -> None:
@@ -161,11 +184,11 @@ def _range(scan: dict, key: str) -> tuple[float, float]:
     return value[0], value[1]
 
 
-def _encircling_runs(system, schedule, n_steps: int, integrator: IntegratorConfig) -> dict:
+def _encircling_runs(system, schedule, n_steps: int, store_every: int) -> dict:
     """Lindblad runs from |+x> and |-x> around the loop in both directions."""
     return {
         (tag, direction): integrate_scheduled(
-            system, replace(schedule, direction=direction), _density(psi), n_steps, integrator)
+            system, replace(schedule, direction=direction), _density(psi), n_steps, store_every)
         for tag, psi in (("plus", plus_x()), ("minus", minus_x()))
         for direction in ("ccw", "cw")
     }
@@ -198,10 +221,10 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
         store_every=cfg.ensemble_store_every, t_final=cfg.t_final,
     )
     if cfg.schedule is not None:
-        lind_cfg = IntegratorConfig(dt=cfg.ensemble_dt, store_every=cfg.ensemble_store_every)
-        lind = integrate_scheduled(cfg.system, cfg.schedule, _density(psi0), n_steps, lind_cfg)
+        lind = integrate_scheduled(
+            cfg.system, cfg.schedule, _density(psi0), n_steps, cfg.ensemble_store_every)
     else:
-        lind = integrate_constant(cfg.system, _density(psi0), ens.times)
+        lind = integrate_constant(build_superoperator(cfg.system), _density(psi0), ens.times)
     td = np.array([
         numerics.trace_distance(ens.mean_density[i], lind.states[i])
         for i in range(len(ens.times))
@@ -217,12 +240,9 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Eigenvalue branches versus J at fixed Delta, with EP markers."""
     J_grid = _j_grid(cfg.scan)
     Delta = number("scan", "Delta", cfg.scan["Delta"])
-    raw = []
-    for J in J_grid:
-        system = cfg.system.with_drive(DriveParams(J=float(J), Delta=Delta))
-        sop = build_superoperator(system)
-        raw.append(numerics.eig_general(sop.matrix).eigenvalues)
-    branches = pair_branches(raw)
+    generators = superoperator_stack(
+        operators(cfg.system, J_grid, Delta, cfg.system.rates.gamma_e))
+    branches = pair_branches([numerics.eig_general(L).eigenvalues for L in generators])
     n_modes = branches.shape[1]
 
     markers = [analysis.ep_coupling(cfg.system.rates, 2)]
@@ -254,14 +274,14 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Grid survey of the (J, Delta) plane with EP lines and triple points."""
+    if cfg.system.dim != 2:
+        raise ConfigError("this experiment needs a dim=2 system")
     scan = cfg.scan
     J_range = _range(scan, "J_range")
     if J_range[0] < 0.0:
         raise ConfigError(f"scan.J_range must be >= 0, got {scan['J_range']!r}")
     Delta_range = _range(scan, "Delta_range")
-    resolution = integer("scan", "resolution", scan["resolution"])
-    if resolution < 1:
-        raise ConfigError(f"scan.resolution must be an integer >= 1, got {resolution!r}")
+    resolution = _resolution(scan, J_range, Delta_range)
     ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution)
 
     grid_rows = [
@@ -298,9 +318,10 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     heat_rows = []
     cut_series = {}
     cut_values = (float(J_grid[0]), float(J_grid[-1]))
-    for J in J_grid:
-        system = cfg.system.with_drive(DriveParams(J=float(J), Delta=cfg.system.drive.Delta))
-        evo = integrate_constant(system, rho0, t_hm)
+    generators = superoperator_stack(
+        operators(cfg.system, J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))
+    for J, L in zip(J_grid, generators):
+        evo = integrate_constant(L, rho0, t_hm)
         pop_e = evo.states[:, 1, 1].real
         heat_rows.extend([float(J), float(t), float(p)] for t, p in zip(t_hm, pop_e))
         if float(J) in cut_values:
@@ -330,10 +351,10 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Encircling runs (Lindblad), one seeded trajectory, and an ensemble."""
     if cfg.schedule is None or cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system with a schedule")
-    _check_steps(cfg.schedule.T, cfg.integrator.dt, "integrator.dt")
+    _check_steps(cfg.schedule.T, cfg.integrator_dt, "integrator.dt")
     _check_steps(cfg.schedule.T, cfg.ensemble_dt, "ensemble.dt")
-    n_steps = scheduled_step_count(cfg.schedule.T, cfg.integrator.dt)
-    runs = _encircling_runs(cfg.system, cfg.schedule, n_steps, cfg.integrator)
+    n_steps = scheduled_step_count(cfg.schedule.T, cfg.integrator_dt)
+    runs = _encircling_runs(cfg.system, cfg.schedule, n_steps, cfg.integrator_store_every)
 
     header = ["t"]
     columns = [runs[("plus", "ccw")].times]
@@ -384,9 +405,10 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rho0 = analysis.initial_state_for(3)
 
     heat_rows = []
-    for J in J_grid:
-        system = cfg.system.with_drive(DriveParams(J=float(J), Delta=cfg.system.drive.Delta))
-        evo = integrate_constant(system, rho0, t_hm)
+    generators = superoperator_stack(
+        operators(cfg.system, J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))
+    for J, L in zip(J_grid, generators):
+        evo = integrate_constant(L, rho0, t_hm)
         gf = evo.states[:, 0, 2]
         heat_rows.extend(
             [float(J), float(t), float(abs(c)), float(c.real), float(c.imag)]
@@ -418,16 +440,16 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     D_values = np.asarray(numbers("scan", "Delta_max_values", scan["Delta_max_values"]))
     if np.any(T_values <= 0.0):
         raise ConfigError(f"scan.T_values must be > 0, got {T_values.min()}")
-    _check_steps(max(schedule.T, float(T_values.max())), cfg.integrator.dt, "integrator.dt")
+    _check_steps(max(schedule.T, float(T_values.max())), cfg.integrator_dt, "integrator.dt")
     duration = analysis.sweep_metrics(
-        cfg.system, schedule, "T", T_values, (rho_mx, rho_mx), cfg.integrator)
+        cfg.system, schedule, "T", T_values, (rho_mx, rho_mx), cfg.integrator_dt)
     detuning = analysis.sweep_metrics(
-        cfg.system, schedule, "Delta_max", D_values, (rho_mx, rho_mx), cfg.integrator)
+        cfg.system, schedule, "Delta_max", D_values, (rho_mx, rho_mx), cfg.integrator_dt)
 
     # Hermitian limit: same path with all dissipation off
     system0 = make_system(cfg.system.drive, Rates(gamma_e=0.0, gamma_phi=0.0), dim=2)
-    n_steps = scheduled_step_count(schedule.T, cfg.integrator.dt)
-    hermitian_runs = _encircling_runs(system0, schedule, n_steps, cfg.integrator)
+    n_steps = scheduled_step_count(schedule.T, cfg.integrator_dt)
+    hermitian_runs = _encircling_runs(system0, schedule, n_steps, cfg.integrator_store_every)
     chi_hermitian = analysis.chirality(
         hermitian_runs[("plus", "cw")].final_state,
         hermitian_runs[("plus", "ccw")].final_state,
@@ -442,7 +464,7 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     for kind in ("constant", "cosine"):
         single = analysis.sweep_metrics(
             cfg.system, replace(schedule, gamma_e_schedule=kind), "T", [schedule.T],
-            (rho_mx, rho_mx), cfg.integrator)
+            (rho_mx, rho_mx), cfg.integrator_dt)
         _T, chi, s_cw, s_ccw = single.table()[1][0]
         comparison_rows.append([kind, chi, s_cw, s_ccw])
         schedule_metrics[kind] = {"chirality": chi, "entropy_cw": s_cw, "entropy_ccw": s_ccw}
@@ -467,9 +489,9 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_steady_state(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Steady state and spectrum of the configured system."""
-    sop = build_superoperator(cfg.system)
-    rho_inf = steady_state(sop)
-    dec = numerics.eig_general(sop.matrix)
+    L = build_superoperator(cfg.system)
+    rho_inf = steady_state(L)
+    dec = numerics.eig_general(L)
 
     d = cfg.system.dim
     rows = [

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .dynamics import IntegratorConfig
 from .errors import ConfigError, LiouvlabError
 from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, make_system
 
@@ -58,7 +57,8 @@ class ExperimentConfig:
     experiment: str
     system: QuantumSystem
     schedule: Optional[ParameterSchedule]
-    integrator: IntegratorConfig
+    integrator_dt: float
+    integrator_store_every: int
     ensemble_n: int
     master_seed: int
     ensemble_dt: float
@@ -204,13 +204,12 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
             raise ConfigError(f"invalid schedule section: {exc}") from exc
 
     integ_raw = raw.get("integrator", {})
-    try:
-        integrator = IntegratorConfig(
-            dt=number("integrator", "dt", integ_raw.get("dt"), 1e-3),
-            store_every=integer("integrator", "store_every", integ_raw.get("store_every"), 1),
-        )
-    except LiouvlabError as exc:
-        raise ConfigError(f"invalid integrator section: {exc}") from exc
+    integrator_dt = number("integrator", "dt", integ_raw.get("dt"), 1e-3)
+    integrator_store_every = integer("integrator", "store_every", integ_raw.get("store_every"), 1)
+    if integrator_dt <= 0:
+        raise ConfigError(f"integrator.dt must be positive, got {integrator_dt}")
+    if integrator_store_every < 1:
+        raise ConfigError(f"integrator.store_every must be >= 1, got {integrator_store_every}")
 
     ens_raw = raw.get("ensemble", {})
     ensemble_n = integer("ensemble", "n", ens_raw.get("n"), 1000)
@@ -246,7 +245,8 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
         experiment=experiment,
         system=system,
         schedule=schedule,
-        integrator=integrator,
+        integrator_dt=integrator_dt,
+        integrator_store_every=integrator_store_every,
         ensemble_n=ensemble_n,
         master_seed=master_seed,
         ensemble_dt=ensemble_dt,

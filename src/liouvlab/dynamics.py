@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NotDensityMatrix, OutOfRange
-from .liouvillian import bloch_transverse_rate, build_superoperator, superoperator_stack, vec
+from .liouvillian import bloch_transverse_rate, superoperator_stack, vec
 from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, operators, path_points
 
 MIN_SCHEDULED_STEPS = 1000
@@ -53,24 +53,6 @@ def stored_steps(n_steps: int, every: int, dt: float) -> tuple[list[int], np.nda
 def scheduled_step_count(T: float, dt: float) -> int:
     """Steps of a scheduled loop of duration T: about dt each, and at least MIN_SCHEDULED_STEPS."""
     return max(MIN_SCHEDULED_STEPS, step_count(T, dt))
-
-
-@dataclass
-class IntegratorConfig:
-    """Settings of scheduled Lindblad runs; constant-parameter runs read neither.
-
-    dt is the target step, turned into a step count by scheduled_step_count;
-    store_every keeps every store_every-th state and the last.
-    """
-
-    dt: float = 1e-3
-    store_every: int = 1
-
-    def __post_init__(self):
-        if self.dt <= 0.0 or not math.isfinite(self.dt):
-            raise OutOfRange(f"dt must be positive, got {self.dt}")
-        if self.store_every < 1:
-            raise OutOfRange(f"store_every must be >= 1, got {self.store_every}")
 
 
 @dataclass
@@ -121,8 +103,8 @@ def observables_from_states(states: np.ndarray, dim: int) -> dict:
     }
 
 
-def integrate_constant(system: QuantumSystem, rho0, t_grid) -> EvolutionResult:
-    """Evolve rho0 under the fixed-parameter Liouvillian onto t_grid, exactly.
+def integrate_constant(L: np.ndarray, rho0, t_grid) -> EvolutionResult:
+    """Evolve rho0 under the (d^2, d^2) Liouvillian L onto t_grid, exactly.
 
     Each interval applies expm(L dt), built once per distinct interval length.
     """
@@ -133,10 +115,10 @@ def integrate_constant(system: QuantumSystem, rho0, t_grid) -> EvolutionResult:
         raise OutOfRange("t_grid must hold finite times >= 0")
     if np.any(np.diff(t) <= 0.0) and len(t) > 1:
         raise OutOfRange("t_grid must be strictly increasing")
-    rho = validate_density_matrix(rho0, system.dim)
-    L = build_superoperator(system).matrix
+    d = math.isqrt(len(L))
+    rho = validate_density_matrix(rho0, d)
 
-    states = np.empty((len(t), system.dim, system.dim), dtype=complex)
+    states = np.empty((len(t), d, d), dtype=complex)
     v = vec(rho)
     prev_t = 0.0
     prop_cache: dict[float, np.ndarray] = {}
@@ -148,9 +130,9 @@ def integrate_constant(system: QuantumSystem, rho0, t_grid) -> EvolutionResult:
                 P = numerics.expm(L * dt)
                 prop_cache[dt] = P
             v = P @ v
-        states[k] = v.reshape(system.dim, system.dim)
+        states[k] = v.reshape(d, d)
         prev_t = tk
-    return EvolutionResult(times=t, states=states, observables=observables_from_states(states, system.dim))
+    return EvolutionResult(times=t, states=states, observables=observables_from_states(states, d))
 
 
 def integrate_scheduled(
@@ -158,14 +140,15 @@ def integrate_scheduled(
     schedule: ParameterSchedule,
     rho0,
     n_steps: int,
-    cfg: Optional[IntegratorConfig] = None,
+    store_every: int = 1,
 ) -> EvolutionResult:
     """Propagate through one loop of the schedule in n_steps midpoint steps.
 
-    Only cfg.store_every is read; the step is schedule.T / n_steps, whatever
-    cfg.dt says.
+    The step is schedule.T / n_steps; every store_every-th state and the
+    last are stored.
     """
-    cfg = cfg or IntegratorConfig()
+    if store_every < 1:
+        raise OutOfRange(f"store_every must be >= 1, got {store_every}")
     if n_steps < MIN_SCHEDULED_STEPS:
         raise OutOfRange(
             f"scheduled runs require n_steps >= {MIN_SCHEDULED_STEPS} "
@@ -174,7 +157,7 @@ def integrate_scheduled(
     rho = validate_density_matrix(rho0, system.dim)
     dt = schedule.T / n_steps
 
-    stored_idx, times = stored_steps(n_steps, cfg.store_every, dt)
+    stored_idx, times = stored_steps(n_steps, store_every, dt)
     states = np.empty((len(stored_idx), system.dim, system.dim), dtype=complex)
 
     midpoints = (np.arange(n_steps) + 0.5) * dt

@@ -37,18 +37,10 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d)
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """Vectorized Liouvillian acting on row-major vec(rho)."""
-
-    matrix: np.ndarray
-    d: int
-
-
-def build_superoperator(system: QuantumSystem) -> Superoperator:
-    """The system's Liouvillian: the one-point case of superoperator_stack."""
+def build_superoperator(system: QuantumSystem) -> np.ndarray:
+    """The system's (d^2, d^2) Liouvillian: the one-point case of superoperator_stack."""
     ops = operators(system, [system.drive.J], [system.drive.Delta], system.rates.gamma_e)
-    return Superoperator(matrix=superoperator_stack(ops)[0], d=system.dim)
+    return superoperator_stack(ops)[0]
 
 
 def superoperator_stack(ops: OperatorStack) -> np.ndarray:
@@ -104,12 +96,13 @@ def _closest_pair(lam: np.ndarray) -> tuple[float, int, int]:
     return float(gaps[k]), int(rows[k]), int(cols[k])
 
 
-def spectrum(sop: Superoperator) -> SpectralResult:
-    eig = numerics.eig_general(sop.matrix)
+def spectrum(L: np.ndarray) -> SpectralResult:
+    """Eigensystem of the (d^2, d^2) Liouvillian L, with its EP classification."""
+    eig = numerics.eig_general(L)
     lam = eig.eigenvalues
     vecs = eig.right_eigenvectors
     n = len(lam)
-    gap_tol = GAP_TOL_FACTOR * max(np.linalg.norm(sop.matrix), 1e-30)
+    gap_tol = GAP_TOL_FACTOR * max(np.linalg.norm(L), 1e-30)
 
     min_gap, i, j = _closest_pair(lam)
     angle = numerics.principal_angle(vecs[:, i], vecs[:, j])
@@ -138,11 +131,11 @@ def spectrum(sop: Superoperator) -> SpectralResult:
     )
 
 
-def steady_state(sop: Superoperator) -> np.ndarray:
-    """Null eigenvector reshaped, Hermitized, and trace-normalized."""
-    eig = numerics.eig_general(sop.matrix)
+def steady_state(L: np.ndarray) -> np.ndarray:
+    """Null eigenvector of the (d^2, d^2) L reshaped to d x d, Hermitized, and trace-normalized."""
+    eig = numerics.eig_general(L)
     lam = eig.eigenvalues
-    scale = max(1.0, np.linalg.norm(sop.matrix))
+    scale = max(1.0, np.linalg.norm(L))
     small = np.nonzero(np.abs(lam) <= ZERO_EIGENVALUE_TOL * scale)[0]
     if len(small) == 0:
         raise NoSteadyState(
@@ -154,7 +147,7 @@ def steady_state(sop: Superoperator) -> np.ndarray:
             f"{len(small)} eigenvalues are numerically zero; steady state is not unique"
         )
     v = eig.right_eigenvectors[:, small[0]]
-    rho = unvec(v, sop.d)
+    rho = unvec(v, math.isqrt(len(L)))
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
@@ -379,7 +372,7 @@ def ep_scan(
         system_template.rates.gamma_e))
     for iD in range(nD):
         for iJ in range(nJ):
-            res = spectrum(Superoperator(matrix=grid[iD * nJ + iJ], d=system_template.dim))
+            res = spectrum(grid[iD * nJ + iJ])
             gap[iD, iJ] = res.min_eigenvalue_gap
             angle[iD, iJ] = res.min_eigenvector_angle
             order[iD, iJ] = res.ep_order

@@ -10,7 +10,7 @@ points, and every route's generators are built from its OperatorStack.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,17 +98,13 @@ def sigma_z(dim: int = 2) -> np.ndarray:
     return np.diag(d)
 
 
-def hamiltonian(drive: DriveParams, dim: int = 2) -> np.ndarray:
-    """H_c = J(|g><e| + |e><g|) + Delta/2 (|g><g| - |e><e|).
-
-    For dim 3 the same operator acts on the g-e block and the |f> row and
-    column are zero (the drive does not couple to |f>).
-    """
-    return hamiltonians([drive.J], [drive.Delta], dim)[0]
-
-
 def hamiltonians(J, Delta, dim: int = 2) -> np.ndarray:
-    """H_c at n drive points: a (n, dim, dim) stack for length-n J and Delta."""
+    """H_c = J(|g><e| + |e><g|) + Delta/2 (|g><g| - |e><e|) at n drive points.
+
+    Returns a (n, dim, dim) stack for length-n J; Delta is a number or its
+    n values. For dim 3 the same operator acts on the g-e block and the |f>
+    row and column are zero (the drive does not couple to |f>).
+    """
     if dim not in (2, 3):
         raise OutOfRange(f"dim must be 2 or 3, got {dim}")
     J = np.asarray(J, dtype=float)
@@ -125,24 +121,16 @@ def hamiltonians(J, Delta, dim: int = 2) -> np.ndarray:
     return h
 
 
-def jump_operators(rates: Rates, dim: int = 2, f_decay_to: str = "e") -> list[tuple[np.ndarray, str]]:
-    """Collapse operators with labels; channels with zero rate are omitted.
+def jump_operator_stack(
+    gamma_e, gamma_phi, gamma_f, gamma_f_extra, dim: int = 2, f_decay_to: str = "e"
+) -> list[tuple[np.ndarray, str]]:
+    """Collapse operators with labels at n rate points, as (L, label).
 
     Qubit: L_e = sqrt(gamma_e)|g><e|, L_phi = sqrt(gamma_phi/2) sigma_z.
     Qutrit adds L_f = sqrt(gamma_f)|target><f| (target "e" by default,
     configurable to "g") and L_f_extra = sqrt(gamma_f_extra)|f><f|, a pure
     dephasing channel on |f> modeling extra decoherence of that level. A
     qubit with a nonzero f-level rate is rejected.
-    """
-    channels = jump_operator_stack(
-        rates.gamma_e, rates.gamma_phi, rates.gamma_f, rates.gamma_f_extra, dim, f_decay_to)
-    return [(L[0], label) for L, label in channels]
-
-
-def jump_operator_stack(
-    gamma_e, gamma_phi, gamma_f, gamma_f_extra, dim: int = 2, f_decay_to: str = "e"
-) -> list[tuple[np.ndarray, str]]:
-    """The jump_operators channels at n rate points, as (L, label).
 
     Each rate is a number, or an array of its values at the n points. L
     stacks the channel's operator at each of the rate's points. A channel
@@ -196,17 +184,9 @@ class QuantumSystem:
 
     def __post_init__(self):
         # rejects a bad dimension or decay target, and f-level rates on a qubit
-        jump_operators(self.rates, self.dim, self.f_decay_to)
-
-    @property
-    def jump_ops(self) -> list[tuple[np.ndarray, str]]:
-        return jump_operators(self.rates, self.dim, self.f_decay_to)
-
-    def with_drive(self, drive: DriveParams) -> "QuantumSystem":
-        return replace(self, drive=drive)
-
-    def hamiltonian(self) -> np.ndarray:
-        return hamiltonian(self.drive, self.dim)
+        r = self.rates
+        jump_operator_stack(
+            r.gamma_e, r.gamma_phi, r.gamma_f, r.gamma_f_extra, self.dim, self.f_decay_to)
 
 
 def make_system(
@@ -265,12 +245,6 @@ def _path_point(s: ParameterSchedule, t: float, gamma_e: float) -> tuple[float, 
     return J, Delta, ge
 
 
-def schedule_eval(s: ParameterSchedule, t: float, rates: Rates) -> tuple[DriveParams, Rates]:
-    """Evaluate the path at time t, applying the direction sign to Delta."""
-    J, Delta, ge = _path_point(s, t, rates.gamma_e)
-    return DriveParams(J=J, Delta=Delta), replace(rates, gamma_e=ge)
-
-
 @dataclass(frozen=True)
 class OperatorStack:
     """A system's Hamiltonian and collapse operators at n parameter points.
@@ -287,7 +261,8 @@ class OperatorStack:
 def path_points(s: ParameterSchedule, times, gamma_e: float) -> np.ndarray:
     """The path's (J, Delta, gamma_e) at the given times, as a (3, n) array.
 
-    Each time is evaluated with the same arithmetic as schedule_eval.
+    Delta carries the direction sign, and gamma_e follows the schedule's
+    emission profile from the given base rate.
     """
     points = [_path_point(s, float(t), gamma_e) for t in times]
     return np.array(points, dtype=float).reshape(-1, 3).T
@@ -296,7 +271,8 @@ def path_points(s: ParameterSchedule, times, gamma_e: float) -> np.ndarray:
 def operators(system: QuantumSystem, J, Delta, gamma_e) -> OperatorStack:
     """The system at n points (J[k], Delta[k], gamma_e[k]).
 
-    gamma_e is a number or an array of its n values. Dimension, the other
+    J holds the n couplings; Delta and gamma_e are each a number, held at
+    every point, or an array of their n values. Dimension, the other
     rates and the |f> decay target are the system's. Every point carries the
     same channels, those of jump_operator_stack; a point where a channel's
     rate is zero adds only zero terms through it.

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from liouvlab.model import DriveParams, make_system, operators, path_points
 
 settings.register_profile(
     "default",
@@ -23,6 +27,23 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def point_operators(system) -> tuple[np.ndarray, list[tuple[np.ndarray, str]]]:
+    """(H, [(L, label), ...]) at the system's own drive and rates: a one-point operators call."""
+    ops = operators(system, [system.drive.J], [system.drive.Delta], system.rates.gamma_e)
+    return ops.hamiltonians[0], [(L[0], label) for L, label in ops.jumps]
+
+
+def system_on_path(system, schedule, t: float):
+    """The system alone at time t of the schedule.
+
+    A one-point path_points call, then its own QuantumSystem, so a reference
+    built from it does not share the stacked route under test.
+    """
+    J, Delta, gamma_e = path_points(schedule, [t], system.rates.gamma_e)[:, 0]
+    return make_system(DriveParams(J=J, Delta=Delta), replace(system.rates, gamma_e=gamma_e),
+                       system.dim, system.f_decay_to)
+
+
 def superoperator_reference(system) -> np.ndarray:
     """The Liouvillian formula written out with np.kron for one system.
 
@@ -31,9 +52,9 @@ def superoperator_reference(system) -> np.ndarray:
     """
     d = system.dim
     ident = np.eye(d, dtype=complex)
-    h = system.hamiltonian()
+    h, jumps = point_operators(system)
     m = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-    for L, _label in system.jump_ops:
+    for L, _label in jumps:
         ldl = L.conj().T @ L
         m = m + np.kron(L, L.conj())
         m = m - 0.5 * np.kron(ldl, ident)

@@ -16,7 +16,6 @@ import numpy as np
 
 from liouvlab.analysis import chirality, scan_transition, sweep_metrics
 from liouvlab.dynamics import (
-    IntegratorConfig,
     integrate_bloch,
     integrate_constant,
     integrate_scheduled,
@@ -123,7 +122,7 @@ def _loop_finals(rates, n_steps=2000):
         rho0 = _projector(psi)
         for direction in ("cw", "ccw"):
             schedule = ParameterSchedule(T=2.0, direction=direction)
-            evo = integrate_scheduled(system, schedule, rho0, n_steps, IntegratorConfig())
+            evo = integrate_scheduled(system, schedule, rho0, n_steps)
             finals[start, direction] = evo.final_state
     return finals
 
@@ -144,10 +143,10 @@ def test_criterion_01_superoperator_golden(capsys):
         J, D = rng.uniform(0, 4), rng.uniform(-3, 3)
         target = "e" if k % 2 == 0 else "g"
         sys2 = make_system(DriveParams(J=J, Delta=D), Rates(gamma_e=ge, gamma_phi=gp))
-        M2 = build_superoperator(sys2).matrix
+        M2 = build_superoperator(sys2)
         worst2 = max(worst2, float(np.max(np.abs(M2 - golden_qubit_matrix(ge, gp, J, D)))))
         sys3 = make_system(DriveParams(J=J, Delta=D), Rates(ge, gp, gf, gfx), dim=3, f_decay_to=target)
-        M3 = build_superoperator(sys3).matrix
+        M3 = build_superoperator(sys3)
         golden3 = golden_qutrit_matrix(ge, gp, gf, gfx, J, D, target)
         worst3 = max(worst3, float(np.max(np.abs(M3 - golden3))))
     elapsed = perf_counter() - t0
@@ -245,7 +244,7 @@ def test_criterion_06_trajectory_master_equation_equivalence(capsys):
     schedule = ParameterSchedule(T=2.0)
     psi = plus_x()
     ref = integrate_scheduled(
-        system, schedule, _projector(psi), 4000, IntegratorConfig(dt=5e-4, store_every=20)
+        system, schedule, _projector(psi), 4000, store_every=20
     )
     td = {}
     for n in (250, 1000, 4000):
@@ -314,7 +313,7 @@ def test_criterion_08_property_suite(capsys):
             DriveParams(J=rng.uniform(0, 3), Delta=rng.uniform(-2, 2)),
             Rates(gamma_e=rng.uniform(0, 5), gamma_phi=rng.uniform(0, 2)),
         )
-        evo = integrate_constant(system, _random_density(rng, 2), t_grid)
+        evo = integrate_constant(build_superoperator(system), _random_density(rng, 2), t_grid)
         for rho in evo.states:
             tr = complex(np.trace(rho))
             worst_tr = max(worst_tr, abs(tr - 1.0))
@@ -330,7 +329,7 @@ def test_criterion_08_property_suite(capsys):
             # a qubit has no |f> level, so its f-level draws never enter the generator
             rates = Rates(rates.gamma_e, rates.gamma_phi)
         system = make_system(drive, rates, dim=dim)
-        lam = np.linalg.eigvals(build_superoperator(system).matrix)
+        lam = np.linalg.eigvals(build_superoperator(system))
         worst_zero = max(worst_zero, float(np.min(np.abs(lam))))
         worst_re = max(worst_re, float(np.max(lam.real)))
 
@@ -353,7 +352,7 @@ def test_criterion_08_property_suite(capsys):
         v0 = rng.uniform(-0.577, 0.577, size=3)
         vb = integrate_bloch(params, rates, v0, tb)
         rho0 = 0.5 * (np.eye(2) + v0[0] * SX + v0[1] * SY + v0[2] * SZ)
-        evo = integrate_constant(make_system(params, rates), rho0, tb)
+        evo = integrate_constant(build_superoperator(make_system(params, rates)), rho0, tb)
         for v, rho in zip(vb, evo.states):
             got = np.array(
                 [2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
@@ -436,12 +435,13 @@ def test_criterion_10_sweep_trends(capsys):
     pair = (_projector(plus_x()), _projector(plus_x()))
 
     duration = sweep_metrics(
-        system, family, "T", [0.25 + 0.125 * i for i in range(19)], pair
+        system, family, "T", [0.25 + 0.125 * i for i in range(19)], pair, dt=1e-3
     )
     best_T = float(duration.values[int(np.argmax(duration.chirality))])
 
     detuning = sweep_metrics(
-        system, family, "Delta_max", [2 * math.pi * (0.5 + 0.5 * i) for i in range(16)], pair
+        system, family, "Delta_max", [2 * math.pi * (0.5 + 0.5 * i) for i in range(16)], pair,
+        dt=1e-3,
     )
     chi_up = bool(np.all(np.diff(detuning.chirality) > 0))
     ent_down = bool(

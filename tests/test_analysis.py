@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouvlab import analysis
-from liouvlab.dynamics import IntegratorConfig, integrate_constant
+from liouvlab.dynamics import integrate_constant
 from liouvlab.errors import (
     DegenerateInput,
     DomainError,
@@ -14,6 +14,7 @@ from liouvlab.errors import (
     NotDensityMatrix,
     OutOfRange,
 )
+from liouvlab.liouvillian import build_superoperator
 from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, plus_x
 
 
@@ -105,12 +106,12 @@ def excited_projector():
 
 def test_predict_rates_above_and_below_the_critical_coupling():
     rates = Rates(gamma_e=4.0)
-    above = make_system(DriveParams(J=1.8), rates)
+    above = build_superoperator(make_system(DriveParams(J=1.8), rates))
     w, g = analysis.predict_rates(above, excited_projector(), obs_index=3)
     assert w == pytest.approx(0.25 * math.sqrt(64.0 * 1.8**2 - 16.0), abs=1e-9)
     assert g == pytest.approx(3.0, abs=1e-9)
 
-    below = make_system(DriveParams(J=0.3), rates)
+    below = build_superoperator(make_system(DriveParams(J=0.3), rates))
     w, g = analysis.predict_rates(below, excited_projector(), obs_index=3)
     assert w == pytest.approx(0.0, abs=1e-9)
     assert g == pytest.approx(2.2, abs=1e-9)  # the slower real branch
@@ -130,7 +131,7 @@ def test_simulated_transient_matches_prediction_above_transition():
     ge, J = 4.0, 1.8
     system = make_system(DriveParams(J=J), rates=Rates(gamma_e=ge))
     t = np.linspace(0.0, 10.0, 500)
-    res = integrate_constant(system, excited_projector(), t)
+    res = integrate_constant(build_superoperator(system), excited_projector(), t)
     fit = analysis.fit_damped_sine(t, res.states[:, 1, 1].real)
     w_exp = 0.25 * math.sqrt(64.0 * J**2 - ge**2)
     assert fit.converged
@@ -141,7 +142,7 @@ def test_simulated_transient_matches_prediction_above_transition():
 def test_deep_relaxational_regime_fits_to_zero_frequency():
     system = make_system(DriveParams(J=0.1), Rates(gamma_e=4.0))
     t = np.linspace(0.0, 10.0, 500)
-    res = integrate_constant(system, excited_projector(), t)
+    res = integrate_constant(build_superoperator(system), excited_projector(), t)
     fit = analysis.fit_damped_sine(t, res.states[:, 1, 1].real)
     assert fit.omega <= 0.1
 
@@ -229,8 +230,7 @@ def test_sweep_metrics_structure_and_ranges():
     family = ParameterSchedule(T=2.0)
     psi = plus_x()
     rho0 = np.outer(psi, psi.conj())
-    out = analysis.sweep_metrics(system, family, "T", [1.0, 2.0], (rho0, rho0),
-                                 cfg=IntegratorConfig(dt=2e-3))
+    out = analysis.sweep_metrics(system, family, "T", [1.0, 2.0], (rho0, rho0), dt=2e-3)
     assert out.vary == "T"
     assert out.chirality.shape == (2,)
     for i in range(2):
@@ -248,6 +248,6 @@ def test_sweep_metrics_input_validation():
     psi = plus_x()
     rho0 = np.outer(psi, psi.conj())
     with pytest.raises(OutOfRange):
-        analysis.sweep_metrics(system, ParameterSchedule(T=2.0), "J_max", [1.0], (rho0, rho0))
+        analysis.sweep_metrics(system, ParameterSchedule(T=2.0), "J_max", [1.0], (rho0, rho0), 1e-3)
     with pytest.raises(OutOfRange):
-        analysis.sweep_metrics(system, ParameterSchedule(T=2.0), "T", [], (rho0, rho0))
+        analysis.sweep_metrics(system, ParameterSchedule(T=2.0), "T", [], (rho0, rho0), 1e-3)

@@ -198,6 +198,13 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     pytest.param("trajectories",
                  ("schedule=null", "ensemble.t_final=0.001", "ensemble.n=100001"),
                  id="trajectories-ensemble.n=100001"),
+    ("ep-map", "system.dim=3"),
+    ("fig1", "scan.heatmap_samples=1000000000000"),
+    ("fig1", "scan.n_samples=1000000000000"),
+    ("ep-map", "scan.resolution=10000000"),
+    ("fig2", "integrator.dt=0"),
+    ("fig2", "integrator.dt=-1"),
+    ("fig2", "integrator.store_every=0"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
     overrides = [override] if isinstance(override, str) else override
@@ -209,10 +216,34 @@ def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
 
 
 def test_j_grid_rejects_a_grid_above_the_cap():
-    cap = cli.MAX_J_GRID_POINTS
+    cap = cli.MAX_GRID_POINTS
     assert len(cli._j_grid({"J_start": 0.0, "J_stop": cap - 1.0, "J_step": 1.0})) == cap
     with pytest.raises(ConfigError, match=f"more than {cap} points"):
         cli._j_grid({"J_start": 0.0, "J_stop": float(cap), "J_step": 1.0})
+
+
+def test_transition_scan_rejects_sample_counts_above_the_cap():
+    cap = cli.MAX_TIME_STEPS
+    scan = {"J_values": [0.5], "heatmap_t_max": 1.0, "window": 1.0,
+            "heatmap_samples": cap, "n_samples": cap}
+    _J, t_heatmap, _window, n_samples = cli._transition_scan(scan)
+    assert len(t_heatmap) == n_samples == cap
+    for key in ("heatmap_samples", "n_samples"):
+        with pytest.raises(ConfigError, match=f"between 1 and {cap}"):
+            cli._transition_scan({**scan, key: cap + 1})
+
+
+def test_ep_map_resolution_rejects_a_grid_above_the_cap():
+    cap = cli.MAX_GRID_POINTS
+    side = math.isqrt(cap)  # 316
+    plane = {"J_range": (0.0, 1.0), "Delta_range": (-1.0, 1.0)}
+    assert cli._resolution({"resolution": side}, *plane.values()) == side
+    with pytest.raises(ConfigError, match=f"more than {cap} grid points"):
+        cli._resolution({"resolution": side + 1}, *plane.values())
+    # a range with equal endpoints scans one row: the grid has `resolution` points
+    assert cli._resolution({"resolution": cap}, (0.0, 1.0), (0.0, 0.0)) == cap
+    with pytest.raises(ConfigError, match=f"more than {cap} grid points"):
+        cli._resolution({"resolution": cap + 1}, (0.0, 1.0), (0.0, 0.0))
 
 
 def test_check_steps_rejects_a_run_above_the_cap():

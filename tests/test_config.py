@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import point_operators
 from liouvlab import config as cfg
 from liouvlab.errors import ConfigError
 
@@ -105,7 +106,8 @@ def test_resolve_defaults():
     assert out.system.dim == 2
     assert out.system.rates.gamma_e == 0.0
     assert out.schedule is None
-    assert out.integrator.dt == 1e-3
+    assert out.integrator_dt == 1e-3
+    assert out.integrator_store_every == 1
     assert out.ensemble_n == 1000
     assert out.master_seed == 12345
     assert out.ensemble_dt == 5e-4
@@ -130,8 +132,10 @@ def test_resolve_full_document():
     out = cfg.resolve(raw, "fig4")
     assert out.system.dim == 3
     assert out.system.rates.gamma_f == 0.3
-    labels = [lbl for _, lbl in out.system.jump_ops]
-    assert labels == ["e", "f"]
+    _h, jumps = point_operators(out.system)
+    assert [lbl for _, lbl in jumps] == ["e", "f"]
+    assert out.integrator_dt == 5e-4
+    assert out.integrator_store_every == 10
     assert out.schedule.T == 1.5
     assert out.schedule.direction == "cw"
     assert out.schedule.gamma_e_schedule == "cosine"

@@ -9,10 +9,12 @@ from conftest import (
     random_density_matrix,
     sigma_x_mirror_deviation,
     superoperator_reference,
+    system_on_path,
 )
 from liouvlab import dynamics
-from liouvlab.dynamics import IntegratorConfig, integrate_bloch, integrate_constant, integrate_scheduled
+from liouvlab.dynamics import integrate_bloch, integrate_constant, integrate_scheduled
 from liouvlab.errors import NotDensityMatrix, OutOfRange
+from liouvlab.liouvillian import build_superoperator
 from liouvlab.model import (
     DriveParams,
     ParameterSchedule,
@@ -20,7 +22,6 @@ from liouvlab.model import (
     make_system,
     minus_x,
     plus_x,
-    schedule_eval,
 )
 
 
@@ -38,7 +39,7 @@ def test_free_decay_is_exponential():
     ge = 2.0
     system = make_system(DriveParams(J=0.0), Rates(gamma_e=ge))
     t = np.linspace(0.0, 1.5, 7)
-    res = integrate_constant(system, EXCITED, t)
+    res = integrate_constant(build_superoperator(system), EXCITED, t)
     assert np.allclose(res.states[:, 1, 1].real, np.exp(-ge * t), atol=1e-9)
     assert np.allclose(res.states[:, 0, 1], 0.0, atol=1e-12)
     assert np.allclose(res.observables["z"], 1.0 - 2.0 * np.exp(-ge * t), atol=1e-9)
@@ -46,26 +47,26 @@ def test_free_decay_is_exponential():
 
 def test_single_time_grid_returns_initial_state():
     system = make_system(DriveParams(J=1.0), Rates(gamma_e=1.0))
-    res = integrate_constant(system, EXCITED, [0.0])
+    res = integrate_constant(build_superoperator(system), EXCITED, [0.0])
     assert res.times.shape == (1,)
     assert np.allclose(res.states[0], EXCITED, atol=1e-14)
 
 
 def test_grid_prefix_does_not_change_the_endpoint():
     system = make_system(DriveParams(J=1.3, Delta=0.4), Rates(gamma_e=3.0, gamma_phi=0.2))
-    direct = integrate_constant(system, EXCITED, [1.0]).states[-1]
-    via_midpoint = integrate_constant(system, EXCITED, [0.5, 1.0]).states[-1]
+    direct = integrate_constant(build_superoperator(system), EXCITED, [1.0]).states[-1]
+    via_midpoint = integrate_constant(build_superoperator(system), EXCITED, [0.5, 1.0]).states[-1]
     assert np.allclose(direct, via_midpoint, atol=1e-12)
 
 
 def test_bad_grids_are_rejected():
     system = make_system(DriveParams(J=1.0), Rates(gamma_e=1.0))
     with pytest.raises(OutOfRange):
-        integrate_constant(system, EXCITED, [])
+        integrate_constant(build_superoperator(system), EXCITED, [])
     with pytest.raises(OutOfRange):
-        integrate_constant(system, EXCITED, [0.0, 0.5, 0.5])
+        integrate_constant(build_superoperator(system), EXCITED, [0.0, 0.5, 0.5])
     with pytest.raises(OutOfRange):
-        integrate_constant(system, EXCITED, np.zeros((2, 2)))
+        integrate_constant(build_superoperator(system), EXCITED, np.zeros((2, 2)))
 
 
 def test_non_finite_or_negative_times_are_rejected():
@@ -73,7 +74,7 @@ def test_non_finite_or_negative_times_are_rejected():
     system = make_system(DriveParams(J=0.0), Rates(gamma_e=1.0))
     for grid in ([0.0, math.nan, 2.0], [-1.0, 0.0], [0.0, math.inf]):
         with pytest.raises(OutOfRange):
-            integrate_constant(system, EXCITED, grid)
+            integrate_constant(build_superoperator(system), EXCITED, grid)
 
 
 def test_propagation_preserves_state_validity(rng):
@@ -87,7 +88,7 @@ def test_propagation_preserves_state_validity(rng):
             dim=dim,
         )
         rho0 = random_density_matrix(rng, dim)
-        res = integrate_constant(system, rho0, t)
+        res = integrate_constant(build_superoperator(system), rho0, t)
         for rho in res.states:
             assert abs(np.trace(rho).real - 1.0) <= 1e-10
             assert abs(np.trace(rho).imag) <= 1e-10
@@ -98,7 +99,7 @@ def test_propagation_preserves_state_validity(rng):
 def test_qutrit_observable_extraction(rng):
     system = make_system(DriveParams(J=1.0), Rates(gamma_e=2.0, gamma_f=0.5), dim=3)
     rho0 = random_density_matrix(rng, 3)
-    res = integrate_constant(system, rho0, np.linspace(0.0, 1.0, 5))
+    res = integrate_constant(build_superoperator(system), rho0, np.linspace(0.0, 1.0, 5))
     assert set(res.observables) == {"pop_g", "pop_e", "pop_f", "rho_gf", "rho_ef"}
     assert np.allclose(res.observables["pop_f"], res.states[:, 2, 2].real)
     assert np.allclose(res.observables["rho_gf"], res.states[:, 0, 2])
@@ -117,11 +118,10 @@ def test_state_validation_rejects_bad_inputs():
         dynamics.validate_density_matrix(np.eye(3) / 3.0, d=2)
 
 
-def test_integrator_config_validation():
-    with pytest.raises(OutOfRange):
-        IntegratorConfig(dt=0.0)
-    with pytest.raises(OutOfRange):
-        IntegratorConfig(store_every=0)
+def test_scheduled_run_rejects_store_every_below_one():
+    system = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6))
+    with pytest.raises(OutOfRange, match="store_every"):
+        integrate_scheduled(system, ParameterSchedule(T=2.0), EXCITED, 1000, store_every=0)
 
 
 # --- scheduled propagation -------------------------------------------------------
@@ -131,7 +131,7 @@ def test_scheduled_constant_profile_matches_fixed_parameters():
     schedule = ParameterSchedule(T=1.0, J_max=0.0, Delta_max=0.0)
     base = make_system(DriveParams(J=0.0), Rates(gamma_e=3.0, gamma_phi=0.2))
     sched = integrate_scheduled(base, schedule, EXCITED, n_steps=1000)
-    fixed = integrate_constant(base, EXCITED, sched.times)
+    fixed = integrate_constant(build_superoperator(base), EXCITED, sched.times)
     assert np.max(np.abs(sched.states - fixed.states)) <= 1e-9
 
 
@@ -143,7 +143,7 @@ def test_scheduled_run_keeps_the_f_decay_target(target):
     schedule = ParameterSchedule(T=1.0, J_max=0.0, Delta_max=0.0)
     rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
     sched = integrate_scheduled(system, schedule, rho0, n_steps=1000)
-    fixed = integrate_constant(system, rho0, [1.0])
+    fixed = integrate_constant(build_superoperator(system), rho0, [1.0])
     assert np.max(np.abs(sched.final_state - fixed.final_state)) <= 1e-12
 
 
@@ -157,15 +157,13 @@ def test_scheduled_run_matches_a_per_step_reference_loop(dim, target, monkeypatc
     dt = schedule.T / n_steps
     v = rho0.reshape(-1)
     for k in range(n_steps):
-        drive, r = schedule_eval(schedule, (k + 0.5) * dt, rates)
-        L = superoperator_reference(make_system(drive, r, dim=dim, f_decay_to=target))
+        L = superoperator_reference(system_on_path(system, schedule, (k + 0.5) * dt))
         v = scipy.linalg.expm(L * dt) @ v
-    cfg = IntegratorConfig(dt=dt)
-    whole = integrate_scheduled(system, schedule, rho0, n_steps, cfg)
+    whole = integrate_scheduled(system, schedule, rho0, n_steps)
     assert whole.final_state.tobytes() == v.reshape(dim, dim).tobytes()
     # building the stack in blocks does not change any step
     monkeypatch.setattr(dynamics, "STEP_BLOCK", 300)
-    blocked = integrate_scheduled(system, schedule, rho0, n_steps, cfg)
+    blocked = integrate_scheduled(system, schedule, rho0, n_steps)
     assert blocked.states.tobytes() == whole.states.tobytes()
 
 
@@ -185,7 +183,7 @@ def test_scheduled_store_decimation_keeps_endpoint():
     schedule = ParameterSchedule(T=2.0)
     system = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=0.2))
     res = integrate_scheduled(
-        system, schedule, EXCITED, n_steps=1000, cfg=IntegratorConfig(store_every=300))
+        system, schedule, EXCITED, n_steps=1000, store_every=300)
     assert np.allclose(res.times, [0.0, 0.6, 1.2, 1.8, 2.0])
     assert res.states.shape == (5, 2, 2)
 
@@ -198,8 +196,7 @@ def test_scheduled_run_converges_at_second_order(gamma_e_schedule):
     rho0 = bloch_state(1.0, 0.0, 0.0)
     n = 1000
     final = {
-        steps: integrate_scheduled(system, schedule, rho0, steps, IntegratorConfig(
-            store_every=steps)).final_state
+        steps: integrate_scheduled(system, schedule, rho0, steps, store_every=steps).final_state
         for steps in (n, 2 * n, 16 * n)}
     errs = [np.max(np.abs(final[steps] - final[16 * n])) for steps in (n, 2 * n)]
     assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -241,7 +238,8 @@ def test_bloch_route_matches_density_matrix_route(rng):
         params = DriveParams(J=float(rng.uniform(0, 3)), Delta=float(rng.uniform(-2, 2)))
         rates = Rates(gamma_e=float(rng.uniform(0, 5)), gamma_phi=float(rng.uniform(0, 1)))
         x0, y0, z0 = rng.uniform(-0.5, 0.5, size=3)
-        res = integrate_constant(make_system(params, rates), bloch_state(x0, y0, z0), t)
+        L = build_superoperator(make_system(params, rates))
+        res = integrate_constant(L, bloch_state(x0, y0, z0), t)
         v = integrate_bloch(params, rates, [x0, y0, z0], t)
         assert np.max(np.abs(v[:, 0] - res.observables["x"])) <= 1e-6
         assert np.max(np.abs(v[:, 1] - res.observables["y"])) <= 1e-6
@@ -257,7 +255,7 @@ def test_critical_coupling_relaxes_without_ringing():
     ge = 4.0
     system = make_system(DriveParams(J=ge / 8.0), Rates(gamma_e=ge))
     t = np.linspace(0.0, 3.0, 301)
-    z = integrate_constant(system, EXCITED, t).observables["z"]
+    z = integrate_constant(build_superoperator(system), EXCITED, t).observables["z"]
     z_ss = ge * ge / (ge * ge + 8.0 * (ge / 8.0) ** 2)
     dev = z - z_ss
     signs = np.sign(dev[np.abs(dev) > 1e-10])
@@ -268,7 +266,7 @@ def test_above_critical_coupling_rings():
     ge = 4.0
     system = make_system(DriveParams(J=1.8), Rates(gamma_e=ge))
     t = np.linspace(0.0, 3.0, 301)
-    z = integrate_constant(system, EXCITED, t).observables["z"]
+    z = integrate_constant(build_superoperator(system), EXCITED, t).observables["z"]
     z_ss = ge * ge / (ge * ge + 8.0 * 1.8 ** 2)
     dev = z - z_ss
     signs = np.sign(dev[np.abs(dev) > 1e-10])

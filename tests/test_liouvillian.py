@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import superoperator_reference
+from conftest import point_operators, superoperator_reference, system_on_path
 from liouvlab import liouvillian as lv
 from liouvlab import trajectories as tj
 from liouvlab.analysis import ep_coupling
@@ -16,7 +17,6 @@ from liouvlab.model import (
     make_system,
     operators,
     path_points,
-    schedule_eval,
 )
 from liouvlab.numerics import expm, trace_distance
 
@@ -33,8 +33,8 @@ def lindblad_rhs_dense(H, Ls, rho):
 def superoperator_by_columns(system):
     """Independent oracle: column a*d+b is the rhs applied to |a><b|."""
     d = system.dim
-    H = system.hamiltonian()
-    Ls = [L for L, _ in system.jump_ops]
+    H, jumps = point_operators(system)
+    Ls = [L for L, _ in jumps]
     M = np.zeros((d * d, d * d), dtype=complex)
     for a in range(d):
         for b in range(d):
@@ -74,8 +74,8 @@ def test_qubit_generator_matches_hand_expansion():
         ],
         dtype=complex,
     )
-    assert sop.d == 2
-    assert np.allclose(sop.matrix, expected, atol=1e-14)
+    assert sop.shape == (4, 4)
+    assert np.allclose(sop, expected, atol=1e-14)
 
 
 def test_generator_matches_columnwise_oracle(rng):
@@ -91,8 +91,8 @@ def test_generator_matches_columnwise_oracle(rng):
         system = make_system(drive, rates, dim=dim)
         sop = lv.build_superoperator(system)
         oracle = superoperator_by_columns(system)
-        assert sop.matrix.shape == (dim * dim, dim * dim)
-        assert np.allclose(sop.matrix, oracle, atol=1e-13)
+        assert sop.shape == (dim * dim, dim * dim)
+        assert np.allclose(sop, oracle, atol=1e-13)
 
 
 def test_qutrit_fg_fe_block():
@@ -100,17 +100,17 @@ def test_qutrit_fg_fe_block():
     sop = lv.build_superoperator(
         make_system(DriveParams(J=J), Rates(gamma_e=ge), dim=3))
     idx_fg, idx_fe = 2 * 3 + 0, 2 * 3 + 1
-    block = sop.matrix[np.ix_([idx_fg, idx_fe], [idx_fg, idx_fe])]
+    block = sop[np.ix_([idx_fg, idx_fe], [idx_fg, idx_fe])]
     expected = np.array([[0.0, 1j * J], [1j * J, -ge / 2]], dtype=complex)
     assert np.allclose(block, expected, atol=1e-14)
     # and the block is decoupled from the rest of the generator
     others = [k for k in range(9) if k not in (idx_fg, idx_fe)]
-    assert np.allclose(sop.matrix[np.ix_([idx_fg, idx_fe], others)], 0.0, atol=1e-14)
+    assert np.allclose(sop[np.ix_([idx_fg, idx_fe], others)], 0.0, atol=1e-14)
 
 
 def test_zero_system_gives_zero_generator():
     sop = lv.build_superoperator(make_system(DriveParams(J=0.0), Rates(gamma_e=0.0)))
-    assert np.array_equal(sop.matrix, np.zeros((4, 4)))
+    assert np.array_equal(sop, np.zeros((4, 4)))
 
 
 def test_generator_preserves_trace(rng):
@@ -122,7 +122,7 @@ def test_generator_preserves_trace(rng):
                   gamma_f=float(rng.uniform(0, 2)) if dim == 3 else 0.0),
             dim=dim,
         )
-        M = lv.build_superoperator(system).matrix
+        M = lv.build_superoperator(system)
         diag_rows = [i * dim + i for i in range(dim)]
         assert np.max(np.abs(M[diag_rows].sum(axis=0))) <= 1e-12
 
@@ -133,7 +133,7 @@ def test_generator_spectrum_in_left_half_plane(rng):
             DriveParams(J=float(rng.uniform(0, 4)), Delta=float(rng.uniform(-3, 3))),
             Rates(gamma_e=float(rng.uniform(0, 6)), gamma_phi=float(rng.uniform(0, 2))),
         )
-        M = lv.build_superoperator(system).matrix
+        M = lv.build_superoperator(system)
         lam = np.linalg.eigvals(M)
         scale = max(1.0, np.linalg.norm(M))
         assert np.min(np.abs(lam)) <= 1e-9 * scale  # a stationary mode always exists
@@ -162,8 +162,7 @@ def test_spectrum_flags_second_order_coalescence():
 
 
 def test_spectrum_zero_generator_is_not_exceptional():
-    sop = lv.Superoperator(np.zeros((4, 4), dtype=complex), 2)
-    res = lv.spectrum(sop)
+    res = lv.spectrum(np.zeros((4, 4), dtype=complex))
     assert res.min_eigenvalue_gap == 0.0
     assert res.ep_order == 0  # diagonalizable degeneracy, eigenvectors stay apart
     assert res.min_eigenvector_angle > 1.0
@@ -212,8 +211,8 @@ def test_steady_state_is_physical(rng):
         assert abs(np.trace(rho) - 1.0) <= 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
-        residual = np.linalg.norm(sop.matrix @ lv.vec(rho))
-        assert residual <= 1e-9 * max(1.0, np.linalg.norm(sop.matrix))
+        residual = np.linalg.norm(sop @ lv.vec(rho))
+        assert residual <= 1e-9 * max(1.0, np.linalg.norm(sop))
 
 
 def test_steady_state_degenerate_null_space_is_rejected():
@@ -226,7 +225,7 @@ def test_steady_state_degenerate_null_space_is_rejected():
 
 def test_steady_state_requires_a_null_mode():
     with pytest.raises(NoSteadyState):
-        lv.steady_state(lv.Superoperator(np.eye(4, dtype=complex), 2))
+        lv.steady_state(np.eye(4, dtype=complex))
 
 
 # --- closed-form eigensystem ----------------------------------------------------
@@ -242,7 +241,7 @@ def test_analytic_eigensystem_domain_checks():
 def test_analytic_eigensystem_satisfies_eigenvalue_equation():
     for J in (0.0, 0.3, 0.5625, 0.8, 2.0):
         drive, rates = DriveParams(J=J), Rates(gamma_e=4.5)
-        M = lv.build_superoperator(make_system(drive, rates)).matrix
+        M = lv.build_superoperator(make_system(drive, rates))
         for lam, rho in lv.analytic_qubit_eigensystem(drive, rates):
             v = lv.vec(rho)
             assert np.linalg.norm(M @ v - lam * v) <= 1e-10 * np.linalg.norm(v)
@@ -326,9 +325,8 @@ def test_superoperator_stack_equals_single_builds_bit_for_bit(dim, target):
     stack = lv.superoperator_stack(operators(system, *path_points(schedule, times, rates.gamma_e)))
     assert stack.shape == (40, dim * dim, dim * dim)
     for k, t in enumerate(times):
-        drive, r = schedule_eval(schedule, t, rates)
-        alone = make_system(drive, r, dim=dim, f_decay_to=target)
-        single = lv.build_superoperator(alone).matrix
+        alone = system_on_path(system, schedule, t)
+        single = lv.build_superoperator(alone)
         assert stack[k].tobytes() == single.tobytes()
         assert single.tobytes() == superoperator_reference(alone).tobytes()
 
@@ -342,8 +340,8 @@ def test_a_zero_rate_point_keeps_the_channel_as_a_zero_operator():
     assert not emission[0].any() and emission[1].any()
     stack = lv.superoperator_stack(ops)
     no_emission = make_system(drive, Rates(gamma_e=0.0, gamma_phi=0.4))
-    assert np.array_equal(stack[0], lv.build_superoperator(no_emission).matrix)
-    assert stack[1].tobytes() == lv.build_superoperator(system).matrix.tobytes()
+    assert np.array_equal(stack[0], lv.build_superoperator(no_emission))
+    assert stack[1].tobytes() == lv.build_superoperator(system).tobytes()
 
 
 def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
@@ -353,11 +351,16 @@ def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
     for dim, target in [(2, "e"), (3, "e"), (3, "g")]:
         rates = Rates(gamma_e=4.5, gamma_phi=0.3,
                       gamma_f=1.5 if dim == 3 else 0.0, gamma_f_extra=0.7 if dim == 3 else 0.0)
-        system = make_system(DriveParams(J=0.1), rates, dim=dim, f_decay_to=target)
+        system = make_system(DriveParams(J=0.1, Delta=0.4), rates, dim=dim, f_decay_to=target)
         stack = lv.superoperator_stack(operators(system, Js, Ds, rates.gamma_e))
+        # a J scan: one stack over the grid, at the system's own scalar Delta
+        scan = lv.superoperator_stack(operators(system, Js, system.drive.Delta, rates.gamma_e))
+        for k, J in enumerate(Js):
+            alone = replace(system, drive=DriveParams(J=J, Delta=system.drive.Delta))
+            assert scan[k].tobytes() == lv.build_superoperator(alone).tobytes()
         for k, (J, D) in enumerate(zip(Js, Ds)):
-            alone = system.with_drive(DriveParams(J=J, Delta=D))
-            single = lv.build_superoperator(alone).matrix
+            alone = replace(system, drive=DriveParams(J=J, Delta=D))
+            single = lv.build_superoperator(alone)
             assert stack[k].tobytes() == single.tobytes()
             assert single.tobytes() == superoperator_reference(alone).tobytes()
             # the same point held at every step of a stack
@@ -367,17 +370,18 @@ def test_drive_stack_and_probes_equal_single_builds_bit_for_bit():
             prop = _no_jump_propagator(alone, dt)
             assert tj._step_table(alone, None, dt, n_steps)[0][0].tobytes() == prop
         # a loop of zero amplitude holds J = Delta = 0 at every step
-        at_rest = system.with_drive(DriveParams(J=0.0))
+        at_rest = replace(system, drive=DriveParams(J=0.0))
         still = ParameterSchedule(T=n_steps * dt, J_max=0.0, Delta_max=0.0)
         prop = _no_jump_propagator(at_rest, dt)
         assert all(p.tobytes() == prop for p in tj._step_table(at_rest, still, dt, n_steps)[0])
 
 
 def _no_jump_propagator(system, dt: float) -> bytes:
+    h, jumps = point_operators(system)
     acc = np.zeros((system.dim, system.dim), dtype=complex)
-    for L, _ in system.jump_ops:
+    for L, _ in jumps:
         acc = acc + L.conj().T @ L
-    return expm(-1j * (system.hamiltonian() - 0.5j * acc) * dt).tobytes()
+    return expm(-1j * (h - 0.5j * acc) * dt).tobytes()
 
 
 def test_closest_pair_keeps_the_first_pair_on_ties():
@@ -547,7 +551,7 @@ def test_ep_scan_triple_points_solve_the_2x2_system(gamma_phi):
     assert np.allclose(emap.ep3_points, [(math.sqrt(u), -math.sqrt(v)), (math.sqrt(u), math.sqrt(v))],
                        rtol=0, atol=1e-12)
     for J, Delta in emap.ep3_points:
-        system = qubit_template(4.5, gamma_phi).with_drive(DriveParams(J=J, Delta=Delta))
+        system = replace(qubit_template(4.5, gamma_phi), drive=DriveParams(J=J, Delta=Delta))
         assert lv.spectrum(lv.build_superoperator(system)).ep_order == 3
 
 
@@ -558,7 +562,7 @@ def test_every_line_point_is_a_coalescence(gamma_phi):
     points = emap.all_line_points()
     assert len(points) > 0
     for J, Delta in points:
-        system = template.with_drive(DriveParams(J=float(J), Delta=float(Delta)))
+        system = replace(template, drive=DriveParams(J=float(J), Delta=float(Delta)))
         assert lv.spectrum(lv.build_superoperator(system)).min_eigenvalue_gap <= 1e-4
 
 

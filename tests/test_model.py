@@ -32,60 +32,64 @@ def test_drive_rejects_negative_coupling():
     assert p.Delta == -3.0  # detuning may be negative
 
 
-# --- hamiltonian -------------------------------------------------------------
+# --- hamiltonians ------------------------------------------------------------
 
 
 def test_hamiltonian_zero_drive():
-    h = model.hamiltonian(model.DriveParams(J=0.0, Delta=0.0))
-    assert np.array_equal(h, np.zeros((2, 2)))
+    h = model.hamiltonians([0.0], [0.0])
+    assert np.array_equal(h, np.zeros((1, 2, 2)))
 
 
 def test_hamiltonian_direct_substitution():
-    h = model.hamiltonian(model.DriveParams(J=1.0, Delta=2.0))
-    assert np.array_equal(h, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+    h = model.hamiltonians([1.0], [2.0])
+    assert np.array_equal(h[0], np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
 
 
 def test_hamiltonian_qutrit_block_embedding():
-    h = model.hamiltonian(model.DriveParams(J=1.0, Delta=0.0), dim=3)
+    h = model.hamiltonians([1.0], 0.0, dim=3)
     expect = np.zeros((3, 3), dtype=complex)
     expect[0, 1] = expect[1, 0] = 1.0
-    assert np.array_equal(h, expect)
+    assert np.array_equal(h[0], expect)
 
 
 @given(st.floats(0.0, 20.0, allow_nan=False), finite, st.sampled_from([2, 3]))
 def test_hamiltonian_hermitian(J, Delta, dim):
-    h = model.hamiltonian(model.DriveParams(J=J, Delta=Delta), dim)
+    h = model.hamiltonians([J], [Delta], dim)[0]
     assert np.array_equal(h, h.conj().T)
 
 
 def test_hamiltonian_bad_dim():
     with pytest.raises(OutOfRange):
-        model.hamiltonian(model.DriveParams(J=1.0), dim=4)
+        model.hamiltonians([1.0], [0.0], dim=4)
 
 
 # --- jump operators ----------------------------------------------------------
 
 
+def channels(rates, dim=2, f_decay_to="e"):
+    """{label: L} of jump_operator_stack at the single rate point `rates`."""
+    stack = model.jump_operator_stack(
+        rates.gamma_e, rates.gamma_phi, rates.gamma_f, rates.gamma_f_extra, dim, f_decay_to)
+    assert all(L.shape == (1, dim, dim) for L, _ in stack)
+    return {label: L[0] for L, label in stack}
+
+
 def test_jump_ops_emission_only():
-    ops = model.jump_operators(model.Rates(gamma_e=4.0))
-    assert len(ops) == 1
-    L, label = ops[0]
-    assert label == "e"
-    assert np.array_equal(L, np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex))
+    ops = channels(model.Rates(gamma_e=4.0))
+    assert list(ops) == ["e"]
+    assert np.array_equal(ops["e"], np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_jump_ops_dephasing_only():
-    ops = model.jump_operators(model.Rates(gamma_e=0.0, gamma_phi=2.0))
-    assert len(ops) == 1
-    L, label = ops[0]
-    assert label == "phi"
-    assert np.array_equal(L, np.diag([1.0, -1.0]).astype(complex))
+    ops = channels(model.Rates(gamma_e=0.0, gamma_phi=2.0))
+    assert list(ops) == ["phi"]
+    assert np.array_equal(ops["phi"], np.diag([1.0, -1.0]).astype(complex))
 
 
 def test_jump_ops_qutrit_full_set():
     rates = model.Rates(gamma_e=4.2, gamma_phi=0.2, gamma_f=0.3, gamma_f_extra=0.75)
-    ops = dict((label, L) for L, label in model.jump_operators(rates, dim=3))
-    assert set(ops) == {"e", "phi", "f", "f_extra"}
+    ops = channels(rates, dim=3)
+    assert list(ops) == ["e", "phi", "f", "f_extra"]
     assert ops["e"][0, 1] == pytest.approx(math.sqrt(4.2))
     assert np.allclose(np.diag(ops["phi"]), math.sqrt(0.1) * np.array([1, -1, 0]))
     assert ops["f"][1, 2] == pytest.approx(math.sqrt(0.3))  # f -> e cascade
@@ -94,11 +98,11 @@ def test_jump_ops_qutrit_full_set():
 
 def test_jump_ops_f_decay_target_configurable():
     rates = model.Rates(gamma_e=0.0, gamma_f=1.0)
-    (L, _), = model.jump_operators(rates, dim=3, f_decay_to="g")
+    L = channels(rates, dim=3, f_decay_to="g")["f"]
     assert L[0, 2] == pytest.approx(1.0)
     assert L[1, 2] == 0.0
     with pytest.raises(OutOfRange):
-        model.jump_operators(rates, dim=3, f_decay_to="x")
+        channels(rates, dim=3, f_decay_to="x")
 
 
 def test_qubit_rejects_f_level_rates():
@@ -113,60 +117,62 @@ def default_schedule(direction="ccw", **kw):
     return model.ParameterSchedule(T=2.0, direction=direction, **kw)
 
 
+def path_point(s, t, gamma_e):
+    """(J, Delta, gamma_e) of the path at time t: a one-point path_points call."""
+    points = model.path_points(s, [t], gamma_e)
+    assert points.shape == (3, 1)
+    return tuple(float(x) for x in points[:, 0])
+
+
 def test_schedule_endpoints():
     s = default_schedule()
-    rates = model.Rates(gamma_e=4.6, gamma_phi=0.2)
-    drive, _ = model.schedule_eval(s, 0.0, rates)
-    assert drive.J == pytest.approx(16.0)
-    assert drive.Delta == pytest.approx(0.0, abs=1e-12)
+    J, Delta, _ = path_point(s, 0.0, 4.6)
+    assert J == pytest.approx(16.0)
+    assert Delta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schedule_quarter_loop_directions():
-    rates = model.Rates(gamma_e=4.6)
-    ccw, _ = model.schedule_eval(default_schedule("ccw"), 0.5, rates)
-    cw, _ = model.schedule_eval(default_schedule("cw"), 0.5, rates)
-    assert ccw.J == pytest.approx(8.0)
-    assert ccw.Delta == pytest.approx(10.0 * math.pi)
-    assert cw.J == pytest.approx(8.0)
-    assert cw.Delta == pytest.approx(-10.0 * math.pi)
+    ccw_J, ccw_Delta, _ = path_point(default_schedule("ccw"), 0.5, 4.6)
+    cw_J, cw_Delta, _ = path_point(default_schedule("cw"), 0.5, 4.6)
+    assert ccw_J == pytest.approx(8.0)
+    assert ccw_Delta == pytest.approx(10.0 * math.pi)
+    assert cw_J == pytest.approx(8.0)
+    assert cw_Delta == pytest.approx(-10.0 * math.pi)
 
 
 def test_schedule_closed_loop():
     s = default_schedule()
-    rates = model.Rates(gamma_e=4.6)
-    d0, r0 = model.schedule_eval(s, 0.0, rates)
-    dT, rT = model.schedule_eval(s, s.T, rates)
-    assert d0.J == pytest.approx(dT.J, abs=1e-9)
-    assert d0.Delta == pytest.approx(dT.Delta, abs=1e-9)
-    assert r0.gamma_e == pytest.approx(rT.gamma_e)
+    J0, D0, ge0 = path_point(s, 0.0, 4.6)
+    JT, DT, geT = path_point(s, s.T, 4.6)
+    assert J0 == pytest.approx(JT, abs=1e-9)
+    assert D0 == pytest.approx(DT, abs=1e-9)
+    assert ge0 == pytest.approx(geT)
 
 
 @given(st.floats(0.0, 2.0, allow_nan=False))
 def test_schedule_flip_negates_detuning_only(t):
-    rates = model.Rates(gamma_e=4.6, gamma_phi=0.2)
     s = default_schedule()
-    d_ccw, r_ccw = model.schedule_eval(s, t, rates)
-    d_cw, r_cw = model.schedule_eval(replace(s, direction="cw"), t, rates)
-    assert d_cw.J == d_ccw.J
-    assert d_cw.Delta == pytest.approx(-d_ccw.Delta, abs=1e-12)
-    assert r_cw.gamma_e == r_ccw.gamma_e
+    J_ccw, D_ccw, ge_ccw = path_point(s, t, 4.6)
+    J_cw, D_cw, ge_cw = path_point(replace(s, direction="cw"), t, 4.6)
+    assert J_cw == J_ccw
+    assert D_cw == pytest.approx(-D_ccw, abs=1e-12)
+    assert ge_cw == ge_ccw
 
 
 def test_schedule_rejects_time_outside_domain():
     s = default_schedule()
     with pytest.raises(OutOfRange):
-        model.schedule_eval(s, -0.1, model.Rates(gamma_e=1.0))
+        model.path_points(s, [-0.1], 1.0)
     with pytest.raises(OutOfRange):
-        model.schedule_eval(s, 2.1, model.Rates(gamma_e=1.0))
+        model.path_points(s, [2.1], 1.0)
 
 
 def test_schedule_cosine_emission_ramp():
     s = default_schedule(gamma_e_schedule="cosine")
-    rates = model.Rates(gamma_e=4.6)
-    _, r0 = model.schedule_eval(s, 0.0, rates)
-    _, rmid = model.schedule_eval(s, 1.0, rates)
-    assert r0.gamma_e == pytest.approx(0.0, abs=1e-12)
-    assert rmid.gamma_e == pytest.approx(4.6)
+    _, _, ge0 = path_point(s, 0.0, 4.6)
+    _, _, ge_mid = path_point(s, 1.0, 4.6)
+    assert ge0 == pytest.approx(0.0, abs=1e-12)
+    assert ge_mid == pytest.approx(4.6)
 
 
 def test_schedule_validation():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sigma_x_mirror_deviation
+from conftest import point_operators, sigma_x_mirror_deviation, system_on_path
 from liouvlab import trajectories as tj
-from liouvlab.dynamics import IntegratorConfig, integrate_constant, integrate_scheduled, step_count
+from liouvlab.dynamics import integrate_constant, integrate_scheduled, step_count
 from liouvlab.errors import OutOfRange
+from liouvlab.liouvillian import build_superoperator
 from liouvlab.model import (
     DriveParams,
     ParameterSchedule,
@@ -15,7 +16,6 @@ from liouvlab.model import (
     make_system,
     minus_x,
     plus_x,
-    schedule_eval,
 )
 from liouvlab.numerics import expm
 
@@ -96,14 +96,13 @@ def test_scheduled_step_table_keeps_each_steps_jump_set():
     assert len(props) == len(ops) == n_steps
     assert labels == ["e", "phi"]
     for k in (0, 499, 500, 999):
-        drive, rates = schedule_eval(schedule, (k + 0.5) * dt, system.rates)
-        alone = make_system(drive, rates)
-        assert [label for _, label in alone.jump_ops] == labels
-        assert ops[k].tobytes() == np.array([L for L, _ in alone.jump_ops]).tobytes()
+        h, jumps = point_operators(system_on_path(system, schedule, (k + 0.5) * dt))
+        assert [label for _, label in jumps] == labels
+        assert ops[k].tobytes() == np.array([L for L, _ in jumps]).tobytes()
         acc = np.zeros((2, 2), dtype=complex)
-        for L, _ in alone.jump_ops:
+        for L, _ in jumps:
             acc = acc + L.conj().T @ L
-        h_eff = alone.hamiltonian() - 0.5j * acc
+        h_eff = h - 0.5j * acc
         assert props[k].tobytes() == expm(-1j * h_eff * dt).tobytes()
 
 
@@ -161,7 +160,7 @@ def test_closed_system_ensemble_matches_density_route():
     sys2 = make_system(DriveParams(J=1.0, Delta=0.5), Rates(gamma_e=0.0))
     ens = tj.run_ensemble(sys2, None, GROUND, dt=1e-3, n=3, master_seed=1, t_final=1.0)
     rho0 = np.outer(GROUND, GROUND.conj())
-    ref = integrate_constant(sys2, rho0, ens.times)
+    ref = integrate_constant(build_superoperator(sys2), rho0, ens.times)
     assert np.max(np.abs(ens.mean_density - ref.states)) <= 1e-8
 
 
@@ -176,8 +175,8 @@ def test_no_jump_segment_follows_nonhermitian_propagator():
     assert rec is not None, "expected at least one jump-free trajectory at gamma_e = 0.3"
     from liouvlab.numerics import expm
 
-    h_eff = sys2.hamiltonian() - 0.5j * sum(
-        L.conj().T @ L for L, _ in sys2.jump_ops)
+    h, jumps = point_operators(sys2)
+    h_eff = h - 0.5j * sum(L.conj().T @ L for L, _ in jumps)
     for t, psi in zip(rec.times, rec.states):
         ref = expm(-1j * h_eff * t) @ EXCITED_KET
         ref = ref / np.linalg.norm(ref)
@@ -218,7 +217,7 @@ def test_jump_counts_match_the_lindblad_rates_on_the_control_loop():
     schedule = ParameterSchedule(T=T)
     ens = tj.run_ensemble(system, schedule, plus_x(), dt=dt, n=n, master_seed=2718)
     ref = integrate_scheduled(system, schedule, np.outer(plus_x(), plus_x().conj()),
-                              step_count(T, dt), IntegratorConfig(dt=dt, store_every=1))
+                              step_count(T, dt))
     # emission fires at rate gamma_e rho_ee, dephasing at gamma_phi/2 in every state
     expected = {"e": ge * np.trapezoid(ref.states[:, 1, 1].real, ref.times),
                 "phi": 0.5 * gphi * T}
