@@ -6,7 +6,9 @@ configs/*.json of a checkout, one child process each with BLAS at one thread,
 into OUT/default-<experiment>/ and OUT/config-<stem>/. `compare` reads the
 manifests of two such directories and lists every dataset whose sha256
 differs or that one side lacks; it exits 1 when there is any, or when a run
-is missing on either side.
+is missing on either side. For a CSV or JSON dataset that differs it also
+prints how many cells (JSON: leaf values) differ, and the largest absolute
+difference between two numbers, with its column or key.
 
 Usage:
     python3 scripts/parity.py run OUT [--checkout ROOT]
@@ -17,7 +19,9 @@ A typical check runs a copy of the parent commit (from `git archive`) with
 """
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +70,49 @@ def _hashes(root: Path) -> dict[str, dict[str, str]]:
     return out
 
 
+def _leaves(obj, key: str = ""):
+    """(key path, value) of every scalar in a parsed JSON document."""
+    if isinstance(obj, dict):
+        for name, value in obj.items():
+            yield from _leaves(value, f"{key}.{name}" if key else name)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{key}[{i}]")
+    else:
+        yield key, obj
+
+
+def _cells(path: Path) -> dict:
+    """position -> (column or key, value) of every cell of a CSV or JSON dataset."""
+    if path.suffix == ".json":
+        return {key: (key, value) for key, value in _leaves(json.loads(path.read_text()))}
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {(i, j): (header[j] if j < len(header) else f"column {j}", cell)
+            for i, row in enumerate(rows) for j, cell in enumerate(row)}
+
+
+def _quantify(a: Path, b: Path) -> str:
+    """', n of m cells' that differ and ', largest |difference| x in column', or ''."""
+    if a.suffix not in (".csv", ".json") or not (a.is_file() and b.is_file()):
+        return ""
+    ca, cb = _cells(a), _cells(b)
+    positions = sorted(ca.keys() | cb.keys())
+    differ = [p for p in positions if ca.get(p) != cb.get(p)]
+    worst, where = 0.0, None
+    for p in differ:
+        try:
+            d = abs(float(ca[p][1]) - float(cb[p][1]))
+        except (KeyError, TypeError, ValueError):
+            continue
+        if math.isfinite(d) and (where is None or d > worst):
+            worst, where = d, ca[p][0]
+    text = f", {len(differ)} of {len(positions)} cells"
+    if where is not None:
+        text += f", largest |difference| {worst:.2g} in {where}"
+    return text
+
+
 def compare(base: Path, other: Path) -> int:
     a, b = _hashes(base), _hashes(other)
     same, problems = 0, []
@@ -80,7 +127,8 @@ def compare(base: Path, other: Path) -> int:
             elif ha is None or hb is None:
                 problems.append(f"{run_name}/{file_name}: missing in {base if ha is None else other}")
             else:
-                problems.append(f"{run_name}/{file_name}: differs")
+                detail = _quantify(base / run_name / file_name, other / run_name / file_name)
+                problems.append(f"{run_name}/{file_name}: differs{detail}")
     for line in problems:
         print(f"DIFF {line}")
     print(f"{same} datasets identical, {len(problems)} differ, over {len(set(a) | set(b))} runs")

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import numerics
 from .dynamics import (
@@ -93,6 +92,18 @@ def _pencil_seeds(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
         omega = 0.0 if zk.imag == 0.0 else abs(np.angle(zk)) / dt
         seeds.append((max(gamma, 0.0), omega))
     return list(dict.fromkeys(seeds))  # a conjugate pair seeds one start
+
+
+def least_squares(fun, x0, **kwargs):
+    """scipy.optimize.least_squares, imported at its first call so that runs without a fit load no SciPy.
+
+    fit_damped_sine looks this name up at every call, so a wrapper set on
+    analysis.least_squares (perfbench/tracer.py counts calls and nfev) sees
+    every start.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(fun, x0, **kwargs)
 
 
 def fit_damped_sine(times, values) -> DampedSineFit:

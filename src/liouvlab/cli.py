@@ -135,7 +135,11 @@ def _j_grid(scan: dict) -> np.ndarray:
 
 
 def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(J grid, heatmap times, fit window, fit samples) of fig1 and fig4."""
+    """(J grid, heatmap times, fit window, fit samples) of fig1 and fig4.
+
+    The heatmap table, one row per J point and heatmap time, is capped at
+    MAX_TIME_STEPS rows before anything is allocated.
+    """
     J_grid = _j_grid(scan)
     t_max = number("scan", "heatmap_t_max", scan["heatmap_t_max"])
     samples = integer("scan", "heatmap_samples", scan["heatmap_samples"])
@@ -148,6 +152,10 @@ def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
         raise ConfigError(
             f"scan.heatmap_samples and scan.n_samples must be between 1 and {MAX_TIME_STEPS}, "
             f"got {samples} and {n_samples}")
+    if len(J_grid) * samples > MAX_TIME_STEPS:
+        raise ConfigError(
+            f"{len(J_grid)} J points x scan.heatmap_samples={samples} give more than "
+            f"{MAX_TIME_STEPS} heatmap rows")
     return J_grid, np.linspace(0.0, t_max, samples), window, n_samples
 
 

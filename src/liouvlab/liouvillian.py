@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, linear_sum_assignment
 
 from . import numerics
 from .errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
@@ -25,7 +24,7 @@ from .model import DriveParams, OperatorStack, QuantumSystem, Rates, operators
 GAP_TOL_FACTOR = 1e-4  # spectrum: coalescence gap bound, relative to ||L||_F
 ANGLE_TOL = 1e-3  # spectrum: coalescence bound on the eigenvector angle
 ZERO_EIGENVALUE_TOL = 1e-9
-LINE_POINT_XTOL = 1e-15  # ep_scan: brentq's absolute tolerance on an EP line point
+LINE_POINT_XTOL = 1e-15  # ep_scan: bracket width at which an EP line point's bisection stops
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -203,6 +202,8 @@ def pair_branches(spectra: list[np.ndarray]) -> np.ndarray:
     matched to the previous one by minimal total eigenvalue displacement.
     Returns an array of shape (n_points, n_modes).
     """
+    from scipy.optimize import linear_sum_assignment  # loaded only where branches are paired
+
     if not spectra:
         return np.zeros((0, 0), dtype=complex)
     out = np.empty((len(spectra), len(spectra[0])), dtype=complex)
@@ -286,16 +287,33 @@ def _discriminant(u, v, e: float):
     return (v + 4.0 * u) ** 3 + e * e * (2.0 * v * v - 20.0 * u * v - 4.0 * u * u) + e**4 * v
 
 
+def _bisect(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray) -> np.ndarray:
+    """Roots of the elementwise function f in the brackets [lo, hi], all bisected at once.
+
+    f has the sign sign_lo at lo and the opposite sign at hi. Each bracket
+    halves until it is at most LINE_POINT_XTOL wide or its midpoint is one
+    of its ends; its midpoint is the root.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (hi - lo > LINE_POINT_XTOL) & (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid
+        right = active & (np.sign(f(mid)) == sign_lo)
+        lo = np.where(right, mid, lo)
+        hi = np.where(active & ~right, mid, hi)
+
+
 def _ep_geometry(
     e: float, J_values: np.ndarray, Delta_values: np.ndarray
 ) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
     """(EP lines, third-order points) inside the grid's window, for e != 0.
 
     A line point is a sign change of the discriminant along a grid edge,
-    refined with brentq, or a grid point with J > 0 where it is exactly 0.
-    The point's double root s = cbrt(q/2) names its arc, and the sign of
-    Delta its half; the two halves of the axis arc form one line when its
-    axis point lies in the window. Lines come in label order (the other
+    bisected to LINE_POINT_XTOL, or a grid point with J > 0 where it is
+    exactly 0. The point's double root s = cbrt(q/2) names its arc, and the
+    sign of Delta its half; the two halves of the axis arc form one line when
+    its axis point lies in the window. Lines come in label order (the other
     arc's halves, then the axis arc), and Delta is monotone along every
     line, so each line is sorted by Delta.
     """
@@ -311,14 +329,17 @@ def _ep_geometry(
     sign = np.sign(_discriminant(u[None, :], v[:, None], e))  # (nD, nJ)
     iD, iJ = np.nonzero((sign == 0.0) & (J_values > 0.0))
     points = list(zip(J_values[iJ], Delta_values[iD]))
-    for iD, iJ in np.argwhere(sign[:, :-1] * sign[:, 1:] < 0.0):
-        J = brentq(lambda x: _discriminant(x * x, v[iD], e),
-                   J_values[iJ], J_values[iJ + 1], xtol=LINE_POINT_XTOL)
-        points.append((J, Delta_values[iD]))
-    for iD, iJ in np.argwhere(sign[:-1] * sign[1:] < 0.0):
-        Delta = brentq(lambda x: _discriminant(u[iJ], x * x, e),
-                       Delta_values[iD], Delta_values[iD + 1], xtol=LINE_POINT_XTOL)
-        points.append((J_values[iJ], Delta))
+    jD, jJ = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)  # sign changes along J
+    dD, dJ = np.nonzero(sign[:-1] * sign[1:] < 0.0)  # and along Delta
+    along_J = np.arange(len(jD) + len(dD)) < len(jD)
+    fixed = np.concatenate([v[jD], u[dJ]])  # v on a J edge, u on a Delta edge
+    x = _bisect(
+        lambda x: _discriminant(np.where(along_J, x * x, fixed), np.where(along_J, fixed, x * x), e),
+        np.concatenate([J_values[jJ], Delta_values[dD]]),
+        np.concatenate([J_values[jJ + 1], Delta_values[dD + 1]]),
+        np.concatenate([sign[jD, jJ], sign[dD, dJ]]))
+    points += zip(x[:len(jD)], Delta_values[jD])
+    points += zip(J_values[dJ], x[len(jD):])
     if not points:
         return [], ep3
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liouvlab
 from liouvlab import __version__, cli
 from liouvlab.errors import ConfigError
 from liouvlab.io import validate_manifest
@@ -205,8 +210,15 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig2", "integrator.dt=0"),
     ("fig2", "integrator.dt=-1"),
     ("fig2", "integrator.store_every=0"),
+    pytest.param("fig1", ("scan.heatmap_samples=1000000", "scan.J_step=0.25"),
+                 id="fig1-heatmap-table-above-the-cap"),
 ])
-def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys):
+def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys, monkeypatch):
+    # a run that gets past its config checks fails here, before it allocates
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "integrate_constant", no_run)
     overrides = [override] if isinstance(override, str) else override
     sets = [arg for value in overrides for arg in ("--set", value)]
     code = run(experiment, "--output-dir", str(tmp_path), *sets)
@@ -220,6 +232,16 @@ def test_j_grid_rejects_a_grid_above_the_cap():
     assert len(cli._j_grid({"J_start": 0.0, "J_stop": cap - 1.0, "J_step": 1.0})) == cap
     with pytest.raises(ConfigError, match=f"more than {cap} points"):
         cli._j_grid({"J_start": 0.0, "J_stop": float(cap), "J_step": 1.0})
+
+
+def test_transition_scan_caps_the_heatmap_table():
+    cap = cli.MAX_TIME_STEPS
+    scan = {"J_values": [0.5, 1.0], "heatmap_t_max": 1.0, "window": 1.0,
+            "heatmap_samples": cap // 2, "n_samples": 10}
+    J, t_heatmap, _window, _n_samples = cli._transition_scan(scan)
+    assert len(J) * len(t_heatmap) == cap
+    with pytest.raises(ConfigError, match=f"more than {cap} heatmap rows"):
+        cli._transition_scan({**scan, "heatmap_samples": cap // 2 + 1})
 
 
 def test_transition_scan_rejects_sample_counts_above_the_cap():
@@ -361,3 +383,35 @@ def test_constant_trajectories_require_a_duration(tmp_path, capsys):
     code = run("trajectories", "--output-dir", str(tmp_path), "--set", "schedule=null")
     assert code == 2
     assert "t_final" in capsys.readouterr().err
+
+
+# SciPy is loaded only where a damped-sine fit or branch pairing runs
+NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+
+from liouvlab import cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+out = Path(sys.argv[1])
+assert scipy_modules() == [], ("import", scipy_modules())
+for args in (
+    ["sweeps", "--set", "scan.T_values=[0.25]", "--set", "scan.Delta_max_values=[3.0]"],
+    ["trajectories", "--set", "ensemble.n=10"],
+    ["ep-map", "--set", "scan.resolution=5"],
+):
+    assert cli.main([*args, "--output-dir", str(out / args[0])]) == 0, args[0]
+    assert scipy_modules() == [], (args[0], scipy_modules())
+assert cli.main(["fig1", "--set", "scan.J_values=[0.5]", "--set", "scan.heatmap_samples=11",
+                 "--output-dir", str(out / "fig1")]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_runs_without_fits_load_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(liouvlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

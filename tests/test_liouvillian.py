@@ -449,28 +449,30 @@ OLD_15x15_POINTS = [
 ]
 OLD_COLUMN_POINTS = [(0.5, -0.2527266338391473), (0.5, 0.2527266338391475)]
 
-# ep_lines and ep3_points of the closed-form geometry
+# ep_lines and ep3_points of the closed-form geometry, its line points
+# bisected to LINE_POINT_XTOL; each lies within 1.2e-15 of the brentq root
+# it replaced
 PINNED_15x15_LINES = [
-    [(0.5714285714285714, -0.35221529550123754), (0.5428571428571429, -0.3084449247239618),
-     (0.5262981473893867, -0.2857142857142857), (0.5142857142857143, -0.2702096534925012),
-     (0.48571428571428577, -0.23618556357507764), (0.4655492636305786, -0.2142857142857143),
-     (0.4571428571428572, -0.20561884581685683), (0.4285714285714286, -0.17801999310498035),
-     (0.4, -0.15304555965921038)],
-    [(0.4, 0.15304555965921038), (0.4285714285714286, 0.17801999310498032),
-     (0.4571428571428572, 0.20561884581685702), (0.4655492636305785, 0.2142857142857142),
-     (0.48571428571428577, 0.23618556357507758), (0.5142857142857143, 0.2702096534925012),
-     (0.5262981473893867, 0.2857142857142857), (0.5428571428571429, 0.30844492472396146),
-     (0.5714285714285714, 0.35221529550123626)],
-    [(0.5816735472293996, -0.2857142857142857), (0.5730064243333259, -0.2142857142857143),
-     (0.5714285714285714, -0.197990378217432), (0.5670920126022768, -0.1428571428571429),
-     (0.5636372450963998, -0.07142857142857145), (0.5624999999999999, 0.0),
-     (0.5636372450963998, 0.0714285714285714), (0.5670920126022768, 0.1428571428571428),
-     (0.5714285714285714, 0.19799037821743257), (0.573006424333326, 0.2142857142857142),
-     (0.5816735472293996, 0.2857142857142857)],
+    [(0.5714285714285714, -0.35221529550123715), (0.5428571428571429, -0.3084449247239622),
+     (0.5262981473893869, -0.2857142857142857), (0.5142857142857143, -0.2702096534925013),
+     (0.48571428571428577, -0.23618556357507742), (0.46554926363057836, -0.2142857142857143),
+     (0.4571428571428572, -0.20561884581685702), (0.4285714285714286, -0.17801999310498046),
+     (0.4, -0.15304555965921027)],
+    [(0.4, 0.15304555965921016), (0.4285714285714286, 0.17801999310498035),
+     (0.4571428571428572, 0.2056188458168569), (0.46554926363057836, 0.2142857142857142),
+     (0.48571428571428577, 0.23618556357507736), (0.5142857142857143, 0.2702096534925013),
+     (0.5262981473893869, 0.2857142857142857), (0.5428571428571429, 0.3084449247239622),
+     (0.5714285714285714, 0.35221529550123615)],
+    [(0.5816735472293995, -0.2857142857142857), (0.5730064243333257, -0.2142857142857143),
+     (0.5714285714285714, -0.19799037821743104), (0.5670920126022772, -0.1428571428571429),
+     (0.5636372450963998, -0.07142857142857145), (0.5624999999999996, 0.0),
+     (0.5636372450963998, 0.0714285714285714), (0.5670920126022772, 0.1428571428571428),
+     (0.5714285714285714, 0.19799037821743143), (0.5730064243333257, 0.2142857142857142),
+     (0.5816735472293995, 0.2857142857142857)],
 ]
 PINNED_15x15_EP3 = [(0.6123724356957945, -0.4330127018922193),
                     (0.6123724356957945, 0.4330127018922193)]
-PINNED_COLUMN_LINES = [[(0.5, -0.2527266338391627)], [(0.5, 0.2527266338391627)]]
+PINNED_COLUMN_LINES = [[(0.5, -0.25272663383916255)], [(0.5, 0.2527266338391628)]]
 
 
 @pytest.mark.parametrize("J_range, Delta_range, resolution, lines, ep3, old", [
@@ -484,6 +486,15 @@ def test_ep_scan_reproduces_its_recorded_lines(J_range, Delta_range, resolution,
     found = np.vstack([emap.all_line_points(), np.array(ep3).reshape(-1, 2)])
     for point in old:
         assert np.min(np.max(np.abs(found - point), axis=1)) <= 1e-12
+
+
+def test_bisect_finds_every_root_to_the_line_point_tolerance():
+    c = np.linspace(0.01, 3.9, 40)
+    flip = np.where(np.arange(40) % 2, 1.0, -1.0)  # half the brackets start positive
+    roots = lv._bisect(lambda x: flip * (x * x - c), np.zeros(40), np.full(40, 2.0), -flip)
+    assert np.max(np.abs(roots - np.sqrt(c))) <= lv.LINE_POINT_XTOL
+    none = lv._bisect(lambda x: x, np.empty(0), np.empty(0), np.empty(0))
+    assert none.shape == (0,)
 
 
 def test_ep_scan_rejects_reversed_range():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouvlab import numerics
+from liouvlab.dynamics import scheduled_step_count
 from liouvlab.errors import NotHermitian, Overflow
+from liouvlab.liouvillian import superoperator_stack
+from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, operators, path_points
 
 from conftest import random_density_matrix
 
@@ -181,6 +185,41 @@ def test_expm_rejects_non_finite_entries(value):
         numerics.expm(stack)
     with pytest.raises(ValueError):
         numerics.expm(stack[2])
+
+
+# --- expm against SciPy's (Al-Mohy & Higham 2009) as the oracle -------------
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+@pytest.mark.parametrize("upper", [False, True], ids=["dense", "upper-triangular"])
+def test_expm_matches_scipy_from_tiny_norms_to_the_bound(rng, d, upper):
+    norms = np.logspace(-8, np.log10(numerics.EXPM_NORM_BOUND), 41)
+    norms[-1] = numerics.EXPM_NORM_BOUND * (1.0 - 1e-12)
+    a = rng.normal(size=(len(norms), d, d)) + 1j * rng.normal(size=(len(norms), d, d))
+    if upper:
+        a = np.triu(a)
+    a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+    got = numerics.expm(a)  # one stack: every degree and scaling in one call
+    for k, norm in enumerate(norms):
+        err = relative_error(got[k], scipy.linalg.expm(a[k]))
+        assert err <= (1e-14 if norm <= 1.0 else 1e-12), (norm, err)
+
+
+def test_expm_matches_scipy_on_the_sweeps_step_stack():
+    # the default sweeps loop: its midpoint generators times the step
+    system = make_system(DriveParams(J=0.0), Rates(gamma_e=4.6, gamma_phi=0.2))
+    schedule = ParameterSchedule(T=2.0, J_max=16.0, Delta_max=10.0 * np.pi)
+    n_steps = scheduled_step_count(schedule.T, 1e-3)
+    dt = schedule.T / n_steps
+    midpoints = (np.arange(n_steps) + 0.5) * dt
+    steps = superoperator_stack(operators(system, *path_points(schedule, midpoints, 4.6))) * dt
+    got = numerics.expm(steps)
+    for k in range(n_steps):
+        assert relative_error(got[k], scipy.linalg.expm(steps[k])) <= 1e-14
 
 
 # --- trace_distance ---------------------------------------------------------

@@ -62,3 +62,23 @@ def test_a_missing_dataset_exits_1_and_names_the_side_that_lacks_it(parity, tmp_
     out = capsys.readouterr().out
     assert f"DIFF default-fig1/fig1_summary.json: missing in {other}" in out
     assert "2 datasets identical, 1 differ" in out
+
+
+def test_a_differing_dataset_is_quantified_by_cells_and_largest_difference(
+        parity, tmp_path, capsys):
+    files = {"fig1_transition.csv": ("J,omega_fit\r\n0.5,1.25\r\n1,2\r\n",
+                                     "J,omega_fit\r\n0.5,1.5\r\n1,2.000001\r\n"),
+             "fig1_summary.json": ('{"cuts": [0.1, 1.8], "j_ep": 0.55, "name": "a"}',
+                                   '{"cuts": [0.1, 1.9], "j_ep": 0.55, "name": "b"}')}
+    base = write_runs(tmp_path / "base", {"default-fig1": {name: "aa" for name in files}})
+    other = write_runs(tmp_path / "other", {"default-fig1": {name: "bb" for name in files}})
+    for name, (text_base, text_other) in files.items():
+        (base / "default-fig1" / name).write_text(text_base)
+        (other / "default-fig1" / name).write_text(text_other)
+    assert parity.compare(base, other) == 1
+    out = capsys.readouterr().out
+    assert ("DIFF default-fig1/fig1_transition.csv: differs, 2 of 4 cells, "
+            "largest |difference| 0.25 in omega_fit") in out
+    assert ("DIFF default-fig1/fig1_summary.json: differs, 2 of 4 cells, "
+            "largest |difference| 0.1 in cuts[1]") in out
+    assert "0 datasets identical, 2 differ" in out
