@@ -20,7 +20,7 @@ from .dynamics import (
     validate_density_matrix,
 )
 from .errors import DegenerateInput, DomainError, InsufficientData, LiouvlabError, OutOfRange
-from .liouvillian import superoperator_stack, vec
+from .liouvillian import superoperator_stack, vec, zero_modes
 from .model import ParameterSchedule, QuantumSystem, Rates, basis_ket, operators
 
 MIN_FIT_SAMPLES = 8
@@ -194,8 +194,7 @@ def predict_rates(L: np.ndarray, rho0: np.ndarray, obs_index: int) -> tuple[floa
     lam, V = dec.eigenvalues, dec.right_eigenvectors
     coeff = np.linalg.solve(V, vec(rho0))
     weight = np.abs(coeff) * np.abs(V[obs_index, :])
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    significant = (np.abs(lam) > 1e-9 * scale) & (weight > 0.02 * max(weight.max(), 1e-300))
+    significant = ~zero_modes(lam, L) & (weight > 0.02 * max(weight.max(), 1e-300))
     idx = np.nonzero(significant)[0]
     if len(idx) == 0:
         return 0.0, 0.0

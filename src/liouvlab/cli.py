@@ -46,6 +46,7 @@ from .liouvillian import (
     pair_branches,
     steady_state,
     superoperator_stack,
+    zero_modes,
 )
 from .model import Rates, basis_ket, make_system, minus_x, operators, plus_x
 from .trajectories import run_ensemble, run_trajectory
@@ -115,7 +116,11 @@ def _density(psi: np.ndarray) -> np.ndarray:
 def _j_grid(scan: dict) -> np.ndarray:
     """scan.J_values, or the grid J_start, J_start + J_step, ... up to J_stop; all >= 0."""
     if "J_values" in scan:
-        grid = np.asarray(numbers("scan", "J_values", scan["J_values"]))
+        values = scan["J_values"]
+        # check the raw list's length before converting it
+        if isinstance(values, (list, tuple)) and len(values) > MAX_GRID_POINTS:
+            raise ConfigError(f"scan.J_values has more than {MAX_GRID_POINTS} points")
+        grid = np.asarray(numbers("scan", "J_values", values))
     else:
         start = number("scan", "J_start", scan["J_start"])
         stop = number("scan", "J_stop", scan["J_stop"])
@@ -250,7 +255,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     Delta = number("scan", "Delta", cfg.scan["Delta"])
     generators = superoperator_stack(
         operators(cfg.system, J_grid, Delta, cfg.system.rates.gamma_e))
-    branches = pair_branches([numerics.eig_general(L).eigenvalues for L in generators])
+    branches = pair_branches(numerics.eig_general(generators).eigenvalues)
     n_modes = branches.shape[1]
 
     markers = [analysis.ep_coupling(cfg.system.rates, 2)]
@@ -515,7 +520,7 @@ def cmd_steady_state(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "entropy_bits": analysis.entropy(rho_inf),
         "populations": [float(rho_inf[i, i].real) for i in range(d)],
         "slowest_decay_rate": float(
-            -max(l.real for l in dec.eigenvalues if abs(l) > 1e-9)
+            -dec.eigenvalues[~zero_modes(dec.eigenvalues, L)].real.max()
         ),
     }
 

@@ -63,79 +63,71 @@ def superoperator_stack(ops: OperatorStack) -> np.ndarray:
 
 @dataclass
 class SpectralResult:
-    """Eigensystem of one superoperator with EP classification.
+    """Eigensystem of one superoperator, or of each in a stack, with EP classification.
 
     ep_order is 0 unless the closest eigenvalue pair coalesces in both value
     (gap <= GAP_TOL_FACTOR * ||L||_F) and direction (principal angle <=
     ANGLE_TOL); plain degeneracies with orthogonal eigenvectors are not
-    exceptional points.
+    exceptional points. It is 3 when a third eigenvalue also lies within the
+    gap bound of the pair's first eigenvalue and within the angle bound of
+    both pair eigenvectors. For a stack every field gains a leading axis, one entry
+    per matrix; for one matrix the gap, angle and order are Python scalars.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    min_eigenvalue_gap: float
-    min_eigenvector_angle: float
-    ep_order: int
-
-
-def _closest_pair(lam: np.ndarray) -> tuple[float, int, int]:
-    """(|lam[i] - lam[j]|, i, j) for the closest pair i < j.
-
-    Ties go to the first pair in row-major (i, then j) order. The gaps are
-    np.hypot of the differences, which is the scalar abs() of each complex
-    difference bit for bit (np.abs on a complex array may differ in the last
-    place).
-    """
-    rows, cols = np.triu_indices(len(lam), 1)
-    if len(rows) == 0:
-        return math.inf, 0, 1
-    diff = lam[rows] - lam[cols]
-    gaps = np.hypot(diff.real, diff.imag)
-    k = int(np.argmin(gaps))
-    return float(gaps[k]), int(rows[k]), int(cols[k])
+    min_eigenvalue_gap: float | np.ndarray
+    min_eigenvector_angle: float | np.ndarray
+    ep_order: int | np.ndarray
 
 
 def spectrum(L: np.ndarray) -> SpectralResult:
-    """Eigensystem of the (d^2, d^2) Liouvillian L, with its EP classification."""
-    eig = numerics.eig_general(L)
-    lam = eig.eigenvalues
-    vecs = eig.right_eigenvectors
-    n = len(lam)
-    gap_tol = GAP_TOL_FACTOR * max(np.linalg.norm(L), 1e-30)
+    """Eigensystem of the (d^2, d^2) Liouvillian L, or an (n, d^2, d^2) stack, with its EP classification.
 
-    min_gap, i, j = _closest_pair(lam)
-    angle = numerics.principal_angle(vecs[:, i], vecs[:, j])
+    The closest pair i < j is the first in row-major (i, then j) order on
+    ties. Gaps are np.hypot of the eigenvalue differences, which is the
+    scalar abs() of each complex difference bit for bit; angles are those of
+    numerics.principal_angle, from |V^H V| over the column norms.
+    """
+    m = numerics.as_complex_matrix(L, stacked=True)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    eig = numerics.eig_general(stack)
+    lam, vecs = eig.eigenvalues, eig.right_eigenvectors
+    n_points, n = lam.shape
+    points = np.arange(n_points)
+    gap_tol = GAP_TOL_FACTOR * np.maximum(np.linalg.norm(stack, axis=(-2, -1)), 1e-30)
 
-    order = 0
-    if min_gap <= gap_tol and angle <= ANGLE_TOL:
-        # grow the coalescing cluster around the closest pair
-        cluster = {i, j}
-        rest = sorted(
-            (k for k in range(n) if k not in cluster),
-            key=lambda k: abs(lam[k] - lam[i]),
-        )
-        for k in rest:
-            if abs(lam[k] - lam[i]) <= gap_tol and all(
-                numerics.principal_angle(vecs[:, k], vecs[:, c]) <= ANGLE_TOL for c in cluster
-            ):
-                cluster.add(k)
-        order = min(len(cluster), 3)
+    diff = lam[:, :, None] - lam[:, None, :]
+    gaps = np.hypot(diff.real, diff.imag)  # (n_points, n, n)
+    norms = np.linalg.norm(vecs, axis=-2)
+    cosines = np.abs(vecs.conj().swapaxes(-1, -2) @ vecs) / (norms[:, :, None] * norms[:, None, :])
+    angles = np.arccos(np.minimum(1.0, cosines))
 
-    return SpectralResult(
-        eigenvalues=lam,
-        eigenvectors=vecs,
-        min_eigenvalue_gap=float(min_gap),
-        min_eigenvector_angle=float(angle),
-        ep_order=order,
-    )
+    pair_gaps = np.where(np.tri(n, dtype=bool), np.inf, gaps).reshape(n_points, n * n)  # i < j only
+    first = pair_gaps.argmin(axis=1)
+    min_gap = pair_gaps[points, first]
+    i, j = np.divmod(first, n)
+    angle = angles[points, i, j]
+    third = ((gaps[points, i] <= gap_tol[:, None])
+             & (angles[points, i] <= ANGLE_TOL) & (angles[points, j] <= ANGLE_TOL))
+    third[points, i] = third[points, j] = False
+    order = np.where((min_gap <= gap_tol) & (angle <= ANGLE_TOL), 2 + third.any(axis=1), 0)
+
+    if m.ndim == 2:
+        return SpectralResult(lam[0], vecs[0], float(min_gap[0]), float(angle[0]), int(order[0]))
+    return SpectralResult(lam, vecs, min_gap, angle, order)
+
+
+def zero_modes(lam: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues lam of L that are numerically zero: |lambda| <= ZERO_EIGENVALUE_TOL * max(1, ||L||_F)."""
+    return np.abs(lam) <= ZERO_EIGENVALUE_TOL * max(1.0, np.linalg.norm(L))
 
 
 def steady_state(L: np.ndarray) -> np.ndarray:
-    """Null eigenvector of the (d^2, d^2) L reshaped to d x d, Hermitized, and trace-normalized."""
+    """Null eigenvector of the (d^2, d^2) L reshaped to d x d, trace-normalized, and Hermitized."""
     eig = numerics.eig_general(L)
     lam = eig.eigenvalues
-    scale = max(1.0, np.linalg.norm(L))
-    small = np.nonzero(np.abs(lam) <= ZERO_EIGENVALUE_TOL * scale)[0]
+    small = np.nonzero(zero_modes(lam, L))[0]
     if len(small) == 0:
         raise NoSteadyState(
             f"no eigenvalue within {ZERO_EIGENVALUE_TOL:.1e} of zero "
@@ -145,13 +137,12 @@ def steady_state(L: np.ndarray) -> np.ndarray:
         raise DegenerateSteadyState(
             f"{len(small)} eigenvalues are numerically zero; steady state is not unique"
         )
-    v = eig.right_eigenvectors[:, small[0]]
-    rho = unvec(v, math.isqrt(len(L)))
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
+    rho = unvec(eig.right_eigenvectors[:, small[0]], math.isqrt(len(L)))
+    tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise NoSteadyState("null eigenvector has vanishing trace; cannot normalize")
-    rho = rho / tr
+    rho = rho / tr  # fixes the eigenvector's arbitrary phase too
+    rho = 0.5 * (rho + rho.conj().T)
     w = np.linalg.eigvalsh(rho)
     if w.min() < -1e-8:
         raise NoSteadyState(f"normalized null vector is not positive (min eigenvalue {w.min():.3e})")
@@ -195,8 +186,10 @@ def analytic_qubit_eigensystem(drive: DriveParams, rates: Rates) -> list[tuple[c
     ]
 
 
-def pair_branches(spectra: list[np.ndarray]) -> np.ndarray:
+def pair_branches(spectra) -> np.ndarray:
     """Reorder eigenvalue arrays along a sweep so branches vary continuously.
+
+    spectra is a list of eigenvalue arrays or one (n_points, n_modes) array.
 
     The first point keeps its canonical order; each subsequent point is
     matched to the previous one by minimal total eigenvalue displacement.
@@ -204,7 +197,7 @@ def pair_branches(spectra: list[np.ndarray]) -> np.ndarray:
     """
     from scipy.optimize import linear_sum_assignment  # loaded only where branches are paired
 
-    if not spectra:
+    if len(spectra) == 0:
         return np.zeros((0, 0), dtype=complex)
     out = np.empty((len(spectra), len(spectra[0])), dtype=complex)
     out[0] = spectra[0]
@@ -363,9 +356,10 @@ def ep_scan(
 ) -> EpMap:
     """Survey the (J, Delta) plane, extract EP lines and triple points.
 
-    The grid stage classifies the spectrum at every grid point. The lines
-    and third-order points come from the closed form above, restricted to
-    the window; at gamma_phi = gamma_e/2 there are none. Each range must be
+    The grid stage classifies the spectrum at every grid point, with one
+    spectrum call on the grid's generator stack. The lines and third-order
+    points come from the closed form above, restricted to the window; at
+    gamma_phi = gamma_e/2 there are none. Each range must be
     increasing or have equal endpoints; equal endpoints scan a single row or
     column, which is the usual way to locate the on-axis EP.
     """
@@ -384,19 +378,10 @@ def ep_scan(
     J_values = np.linspace(J_lo, J_hi, nJ)
     Delta_values = np.linspace(D_lo, D_hi, nD)
 
-    gap = np.empty((nD, nJ))
-    angle = np.empty((nD, nJ))
-    order = np.zeros((nD, nJ), dtype=int)
     # every grid point's Liouvillian in one stack, row by row in Delta
-    grid = superoperator_stack(operators(
+    grid = spectrum(superoperator_stack(operators(
         system_template, np.tile(J_values, nD), np.repeat(Delta_values, nJ),
-        system_template.rates.gamma_e))
-    for iD in range(nD):
-        for iJ in range(nJ):
-            res = spectrum(grid[iD * nJ + iJ])
-            gap[iD, iJ] = res.min_eigenvalue_gap
-            angle[iD, iJ] = res.min_eigenvector_angle
-            order[iD, iJ] = res.ep_order
+        system_template.rates.gamma_e)))
 
     rates = system_template.rates
     e = bloch_transverse_rate(rates) - rates.gamma_e
@@ -404,9 +389,9 @@ def ep_scan(
     return EpMap(
         J_values=J_values,
         Delta_values=Delta_values,
-        gap=gap,
-        angle=angle,
-        ep_order=order,
+        gap=grid.min_eigenvalue_gap.reshape(nD, nJ),
+        angle=grid.min_eigenvector_angle.reshape(nD, nJ),
+        ep_order=grid.ep_order.reshape(nD, nJ),
         ep_lines=lines,
         ep3_points=ep3,
     )

@@ -55,26 +55,18 @@ class EigenDecomposition:
     """Eigenvalues in canonical order with unit-norm right eigenvectors.
 
     Canonical order: ascending real part, ties broken by imaginary part.
-    Each eigenvector column is normalized and phase-fixed so that its first
-    component with non-negligible magnitude is real and positive; this makes
-    eigenvector bookkeeping across parameter sweeps deterministic.
+    For a stack (n, m, m) the eigenvalues are (n, m) and the eigenvectors
+    (n, m, m), each slice sorted on its own. The eigenvectors are LAPACK's
+    columns, of unit norm and in no fixed phase.
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    mags = np.abs(v)
-    big = np.nonzero(mags > 1e-12 * mags.max())[0]
-    k = big[0] if len(big) else int(np.argmax(mags))
-    phase = v[k] / abs(v[k])
-    return v / phase
-
-
 def eig_general(a) -> EigenDecomposition:
-    """Eigendecomposition of a general (non-Hermitian) square matrix."""
-    m = as_complex_matrix(a)
+    """Eigendecomposition of a general (non-Hermitian) square matrix or stack of them."""
+    m = as_complex_matrix(a, stacked=True)
     try:
         lam, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -82,14 +74,11 @@ def eig_general(a) -> EigenDecomposition:
             f"eigensolver failed for matrix with Frobenius norm "
             f"{np.linalg.norm(m):.3e}: {exc}"
         ) from exc
-    order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        col = col / np.linalg.norm(col)
-        vecs[:, j] = _fix_phase(col)
-    return EigenDecomposition(eigenvalues=lam, right_eigenvectors=vecs)
+    order = np.lexsort((lam.imag, lam.real), axis=-1)
+    return EigenDecomposition(
+        eigenvalues=np.take_along_axis(lam, order, axis=-1),
+        right_eigenvectors=np.take_along_axis(vecs, order[..., None, :], axis=-1),
+    )
 
 
 def kron(a, b) -> np.ndarray:

@@ -46,6 +46,17 @@ def test_steady_state_run_writes_expected_artifacts(tmp_path, capsys):
     assert summary["slowest_decay_rate"] > 0.0
 
 
+@pytest.mark.parametrize("rate", [1e8, 1e10])
+def test_steady_state_slowest_decay_rate_at_large_rates(rate, tmp_path, capsys):
+    code = run("steady-state", "--output-dir", str(tmp_path),
+               "--set", f"system.gamma_e={rate}", "--set", f"system.J={rate}")
+    capsys.readouterr()
+    assert code == 0
+    summary = json.loads((tmp_path / "steady_state_summary.json").read_text())
+    # the x-mode, -(gamma_e/2 + gamma_phi), decays slowest; the zero mode is not a decay
+    assert summary["slowest_decay_rate"] == pytest.approx(rate / 2.0, rel=1e-6)
+
+
 # each experiment at a tiny config, and the datasets it writes, in order
 TINY_RUNS = {
     "spectrum": (["--set", "scan.J_stop=0.2", "--set", "scan.J_step=0.1"],
@@ -212,6 +223,8 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig2", "integrator.store_every=0"),
     pytest.param("fig1", ("scan.heatmap_samples=1000000", "scan.J_step=0.25"),
                  id="fig1-heatmap-table-above-the-cap"),
+    pytest.param("spectrum", "scan.J_values=" + json.dumps([0.0] * (cli.MAX_GRID_POINTS + 1)),
+                 id="spectrum-J_values-above-the-cap"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys, monkeypatch):
     # a run that gets past its config checks fails here, before it allocates
@@ -230,6 +243,7 @@ def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys, 
 def test_j_grid_rejects_a_grid_above_the_cap():
     cap = cli.MAX_GRID_POINTS
     assert len(cli._j_grid({"J_start": 0.0, "J_stop": cap - 1.0, "J_step": 1.0})) == cap
+    assert len(cli._j_grid({"J_values": [0.0] * cap})) == cap
     with pytest.raises(ConfigError, match=f"more than {cap} points"):
         cli._j_grid({"J_start": 0.0, "J_stop": float(cap), "J_step": 1.0})
 

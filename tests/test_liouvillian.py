@@ -6,6 +6,7 @@ import pytest
 
 from conftest import point_operators, superoperator_reference, system_on_path
 from liouvlab import liouvillian as lv
+from liouvlab import numerics
 from liouvlab import trajectories as tj
 from liouvlab.analysis import ep_coupling
 from liouvlab.dynamics import bloch_rhs
@@ -168,6 +169,83 @@ def test_spectrum_zero_generator_is_not_exceptional():
     assert res.min_eigenvector_angle > 1.0
 
 
+def spectrum_reference(L):
+    """The per-point classification spectrum() stacks: closest pair, principal angles, greedy cluster."""
+    eig = numerics.eig_general(L)
+    lam, vecs = eig.eigenvalues, eig.right_eigenvectors
+    gap_tol = lv.GAP_TOL_FACTOR * max(np.linalg.norm(L), 1e-30)
+    rows, cols = np.triu_indices(len(lam), 1)
+    gaps = [abs(lam[r] - lam[c]) for r, c in zip(rows, cols)]
+    k = int(np.argmin(gaps))
+    i, j = int(rows[k]), int(cols[k])
+    angle = numerics.principal_angle(vecs[:, i], vecs[:, j])
+    order = 0
+    if gaps[k] <= gap_tol and angle <= lv.ANGLE_TOL:
+        cluster = {i, j}
+        for m in sorted(set(range(len(lam))) - cluster, key=lambda m: abs(lam[m] - lam[i])):
+            if abs(lam[m] - lam[i]) <= gap_tol and all(
+                    numerics.principal_angle(vecs[:, m], vecs[:, c]) <= lv.ANGLE_TOL for c in cluster):
+                cluster.add(m)
+        order = min(len(cluster), 3)
+    return gaps[k], angle, order
+
+
+def ep_stack():
+    """An ordinary point, an EP2 (J = gamma_e/8 on the axis), an EP3 and the zero generator."""
+    gamma_e = 4.5
+    J3, D3 = lv._ep_geometry(-0.5 * gamma_e, np.array([0.05, 1.1]), np.array([-1.1, 1.1]))[1][0]
+    ops = operators(qubit_template(gamma_e), [0.3, gamma_e / 8.0, J3], [0.2, 0.0, D3], gamma_e)
+    return np.concatenate([lv.superoperator_stack(ops), np.zeros((1, 4, 4), dtype=complex)])
+
+
+def test_spectrum_of_a_stack_classifies_ordinary_ep2_ep3_and_zero_points():
+    res = lv.spectrum(ep_stack())
+    assert res.ep_order.tolist() == [0, 2, 3, 0]
+    assert res.eigenvalues.shape == (4, 4)
+    assert res.eigenvectors.shape == (4, 4, 4)
+
+
+def test_spectrum_of_a_stack_matches_the_per_point_reference(rng):
+    systems = [make_system(
+        DriveParams(J=float(rng.uniform(0, 2)), Delta=float(rng.uniform(-1.5, 1.5))),
+        Rates(gamma_e=float(rng.uniform(0, 6)), gamma_phi=float(rng.uniform(0, 2))))
+        for _ in range(40)]
+    stacks = [
+        ep_stack(),
+        np.stack([lv.build_superoperator(system) for system in systems]),
+        rng.normal(size=(20, 9, 9)) + 1j * rng.normal(size=(20, 9, 9)),
+    ]
+    for stack in stacks:
+        res = lv.spectrum(stack)
+        for k, L in enumerate(stack):
+            gap, angle, order = spectrum_reference(L)
+            assert res.min_eigenvalue_gap[k] == gap
+            assert abs(res.min_eigenvector_angle[k] - angle) <= 1e-12
+            assert res.ep_order[k] == order
+            alone = lv.spectrum(L)
+            assert (alone.min_eigenvalue_gap, alone.min_eigenvector_angle, alone.ep_order) == (
+                res.min_eigenvalue_gap[k], res.min_eigenvector_angle[k], res.ep_order[k])
+
+
+def test_spectrum_keeps_the_first_closest_pair_on_ties():
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    # eigenvalues 0, 0, 1+1j, 1+1j, 5: pairs (0, 1) and (2, 3) tie at gap 0,
+    # and only a Jordan block's pair coalesces in direction too
+    for first, second, order in [(np.zeros((2, 2)), jordan, 0), (jordan, np.zeros((2, 2)), 2)]:
+        a = np.zeros((5, 5), dtype=complex)
+        a[:2, :2] = first
+        a[2:4, 2:4] = second + (1.0 + 1.0j) * np.eye(2)
+        a[4, 4] = 5.0
+        res = lv.spectrum(a)
+        assert res.min_eigenvalue_gap == 0.0
+        assert res.ep_order == order
+    # eigenvalues 0, 1j, 1 with eigenvectors e0, e0 + e1, e2: (0, 1) and (0, 2) tie at gap 1
+    res = lv.spectrum(np.array([[0.0, 1.0j, 0.0], [0.0, 1.0j, 0.0], [0.0, 0.0, 1.0]]))
+    assert res.min_eigenvalue_gap == 1.0
+    assert res.min_eigenvector_angle == pytest.approx(math.pi / 4, abs=1e-12)
+    assert lv.spectrum(np.array([[1.0]])).min_eigenvalue_gap == math.inf
+
+
 # --- steady state ---------------------------------------------------------------
 
 
@@ -221,6 +299,19 @@ def test_steady_state_degenerate_null_space_is_rejected():
         make_system(DriveParams(J=0.0), Rates(gamma_e=0.0, gamma_phi=0.5)))
     with pytest.raises(DegenerateSteadyState):
         lv.steady_state(sop)
+
+
+def test_steady_state_is_independent_of_the_eigenvector_phase(monkeypatch):
+    sop = lv.build_superoperator(make_system(DriveParams(J=1.0), Rates(gamma_e=4.0)))
+    expected = lv.steady_state(sop)
+    eig_general = numerics.eig_general
+
+    def rotated(a):
+        dec = eig_general(a)
+        return numerics.EigenDecomposition(dec.eigenvalues, 1j * dec.right_eigenvectors)
+
+    monkeypatch.setattr(numerics, "eig_general", rotated)
+    assert np.max(np.abs(lv.steady_state(sop) - expected)) <= 1e-14
 
 
 def test_steady_state_requires_a_null_mode():
@@ -382,13 +473,6 @@ def _no_jump_propagator(system, dt: float) -> bytes:
     for L, _ in jumps:
         acc = acc + L.conj().T @ L
     return expm(-1j * (h - 0.5j * acc) * dt).tobytes()
-
-
-def test_closest_pair_keeps_the_first_pair_on_ties():
-    assert lv._closest_pair(np.array([0.0, 1.0 + 1.0j, 0.0, 1.0 + 1.0j, 5.0])) == (0.0, 0, 2)
-    # (0, 1) and (0, 2) tie at 1
-    assert lv._closest_pair(np.array([0.0, 1.0j, 1.0])) == (1.0, 0, 1)
-    assert lv._closest_pair(np.array([1.0])) == (math.inf, 0, 1)
 
 
 # --- plane scans ------------------------------------------------------------------

@@ -111,15 +111,16 @@ def test_eig_reconstruction(rng, n):
         assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
 
 
-def test_eig_phase_fixing(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    v = numerics.eig_general(a).right_eigenvectors
-    for j in range(4):
-        col = v[:, j]
-        mags = np.abs(col)
-        k = np.nonzero(mags > 1e-12 * mags.max())[0][0]
-        assert col[k].real > 0.0
-        assert abs(col[k].imag) <= 1e-12
+@pytest.mark.parametrize("n", [4, 9])
+def test_eig_of_a_stack_equals_each_slice_alone(rng, n):
+    a = rng.normal(size=(30, n, n)) + 1j * rng.normal(size=(30, n, n))
+    dec = numerics.eig_general(a)
+    assert dec.eigenvalues.shape == (30, n)
+    assert dec.right_eigenvectors.shape == (30, n, n)
+    for k in range(30):
+        alone = numerics.eig_general(a[k])
+        assert np.array_equal(dec.eigenvalues[k], alone.eigenvalues)
+        assert np.array_equal(dec.right_eigenvectors[k], alone.right_eigenvectors)
 
 
 def test_eig_order_is_deterministic(rng):
