@@ -270,10 +270,12 @@ def scan_transition(
     """Sweep J, fitting the simulated transient and attaching predictions.
 
     Qubit scans watch rho_ee from rho0 = |e><e|; qutrit scans watch |rho_gf|
-    from the superposition (|g> - |f>)/sqrt(2). Per-point fit failures are
-    recorded in `failures` rather than aborting the sweep. The prediction
-    column is computed from the full jump-operator set, so any extra f-level
-    loss channels configured on the template shift it automatically.
+    from the superposition (|g> - |f>)/sqrt(2). The whole J grid is one
+    generator stack, integrated in one integrate_constant call; only the
+    prediction and the fit run per J. Per-point fit failures are recorded in
+    `failures` rather than aborting the sweep. The prediction column is
+    computed from the full jump-operator set, so any extra f-level loss
+    channels configured on the template shift it automatically.
     """
     J_arr = np.asarray(J_values, dtype=float)
     if J_arr.ndim != 1 or len(J_arr) == 0:
@@ -293,12 +295,12 @@ def scan_transition(
 
     generators = superoperator_stack(operators(
         system_template, J_arr, system_template.drive.Delta, system_template.rates.gamma_e))
+    states = integrate_constant(generators, rho0, t_grid).states
+    series = states[..., 1, 1].real if dim == 2 else np.abs(states[..., 0, 2])
     for i, L in enumerate(generators):
-        evo = integrate_constant(L, rho0, t_grid)
-        series = evo.states[:, 1, 1].real if dim == 2 else np.abs(evo.states[:, 0, 2])
         omega_pred[i], gamma_pred[i] = predict_rates(L, rho0, obs_index)
         try:
-            fit = fit_damped_sine(t_grid, series)
+            fit = fit_damped_sine(t_grid, series[i])
         except (LiouvlabError, ValueError) as exc:
             fits.append(None)
             failures.append((i, f"{type(exc).__name__}: {exc}"))

@@ -52,7 +52,7 @@ from .model import Rates, basis_ket, make_system, minus_x, operators, plus_x
 from .trajectories import run_ensemble, run_trajectory
 
 TWO_PI = 2.0 * math.pi
-MAX_GRID_POINTS = 100_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
+MAX_GRID_POINTS = 10_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
 MAX_TIME_STEPS = 1_000_000  # far above any shipped run (fig2's ensemble: 4,000 steps)
 
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
@@ -142,8 +142,9 @@ def _j_grid(scan: dict) -> np.ndarray:
 def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
     """(J grid, heatmap times, fit window, fit samples) of fig1 and fig4.
 
-    The heatmap table, one row per J point and heatmap time, is capped at
-    MAX_TIME_STEPS rows before anything is allocated.
+    Each J stack is integrated in one call that stores every J point's state
+    at every sample, so J points times the larger of heatmap_samples and
+    n_samples is capped at MAX_TIME_STEPS before anything is allocated.
     """
     J_grid = _j_grid(scan)
     t_max = number("scan", "heatmap_t_max", scan["heatmap_t_max"])
@@ -157,10 +158,10 @@ def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
         raise ConfigError(
             f"scan.heatmap_samples and scan.n_samples must be between 1 and {MAX_TIME_STEPS}, "
             f"got {samples} and {n_samples}")
-    if len(J_grid) * samples > MAX_TIME_STEPS:
+    if len(J_grid) * max(samples, n_samples) > MAX_TIME_STEPS:
         raise ConfigError(
-            f"{len(J_grid)} J points x scan.heatmap_samples={samples} give more than "
-            f"{MAX_TIME_STEPS} heatmap rows")
+            f"{len(J_grid)} J points x {max(samples, n_samples)} samples (scan.heatmap_samples="
+            f"{samples}, scan.n_samples={n_samples}) give more than {MAX_TIME_STEPS} stored states")
     return J_grid, np.linspace(0.0, t_max, samples), window, n_samples
 
 
@@ -321,43 +322,44 @@ def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     }
 
 
-def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Qubit excited-population dynamics across J plus the transition scan."""
-    if cfg.system.dim != 2:
-        raise ConfigError("this experiment needs a dim=2 system")
-    J_grid, t_hm, window, n_samples = _transition_scan(cfg.scan)
-    rho0 = analysis.initial_state_for(2)
+def _transition_figure(
+    cfg: ExperimentConfig, dim: int
+) -> tuple[list, np.ndarray, np.ndarray, tuple, dict]:
+    """The body fig1 (dim 2) and fig4 (dim 3) share.
 
-    heat_rows = []
-    cut_series = {}
-    cut_values = (float(J_grid[0]), float(J_grid[-1]))
+    Checks the system's dimension and the scan, integrates the whole J grid
+    as one generator stack on the heatmap times, and runs the transition
+    scan on the fit window. Returns the heatmap's J and t columns (one row
+    per J point and time), the heatmap states (n_J, n_t, d, d), the heatmap
+    times, the transition table and the summary keys both figures report.
+    """
+    if cfg.system.dim != dim:
+        raise ConfigError(f"this experiment needs a dim={dim} system")
+    J_grid, t_hm, window, n_samples = _transition_scan(cfg.scan)
     generators = superoperator_stack(
         operators(cfg.system, J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))
-    for J, L in zip(J_grid, generators):
-        evo = integrate_constant(L, rho0, t_hm)
-        pop_e = evo.states[:, 1, 1].real
-        heat_rows.extend([float(J), float(t), float(p)] for t, p in zip(t_hm, pop_e))
-        if float(J) in cut_values:
-            cut_series[float(J)] = pop_e
-
+    states = integrate_constant(generators, analysis.initial_state_for(dim), t_hm).states
     scan_result = analysis.scan_transition(cfg.system, J_grid, window=window, n_samples=n_samples)
-
-    cut_header = ["t"] + [f"rho_ee_J{J:g}" for J in cut_values]
-    cut_rows = [
-        [float(t)] + [float(cut_series[J][i]) for J in cut_values]
-        for i, t in enumerate(t_hm)
-    ]
-    return {
-        "fig1_heatmap": (["J", "t", "rho_ee"], heat_rows),
-        "fig1_cuts": (cut_header, cut_rows),
-        "fig1_transition": scan_result.table(),
-    }, {
+    heat_axes = [np.repeat(J_grid, len(t_hm)), np.tile(t_hm, len(J_grid))]
+    return heat_axes, states, t_hm, scan_result.table(), {
         "j_ep": scan_result.j_ep,
         "transition_estimate": scan_result.transition_estimate(),
         "n_fit_failures": len(scan_result.failures),
         "n_fits_unconverged": scan_result.n_unconverged,
-        "cut_J_values": list(cut_values),
     }
+
+
+def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    """Qubit excited-population dynamics across J plus the transition scan."""
+    heat_axes, states, t_hm, transition, summary = _transition_figure(cfg, 2)
+    pop_e = states[..., 1, 1].real
+    cut_values = (float(heat_axes[0][0]), float(heat_axes[0][-1]))  # the first and last J
+    return {
+        "fig1_heatmap": (["J", "t", "rho_ee"], np.column_stack([*heat_axes, pop_e.ravel()])),
+        "fig1_cuts": (["t"] + [f"rho_ee_J{J:g}" for J in cut_values],
+                      np.column_stack([t_hm, pop_e[0], pop_e[-1]])),
+        "fig1_transition": transition,
+    }, {**summary, "cut_J_values": list(cut_values)}
 
 
 def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -412,33 +414,13 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qutrit g-f coherence dynamics across J plus the transition scan."""
-    if cfg.system.dim != 3:
-        raise ConfigError("this experiment needs a dim=3 system")
-    J_grid, t_hm, window, n_samples = _transition_scan(cfg.scan)
-    rho0 = analysis.initial_state_for(3)
-
-    heat_rows = []
-    generators = superoperator_stack(
-        operators(cfg.system, J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))
-    for J, L in zip(J_grid, generators):
-        evo = integrate_constant(L, rho0, t_hm)
-        gf = evo.states[:, 0, 2]
-        heat_rows.extend(
-            [float(J), float(t), float(abs(c)), float(c.real), float(c.imag)]
-            for t, c in zip(t_hm, gf)
-        )
-
-    scan_result = analysis.scan_transition(cfg.system, J_grid, window=window, n_samples=n_samples)
-
+    heat_axes, states, _t_hm, transition, summary = _transition_figure(cfg, 3)
+    gf = states[..., 0, 2].ravel()
     return {
-        "fig4_coherence": (["J", "t", "abs_rho_gf", "re_rho_gf", "im_rho_gf"], heat_rows),
-        "fig4_transition": scan_result.table(),
-    }, {
-        "j_ep": scan_result.j_ep,
-        "transition_estimate": scan_result.transition_estimate(),
-        "n_fit_failures": len(scan_result.failures),
-        "n_fits_unconverged": scan_result.n_unconverged,
-    }
+        "fig4_coherence": (["J", "t", "abs_rho_gf", "re_rho_gf", "im_rho_gf"],
+                           np.column_stack([*heat_axes, np.abs(gf), gf.real, gf.imag])),
+        "fig4_transition": transition,
+    }, summary
 
 
 def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:

@@ -60,16 +60,17 @@ class EvolutionResult:
     """Density-matrix trajectory with per-time observables.
 
     For dim 2 the observables are the Bloch components x, y, z; for dim 3
-    they are the populations and the g-f / e-f coherences (complex).
+    they are the populations and the g-f / e-f coherences (complex). A run
+    of a generator stack has a leading stack axis on states and observables.
     """
 
     times: np.ndarray
-    states: np.ndarray  # (n_times, d, d)
+    states: np.ndarray  # (n_times, d, d), or (n, n_times, d, d) for a stack
     observables: dict = field(default_factory=dict)
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :, :]
 
 
 def validate_density_matrix(rho, d: Optional[int] = None, tol: float = 1e-8) -> np.ndarray:
@@ -90,23 +91,26 @@ def validate_density_matrix(rho, d: Optional[int] = None, tol: float = 1e-8) -> 
 
 def observables_from_states(states: np.ndarray, dim: int) -> dict:
     if dim == 2:
-        x = 2.0 * states[:, 0, 1].real
-        y = -2.0 * states[:, 0, 1].imag
-        z = (states[:, 0, 0] - states[:, 1, 1]).real
+        x = 2.0 * states[..., 0, 1].real
+        y = -2.0 * states[..., 0, 1].imag
+        z = (states[..., 0, 0] - states[..., 1, 1]).real
         return {"x": x, "y": y, "z": z}
     return {
-        "pop_g": states[:, 0, 0].real,
-        "pop_e": states[:, 1, 1].real,
-        "pop_f": states[:, 2, 2].real,
-        "rho_gf": states[:, 0, 2].copy(),
-        "rho_ef": states[:, 1, 2].copy(),
+        "pop_g": states[..., 0, 0].real,
+        "pop_e": states[..., 1, 1].real,
+        "pop_f": states[..., 2, 2].real,
+        "rho_gf": states[..., 0, 2].copy(),
+        "rho_ef": states[..., 1, 2].copy(),
     }
 
 
 def integrate_constant(L: np.ndarray, rho0, t_grid) -> EvolutionResult:
-    """Evolve rho0 under the (d^2, d^2) Liouvillian L onto t_grid, exactly.
+    """Evolve rho0 onto t_grid, exactly, under a (d^2, d^2) Liouvillian or an (n, d^2, d^2) stack.
 
-    Each interval applies expm(L dt), built once per distinct interval length.
+    Each interval applies expm(L dt): one stacked expm per distinct interval
+    length, and one batched product per sample, so every generator of a
+    stack evolves bit for bit as it would alone. A stack gives states of
+    shape (n, len(t_grid), d, d).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) == 0:
@@ -115,23 +119,19 @@ def integrate_constant(L: np.ndarray, rho0, t_grid) -> EvolutionResult:
         raise OutOfRange("t_grid must hold finite times >= 0")
     if np.any(np.diff(t) <= 0.0) and len(t) > 1:
         raise OutOfRange("t_grid must be strictly increasing")
-    d = math.isqrt(len(L))
+    L = np.asarray(L)
+    d = math.isqrt(L.shape[-1])
     rho = validate_density_matrix(rho0, d)
 
-    states = np.empty((len(t), d, d), dtype=complex)
-    v = vec(rho)
-    prev_t = 0.0
-    prop_cache: dict[float, np.ndarray] = {}
-    for k, tk in enumerate(t):
-        dt = tk - prev_t
-        if dt > 0.0:
-            P = prop_cache.get(dt)
-            if P is None:
-                P = numerics.expm(L * dt)
-                prop_cache[dt] = P
-            v = P @ v
-        states[k] = v.reshape(d, d)
-        prev_t = tk
+    steps = np.diff(t, prepend=0.0)  # only the first can be 0, and then it applies nothing
+    lengths, length_of = np.unique(steps, return_inverse=True)
+    props = [numerics.expm(L * dt) if dt > 0.0 else None for dt in lengths]
+    states = np.empty(L.shape[:-2] + (len(t), d, d), dtype=complex)
+    v = np.broadcast_to(vec(rho)[:, None], L.shape[:-1] + (1,))  # columns, one per generator
+    for k, i in enumerate(length_of):
+        if props[i] is not None:
+            v = props[i] @ v
+        states[..., k, :, :] = v.reshape(L.shape[:-2] + (d, d))
     return EvolutionResult(times=t, states=states, observables=observables_from_states(states, d))
 
 

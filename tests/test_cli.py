@@ -223,6 +223,9 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig2", "integrator.store_every=0"),
     pytest.param("fig1", ("scan.heatmap_samples=1000000", "scan.J_step=0.25"),
                  id="fig1-heatmap-table-above-the-cap"),
+    pytest.param("fig1", ("scan.J_values=[0.5,1.0,1.5]", "scan.heatmap_samples=1",
+                          f"scan.n_samples={cli.MAX_TIME_STEPS // 2}"),
+                 id="fig1-fit-states-above-the-cap"),
     pytest.param("spectrum", "scan.J_values=" + json.dumps([0.0] * (cli.MAX_GRID_POINTS + 1)),
                  id="spectrum-J_values-above-the-cap"),
 ])
@@ -249,13 +252,19 @@ def test_j_grid_rejects_a_grid_above_the_cap():
 
 
 def test_transition_scan_caps_the_heatmap_table():
+    # each J stack stores one state per J point and sample: the heatmap's and the fit's
     cap = cli.MAX_TIME_STEPS
     scan = {"J_values": [0.5, 1.0], "heatmap_t_max": 1.0, "window": 1.0,
             "heatmap_samples": cap // 2, "n_samples": 10}
     J, t_heatmap, _window, _n_samples = cli._transition_scan(scan)
     assert len(J) * len(t_heatmap) == cap
-    with pytest.raises(ConfigError, match=f"more than {cap} heatmap rows"):
+    with pytest.raises(ConfigError, match=f"more than {cap} stored states"):
         cli._transition_scan({**scan, "heatmap_samples": cap // 2 + 1})
+    fit = {**scan, "heatmap_samples": 10, "n_samples": cap // 2}
+    J, _t_heatmap, _window, n_samples = cli._transition_scan(fit)
+    assert len(J) * n_samples == cap
+    with pytest.raises(ConfigError, match=f"more than {cap} stored states"):
+        cli._transition_scan({**fit, "n_samples": cap // 2 + 1})
 
 
 def test_transition_scan_rejects_sample_counts_above_the_cap():
@@ -271,7 +280,7 @@ def test_transition_scan_rejects_sample_counts_above_the_cap():
 
 def test_ep_map_resolution_rejects_a_grid_above_the_cap():
     cap = cli.MAX_GRID_POINTS
-    side = math.isqrt(cap)  # 316
+    side = math.isqrt(cap)  # 100
     plane = {"J_range": (0.0, 1.0), "Delta_range": (-1.0, 1.0)}
     assert cli._resolution({"resolution": side}, *plane.values()) == side
     with pytest.raises(ConfigError, match=f"more than {cap} grid points"):
@@ -429,3 +438,30 @@ def test_runs_without_fits_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# a J scan holds its whole generator stack and eigensolve at once; the grid cap bounds them
+GRID_CAP_SCRIPT = """
+import resource
+import sys
+
+from liouvlab import cli
+
+cap = cli.MAX_GRID_POINTS
+assert cli.main(["spectrum", "--set", "system.dim=3", "--set", "scan.J_start=0",
+                 "--set", f"scan.J_stop={(cap - 1) * 2e-4}", "--set", "scan.J_step=2e-4",
+                 "--formats", "csv", "--output-dir", sys.argv[1]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+"""
+GRID_CAP_RSS_BOUND_MB = 200.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_qutrit_spectrum_at_the_grid_cap_stays_under_its_memory_bound(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(liouvlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", GRID_CAP_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "spectrum.csv") as fh:
+        assert sum(1 for _ in fh) == cli.MAX_GRID_POINTS + 1  # the header and one row per J
+    assert int(proc.stdout.split()[-1]) / 1024.0 < GRID_CAP_RSS_BOUND_MB

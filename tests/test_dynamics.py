@@ -14,13 +14,14 @@ from conftest import (
 from liouvlab import dynamics, numerics
 from liouvlab.dynamics import integrate_bloch, integrate_constant, integrate_scheduled
 from liouvlab.errors import NotDensityMatrix, OutOfRange
-from liouvlab.liouvillian import build_superoperator
+from liouvlab.liouvillian import build_superoperator, superoperator_stack
 from liouvlab.model import (
     DriveParams,
     ParameterSchedule,
     Rates,
     make_system,
     minus_x,
+    operators,
     plus_x,
 )
 
@@ -105,6 +106,33 @@ def test_qutrit_observable_extraction(rng):
     assert np.allclose(res.observables["rho_gf"], res.states[:, 0, 2])
     pops = res.observables["pop_g"] + res.observables["pop_e"] + res.observables["pop_f"]
     assert np.allclose(pops, 1.0, atol=1e-10)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("grid", [
+    [0.0, 0.25, 0.5, 0.75, 1.25, 1.5, 2.5],  # intervals 0.25 (four times), 0.5 and 1
+    [0.375, 0.625, 0.875, 1.0, 1.125, 2.0],  # 0.375 from 0, then 0.25 and 0.125 twice each, and 0.875
+], ids=["from-0", "from-above-0"])
+def test_a_stack_evolves_each_generator_as_it_would_alone(dim, grid, rng):
+    J = np.array([0.0, 0.4, 1.1, 2.3])
+    rates = Rates(gamma_e=4.4, gamma_phi=0.1, gamma_f=0.5 if dim == 3 else 0.0)
+    system = make_system(DriveParams(J=0.0, Delta=0.3), rates, dim=dim)
+    stack = superoperator_stack(operators(system, J, 0.3, rates.gamma_e))
+    rho0 = random_density_matrix(rng, dim)
+    res = integrate_constant(stack, rho0, grid)
+    assert res.states.shape == (len(J), len(grid), dim, dim)
+    assert res.final_state.shape == (len(J), dim, dim)
+    for i, L in enumerate(stack):
+        alone = integrate_constant(L, rho0, grid)
+        assert same_bits(res.states[i], alone.states)
+        assert same_bits(res.final_state[i], alone.final_state)
+        for name, values in res.observables.items():
+            assert values.shape == (len(J), len(grid))
+            assert same_bits(values[i], alone.observables[name])
 
 
 def test_state_validation_rejects_bad_inputs():
