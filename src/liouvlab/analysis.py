@@ -28,7 +28,7 @@ DEFAULT_FIT_WINDOW = 10.0  # us, about forty decay times of the fast branch
 DEFAULT_FIT_SAMPLES = 500
 EP_FLAG_RADIUS = 0.05  # rad/us; fits this close to the EP see t*exp(lambda t) terms
 FIT_MAX_NFEV = 500  # residual evaluations per variable-projection start
-FIT_TOL = 1e-15  # relative xtol, ftol and gtol of that iteration
+FIT_TOL = 1e-15  # tolerance of its gradient, cost-reduction and step tests
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,11 @@ class DampedSineFit:
     """Parameters of f(t) = A exp(-Gamma t) cos(omega t + phi) + C.
 
     omega >= 0 and A >= 0 by convention; signs are absorbed into the phase,
-    which lies in (-pi, pi].
+    which lies in (-pi, pi]. At omega = 0 the fitted curve is
+    (P + S t) exp(-Gamma t) + C, whose t-term the (A, phi) form cannot
+    carry: there amplitude = |P| and phase is 0 (P >= 0) or pi (P < 0), so
+    `model` gives the P exp(-Gamma t) + C part alone, while residual_rms is
+    that of the full curve.
     """
 
     omega: float
@@ -61,19 +65,61 @@ class DampedSineFit:
         )
 
 
-def _linear_solve(t: np.ndarray, y: np.ndarray, gamma: float, omega: float):
-    """Least-squares (P, Q, C) at fixed (gamma, omega), and the residual."""
+# h(x) = (x cos x - sin x) / x^3 = sum_k (-1)^k 2k x^(2k-2) / (2k+1)!, k = 1..7,
+# highest power first; below x = 0.5 the series is exact to rounding
+_H_SERIES = [(-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(7, 0, -1)]
+
+
+def _basis(t: np.ndarray, gamma: float, omega_sq: float):
+    """Columns {e^-Gt cos wt, e^-Gt sin(wt)/w, 1}, and the G and w^2 derivatives of the first two.
+
+    Both columns are even in w, so they are smooth functions of w^2, and
+    sin(wt)/w = t sinc(wt) tends to t as w -> 0: the columns, their
+    derivatives and the projected residual are smooth through w = 0, where
+    the fit takes the critically damped form (P + S t) e^-Gt + C.
+    """
     env = np.exp(-gamma * t)
-    cols = np.column_stack([env * np.cos(omega * t), env * np.sin(omega * t), np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    return coef, cols @ coef - y
+    x = math.sqrt(omega_sq) * t
+    cos = env * np.cos(x)
+    sin_w = env * t * np.sinc(x / np.pi)
+    small = x < 0.5
+    x_big = np.where(small, 1.0, x)
+    h = np.where(small, np.polyval(_H_SERIES, x * x),
+                 (x_big * np.cos(x_big) - np.sin(x_big)) / x_big**3)
+    cols = np.column_stack([cos, sin_w, np.ones_like(t)])
+    d_gamma = np.column_stack([-t * cos, -t * sin_w])
+    d_omega_sq = np.column_stack([-0.5 * t * sin_w, 0.5 * env * t**3 * h])
+    return cols, d_gamma, d_omega_sq
+
+
+def _projection(t: np.ndarray, y: np.ndarray, theta: np.ndarray):
+    """Coefficients c, residual r = y - Phi c and Kaufman's Jacobian at theta = (G, w^2).
+
+    c is the minimum-norm least-squares solution (with np.linalg.lstsq's rank
+    cut), r = P_perp y, and the Jacobian's columns are -P_perp (dPhi/dtheta_k) c
+    (Kaufman, BIT 15, 49, 1975). It drops a term of the exact Jacobian whose
+    product with r vanishes, so the gradient J^T r is exact.
+    """
+    cols, d_gamma, d_omega_sq = _basis(t, theta[0], theta[1])
+    u, s, vt = np.linalg.svd(cols, full_matrices=False)
+    keep = s > s[0] * len(t) * np.finfo(float).eps
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    uy = u.T @ y
+    coef = vt.T @ (uy / s)
+    d = np.column_stack([d_gamma @ coef[:2], d_omega_sq @ coef[:2]])
+    return coef, y - u @ uy, u @ (u.T @ d) - d
+
+
+PENCIL_COLUMNS = 32  # Hankel columns of the seeding pencil; rank 3 needs few
 
 
 def _pencil_seeds(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """(gamma, omega) seeds from the poles of a rank-3 matrix pencil.
 
     The series is resampled onto a uniform grid of the same length, since
-    the pencil needs uniform samples. Of the three poles, the one closest to
+    the pencil needs uniform samples. Its Hankel matrix has PENCIL_COLUMNS
+    columns (fewer for a short series): noise-free data of rank 3 needs no
+    more, and the SVD stays small. Of the three poles, the one closest to
     z = 1 models the offset and is dropped; each other pole z gives
     gamma = -ln|z| / dt and omega = |arg z| / dt, with omega = 0 for a real
     pole (a negative real pole would otherwise seed omega at Nyquist).
@@ -81,7 +127,7 @@ def _pencil_seeds(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     n = len(t)
     dt = (t[-1] - t[0]) / (n - 1)
     u = np.interp(np.linspace(t[0], t[-1], n), t, y)
-    hankel = np.lib.stride_tricks.sliding_window_view(u, n // 2 + 1)
+    hankel = np.lib.stride_tricks.sliding_window_view(u, min(PENCIL_COLUMNS, n // 2 + 1))
     v = np.linalg.svd(hankel, full_matrices=False)[2][:3].T
     z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
     z = np.delete(z, np.argmin(np.abs(z - 1.0)))
@@ -94,29 +140,100 @@ def _pencil_seeds(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     return list(dict.fromkeys(seeds))  # a conjugate pair seeds one start
 
 
-def least_squares(fun, x0, **kwargs):
-    """scipy.optimize.least_squares, imported at its first call so that runs without a fit load no SciPy.
+@dataclass
+class LeastSquaresResult:
+    """Where least_squares stopped.
+
+    x is the last accepted point, fun the residual there and cost half its
+    squared norm; nfev counts residual evaluations. status is 0 when the
+    evaluation budget ran out, and otherwise the test that was met:
+    1 gradient, 2 cost reduction, 3 step size, 4 both 2 and 3.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    cost: float
+    nfev: int
+    status: int
+
+
+def least_squares(fun, x0, *, tol: float, max_nfev: int) -> LeastSquaresResult:
+    """Minimise cost(x) = |r(x)|^2 / 2 over x >= 0 by projected Levenberg-Marquardt.
+
+    fun(x) returns the residual r and its Jacobian J. A variable on its bound
+    is held there while its gradient component is >= 0; each step
+    solves (J^T J + mu I) h = -J^T r over the other variables, is projected
+    onto x >= 0 and costs one evaluation, and is kept when it lowers the
+    cost. mu starts at 1e-3 times the largest diagonal entry of J^T J and
+    follows Nielsen's update (Madsen, Nielsen & Tingleff, "Methods for
+    non-linear least squares problems", DTU 2004, alg. 3.16). The tests: the
+    gradient over the free variables is below tol in every entry (status 1);
+    a kept step lowered the cost by less than tol times the cost, with at
+    least a quarter of the predicted reduction (2); |h| < tol (tol + |x|)
+    (3); 4 when 2 and 3 hold together. After max_nfev evaluations with no
+    test met, status is 0.
 
     fit_damped_sine looks this name up at every call, so a wrapper set on
     analysis.least_squares (perfbench/tracer.py counts calls and nfev) sees
     every start.
     """
-    from scipy.optimize import least_squares as scipy_least_squares
-
-    return scipy_least_squares(fun, x0, **kwargs)
+    x = np.maximum(np.asarray(x0, dtype=float), 0.0)
+    r, jac = fun(x)
+    nfev = 1
+    cost = 0.5 * float(r @ r)
+    a, g = jac.T @ jac, jac.T @ r
+    mu, nu = 1e-3 * max(float(np.max(np.diag(a))), np.finfo(float).tiny), 2.0
+    status = 0
+    while True:
+        free = (x > 0.0) | (g < 0.0)
+        if np.max(np.abs(g[free]), initial=0.0) < tol:
+            status = 1
+            break
+        if nfev >= max_nfev:
+            break
+        h = np.zeros_like(x)
+        h[free] = np.linalg.solve(a[np.ix_(free, free)] + mu * np.eye(np.count_nonzero(free)),
+                                  -g[free])
+        x_new = np.maximum(x + h, 0.0)
+        step = x_new - x
+        r_new, jac_new = fun(x_new)
+        nfev += 1
+        cost_new = 0.5 * float(r_new @ r_new)
+        reduction = cost - cost_new if np.isfinite(cost_new) else -np.inf
+        predicted = -float(g @ step) - 0.5 * float(step @ a @ step)
+        ratio = reduction / predicted if predicted > 0.0 else 0.0
+        ftol_met = 0.0 < reduction < tol * cost and ratio > 0.25
+        xtol_met = np.linalg.norm(h) < tol * (tol + np.linalg.norm(x))
+        if reduction > 0.0:
+            x, r, cost = x_new, r_new, cost_new
+            a, g = jac_new.T @ jac_new, jac_new.T @ r_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(ratio, 1.0) - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if ftol_met or xtol_met:
+            status = 4 if ftol_met and xtol_met else (2 if ftol_met else 3)
+            break
+    return LeastSquaresResult(x=x, fun=r, cost=cost, nfev=nfev, status=status)
 
 
 def fit_damped_sine(times, values) -> DampedSineFit:
     """Fit f(t) = A exp(-Gamma t) cos(omega t + phi) + C to a time series.
 
     Variable projection (Golub & Pereyra 1973): for fixed (Gamma, omega) the
-    quadrature amplitudes and the offset solve a linear least-squares
-    problem, so the trust-region iteration runs over (Gamma, omega) only,
-    on the projected residual. The iteration starts from each non-offset
-    pole of a rank-3 matrix pencil (Hua & Sarkar 1990), and the start with
-    the lower residual is kept. `converged` reports whether that start met
-    a convergence test within the evaluation budget. A constant series
-    short-circuits to the degenerate fit A = 0, omega = 0, Gamma = 0.
+    coefficients of e^-Gt cos wt, e^-Gt sin(wt)/w and 1 solve a linear
+    least-squares problem, so least_squares (Levenberg-Marquardt with
+    Kaufman's Jacobian) runs over (Gamma, omega^2) >= 0 only, on the
+    projected residual. The columns are smooth in omega^2 through omega = 0,
+    where the fit is the critically damped (P + S t) e^-Gt + C; so a start
+    at omega = 0 can leave it, and an overdamped series stops on it exactly.
+    The iteration starts from each non-offset pole of a rank-3 matrix pencil
+    (Hua & Sarkar 1990), with FIT_TOL and FIT_MAX_NFEV as they are at the
+    call, and the start with the lower residual is kept. `converged` reports
+    whether that start met a convergence test within the evaluation budget.
+    A constant series short-circuits to the degenerate fit A = 0,
+    omega = 0, Gamma = 0.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -136,21 +253,19 @@ def fit_damped_sine(times, values) -> DampedSineFit:
         )
 
     best = None
-    for seed in _pencil_seeds(t, y):
-        res = least_squares(
-            lambda x: _linear_solve(t, y, x[0], x[1])[1],
-            seed,
-            bounds=([0.0, 0.0], [np.inf, np.inf]),
-            xtol=FIT_TOL, ftol=FIT_TOL, gtol=FIT_TOL,
-            max_nfev=FIT_MAX_NFEV,
-        )
+    for gamma, omega in _pencil_seeds(t, y):
+        res = least_squares(lambda x: _projection(t, y, x)[1:], (gamma, omega * omega),
+                            tol=FIT_TOL, max_nfev=FIT_MAX_NFEV)
         if best is None or res.cost < best.cost:
             best = res
 
-    gamma, omega = best.x
-    (P, Q, offset), _ = _linear_solve(t, y, gamma, omega)
-    amplitude = math.hypot(P, Q)
-    phase = math.atan2(-Q, P) if amplitude > 0.0 else 0.0
+    gamma, omega = best.x[0], math.sqrt(best.x[1])
+    (P, S, offset), _, _ = _projection(t, y, best.x)
+    if omega > 0.0:
+        amplitude = math.hypot(P, S / omega)
+        phase = math.atan2(-S / omega, P) if amplitude > 0.0 else 0.0
+    else:
+        amplitude, phase = abs(P), (math.pi if P < 0.0 else 0.0)
     return DampedSineFit(
         omega=float(omega),
         gamma=float(gamma),
@@ -266,16 +381,20 @@ def scan_transition(
     J_values,
     window: float = DEFAULT_FIT_WINDOW,
     n_samples: int = DEFAULT_FIT_SAMPLES,
+    generators: Optional[np.ndarray] = None,
 ) -> TransitionScan:
     """Sweep J, fitting the simulated transient and attaching predictions.
 
     Qubit scans watch rho_ee from rho0 = |e><e|; qutrit scans watch |rho_gf|
     from the superposition (|g> - |f>)/sqrt(2). The whole J grid is one
     generator stack, integrated in one integrate_constant call; only the
-    prediction and the fit run per J. Per-point fit failures are recorded in
-    `failures` rather than aborting the sweep. The prediction column is
-    computed from the full jump-operator set, so any extra f-level loss
-    channels configured on the template shift it automatically.
+    prediction and the fit run per J. A caller that already holds the grid's
+    stack, superoperator_stack(operators(system_template, J_values, Delta,
+    gamma_e)), passes it as `generators` so it is not built twice. Per-point
+    fit failures are recorded in `failures` rather than aborting the sweep.
+    The prediction column is computed from the full jump-operator set, so
+    any extra f-level loss channels configured on the template shift it
+    automatically.
     """
     J_arr = np.asarray(J_values, dtype=float)
     if J_arr.ndim != 1 or len(J_arr) == 0:
@@ -293,8 +412,12 @@ def scan_transition(
     omega_pred = np.empty(len(J_arr))
     gamma_pred = np.empty(len(J_arr))
 
-    generators = superoperator_stack(operators(
-        system_template, J_arr, system_template.drive.Delta, system_template.rates.gamma_e))
+    if generators is None:
+        generators = superoperator_stack(operators(
+            system_template, J_arr, system_template.drive.Delta, system_template.rates.gamma_e))
+    elif np.shape(generators) != (len(J_arr), dim * dim, dim * dim):
+        raise OutOfRange(f"generators must be a ({len(J_arr)}, {dim * dim}, {dim * dim}) stack, "
+                         f"got {np.shape(generators)}")
     states = integrate_constant(generators, rho0, t_grid).states
     series = states[..., 1, 1].real if dim == 2 else np.abs(states[..., 0, 2])
     for i, L in enumerate(generators):

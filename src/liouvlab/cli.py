@@ -327,11 +327,12 @@ def _transition_figure(
 ) -> tuple[list, np.ndarray, np.ndarray, tuple, dict]:
     """The body fig1 (dim 2) and fig4 (dim 3) share.
 
-    Checks the system's dimension and the scan, integrates the whole J grid
-    as one generator stack on the heatmap times, and runs the transition
-    scan on the fit window. Returns the heatmap's J and t columns (one row
-    per J point and time), the heatmap states (n_J, n_t, d, d), the heatmap
-    times, the transition table and the summary keys both figures report.
+    Checks the system's dimension and the scan, builds the J grid's
+    generator stack once, integrates it on the heatmap times, and runs the
+    transition scan on the fit window with the same stack. Returns the
+    heatmap's J and t columns (one row per J point and time), the heatmap
+    states (n_J, n_t, d, d), the heatmap times, the transition table and the
+    summary keys both figures report.
     """
     if cfg.system.dim != dim:
         raise ConfigError(f"this experiment needs a dim={dim} system")
@@ -339,7 +340,8 @@ def _transition_figure(
     generators = superoperator_stack(
         operators(cfg.system, J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))
     states = integrate_constant(generators, analysis.initial_state_for(dim), t_hm).states
-    scan_result = analysis.scan_transition(cfg.system, J_grid, window=window, n_samples=n_samples)
+    scan_result = analysis.scan_transition(
+        cfg.system, J_grid, window=window, n_samples=n_samples, generators=generators)
     heat_axes = [np.repeat(J_grid, len(t_hm)), np.tile(t_hm, len(J_grid))]
     return heat_axes, states, t_hm, scan_result.table(), {
         "j_ep": scan_result.j_ep,

@@ -1,11 +1,13 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouvlab import analysis
+from liouvlab import analysis, cli, config
 from liouvlab.dynamics import integrate_constant
 from liouvlab.errors import (
     DegenerateInput,
@@ -14,8 +16,8 @@ from liouvlab.errors import (
     NotDensityMatrix,
     OutOfRange,
 )
-from liouvlab.liouvillian import build_superoperator
-from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, plus_x
+from liouvlab.liouvillian import build_superoperator, superoperator_stack
+from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, operators, plus_x
 
 
 def damped_cosine(t, A, gamma, omega, phi, C):
@@ -95,6 +97,150 @@ def test_fit_input_validation():
     y[3] = np.nan
     with pytest.raises(DegenerateInput):
         analysis.fit_damped_sine(bad, y)
+
+
+# --- the fit near omega = 0 ----------------------------------------------------------
+
+
+def test_basis_and_projected_residual_are_smooth_at_zero_frequency():
+    t = np.linspace(0.0, 10.0, 500)
+    y = 0.4 * np.exp(-1.2 * t) * np.cos(0.8 * t + 0.3) + 0.1
+    at_zero = analysis._basis(t, 1.2, 0.0)
+    near_zero = analysis._basis(t, 1.2, 1e-12**2)  # omega = 1e-12
+    # the sin(wt)/w column is t e^-Gt at w = 0, not a column of zeros
+    np.testing.assert_array_equal(at_zero[0][:, 1], t * np.exp(-1.2 * t))
+    for near, at in zip(near_zero, at_zero):  # the columns and both derivatives
+        np.testing.assert_allclose(near, at, rtol=1e-15, atol=0.0)
+    r_zero = analysis._projection(t, y, np.array([1.2, 0.0]))[1]
+    r_near = analysis._projection(t, y, np.array([1.2, 1e-12**2]))[1]
+    assert np.max(np.abs(r_near - r_zero)) <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [(1.2, 0.0), (1.2, 0.09), (0.4, 6.25)])
+def test_kaufman_jacobian_gives_the_exact_gradient(theta):
+    # theta = (Gamma, omega^2); the fit's cost is smooth in both
+    t = np.linspace(0.0, 10.0, 500)
+    y = 0.4 * np.exp(-1.0 * t) * np.cos(0.7 * t + 0.3) + 0.3 * np.exp(-2.0 * t) + 0.1
+
+    def cost(x):
+        r = analysis._projection(t, y, np.asarray(x, dtype=float))[1]
+        return 0.5 * float(r @ r)
+
+    _, r, jac = analysis._projection(t, y, np.array(theta))
+    h = 1e-6
+    for k in range(2):
+        up, down = np.array(theta), np.array(theta)
+        up[k] += h
+        down[k] = max(down[k] - h, 0.0)  # one-sided on the bound omega^2 = 0
+        slope = (cost(up) - cost(down)) / (up[k] - down[k])
+        assert (jac.T @ r)[k] == pytest.approx(slope, rel=1e-4, abs=1e-12)
+
+
+@pytest.mark.parametrize("P, S, gamma, C", [(1.0, -2.0, 0.5, 0.3), (-0.5, 2.5, 0.7, 0.4)])
+def test_critically_damped_series_fits_with_zero_frequency(P, S, gamma, C):
+    t = np.linspace(0.0, 10.0, 500)
+    fit = analysis.fit_damped_sine(t, (P + S * t) * np.exp(-gamma * t) + C)
+    assert fit.converged
+    # omega = 0 to what rounding resolves: an exact series fixes omega^2 to about 1e-16
+    assert fit.omega <= 1e-6
+    assert abs(fit.gamma - gamma) <= 1e-6
+    assert fit.residual_rms <= 1e-9
+
+
+@pytest.mark.parametrize("a, b", [(0.7, -0.5), (-0.7, 0.2)])
+def test_overdamped_series_fits_on_zero_frequency_with_the_t_term_outside_amplitude(a, b):
+    t = np.linspace(0.0, 10.0, 500)
+    y = a * np.exp(-1.0 * t) + b * np.exp(-3.0 * t) + 0.1
+    fit = analysis.fit_damped_sine(t, y)
+    assert fit.converged
+    assert fit.omega == 0.0  # the bound holds omega^2 at 0 exactly
+    # the fitted curve is (P + S t) e^-Gt + C; (A, phi) carry P alone: A = |P|,
+    # phi = 0 or pi, so model() gives P e^-Gt + C without the t-term
+    (P, S, C), r, _ = analysis._projection(t, y, np.array([fit.gamma, 0.0]))
+    assert abs(S) > 0.01
+    assert fit.amplitude == abs(P)
+    assert fit.phase == (0.0 if P >= 0.0 else math.pi)
+    assert fit.offset == C
+    assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(r**2)), rel=1e-12)
+    np.testing.assert_allclose(fit.model(t), P * np.exp(-fit.gamma * t) + C, rtol=0.0, atol=1e-15)
+
+
+# --- the Levenberg-Marquardt iteration and its budget -------------------------------
+
+
+def test_least_squares_stops_on_the_bound_with_a_met_test():
+    target = np.array([1.0, -2.0])
+    res = analysis.least_squares(lambda x: (x - target, np.eye(2)), [3.0, 3.0],
+                                 tol=1e-15, max_nfev=100)
+    assert res.status > 0
+    # a cost of 2 cannot resolve x[0] closer than about sqrt(eps)
+    assert res.x[0] == pytest.approx(1.0, abs=1e-8)
+    assert res.x[1] == 0.0
+    assert res.cost == pytest.approx(2.0, abs=1e-12)
+    assert 1 < res.nfev < 100
+
+
+def test_an_exhausted_budget_is_reported_unconverged(monkeypatch):
+    # below the EP each start needs more than two evaluations
+    template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4, gamma_phi=0.1))
+    t = np.linspace(0.0, 10.0, 500)
+    series = integrate_constant(build_superoperator(template), excited_projector(), t).states[:, 1, 1].real
+    assert analysis.fit_damped_sine(t, series).converged
+    assert analysis.scan_transition(template, [0.3]).n_unconverged == 0
+
+    monkeypatch.setattr(analysis, "FIT_MAX_NFEV", 2)
+    assert not analysis.fit_damped_sine(t, series).converged
+    assert analysis.scan_transition(template, [0.3]).n_unconverged == 1
+
+
+# --- the SciPy oracle on the fig1 and fig4 default series --------------------------
+
+
+@pytest.fixture(scope="module")
+def default_series():
+    """Every (t, y) that the fig1 and fig4 default scans fit, by experiment."""
+    series = {}
+    for experiment in ("fig1", "fig4"):
+        cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS[experiment]), experiment)
+        J_grid, _, window, n_samples = cli._transition_scan(cfg.scan)
+        seen = []
+        fit = analysis.fit_damped_sine
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "fit_damped_sine", lambda t, y: seen.append((t, y)) or fit(t, y))
+            analysis.scan_transition(cfg.system, J_grid, window=window, n_samples=n_samples)
+        series[experiment] = seen
+    return series
+
+
+def scipy_oracle(t, y):
+    """(Gamma, omega) from scipy.optimize.least_squares on the plain {cos, sin, 1} basis.
+
+    The starts come from a wide pencil (n/2 + 1 Hankel columns), and the
+    start with the lower cost is kept.
+    """
+    def residual(x):
+        env = np.exp(-x[0] * t)
+        cols = np.column_stack([env * np.cos(x[1] * t), env * np.sin(x[1] * t), np.ones_like(t)])
+        return cols @ np.linalg.lstsq(cols, y, rcond=None)[0] - y
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "PENCIL_COLUMNS", len(t) // 2 + 1)
+        seeds = analysis._pencil_seeds(t, y)
+    runs = [scipy.optimize.least_squares(
+        residual, seed, bounds=([0.0, 0.0], [np.inf, np.inf]),
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=500) for seed in seeds]
+    return min(runs, key=lambda run: run.cost).x
+
+
+@pytest.mark.parametrize("experiment, n_fits", [("fig1", 35), ("fig4", 33)])
+def test_fits_match_scipy_on_the_default_series(default_series, experiment, n_fits):
+    assert len(default_series[experiment]) == n_fits
+    for t, y in default_series[experiment]:
+        fit = analysis.fit_damped_sine(t, y)
+        gamma, omega = scipy_oracle(t, y)
+        assert fit.converged
+        assert abs(fit.gamma - gamma) <= 1e-6
+        assert abs(fit.omega - omega) <= 1e-5
 
 
 # --- spectral predictions ----------------------------------------------------------
@@ -179,6 +325,16 @@ def test_qutrit_fits_below_the_transition_converge():
     assert scan.failures == []
     assert [fit.converged for fit in scan.fits] == [True, True, True]
     assert scan.n_unconverged == 0
+
+
+def test_scan_transition_takes_the_grids_generator_stack():
+    template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4, gamma_phi=0.1))
+    Js = np.array([0.3, 0.9])
+    generators = superoperator_stack(operators(template, Js, 0.0, 4.4))
+    given = analysis.scan_transition(template, Js, generators=generators)
+    assert given.table() == analysis.scan_transition(template, Js).table()
+    with pytest.raises(OutOfRange, match="generators"):
+        analysis.scan_transition(template, Js, generators=generators[:1])
 
 
 def test_scan_transition_records_failures_instead_of_raising():

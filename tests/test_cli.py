@@ -267,6 +267,22 @@ def test_transition_scan_caps_the_heatmap_table():
         cli._transition_scan({**fit, "n_samples": cap // 2 + 1})
 
 
+@pytest.mark.parametrize("experiment", ["fig1", "fig4"])
+def test_transition_figures_build_their_generator_stack_once(tmp_path, monkeypatch, experiment):
+    built = []
+    stack = cli.superoperator_stack
+
+    def counted(ops):
+        built.append(len(ops.hamiltonians))
+        return stack(ops)
+
+    monkeypatch.setattr(cli, "superoperator_stack", counted)
+    monkeypatch.setattr(cli.analysis, "superoperator_stack", counted)
+    assert run(experiment, "--set", "scan.J_values=[0.5, 1.2]", "--set", "scan.heatmap_samples=11",
+               "--output-dir", str(tmp_path)) == 0
+    assert built == [2]
+
+
 def test_transition_scan_rejects_sample_counts_above_the_cap():
     cap = cli.MAX_TIME_STEPS
     scan = {"J_values": [0.5], "heatmap_t_max": 1.0, "window": 1.0,
@@ -408,7 +424,7 @@ def test_constant_trajectories_require_a_duration(tmp_path, capsys):
     assert "t_final" in capsys.readouterr().err
 
 
-# SciPy is loaded only where a damped-sine fit or branch pairing runs
+# SciPy is loaded only where branch pairing runs; the damped-sine fits are numpy only
 NO_SCIPY_SCRIPT = """
 import sys
 from pathlib import Path
@@ -424,12 +440,11 @@ for args in (
     ["sweeps", "--set", "scan.T_values=[0.25]", "--set", "scan.Delta_max_values=[3.0]"],
     ["trajectories", "--set", "ensemble.n=10"],
     ["ep-map", "--set", "scan.resolution=5"],
+    ["fig1", "--set", "scan.J_values=[0.3, 0.9]", "--set", "scan.heatmap_samples=11"],
+    ["fig4", "--set", "scan.J_values=[0.9, 1.3]", "--set", "scan.heatmap_samples=11"],
 ):
     assert cli.main([*args, "--output-dir", str(out / args[0])]) == 0, args[0]
     assert scipy_modules() == [], (args[0], scipy_modules())
-assert cli.main(["fig1", "--set", "scan.J_values=[0.5]", "--set", "scan.heatmap_samples=11",
-                 "--output-dir", str(out / "fig1")]) == 0
-assert "scipy.optimize" in sys.modules
 """
 
 
