@@ -298,12 +298,12 @@ def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     resolution = _resolution(scan, J_range, Delta_range)
     ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution)
 
-    grid_rows = [
-        [ep_map.J_values[iJ], ep_map.Delta_values[iD],
-         ep_map.gap[iD, iJ], ep_map.angle[iD, iJ], int(ep_map.ep_order[iD, iJ])]
-        for iD in range(len(ep_map.Delta_values))
-        for iJ in range(len(ep_map.J_values))
-    ]
+    # one row per grid point, J fastest; the float ep_order column writes as
+    # the same digits as its integers
+    nJ, nD = len(ep_map.J_values), len(ep_map.Delta_values)
+    grid_rows = np.column_stack([
+        np.tile(ep_map.J_values, nD), np.repeat(ep_map.Delta_values, nJ),
+        ep_map.gap.ravel(), ep_map.angle.ravel(), ep_map.ep_order.ravel()])
     line_rows = [
         [line_id, k, point[0], point[1]]
         for line_id, line in enumerate(ep_map.ep_lines)

@@ -35,14 +35,23 @@ def _cell(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> Path:
-    """RFC-4180-style CSV with a header row and pinned float formatting."""
+    """RFC-4180-style CSV with a header row and pinned float formatting.
+
+    A 2-d float ndarray is formatted a row at a time from its Python floats,
+    which writes the same bytes as `_cell` on every value: no formatted float
+    holds a comma, quote or line break, so no cell needs quoting. Other rows
+    go through `_cell` one cell at a time.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(x) for x in row])
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+            line = ",".join([CSV_FLOAT_FORMAT] * rows.shape[1]) + "\r\n"
+            fh.writelines(line % tuple(row.tolist()) for row in rows)
+        else:
+            writer.writerows([_cell(x) for x in row] for row in rows)
     return path
 
 

@@ -12,8 +12,13 @@ jump up to the end of any step is exactly that step's squared norm, so the
 sampling has no first-order bias in dt; only the jump instant is rounded to
 the end of its step.
 
-A batch of trajectories advances with one propagation per step, and only the
-rows that jump do more. Each row sees the same arithmetic whatever the batch
+A batch of trajectories advances from stored step to stored step, with one
+propagation per interval by the product of its no-jump propagators. The
+no-jump squared norm never rises, so a trajectory whose norm is still at or
+above its threshold at the end of an interval did not jump inside it. Only
+the others are stepped again, one step at a time from the interval's start,
+and each jump instant is still the end of the step in which the norm fell
+below the threshold. Each row sees the same arithmetic whatever the batch
 holds, so a batch of one reproduces any member bit for bit.
 
 Seed splitting: trajectory i of an ensemble draws its uniforms from
@@ -32,6 +37,10 @@ from .errors import OutOfRange, ZeroNorm
 from .model import ParameterSchedule, QuantumSystem, operators, path_points
 
 SeedLike = Union[int, np.random.SeedSequence]
+
+# Relative widening, per step, of the end-of-interval norm test: above the
+# rounding of one 2x2 or 3x3 product and of one step's squared norm.
+NORM_SLACK = 1e-14
 
 
 @dataclass
@@ -111,6 +120,40 @@ def _resolve_steps(
     return n_steps, total / n_steps
 
 
+def _jump_steps(props, ops, labels, psi, rows, steps, dt, generators, threshold, jumps, histogram):
+    """Step psi's rows one step at a time over `steps`, sampling their jumps.
+
+    Returns the rows' states after the last step. A row jumps in the step
+    where its squared norm first falls below its threshold, at the step's
+    end; trajectory r draws its channel uniform and new threshold from
+    generators[r], updates threshold[r] and appends to jumps[r].
+    """
+    psi = psi[rows]
+    for k in steps:
+        psi = np.einsum("ab,nb->na", props[k], psi)
+        hit = np.flatnonzero(np.einsum("na,na->n", psi, psi.conj()).real < threshold[rows])
+        if not hit.size:
+            continue
+        jumped = rows[hit]
+        amp = np.einsum("oab,nb->noa", ops[k], psi[hit])
+        cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
+        total = cum[:, -1]
+        if not total.all():
+            bad = int(jumped[np.argmin(total)])
+            raise ZeroNorm(f"jump annihilated the state in trajectory {bad}")
+        # a uniform u < 1 gives u * total < total, so chans < len(labels)
+        u = np.array([generators[r].random() for r in jumped]) * total
+        chans = (u[:, None] >= cum).sum(axis=1)
+        phi = amp[np.arange(hit.size), chans]
+        psi[hit] = phi / np.linalg.norm(phi, axis=1)[:, None]
+        t_jump = (k + 1) * dt
+        for r, c in zip(jumped, chans):
+            threshold[r] = generators[r].random()
+            jumps[int(r)].append((t_jump, labels[c]))
+            histogram[labels[c]] += 1
+    return psi
+
+
 def _run_batch(
     system: QuantumSystem,
     schedule: Optional[ParameterSchedule],
@@ -121,7 +164,18 @@ def _run_batch(
     store_every: int,
     store,
 ):
-    """Advance a batch of trajectories with shared per-step propagators.
+    """Advance a batch of trajectories from stored step to stored step.
+
+    Each interval [a, b) between stored steps is one propagation of the
+    batch by the interval's no-jump product P_{b-1} ... P_a. The no-jump
+    squared norm never rises, so a row still at or above its threshold at
+    b did not jump inside the interval and keeps that state. The other
+    rows restart from their state at a and are stepped one step at a time
+    by `_jump_steps`, which samples their jumps (a row may jump more than
+    once) exactly as a per-step loop would, each at the end of the step in
+    which its norm fell below its threshold. The cut is widened by
+    NORM_SLACK per step, so that rounding in the product cannot hide a
+    crossing the per-step loop would see.
 
     store(psi) is called with the batch's (n, d) normalised states at t = 0
     and at every stored step. Returns (times, jumps per trajectory, jump
@@ -136,31 +190,19 @@ def _run_batch(
     threshold = np.array([g.random() for g in generators])
     jumps: list[list[tuple[float, str]]] = [[] for _ in generators]
     histogram: dict[str, int] = {lab: 0 for lab in labels}
-    si = 1
 
-    for k in range(n_steps):
-        psi = np.einsum("ab,nb->na", props[k], psi)
-        rows = np.flatnonzero(np.einsum("na,na->n", psi, psi.conj()).real < threshold)
+    for a, b in zip(stored_idx[:-1], stored_idx[1:]):
+        product = props[a]
+        for k in range(a + 1, b):
+            product = props[k] @ product
+        end = np.einsum("ab,nb->na", product, psi)
+        cut = threshold * (1.0 + NORM_SLACK * (b - a))
+        rows = np.flatnonzero(np.einsum("na,na->n", end, end.conj()).real < cut)
         if rows.size:
-            amp = np.einsum("oab,nb->noa", ops[k], psi[rows])
-            cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
-            total = cum[:, -1]
-            if not total.all():
-                bad = int(rows[np.argmin(total)])
-                raise ZeroNorm(f"jump annihilated the state in trajectory {bad}")
-            # a uniform u < 1 gives u * total < total, so chans < len(labels)
-            u = np.array([generators[r].random() for r in rows]) * total
-            chans = (u[:, None] >= cum).sum(axis=1)
-            phi = amp[np.arange(rows.size), chans]
-            psi[rows] = phi / np.linalg.norm(phi, axis=1)[:, None]
-            t_jump = (k + 1) * dt
-            for r, c in zip(rows, chans):
-                threshold[r] = generators[r].random()
-                jumps[int(r)].append((t_jump, labels[c]))
-                histogram[labels[c]] += 1
-        if si < len(stored_idx) and k + 1 == stored_idx[si]:
-            store(psi / np.linalg.norm(psi, axis=1)[:, None])
-            si += 1
+            end[rows] = _jump_steps(props, ops, labels, psi, rows, range(a, b), dt,
+                                    generators, threshold, jumps, histogram)
+        psi = end
+        store(psi / np.linalg.norm(psi, axis=1)[:, None])
 
     return times, jumps, histogram
 

@@ -53,6 +53,22 @@ def test_write_csv_reads_back_with_stdlib(tmp_path):
     assert rows == [["a", "b"], ["1.5", "2.5"], ["3", "4"]]
 
 
+def test_float_array_rows_write_the_same_bytes_as_cell_by_cell(tmp_path):
+    values = [2.0, -7.0, 123456789012345.0, 1e15, float("nan"), float("inf"),
+              float("-inf"), -0.0, 0.0, 1e-300, 1e300, -1e-300, 1.0 / 3.0, 5e-324]
+    table = np.array(values + values[::-1]).reshape(-1, 4)
+    for columns in (table, table.reshape(-1, 1), table[:0]):
+        header = [f"c{i}" for i in range(columns.shape[1])]
+        fast = lio.write_csv(tmp_path / "fast.csv", header, columns)
+        # a list of rows is formatted through _cell
+        slow = lio.write_csv(tmp_path / "slow.csv", header, list(columns))
+        assert fast.read_bytes() == slow.read_bytes()
+    lio.write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], table)
+    lines = (tmp_path / "fast.csv").read_bytes().decode().split("\r\n")
+    assert lines[1] == "2,-7,1.23456789012e+14,1e+15"
+    assert lines[2] == "nan,inf,-inf,-0"
+
+
 # --- JSON ---------------------------------------------------------------------------
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import point_operators, sigma_x_mirror_deviation, system_on_path
 from liouvlab import trajectories as tj
-from liouvlab.dynamics import integrate_constant, integrate_scheduled, step_count
-from liouvlab.errors import OutOfRange
+from liouvlab.dynamics import integrate_constant, integrate_scheduled, step_count, stored_steps
+from liouvlab.errors import OutOfRange, ZeroNorm
 from liouvlab.liouvillian import build_superoperator
 from liouvlab.model import (
     DriveParams,
@@ -283,3 +283,173 @@ def test_ensemble_reproduces_its_recorded_jumps():
     assert ens.jump_count_histogram == {"e": 2, "phi": 3}
     assert ens.jumps_per_trajectory[0] == [(0.037, "phi"), (0.132, "e"), (0.399, "phi")]
     assert [len(j) for j in ens.jumps_per_trajectory] == [3, 2, 0, 0, 0, 0]
+
+
+# --- interval stepping against the per-step loop ---------------------------------------
+
+
+def _reference_run_batch(system, schedule, psi0, dt, n_steps, generators, store_every, store):
+    """The per-step kernel: one propagation of the whole batch per step."""
+    props, ops, labels = tj._step_table(system, schedule, dt, n_steps)
+    stored_idx, times = stored_steps(n_steps, store_every, dt)
+
+    psi = np.tile(np.asarray(psi0, dtype=complex), (len(generators), 1))
+    store(psi)
+    threshold = np.array([g.random() for g in generators])
+    jumps = [[] for _ in generators]
+    histogram = {lab: 0 for lab in labels}
+    si = 1
+
+    for k in range(n_steps):
+        psi = np.einsum("ab,nb->na", props[k], psi)
+        rows = np.flatnonzero(np.einsum("na,na->n", psi, psi.conj()).real < threshold)
+        if rows.size:
+            amp = np.einsum("oab,nb->noa", ops[k], psi[rows])
+            cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
+            total = cum[:, -1]
+            if not total.all():
+                bad = int(rows[np.argmin(total)])
+                raise ZeroNorm(f"jump annihilated the state in trajectory {bad}")
+            u = np.array([generators[r].random() for r in rows]) * total
+            chans = (u[:, None] >= cum).sum(axis=1)
+            phi = amp[np.arange(rows.size), chans]
+            psi[rows] = phi / np.linalg.norm(phi, axis=1)[:, None]
+            t_jump = (k + 1) * dt
+            for r, c in zip(rows, chans):
+                threshold[r] = generators[r].random()
+                jumps[int(r)].append((t_jump, labels[c]))
+                histogram[labels[c]] += 1
+        if si < len(stored_idx) and k + 1 == stored_idx[si]:
+            store(psi / np.linalg.norm(psi, axis=1)[:, None])
+            si += 1
+
+    return times, jumps, histogram
+
+
+DEFAULT_LOOP = (make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=0.2)),
+                ParameterSchedule(T=2.0, J_max=16.0, Delta_max=10.0 * math.pi))
+QUTRIT_LOOP = (make_system(DriveParams(J=0.0), Rates(gamma_e=4.2, gamma_phi=0.2, gamma_f=0.3),
+                           dim=3, f_decay_to="e"),
+               ParameterSchedule(T=1.0, J_max=4.0, Delta_max=6.0))
+ORACLE_CASES = {
+    # name: (system, schedule, psi0, dt, t_final, n)
+    "default-loop": DEFAULT_LOOP + (plus_x(), 5e-4, None, 300),
+    "qutrit-f-decay": QUTRIT_LOOP + (basis_ket(3, 2), 1e-3, None, 100),
+    "constant-t_final": (make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.5)),
+                         None, EXCITED_KET, 1e-3, 1.5, 100),
+    "high-rate": (make_system(DriveParams(J=8.0), Rates(gamma_e=40.0, gamma_phi=20.0)),
+                  None, EXCITED_KET, 1e-3, 0.5, 50),
+}
+
+
+def _both_kernels(name, store_every, seed=2024):
+    system, schedule, psi0, dt, t_final, n = ORACLE_CASES[name]
+    n_steps, step = tj._resolve_steps(schedule, t_final, dt)
+    runs = []
+    for kernel in (_reference_run_batch, tj._run_batch):
+        states = []
+        generators = [tj._as_generator(tj.split_seed(seed, i)) for i in range(n)]
+        times, jumps, histogram = kernel(system, schedule, psi0, step, n_steps, generators,
+                                         store_every, lambda batch: states.append(batch.copy()))
+        runs.append((times, np.array(states), jumps, histogram))
+    return n_steps, step, runs
+
+
+@pytest.mark.parametrize("store_every", [1, 7, 20])
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_interval_stepping_matches_the_per_step_loop(name, store_every):
+    n_steps, _step, ((t_ref, s_ref, j_ref, h_ref), (t_new, s_new, j_new, h_new)) = (
+        _both_kernels(name, store_every))
+    assert n_steps % 7 != 0  # so store_every = 7 ends on a short interval
+    assert np.array_equal(t_new, t_ref)
+    assert j_new == j_ref
+    assert h_new == h_ref
+    assert sum(h_ref.values()) > 0
+    assert s_new.shape == s_ref.shape
+    assert np.max(np.abs(s_new - s_ref)) <= 1e-13
+
+
+def test_high_rate_case_jumps_twice_within_one_stored_interval():
+    store_every = 20
+    _n_steps, step, (_ref, (_t, _s, jumps, _h)) = _both_kernels("high-rate", store_every)
+    twice = 0
+    for record in jumps:
+        intervals = [(round(t / step) - 1) // store_every for t, _label in record]
+        twice += len(intervals) - len(set(intervals))
+    assert twice >= 1
+
+
+@pytest.mark.parametrize("system, schedule, n_steps", [
+    DEFAULT_LOOP + (4000,),
+    QUTRIT_LOOP + (1000,),
+], ids=["default-loop", "qutrit-loop"])
+def test_no_jump_squared_norm_never_rises(system, schedule, n_steps):
+    # the interval kernel skips a row whose end-of-interval norm is above its
+    # threshold, which is sound only while no step raises the norm
+    props, _ops, _labels = tj._step_table(system, schedule, schedule.T / n_steps, n_steps)
+    d = system.dim
+    rng = np.random.default_rng(5)
+    starts = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
+    psi = np.concatenate([np.eye(d, dtype=complex), plus_x(d)[None],
+                          starts / np.linalg.norm(starts, axis=1)[:, None]])
+    norms = [np.ones(len(psi))]
+    for k in range(n_steps):
+        psi = np.einsum("ab,nb->na", props[k], psi)
+        norms.append(np.einsum("na,na->n", psi, psi.conj()).real)
+    norms = np.array(norms)
+    assert np.all(norms[1:] - norms[:-1] <= 1e-15 * norms[:-1])
+    assert np.all(norms[-1] > 0.0)
+
+
+class _Draws:
+    """A generator stub: returns the given uniforms in turn, then the last forever."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0) if len(self.values) > 1 else self.values[0]
+
+
+def test_a_jump_that_annihilates_the_state_raises_zero_norm():
+    # |g> under emission alone keeps norm 1, so a threshold above 1 makes it
+    # jump at once, and its jump image L|g> is zero
+    system = make_system(DriveParams(J=0.0), Rates(gamma_e=4.4))
+    generators = [tj._as_generator(0), _Draws(1.5)]
+    with pytest.raises(ZeroNorm, match="trajectory 1"):
+        tj._run_batch(system, None, GROUND, 1e-3, 100, generators, 20, lambda batch: None)
+
+
+def test_a_crossing_hidden_by_the_rounding_of_the_product_is_still_stepped(monkeypatch):
+    # find a start state whose per-step norm ends the interval one rounding
+    # below the product's, and put its threshold between the two: the
+    # per-step loop jumps in the last step, which the product alone misses
+    system = make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.5))
+    dt, n_steps = 1e-3, 20
+    props, _ops, _labels = tj._step_table(system, None, dt, n_steps)
+    product = props[0]
+    for k in range(1, n_steps):
+        product = props[k] @ product
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi0 /= np.linalg.norm(psi0)
+        psi = psi0[None]
+        for k in range(n_steps):
+            psi = np.einsum("ab,nb->na", props[k], psi)
+        end = np.einsum("ab,nb->na", product, psi0[None])
+        stepped, multiplied = (np.einsum("na,na->n", v, v.conj()).real[0] for v in (psi, end))
+        if stepped < multiplied:
+            break
+    assert stepped < multiplied
+    threshold = np.nextafter(stepped, np.inf)
+
+    def jumps_of(kernel):
+        draws = [_Draws(threshold, 0.5, 0.0)]
+        return kernel(system, None, psi0, dt, n_steps, draws, n_steps, lambda batch: None)[1]
+
+    expected = jumps_of(_reference_run_batch)
+    assert expected[0] and expected[0][0][0] == n_steps * dt
+    assert jumps_of(tj._run_batch) == expected
+    monkeypatch.setattr(tj, "NORM_SLACK", 0.0)
+    assert jumps_of(tj._run_batch) == [[]]
