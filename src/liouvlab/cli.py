@@ -462,7 +462,7 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
         single = analysis.sweep_metrics(
             cfg.system, replace(schedule, gamma_e_schedule=kind), "T", [schedule.T],
             (rho_mx, rho_mx), cfg.integrator_dt)
-        _T, chi, s_cw, s_ccw = single.table()[1][0]
+        chi, s_cw, s_ccw = (float(m[0]) for m in (single.chirality, single.entropy_cw, single.entropy_ccw))
         comparison_rows.append([kind, chi, s_cw, s_ccw])
         schedule_metrics[kind] = {"chirality": chi, "entropy_cw": s_cw, "entropy_ccw": s_ccw}
 

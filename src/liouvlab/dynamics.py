@@ -2,15 +2,15 @@
 
 Matrix exponentials are the one Lindblad scheme. Constant-parameter runs
 apply the exact propagator between the requested times. Scheduled runs use
-piecewise-constant midpoint propagation: step k applies the matrix
-exponential of the Liouvillian at the midpoint of its interval. The
-generators of a run are built as one stack from the schedule's midpoint
-parameters (model.operators, then liouvillian.superoperator_stack) and
-exponentiated in one batch, up to STEP_BLOCK steps at a time; only the
-matrix-vector products run step by step. Every step is exactly trace
-preserving and completely positive, and the scheme is second-order accurate
-in the step size, which stays robust at parameter points where the
-Liouvillian is defective.
+piecewise-constant midpoint propagation, by the one step rule that they share
+with the Monte-Carlo wavefunction kernel (trajectories): step k applies the
+generator at the path's midpoint (k + 1/2) dt (`midpoint_path`), and the
+steps come in blocks of at most STEP_BLOCK steps made of whole stored
+intervals (`step_blocks`). A block's generators are built as one stack and
+exponentiated in one batch; only the matrix-vector products run step by
+step. Every step is exactly trace preserving and completely positive, and
+the scheme is second-order accurate in the step size, which stays robust at
+parameter points where the Liouvillian is defective.
 """
 
 import math
@@ -25,7 +25,7 @@ from .liouvillian import bloch_transverse_rate, superoperator_stack, vec
 from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, operators, path_points
 
 MIN_SCHEDULED_STEPS = 1000
-STEP_BLOCK = 4096  # scheduled steps built and exponentiated per batch
+STEP_BLOCK = 4096  # most scheduled steps built and exponentiated at once
 
 
 def step_count(total: float, dt: float) -> int:
@@ -53,6 +53,28 @@ def stored_steps(n_steps: int, every: int, dt: float) -> tuple[list[int], np.nda
 def scheduled_step_count(T: float, dt: float) -> int:
     """Steps of a scheduled loop of duration T: about dt each, and at least MIN_SCHEDULED_STEPS."""
     return max(MIN_SCHEDULED_STEPS, step_count(T, dt))
+
+
+def midpoint_path(schedule: ParameterSchedule, gamma_e: float, steps: range, dt: float) -> np.ndarray:
+    """The path's (J, Delta, gamma_e) at the midpoints (k + 1/2) dt of the steps k, as (3, m)."""
+    return path_points(schedule, (np.arange(steps.start, steps.stop) + 0.5) * dt, gamma_e)
+
+
+def step_blocks(n_steps: int, every: int):
+    """Cut a run's steps into blocks, and each block into its stored intervals.
+
+    The state after every `every`-th step and the last is stored. A block
+    holds at most STEP_BLOCK steps and ends at a stored step, unless one
+    interval is longer. Yields the range of each block's steps, and an
+    iterator over its intervals' ranges, each with whether its end is stored.
+    """
+    size = max(1, STEP_BLOCK // every) * every  # whole intervals, or one longer than a block
+    for start in range(0, n_steps, size):
+        stop = min(start + size, n_steps)
+        for a in range(start, stop, STEP_BLOCK):  # more than once only for an interval > STEP_BLOCK
+            block = range(a, min(a + STEP_BLOCK, stop))
+            yield block, ((range(b, min(b + every, block.stop)), min(b + every, stop) <= block.stop)
+                          for b in range(a, block.stop, every))
 
 
 @dataclass
@@ -156,25 +178,21 @@ def integrate_scheduled(
         )
     rho = validate_density_matrix(rho0, system.dim)
     dt = schedule.T / n_steps
+    d = system.dim
 
-    stored_idx, times = stored_steps(n_steps, store_every, dt)
-    states = np.empty((len(stored_idx), system.dim, system.dim), dtype=complex)
-
-    midpoints = (np.arange(n_steps) + 0.5) * dt
+    times = stored_steps(n_steps, store_every, dt)[1]
+    states = np.empty((len(times), d, d), dtype=complex)
     v = vec(rho)
-    states[0] = v.reshape(system.dim, system.dim)
-    si = 1
-    for start in range(0, n_steps, STEP_BLOCK):
-        path = path_points(schedule, midpoints[start:start + STEP_BLOCK], system.rates.gamma_e)
-        block = numerics.expm(superoperator_stack(operators(system, *path)) * dt)
-        for k, step in enumerate(block, start):
-            v = step @ v
-            if si < len(stored_idx) and k + 1 == stored_idx[si]:
-                states[si] = v.reshape(system.dim, system.dim)
-                si += 1
-    return EvolutionResult(
-        times=times, states=states, observables=observables_from_states(states, system.dim)
-    )
+    states[0] = v.reshape(d, d)
+    for block, intervals in step_blocks(n_steps, store_every):
+        path = midpoint_path(schedule, system.rates.gamma_e, block, dt)
+        props = numerics.expm(superoperator_stack(operators(system, *path)) * dt)
+        for steps, stored in intervals:
+            for step in props[steps.start - block.start:steps.stop - block.start]:
+                v = step @ v
+            if stored:  # the state after step b - 1 is stored at ceil(b / store_every)
+                states[-(-steps.stop // store_every)] = v.reshape(d, d)
+    return EvolutionResult(times=times, states=states, observables=observables_from_states(states, d))
 
 
 # ---------------------------------------------------------------------------

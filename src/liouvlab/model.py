@@ -231,20 +231,6 @@ class ParameterSchedule:
             )
 
 
-def _path_point(s: ParameterSchedule, t: float, gamma_e: float) -> tuple[float, float, float]:
-    """(J, Delta, gamma_e) of the path at time t, with the direction sign on Delta."""
-    if not (0.0 <= t <= s.T):
-        raise OutOfRange(f"t={t} outside schedule domain [0, {s.T}]")
-    sign = 1.0 if s.direction == "ccw" else -1.0
-    J = s.J_max * math.cos(math.pi * t / s.T) ** 2
-    Delta = sign * s.Delta_max * math.sin(2.0 * math.pi * t / s.T)
-    if s.gamma_e_schedule == "cosine":
-        ge = gamma_e * (1.0 - math.cos(2.0 * math.pi * t / s.T)) / 2.0
-    else:
-        ge = gamma_e
-    return J, Delta, ge
-
-
 @dataclass(frozen=True)
 class OperatorStack:
     """A system's Hamiltonian and collapse operators at n parameter points.
@@ -262,10 +248,19 @@ def path_points(s: ParameterSchedule, times, gamma_e: float) -> np.ndarray:
     """The path's (J, Delta, gamma_e) at the given times, as a (3, n) array.
 
     Delta carries the direction sign, and gamma_e follows the schedule's
-    emission profile from the given base rate.
+    emission profile from the given base rate. Every time must lie in
+    [0, T]; each is evaluated alone, so a time gives the same bits in any array.
     """
-    points = [_path_point(s, float(t), gamma_e) for t in times]
-    return np.array(points, dtype=float).reshape(-1, 3).T
+    t = np.asarray(times, dtype=float).reshape(-1)
+    outside = ~((0.0 <= t) & (t <= s.T))
+    if outside.any():
+        raise OutOfRange(f"t={t[outside][0]} outside schedule domain [0, {s.T}]")
+    sign = 1.0 if s.direction == "ccw" else -1.0
+    J = s.J_max * np.cos(math.pi * t / s.T) ** 2
+    Delta = sign * s.Delta_max * np.sin(2.0 * math.pi * t / s.T)
+    if s.gamma_e_schedule == "cosine":
+        return np.array([J, Delta, gamma_e * (1.0 - np.cos(2.0 * math.pi * t / s.T)) / 2.0])
+    return np.array([J, Delta, np.full_like(t, gamma_e)])
 
 
 def operators(system: QuantumSystem, J, Delta, gamma_e) -> OperatorStack:

@@ -26,15 +26,16 @@ numpy.random.SeedSequence(master_seed, spawn_key=(i,)). This counter-based
 construction is stable across runs, processes, and thread counts.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from . import numerics
-from .dynamics import step_count, stored_steps
+from .dynamics import midpoint_path, step_blocks, step_count, stored_steps
 from .errors import OutOfRange, ZeroNorm
-from .model import ParameterSchedule, QuantumSystem, operators, path_points
+from .model import ParameterSchedule, QuantumSystem, operators
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -71,57 +72,43 @@ def _as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
-def _step_table(
-    system: QuantumSystem,
-    schedule: Optional[ParameterSchedule],
-    dt: float,
-    n_steps: int,
-):
-    """Per-step no-jump propagators and jump operators, one row per step.
+def _step_table(system: QuantumSystem, schedule: Optional[ParameterSchedule], dt: float, steps: range):
+    """No-jump propagators and jump operators of the m given steps, one row per step.
 
-    Returns (props, ops, labels): props (n_steps, d, d), the operators of
-    every channel (n_steps, c, d, d), and the c channel labels. A scheduled
-    run builds each step's H_eff = H - (i/2) sum_k L_k^+ L_k from its
-    midpoint parameters and exponentiates all of them in one batch; a
-    constant system builds one row, and every step reads a view of it.
+    Returns (props, ops, labels): props (m, d, d), the operators of every
+    channel (m, c, d, d), and the c channel labels. A scheduled run builds
+    each step's H_eff = H - (i/2) sum_k L_k^+ L_k from its midpoint
+    parameters and exponentiates them in one batch; a constant system
+    builds one row, and every step reads a view of it.
     """
-    d = system.dim
     if schedule is None:
         ops = operators(system, [system.drive.J], [system.drive.Delta], system.rates.gamma_e)
     else:
-        midpoints = (np.arange(n_steps) + 0.5) * dt
-        ops = operators(system, *path_points(schedule, midpoints, system.rates.gamma_e))
+        ops = operators(system, *midpoint_path(schedule, system.rates.gamma_e, steps, dt))
     h = ops.hamiltonians
-    n = len(h)
-    acc = np.zeros_like(h)
-    for L, _label in ops.jumps:
-        acc = acc + L.conj().swapaxes(-1, -2) @ L
+    acc = sum((L.conj().swapaxes(-1, -2) @ L for L, _label in ops.jumps), np.zeros_like(h))
     props = numerics.expm(-1j * (h - 0.5j * acc) * dt)
 
-    labels = [label for _L, label in ops.jumps]
-    ops_all = np.zeros((n, len(labels), d, d), dtype=complex)
+    ops_all = np.zeros((len(h), len(ops.jumps)) + h.shape[1:], dtype=complex)
     for c, (L, _label) in enumerate(ops.jumps):
         ops_all[:, c] = L
-    props, ops_all = (np.broadcast_to(a, (n_steps,) + a.shape[1:]) for a in (props, ops_all))
-    return props, ops_all, labels
+    props, ops_all = (np.broadcast_to(a, (len(steps),) + a.shape[1:]) for a in (props, ops_all))
+    return props, ops_all, [label for _L, label in ops.jumps]
 
 
 def _resolve_steps(
     schedule: Optional[ParameterSchedule], t_final: Optional[float], dt: float
 ) -> tuple[int, float]:
     """(n_steps, step): the run covers its duration exactly in steps of about dt."""
-    if schedule is not None:
-        total = schedule.T
-    elif t_final is not None:
-        total = float(t_final)
-    else:
+    if schedule is None and t_final is None:
         raise OutOfRange("constant-parameter trajectories need t_final")
+    total = schedule.T if schedule is not None else float(t_final)
     n_steps = step_count(total, dt)
     return n_steps, total / n_steps
 
 
 def _jump_steps(props, ops, labels, psi, rows, steps, dt, generators, threshold, jumps, histogram):
-    """Step psi's rows one step at a time over `steps`, sampling their jumps.
+    """Step psi's rows through `steps`, whose table rows are props and ops, sampling jumps.
 
     Returns the rows' states after the last step. A row jumps in the step
     where its squared norm first falls below its threshold, at the step's
@@ -129,13 +116,13 @@ def _jump_steps(props, ops, labels, psi, rows, steps, dt, generators, threshold,
     generators[r], updates threshold[r] and appends to jumps[r].
     """
     psi = psi[rows]
-    for k in steps:
-        psi = np.einsum("ab,nb->na", props[k], psi)
+    for k, prop, op in zip(steps, props, ops):
+        psi = np.einsum("ab,nb->na", prop, psi)
         hit = np.flatnonzero(np.einsum("na,na->n", psi, psi.conj()).real < threshold[rows])
         if not hit.size:
             continue
         jumped = rows[hit]
-        amp = np.einsum("oab,nb->noa", ops[k], psi[hit])
+        amp = np.einsum("oab,nb->noa", op, psi[hit])
         cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
         total = cum[:, -1]
         if not total.all():
@@ -166,45 +153,45 @@ def _run_batch(
 ):
     """Advance a batch of trajectories from stored step to stored step.
 
-    Each interval [a, b) between stored steps is one propagation of the
-    batch by the interval's no-jump product P_{b-1} ... P_a. The no-jump
-    squared norm never rises, so a row still at or above its threshold at
-    b did not jump inside the interval and keeps that state. The other
-    rows restart from their state at a and are stepped one step at a time
-    by `_jump_steps`, which samples their jumps (a row may jump more than
-    once) exactly as a per-step loop would, each at the end of the step in
-    which its norm fell below its threshold. The cut is widened by
-    NORM_SLACK per step, so that rounding in the product cannot hide a
-    crossing the per-step loop would see.
+    Each block of dynamics.step_blocks builds its step table when the batch
+    reaches it. Each interval [a, b) is one propagation of the batch by its
+    no-jump product P_{b-1} ... P_a. The no-jump squared norm never rises,
+    so a row still at or above its threshold at b did not jump inside the
+    interval and keeps that state. The other rows restart from their state
+    at a and are stepped one step at a time by `_jump_steps`, which samples
+    their jumps (a row may jump more than once) exactly as a per-step loop
+    would, each at the end of the step in which its norm fell below its
+    threshold. The cut is widened by NORM_SLACK per step, so that rounding
+    in the product cannot hide a crossing the per-step loop would see.
 
     store(psi) is called with the batch's (n, d) normalised states at t = 0
     and at every stored step. Returns (times, jumps per trajectory, jump
     histogram), the histogram keyed in channel order. Trajectory i draws its
     thresholds and channel uniforms from generators[i].
     """
-    props, ops, labels = _step_table(system, schedule, dt, n_steps)
-    stored_idx, times = stored_steps(n_steps, store_every, dt)
-
     psi = np.tile(np.asarray(psi0, dtype=complex), (len(generators), 1))
     store(psi)
     threshold = np.array([g.random() for g in generators])
     jumps: list[list[tuple[float, str]]] = [[] for _ in generators]
-    histogram: dict[str, int] = {lab: 0 for lab in labels}
+    histogram: dict[str, int] = {}
 
-    for a, b in zip(stored_idx[:-1], stored_idx[1:]):
-        product = props[a]
-        for k in range(a + 1, b):
-            product = props[k] @ product
-        end = np.einsum("ab,nb->na", product, psi)
-        cut = threshold * (1.0 + NORM_SLACK * (b - a))
-        rows = np.flatnonzero(np.einsum("na,na->n", end, end.conj()).real < cut)
-        if rows.size:
-            end[rows] = _jump_steps(props, ops, labels, psi, rows, range(a, b), dt,
-                                    generators, threshold, jumps, histogram)
-        psi = end
-        store(psi / np.linalg.norm(psi, axis=1)[:, None])
+    for block, intervals in step_blocks(n_steps, store_every):
+        props, ops, labels = _step_table(system, schedule, dt, block)
+        histogram = histogram or dict.fromkeys(labels, 0)  # every block has the same channels
+        for steps, stored in intervals:
+            own = slice(steps.start - block.start, steps.stop - block.start)
+            product = functools.reduce(lambda acc, prop: prop @ acc, props[own])
+            end = np.einsum("ab,nb->na", product, psi)
+            cut = threshold * (1.0 + NORM_SLACK * len(steps))
+            rows = np.flatnonzero(np.einsum("na,na->n", end, end.conj()).real < cut)
+            if rows.size:
+                end[rows] = _jump_steps(props[own], ops[own], labels, psi, rows, steps,
+                                        dt, generators, threshold, jumps, histogram)
+            psi = end
+            if stored:
+                store(psi / np.linalg.norm(psi, axis=1)[:, None])
 
-    return times, jumps, histogram
+    return stored_steps(n_steps, store_every, dt)[1], jumps, histogram
 
 
 def _unit_state(psi0) -> np.ndarray:

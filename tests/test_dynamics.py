@@ -198,6 +198,33 @@ def test_scheduled_run_matches_a_per_step_reference_loop(dim, target, monkeypatc
     assert blocked.states.tobytes() == whole.states.tobytes()
 
 
+@pytest.mark.parametrize("n_steps, every", [(1000, 1), (1000, 7), (1000, 64), (1000, 100),
+                                            (128, 64), (1, 5), (1000, 1000)])
+def test_step_blocks_cut_a_run_into_whole_stored_intervals(monkeypatch, n_steps, every):
+    monkeypatch.setattr(dynamics, "STEP_BLOCK", 64)
+    blocks = [(block, list(intervals)) for block, intervals in dynamics.step_blocks(n_steps, every)]
+    assert [k for block, _ in blocks for k in block] == list(range(n_steps))
+    ends = []
+    for block, intervals in blocks:
+        assert 1 <= len(block) <= 64
+        assert [k for steps, _ in intervals for k in steps] == list(block)
+        ends += [steps.stop for steps, stored in intervals if stored]
+    # only a stored interval longer than a block ends a block without a store
+    assert ends == dynamics.stored_steps(n_steps, every, 1.0)[0][1:]
+    if every <= 64:
+        assert all(stored for _, intervals in blocks for _, stored in intervals)
+
+
+def test_scheduled_store_beyond_one_block_matches_one_block(monkeypatch):
+    schedule = ParameterSchedule(T=2.0, gamma_e_schedule="cosine")
+    system = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=0.2))
+    whole = integrate_scheduled(system, schedule, EXCITED, n_steps=1000, store_every=300)
+    monkeypatch.setattr(dynamics, "STEP_BLOCK", 64)
+    blocked = integrate_scheduled(system, schedule, EXCITED, n_steps=1000, store_every=300)
+    assert blocked.states.tobytes() == whole.states.tobytes()
+    assert np.array_equal(blocked.times, whole.times)
+
+
 def test_scheduled_step_floor_enforced():
     schedule = ParameterSchedule(T=2.0)
     system = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6))

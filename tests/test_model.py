@@ -165,6 +165,25 @@ def test_schedule_rejects_time_outside_domain():
         model.path_points(s, [-0.1], 1.0)
     with pytest.raises(OutOfRange):
         model.path_points(s, [2.1], 1.0)
+    with pytest.raises(OutOfRange):
+        model.path_points(s, [float("nan")], 1.0)
+    # one bad time among valid ones is caught too
+    with pytest.raises(OutOfRange, match="t=2.5"):
+        model.path_points(s, [0.0, 0.5, 2.5, 1.0], 1.0)
+    with pytest.raises(OutOfRange, match="nan"):
+        model.path_points(s, [0.5, float("nan"), 2.0], 1.0)
+
+
+@pytest.mark.parametrize("gamma_e_schedule", ["constant", "cosine"])
+def test_path_points_of_an_array_equal_one_point_calls_bitwise(gamma_e_schedule):
+    s = default_schedule("cw", gamma_e_schedule=gamma_e_schedule)
+    times = (np.arange(1000) + 0.5) * (s.T / 1000)
+    whole = model.path_points(s, times, 4.6)
+    assert whole.shape == (3, 1000)
+    alone = np.column_stack([model.path_points(s, [t], 4.6) for t in times])
+    assert whole.tobytes() == alone.tobytes()
+    split = np.column_stack([model.path_points(s, part, 4.6) for part in np.split(times, [7, 300])])
+    assert whole.tobytes() == split.tobytes()
 
 
 def test_schedule_cosine_emission_ramp():

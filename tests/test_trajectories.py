@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import point_operators, sigma_x_mirror_deviation, system_on_path
+from liouvlab import dynamics
 from liouvlab import trajectories as tj
 from liouvlab.dynamics import integrate_constant, integrate_scheduled, step_count, stored_steps
 from liouvlab.errors import OutOfRange, ZeroNorm
@@ -92,7 +93,7 @@ def test_scheduled_step_table_keeps_each_steps_jump_set():
     system = make_system(DriveParams(J=0.0), Rates(gamma_e=3.0, gamma_phi=0.4))
     schedule = ParameterSchedule(T=1.0, J_max=2.0, Delta_max=3.0, gamma_e_schedule="cosine")
     dt, n_steps = 1e-3, 1000
-    props, ops, labels = tj._step_table(system, schedule, dt, n_steps)
+    props, ops, labels = tj._step_table(system, schedule, dt, range(n_steps))
     assert len(props) == len(ops) == n_steps
     assert labels == ["e", "phi"]
     for k in (0, 499, 500, 999):
@@ -290,7 +291,7 @@ def test_ensemble_reproduces_its_recorded_jumps():
 
 def _reference_run_batch(system, schedule, psi0, dt, n_steps, generators, store_every, store):
     """The per-step kernel: one propagation of the whole batch per step."""
-    props, ops, labels = tj._step_table(system, schedule, dt, n_steps)
+    props, ops, labels = tj._step_table(system, schedule, dt, range(n_steps))
     stored_idx, times = stored_steps(n_steps, store_every, dt)
 
     psi = np.tile(np.asarray(psi0, dtype=complex), (len(generators), 1))
@@ -355,9 +356,18 @@ def _both_kernels(name, store_every, seed=2024):
     return n_steps, step, runs
 
 
-@pytest.mark.parametrize("store_every", [1, 7, 20])
-@pytest.mark.parametrize("name", list(ORACLE_CASES))
-def test_interval_stepping_matches_the_per_step_loop(name, store_every):
+INTERVAL_CASES = [pytest.param(name, every, None, id=f"{name}-{every}")
+                  for name in ORACLE_CASES for every in (1, 7, 20)]
+# the scheduled runs again in blocks of at most 64 steps, so each spans several
+# blocks, and one whose stored interval is longer than a block
+INTERVAL_CASES += [pytest.param(name, every, 64, id=f"{name}-{every}-block64")
+                   for name in ("default-loop", "qutrit-f-decay") for every in (7, 20, 100)]
+
+
+@pytest.mark.parametrize("name, store_every, step_block", INTERVAL_CASES)
+def test_interval_stepping_matches_the_per_step_loop(name, store_every, step_block, monkeypatch):
+    if step_block is not None:
+        monkeypatch.setattr(dynamics, "STEP_BLOCK", step_block)
     n_steps, _step, ((t_ref, s_ref, j_ref, h_ref), (t_new, s_new, j_new, h_new)) = (
         _both_kernels(name, store_every))
     assert n_steps % 7 != 0  # so store_every = 7 ends on a short interval
@@ -367,6 +377,26 @@ def test_interval_stepping_matches_the_per_step_loop(name, store_every):
     assert sum(h_ref.values()) > 0
     assert s_new.shape == s_ref.shape
     assert np.max(np.abs(s_new - s_ref)) <= 1e-13
+
+
+def test_no_mcwf_expm_call_is_larger_than_one_block(monkeypatch):
+    # a scheduled run builds its step table one block at a time, never whole
+    sizes = []
+    expm_of = tj.numerics.expm
+
+    def spy(a):
+        sizes.append(len(a))
+        return expm_of(a)
+
+    monkeypatch.setattr(dynamics, "STEP_BLOCK", 64)
+    monkeypatch.setattr(tj.numerics, "expm", spy)
+    system, schedule = DEFAULT_LOOP
+    rec = tj.run_trajectory(system, plus_x(), dt=5e-3, seed=1, schedule=schedule, store_every=7)
+    n_steps = step_count(schedule.T, 5e-3)
+    assert n_steps >= 300
+    assert len(rec.times) == len(stored_steps(n_steps, 7, 5e-3)[0])
+    assert sum(sizes) == n_steps
+    assert max(sizes) <= 64
 
 
 def test_high_rate_case_jumps_twice_within_one_stored_interval():
@@ -386,7 +416,7 @@ def test_high_rate_case_jumps_twice_within_one_stored_interval():
 def test_no_jump_squared_norm_never_rises(system, schedule, n_steps):
     # the interval kernel skips a row whose end-of-interval norm is above its
     # threshold, which is sound only while no step raises the norm
-    props, _ops, _labels = tj._step_table(system, schedule, schedule.T / n_steps, n_steps)
+    props, _ops, _labels = tj._step_table(system, schedule, schedule.T / n_steps, range(n_steps))
     d = system.dim
     rng = np.random.default_rng(5)
     starts = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
@@ -426,7 +456,7 @@ def test_a_crossing_hidden_by_the_rounding_of_the_product_is_still_stepped(monke
     # per-step loop jumps in the last step, which the product alone misses
     system = make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.5))
     dt, n_steps = 1e-3, 20
-    props, _ops, _labels = tj._step_table(system, None, dt, n_steps)
+    props, _ops, _labels = tj._step_table(system, None, dt, range(n_steps))
     product = props[0]
     for k in range(1, n_steps):
         product = props[k] @ product
