@@ -3,12 +3,13 @@
 Covers the damped-sinusoid fit used to extract oscillation frequency and
 decay rate from simulated time series, coupling-sweep scans of that fit
 against Liouvillian eigenvalue predictions, and the chirality / entropy
-metrics for encircling protocols.
+metrics of encircling loops, which sweep_metrics takes over a sequence of
+loops.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ MIN_FIT_SAMPLES = 8
 DEFAULT_FIT_WINDOW = 10.0  # us, about forty decay times of the fast branch
 DEFAULT_FIT_SAMPLES = 500
 EP_FLAG_RADIUS = 0.05  # rad/us; fits this close to the EP see t*exp(lambda t) terms
-FIT_MAX_NFEV = 500  # residual evaluations per variable-projection start
+FIT_MAX_NFEV = 500  # residual evaluations per fit
 FIT_TOL = 1e-15  # tolerance of its gradient, cost-reduction and step tests
 
 
@@ -113,16 +114,19 @@ def _projection(t: np.ndarray, y: np.ndarray, theta: np.ndarray):
 PENCIL_COLUMNS = 32  # Hankel columns of the seeding pencil; rank 3 needs few
 
 
-def _pencil_seeds(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
-    """(gamma, omega) seeds from the poles of a rank-3 matrix pencil.
+def _pencil_seed(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The (gamma, omega) seed of the slowest pole of a rank-3 matrix pencil.
 
     The series is resampled onto a uniform grid of the same length, since
     the pencil needs uniform samples. Its Hankel matrix has PENCIL_COLUMNS
     columns (fewer for a short series): noise-free data of rank 3 needs no
-    more, and the SVD stays small. Of the three poles, the one closest to
-    z = 1 models the offset and is dropped; each other pole z gives
-    gamma = -ln|z| / dt and omega = |arg z| / dt, with omega = 0 for a real
-    pole (a negative real pole would otherwise seed omega at Nyquist).
+    more, and the SVD stays small. Of the three poles, the real one closest
+    to z = 1 models the offset and is dropped: an offset's pole is real, and
+    a series with no offset would otherwise lose half of its conjugate pair
+    to the spare pole. Of the other two, the one with the largest |z| (a
+    conjugate pair's two share it) seeds gamma = -ln|z| / dt and
+    omega = |arg z| / dt, with omega = 0 for a real pole (a negative real
+    pole would otherwise seed omega at Nyquist).
     """
     n = len(t)
     dt = (t[-1] - t[0]) / (n - 1)
@@ -130,14 +134,13 @@ def _pencil_seeds(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     hankel = np.lib.stride_tricks.sliding_window_view(u, min(PENCIL_COLUMNS, n // 2 + 1))
     v = np.linalg.svd(hankel, full_matrices=False)[2][:3].T
     z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
-    z = np.delete(z, np.argmin(np.abs(z - 1.0)))
-    seeds = []
-    for zk in z:
-        # a zero pole (a step) seeds the largest finite decay rate
-        gamma = -math.log(max(abs(zk), np.finfo(float).tiny)) / dt
-        omega = 0.0 if zk.imag == 0.0 else abs(np.angle(zk)) / dt
-        seeds.append((max(gamma, 0.0), omega))
-    return list(dict.fromkeys(seeds))  # a conjugate pair seeds one start
+    real = np.flatnonzero(z.imag == 0.0)  # never empty: complex poles come in pairs
+    z = np.delete(z, real[np.argmin(np.abs(z[real] - 1.0))])
+    zk = z[np.argmax(np.abs(z))]
+    # a zero pole (a step) seeds the largest finite decay rate
+    gamma = -math.log(max(abs(zk), np.finfo(float).tiny)) / dt
+    omega = 0.0 if zk.imag == 0.0 else abs(np.angle(zk)) / dt
+    return max(gamma, 0.0), omega
 
 
 @dataclass
@@ -175,7 +178,7 @@ def least_squares(fun, x0, *, tol: float, max_nfev: int) -> LeastSquaresResult:
 
     fit_damped_sine looks this name up at every call, so a wrapper set on
     analysis.least_squares (perfbench/tracer.py counts calls and nfev) sees
-    every start.
+    every fit.
     """
     x = np.maximum(np.asarray(x0, dtype=float), 0.0)
     r, jac = fun(x)
@@ -228,10 +231,10 @@ def fit_damped_sine(times, values) -> DampedSineFit:
     projected residual. The columns are smooth in omega^2 through omega = 0,
     where the fit is the critically damped (P + S t) e^-Gt + C; so a start
     at omega = 0 can leave it, and an overdamped series stops on it exactly.
-    The iteration starts from each non-offset pole of a rank-3 matrix pencil
-    (Hua & Sarkar 1990), with FIT_TOL and FIT_MAX_NFEV as they are at the
-    call, and the start with the lower residual is kept. `converged` reports
-    whether that start met a convergence test within the evaluation budget.
+    The one iteration starts from the slowest non-offset pole of a rank-3
+    matrix pencil (Hua & Sarkar 1990), with FIT_TOL and FIT_MAX_NFEV as they
+    are at the call. `converged` reports whether it met a convergence test
+    within the evaluation budget.
     A constant series short-circuits to the degenerate fit A = 0,
     omega = 0, Gamma = 0.
     """
@@ -252,15 +255,11 @@ def fit_damped_sine(times, values) -> DampedSineFit:
             offset=float(y[0]), residual_rms=0.0, converged=True,
         )
 
-    best = None
-    for gamma, omega in _pencil_seeds(t, y):
-        res = least_squares(lambda x: _projection(t, y, x)[1:], (gamma, omega * omega),
-                            tol=FIT_TOL, max_nfev=FIT_MAX_NFEV)
-        if best is None or res.cost < best.cost:
-            best = res
-
-    gamma, omega = best.x[0], math.sqrt(best.x[1])
-    (P, S, offset), _, _ = _projection(t, y, best.x)
+    gamma, omega = _pencil_seed(t, y)
+    res = least_squares(lambda x: _projection(t, y, x)[1:], (gamma, omega * omega),
+                        tol=FIT_TOL, max_nfev=FIT_MAX_NFEV)
+    gamma, omega = res.x[0], math.sqrt(res.x[1])
+    (P, S, offset), _, _ = _projection(t, y, res.x)
     if omega > 0.0:
         amplitude = math.hypot(P, S / omega)
         phase = math.atan2(-S / omega, P) if amplitude > 0.0 else 0.0
@@ -272,8 +271,8 @@ def fit_damped_sine(times, values) -> DampedSineFit:
         amplitude=float(amplitude),
         phase=float(phase),
         offset=float(offset),
-        residual_rms=float(np.sqrt(np.mean(best.fun**2))),
-        converged=bool(best.status > 0 and np.isfinite(best.cost)),
+        residual_rms=float(np.sqrt(np.mean(res.fun**2))),
+        converged=bool(res.status > 0 and np.isfinite(res.cost)),
     )
 
 
@@ -466,74 +465,33 @@ def entropy(rho) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Duration / detuning sweeps
+# Loop sweeps: cw against ccw over a sequence of loops
 
 
 @dataclass
 class SweepResult:
-    """Chirality and final-state entropies across one swept path parameter."""
+    """Chirality and cw/ccw final-state entropies, one entry per loop."""
 
-    vary: str
-    values: np.ndarray
     chirality: np.ndarray
     entropy_cw: np.ndarray
     entropy_ccw: np.ndarray
-    final_cw: np.ndarray  # (n, d, d)
-    final_ccw: np.ndarray
-
-    def table(self) -> tuple[list[str], list[list[float]]]:
-        header = [self.vary, "chirality", "entropy_cw", "entropy_ccw"]
-        rows = [
-            [float(v), float(c), float(scw), float(sccw)]
-            for v, c, scw, sccw in zip(
-                self.values, self.chirality, self.entropy_cw, self.entropy_ccw
-            )
-        ]
-        return header, rows
 
 
-def sweep_metrics(
-    system: QuantumSystem,
-    schedule_family: ParameterSchedule,
-    vary: str,
-    values,
-    rho0_pair,
-    dt: float,
-) -> SweepResult:
-    """Chirality and entropies of cw/ccw final states across T or Delta_max.
+def sweep_metrics(system: QuantumSystem, loops: Sequence[ParameterSchedule], rho0,
+                  dt: float) -> SweepResult:
+    """Chirality and entropies of the cw and ccw final states of each loop.
 
-    For each value the family schedule is rebuilt with that duration or
-    detuning amplitude and integrated once per direction from the paired
-    initial states (cw first), in scheduled_step_count(T, dt) steps.
+    Each loop of the sequence runs cw, then ccw, from rho0 in
+    scheduled_step_count(loop.T, dt) steps; its own direction is ignored.
+    Every run stores only its start and final states.
     """
-    if vary not in ("T", "Delta_max"):
-        raise OutOfRange(f"vary must be 'T' or 'Delta_max', got {vary!r}")
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or len(vals) == 0:
-        raise OutOfRange("values must be a non-empty 1-d array")
-    rho0_cw, rho0_ccw = rho0_pair
-
-    chi = np.empty(len(vals))
-    s_cw = np.empty(len(vals))
-    s_ccw = np.empty(len(vals))
-    fin_cw = np.empty((len(vals), system.dim, system.dim), dtype=complex)
-    fin_ccw = np.empty_like(fin_cw)
-    for i, v in enumerate(vals):
-        base = replace(schedule_family, **{vary: float(v)})
-        n_steps = scheduled_step_count(base.T, dt)
-        evo_cw = integrate_scheduled(system, replace(base, direction="cw"), rho0_cw, n_steps)
-        evo_ccw = integrate_scheduled(system, replace(base, direction="ccw"), rho0_ccw, n_steps)
-        fin_cw[i] = evo_cw.final_state
-        fin_ccw[i] = evo_ccw.final_state
-        chi[i] = chirality(fin_cw[i], fin_ccw[i])
-        s_cw[i] = entropy(fin_cw[i])
-        s_ccw[i] = entropy(fin_ccw[i])
-    return SweepResult(
-        vary=vary,
-        values=vals,
-        chirality=chi,
-        entropy_cw=s_cw,
-        entropy_ccw=s_ccw,
-        final_cw=fin_cw,
-        final_ccw=fin_ccw,
-    )
+    if len(loops) == 0:
+        raise OutOfRange("loops must be a non-empty sequence of schedules")
+    metrics = np.empty((3, len(loops)))
+    for i, loop in enumerate(loops):
+        n_steps = scheduled_step_count(loop.T, dt)
+        cw, ccw = (integrate_scheduled(system, replace(loop, direction=direction), rho0,
+                                       n_steps, store_every=n_steps).final_state
+                   for direction in ("cw", "ccw"))
+        metrics[:, i] = chirality(cw, ccw), entropy(cw), entropy(ccw)
+    return SweepResult(*metrics)

@@ -54,6 +54,7 @@ from .trajectories import run_ensemble, run_trajectory
 TWO_PI = 2.0 * math.pi
 MAX_GRID_POINTS = 10_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
 MAX_TIME_STEPS = 1_000_000  # far above any shipped run (fig2's ensemble: 4,000 steps)
+SWEEP_METRICS = ("chirality", "entropy_cw", "entropy_ccw")  # the SweepResult columns
 
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "spectrum": {
@@ -438,10 +439,21 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if np.any(T_values <= 0.0):
         raise ConfigError(f"scan.T_values must be > 0, got {T_values.min()}")
     _check_steps(max(schedule.T, float(T_values.max())), cfg.integrator_dt, "integrator.dt")
-    duration = analysis.sweep_metrics(
-        cfg.system, schedule, "T", T_values, (rho_mx, rho_mx), cfg.integrator_dt)
-    detuning = analysis.sweep_metrics(
-        cfg.system, schedule, "Delta_max", D_values, (rho_mx, rho_mx), cfg.integrator_dt)
+
+    def sweep(loops):
+        return analysis.sweep_metrics(cfg.system, loops, rho_mx, cfg.integrator_dt)
+
+    def table(name, values, result):
+        return [name, *SWEEP_METRICS], np.column_stack(
+            [values] + [getattr(result, metric) for metric in SWEEP_METRICS])
+
+    duration = sweep([replace(schedule, T=T) for T in T_values.tolist()])
+    detuning = sweep([replace(schedule, Delta_max=D) for D in D_values.tolist()])
+    # constant versus ramped gamma_e at fixed (T, Delta_max)
+    kinds = ("constant", "cosine")
+    ramps = sweep([replace(schedule, gamma_e_schedule=kind) for kind in kinds])
+    schedule_metrics = {kind: {metric: float(getattr(ramps, metric)[i]) for metric in SWEEP_METRICS}
+                        for i, kind in enumerate(kinds)}
 
     # Hermitian limit: same path with all dissipation off
     system0 = make_system(cfg.system.drive, Rates(gamma_e=0.0, gamma_phi=0.0), dim=2)
@@ -455,23 +467,13 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     h_cols = [hermitian_runs[("plus", "ccw")].times] + [
         evo.observables["x"] for evo in hermitian_runs.values()]
 
-    # constant versus ramped gamma_e at fixed (T, Delta_max)
-    comparison_rows = []
-    schedule_metrics = {}
-    for kind in ("constant", "cosine"):
-        single = analysis.sweep_metrics(
-            cfg.system, replace(schedule, gamma_e_schedule=kind), "T", [schedule.T],
-            (rho_mx, rho_mx), cfg.integrator_dt)
-        chi, s_cw, s_ccw = (float(m[0]) for m in (single.chirality, single.entropy_cw, single.entropy_ccw))
-        comparison_rows.append([kind, chi, s_cw, s_ccw])
-        schedule_metrics[kind] = {"chirality": chi, "entropy_cw": s_cw, "entropy_ccw": s_ccw}
-
     return {
-        "sweeps_duration": duration.table(),
-        "sweeps_detuning": detuning.table(),
+        "sweeps_duration": table("T", T_values, duration),
+        "sweeps_detuning": table("Delta_max", D_values, detuning),
         "sweeps_hermitian": (h_header, np.column_stack(h_cols)),
         "sweeps_schedule_comparison": (
-            ["gamma_e_schedule", "chirality", "entropy_cw", "entropy_ccw"], comparison_rows),
+            ["gamma_e_schedule", *SWEEP_METRICS],
+            [[kind, *metrics.values()] for kind, metrics in schedule_metrics.items()]),
     }, {
         "duration_chirality_argmax_T": float(T_values[int(np.argmax(duration.chirality))]),
         "detuning_chirality_monotone_increasing":

@@ -187,7 +187,7 @@ def analytic_qubit_eigensystem(drive: DriveParams, rates: Rates) -> list[tuple[c
 
 
 def pair_branches(spectra) -> np.ndarray:
-    """Reorder eigenvalue arrays along a sweep so branches vary continuously.
+    """Reorder eigenvalue arrays along a sweep so branches change continuously.
 
     spectra is a list of eigenvalue arrays or one (n_points, n_modes) array.
 

@@ -10,6 +10,7 @@ reports the status of every criterion even when one of them fails.
 """
 
 import math
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -432,17 +433,14 @@ def test_criterion_10_sweep_trends(capsys):
     t0 = perf_counter()
     system = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=0.2))
     family = ParameterSchedule(T=2.0)
-    pair = (_projector(plus_x()), _projector(plus_x()))
+    rho0 = _projector(plus_x())
 
-    duration = sweep_metrics(
-        system, family, "T", [0.25 + 0.125 * i for i in range(19)], pair, dt=1e-3
-    )
-    best_T = float(duration.values[int(np.argmax(duration.chirality))])
+    T_values = [0.25 + 0.125 * i for i in range(19)]
+    duration = sweep_metrics(system, [replace(family, T=T) for T in T_values], rho0, dt=1e-3)
+    best_T = T_values[int(np.argmax(duration.chirality))]
 
-    detuning = sweep_metrics(
-        system, family, "Delta_max", [2 * math.pi * (0.5 + 0.5 * i) for i in range(16)], pair,
-        dt=1e-3,
-    )
+    D_values = [2 * math.pi * (0.5 + 0.5 * i) for i in range(16)]
+    detuning = sweep_metrics(system, [replace(family, Delta_max=D) for D in D_values], rho0, dt=1e-3)
     chi_up = bool(np.all(np.diff(detuning.chirality) > 0))
     ent_down = bool(
         np.all(np.diff(detuning.entropy_cw) < 0) and np.all(np.diff(detuning.entropy_ccw) < 0)

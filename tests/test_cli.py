@@ -283,6 +283,30 @@ def test_transition_figures_build_their_generator_stack_once(tmp_path, monkeypat
     assert built == [2]
 
 
+def test_sweeps_makes_one_sweep_per_loop_list_and_each_run_stores_two_states(tmp_path, monkeypatch):
+    loop_lists, runs = [], []
+    sweep, integrate = cli.analysis.sweep_metrics, cli.analysis.integrate_scheduled
+
+    def recorded_sweep(system, loops, rho0, dt):
+        loop_lists.append([(loop.T, loop.Delta_max, loop.gamma_e_schedule) for loop in loops])
+        return sweep(system, loops, rho0, dt)
+
+    monkeypatch.setattr(cli.analysis, "sweep_metrics", recorded_sweep)
+    monkeypatch.setattr(cli.analysis, "integrate_scheduled",
+                        lambda *args, **kwargs: runs.append(integrate(*args, **kwargs)) or runs[-1])
+    assert run("sweeps", "--set", "schedule.T=1.0", "--set", "scan.T_values=[0.5, 1.0]",
+               "--set", "scan.Delta_max_values=[3.0, 6.0]", "--output-dir", str(tmp_path)) == 0
+    D = 10.0 * math.pi  # the default schedule.Delta_max
+    assert loop_lists == [
+        [(0.5, D, "constant"), (1.0, D, "constant")],
+        [(1.0, 3.0, "constant"), (1.0, 6.0, "constant")],
+        [(1.0, D, "constant"), (1.0, D, "cosine")],
+    ]
+    assert all(type(T) is float and type(Delta_max) is float
+               for loops in loop_lists for T, Delta_max, _ in loops)
+    assert [evo.states.shape[0] for evo in runs] == [2] * 12
+
+
 def test_transition_scan_rejects_sample_counts_above_the_cap():
     cap = cli.MAX_TIME_STEPS
     scan = {"J_values": [0.5], "heatmap_t_max": 1.0, "window": 1.0,
