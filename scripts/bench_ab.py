@@ -4,9 +4,11 @@ Each pair runs `perfbench/run.py` once in the base checkout and once in the
 head checkout, and the side that runs first alternates from pair to pair, so
 slow drift of the machine falls on both sides alike. For every workload the
 record holds each side's samples of the end-to-end metrics, their median and
-quartiles, and how many pairs the head won. It also holds the environment
-line the benchmark prints and, with --parity, the dataset sha256 sets of two
-`scripts/parity.py run` directories.
+quartiles, and how many pairs the head won, and per step of the workload
+the same summaries of the step's median wall time and of the peak RSS of
+its children, so the record shows which step sets `peak_rss_mb`. It also
+holds the environment line the benchmark prints and, with --parity, the
+dataset sha256 sets of two `scripts/parity.py run` directories.
 
 Usage:
     python3 scripts/bench_ab.py --base BASE_ROOT --head HEAD_ROOT \\
@@ -16,6 +18,7 @@ Usage:
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,10 +27,14 @@ import numpy as np
 
 # the end-to-end metrics of BENCHMARK.json, all lower-is-better
 METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
+# run.py's per-step lines: "step NAME wall_s: median X s, ..." (only for workloads of
+# more than one step) and "child run-K-NAME: exit 0, wall X s, cpu X s, rss X MB, ..."
+STEP_WALL = re.compile(r"step (\S+) wall_s: median ([0-9.]+) s")
+CHILD_RSS = re.compile(r"child run-\d+-(\S+): exit 0, .*, rss ([0-9.]+) MB")
 
 
 def run_benchmark(root: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One benchmark run in `root`: its metrics, failure counts and environment."""
+    """One benchmark run in `root`: metrics, per-step figures, failure counts, environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
@@ -35,8 +42,15 @@ def run_benchmark(root: Path, workload: str, seconds: float, seed: int) -> dict:
     result = json.loads(lines[-1])
     env = next(json.loads(line.split(":", 1)[1]) for line in lines
                if line.startswith("environment:"))
+    steps: dict[str, dict] = {}
+    for line in lines:
+        if match := STEP_WALL.match(line):
+            steps.setdefault(match[1], {})["wall_s"] = float(match[2])
+        elif match := CHILD_RSS.match(line):
+            step = steps.setdefault(match[1], {})
+            step["peak_rss_mb"] = max(step.get("peak_rss_mb", 0.0), float(match[2]))
     return {"metrics": {m: result["metrics"][m]["value"] for m in METRICS},
-            "attempted": result["attempted"], "failed": result["failed"],
+            "steps": steps, "attempted": result["attempted"], "failed": result["failed"],
             "environment": env}
 
 
@@ -68,6 +82,11 @@ def compare(workload: str, pairs: int, roots: dict, seconds: float, seed: int) -
             "head_wins": sum(y < x for x, y in zip(base, head)),
             "median_change": h["median"] / b["median"] - 1.0,
         }
+    record["steps"] = {
+        step: {name: {side: summary([r["steps"][step][name] for r in runs[side]])
+                      for side in runs}
+               for name in runs["base"][0]["steps"][step]}
+        for step in runs["base"][0]["steps"]}
     record["environment"] = {side: runs[side][0]["environment"] for side in runs}
     return record
 

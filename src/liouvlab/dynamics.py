@@ -1,16 +1,17 @@
 """Lindblad time evolution (constant and scheduled) and the Bloch-vector route.
 
-Matrix exponentials are the one Lindblad scheme. Constant-parameter runs
-apply the exact propagator between the requested times. Scheduled runs use
-piecewise-constant midpoint propagation, by the one step rule that they share
-with the Monte-Carlo wavefunction kernel (trajectories): step k applies the
-generator at the path's midpoint (k + 1/2) dt (`midpoint_path`), and the
-steps come in blocks of at most STEP_BLOCK steps made of whole stored
-intervals (`step_blocks`). A block's generators are built as one stack and
-exponentiated in one batch; only the matrix-vector products run step by
-step. Every step is exactly trace preserving and completely positive, and
-the scheme is second-order accurate in the step size, which stays robust at
-parameter points where the Liouvillian is defective.
+Matrix exponentials are the one Lindblad scheme, on real coordinates: a
+Lindbladian preserves Hermiticity, so on the coordinates of a Hermitian basis
+its generator is real (Alicki & Lendi, LNP 286, 1987), and a state becomes an
+exactly Hermitian density matrix only where it is stored. Constant-parameter
+runs apply the exact propagator between the requested times. Scheduled runs
+take midpoint steps, the step rule they share with the Monte-Carlo
+wavefunction kernel (trajectories): step k applies the generator at the
+path's midpoint (k + 1/2) dt (`midpoint_path`), in blocks of at most
+STEP_BLOCK steps made of whole stored intervals (`step_blocks`), each
+exponentiated in one batch and applied by its `prefix_products`. Every step
+is exactly trace preserving and completely positive, and the scheme is
+second-order accurate in dt, robust where the Liouvillian is defective.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NotDensityMatrix, OutOfRange
-from .liouvillian import bloch_transverse_rate, superoperator_stack, vec
+from .liouvillian import bloch_transverse_rate, superoperator_stack
 from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, operators, path_points
 
 MIN_SCHEDULED_STEPS = 1000
@@ -77,6 +78,45 @@ def step_blocks(n_steps: int, every: int):
                           for b in range(a, block.stop, every))
 
 
+def prefix_products(u: np.ndarray) -> np.ndarray:
+    """q[k] = u[k] ... u[0] along axis -3 by Hillis-Steele doubling (CACM 29, 1170, 1986).
+
+    q[k] depends only on u[0..k]: factors appended at the end leave it bit for bit.
+    """
+    q = np.array(u)
+    shift = 1
+    while shift < q.shape[-3]:
+        q[..., shift:, :, :] = q[..., shift:, :, :] @ q[..., :-shift, :, :]
+        shift *= 2
+    return q
+
+
+def _slots(d: int) -> np.ndarray:
+    """Where a complex vec (d^2,) as floats holds the coordinates: Re rho_jj, then Re, Im above."""
+    j, k = np.triu_indices(d, 1)
+    return np.concatenate([2 * (d + 1) * np.arange(d), 2 * (d * j + k), 2 * (d * j + k) + 1])
+
+
+def _hermitian(rho: np.ndarray) -> None:
+    """Set the lower triangle of each (d, d) of rho to the conjugate of its upper triangle."""
+    j, k = np.triu_indices(rho.shape[-1], 1)
+    rho.real[..., k, j] = rho.real[..., j, k]
+    rho.imag[..., k, j] = -rho.imag[..., j, k]
+
+
+def _real_generators(L: np.ndarray) -> np.ndarray:
+    """The real generator of L or a stack: column m holds the coordinates of L(E_m).
+
+    E_m has unit coordinate m; L(E_m) is Hermitian, so its upper triangle drops only rounding.
+    """
+    n, d = L.shape[-1], math.isqrt(L.shape[-1])
+    basis = np.zeros((n, n), dtype=complex)  # row m: vec(E_m)
+    basis.view(float)[np.arange(n), _slots(d)] = 1.0
+    _hermitian(basis.reshape(n, d, d))
+    images = np.ascontiguousarray((L @ basis.T).swapaxes(-1, -2))  # rows vec(L(E_m))
+    return np.ascontiguousarray(images.view(float)[..., _slots(d)].swapaxes(-1, -2))
+
+
 @dataclass
 class EvolutionResult:
     """Density-matrix trajectory with per-time observables.
@@ -129,10 +169,10 @@ def observables_from_states(states: np.ndarray, dim: int) -> dict:
 def integrate_constant(L: np.ndarray, rho0, t_grid) -> EvolutionResult:
     """Evolve rho0 onto t_grid, exactly, under a (d^2, d^2) Liouvillian or an (n, d^2, d^2) stack.
 
-    Each interval applies expm(L dt): one stacked expm per distinct interval
-    length, and one batched product per sample, so every generator of a
-    stack evolves bit for bit as it would alone. A stack gives states of
-    shape (n, len(t_grid), d, d).
+    Each interval applies expm(G dt), G the real generator of L: one stacked
+    expm per distinct interval length, and one batched product per sample,
+    so every generator of a stack evolves bit for bit as it would alone. A
+    stack gives states of shape (n, len(t_grid), d, d).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) == 0:
@@ -145,15 +185,18 @@ def integrate_constant(L: np.ndarray, rho0, t_grid) -> EvolutionResult:
     d = math.isqrt(L.shape[-1])
     rho = validate_density_matrix(rho0, d)
 
+    G = _real_generators(L)
     steps = np.diff(t, prepend=0.0)  # only the first can be 0, and then it applies nothing
     lengths, length_of = np.unique(steps, return_inverse=True)
-    props = [numerics.expm(L * dt) if dt > 0.0 else None for dt in lengths]
-    states = np.empty(L.shape[:-2] + (len(t), d, d), dtype=complex)
-    v = np.broadcast_to(vec(rho)[:, None], L.shape[:-1] + (1,))  # columns, one per generator
-    for k, i in enumerate(length_of):
+    props = [numerics.expm(G * dt) if dt > 0.0 else None for dt in lengths]
+    states = np.zeros(L.shape[:-2] + (len(t), d, d), dtype=complex)
+    floats, at = states.reshape(states.shape[:-2] + (-1,)).view(float), _slots(d)
+    v = rho.reshape(-1).view(float)[at]
+    for k, i in enumerate(length_of):  # each coordinate goes straight into its place in states
         if props[i] is not None:
-            v = props[i] @ v
-        states[..., k, :, :] = v.reshape(L.shape[:-2] + (d, d))
+            v = np.einsum("...ab,...b->...a", props[i], v)
+        floats[..., k, at] = v
+    _hermitian(states)
     return EvolutionResult(times=t, states=states, observables=observables_from_states(states, d))
 
 
@@ -167,7 +210,7 @@ def integrate_scheduled(
     """Propagate through one loop of the schedule in n_steps midpoint steps.
 
     The step is schedule.T / n_steps; every store_every-th state and the
-    last are stored.
+    last are stored. The states depend on where blocks are cut, not on store_every.
     """
     if store_every < 1:
         raise OutOfRange(f"store_every must be >= 1, got {store_every}")
@@ -180,18 +223,21 @@ def integrate_scheduled(
     dt = schedule.T / n_steps
     d = system.dim
 
+    # the generator is affine in (J, Delta, gamma_e): build it at 0 and at each unit point
+    origin, *unit = _real_generators(superoperator_stack(operators(system, *np.eye(4)[1:])))
+    slopes = np.array(unit) - origin
     times = stored_steps(n_steps, store_every, dt)[1]
-    states = np.empty((len(times), d, d), dtype=complex)
-    v = vec(rho)
-    states[0] = v.reshape(d, d)
+    states = np.zeros((len(times), d, d), dtype=complex)
+    floats, at = states.reshape(len(times), -1).view(float), _slots(d)
+    v = floats[0, at] = rho.reshape(-1).view(float)[at]
     for block, intervals in step_blocks(n_steps, store_every):
         path = midpoint_path(schedule, system.rates.gamma_e, block, dt)
-        props = numerics.expm(superoperator_stack(operators(system, *path)) * dt)
-        for steps, stored in intervals:
-            for step in props[steps.start - block.start:steps.stop - block.start]:
-                v = step @ v
-            if stored:  # the state after step b - 1 is stored at ceil(b / store_every)
-                states[-(-steps.stop // store_every)] = v.reshape(d, d)
+        q = prefix_products(numerics.expm((np.tensordot(path, slopes, axes=(0, 0)) + origin) * dt))
+        ends = np.array([steps.stop for steps, stored in intervals if stored], dtype=int)
+        # the state after step b - 1 is stored at ceil(b / store_every)
+        floats[-(-ends[:, None] // store_every), at] = q[ends - block.start - 1] @ v
+        v = q[-1] @ v
+    _hermitian(states)
     return EvolutionResult(times=times, states=states, observables=observables_from_states(states, d))
 
 

@@ -1,6 +1,6 @@
-"""Dense complex linear-algebra primitives used by every other module.
+"""Dense linear-algebra primitives used by every other module.
 
-All matrices are numpy arrays of complex doubles with (row, col) indexing.
+All matrices are numpy arrays of complex doubles (expm takes real ones too).
 Hilbert dimensions in this package are at most 3 (Liouville space at most 9),
 so everything here is dense and direct.
 """
@@ -42,10 +42,13 @@ def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
 
     With stacked=True a stack of square matrices (n, m, m) is accepted too.
     """
-    m = np.asarray(a, dtype=complex)
+    return _square(np.asarray(a, dtype=complex), stacked)
+
+
+def _square(m: np.ndarray, stacked: bool) -> np.ndarray:
     if m.ndim not in ((2, 3) if stacked else (2,)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -105,7 +108,7 @@ def _pade(a: np.ndarray, degree: int) -> np.ndarray:
     (Higham 2005, Algorithm 2.3).
     """
     b = PADE_COEFFS[degree]
-    ident = np.eye(a.shape[-1], dtype=complex)
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     if degree < 13:
         powers = [ident, a2]
@@ -124,7 +127,7 @@ def _pade(a: np.ndarray, degree: int) -> np.ndarray:
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential of a matrix or a stack, by scaling and squaring Pade.
+    """Matrix exponential of a real or complex matrix or stack, by scaling and squaring Pade.
 
     Each matrix gets the lowest Pade degree whose theta bound covers its
     1-norm; above the degree-13 bound it is scaled by 2^-s into that bound,
@@ -133,7 +136,7 @@ def expm(a) -> np.ndarray:
     Raises Overflow when the 1-norm of any matrix exceeds EXPM_NORM_BOUND,
     beyond which exp() leaves double range for generic matrices.
     """
-    m = as_complex_matrix(a, stacked=True)
+    m = _square(np.asarray(a, dtype=complex if np.iscomplexobj(a) else float), stacked=True)
     norm1 = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
     worst = norm1.max(initial=0.0)
     if worst > EXPM_NORM_BOUND:

@@ -12,28 +12,28 @@ jump up to the end of any step is exactly that step's squared norm, so the
 sampling has no first-order bias in dt; only the jump instant is rounded to
 the end of its step.
 
-A batch of trajectories advances from stored step to stored step, with one
-propagation per interval by the product of its no-jump propagators. The
-no-jump squared norm never rises, so a trajectory whose norm is still at or
-above its threshold at the end of an interval did not jump inside it. Only
-the others are stepped again, one step at a time from the interval's start,
-and each jump instant is still the end of the step in which the norm fell
-below the threshold. Each row sees the same arithmetic whatever the batch
-holds, so a batch of one reproduces any member bit for bit.
+A batch advances from stored step to stored step. Scans of a block's
+intervals (dynamics.prefix_products) give each step's no-jump product from
+and to its interval's ends. The no-jump squared norm never rises, so a row
+at or above its threshold at an interval's end did not jump inside it; the
+others read their norm after every step, jump at the first step below it and
+reach the end through the suffix, and only one again below its new threshold
+is stepped on step by step. Each row sees the same arithmetic whatever the
+batch holds, so a batch of one reproduces any member bit for bit.
 
 Seed splitting: trajectory i of an ensemble draws its uniforms from
 numpy.random.SeedSequence(master_seed, spawn_key=(i,)). This counter-based
 construction is stable across runs, processes, and thread counts.
 """
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from . import numerics
-from .dynamics import midpoint_path, step_blocks, step_count, stored_steps
+from .dynamics import (
+    STEP_BLOCK, midpoint_path, prefix_products, step_blocks, step_count, stored_steps)
 from .errors import OutOfRange, ZeroNorm
 from .model import ParameterSchedule, QuantumSystem, operators
 
@@ -97,9 +97,11 @@ def _step_table(system: QuantumSystem, schedule: Optional[ParameterSchedule], dt
 
 
 def _resolve_steps(
-    schedule: Optional[ParameterSchedule], t_final: Optional[float], dt: float
+    schedule: Optional[ParameterSchedule], t_final: Optional[float], dt: float, store_every: int
 ) -> tuple[int, float]:
     """(n_steps, step): the run covers its duration exactly in steps of about dt."""
+    if store_every < 1:
+        raise OutOfRange(f"store_every must be >= 1, got {store_every}")
     if schedule is None and t_final is None:
         raise OutOfRange("constant-parameter trajectories need t_final")
     total = schedule.T if schedule is not None else float(t_final)
@@ -107,37 +109,37 @@ def _resolve_steps(
     return n_steps, total / n_steps
 
 
-def _jump_steps(props, ops, labels, psi, rows, steps, dt, generators, threshold, jumps, histogram):
-    """Step psi's rows through `steps`, whose table rows are props and ops, sampling jumps.
+def _jump(ops, labels, psi, rows, t_jump, generators, threshold, jumps, histogram):
+    """Jump rows at t_jump from their post-step states psi (n, d); returns the normalised images.
 
-    Returns the rows' states after the last step. A row jumps in the step
-    where its squared norm first falls below its threshold, at the step's
-    end; trajectory r draws its channel uniform and new threshold from
-    generators[r], updates threshold[r] and appends to jumps[r].
+    Channel k of ops[r] (c, d, d) has weight ||L_k psi||^2; trajectory r draws it and its new
+    threshold from generators[r], and the jump is recorded.
     """
-    psi = psi[rows]
+    amp = np.einsum("noab,nb->noa", ops, psi)
+    cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
+    total = cum[:, -1]
+    if not total.all():
+        raise ZeroNorm(f"jump annihilated the state in trajectory {int(rows[np.argmin(total)])}")
+    # a uniform u < 1 gives u * total < total, so chans < len(labels)
+    u = np.array([generators[r].random() for r in rows]) * total
+    chans = (u[:, None] >= cum).sum(axis=1)
+    for r, c, t in zip(rows, chans, t_jump):
+        threshold[r] = generators[r].random()
+        jumps[int(r)].append((float(t), labels[c]))
+        histogram[labels[c]] += 1
+    phi = amp[np.arange(len(rows)), chans]
+    return phi / np.linalg.norm(phi, axis=1)[:, None]
+
+
+def _jump_steps(props, ops, labels, psi, rows, steps, dt, generators, threshold, jumps, histogram):
+    """Step the rows' states psi through `steps` (table rows props and ops), jumping by `_jump`."""
     for k, prop, op in zip(steps, props, ops):
         psi = np.einsum("ab,nb->na", prop, psi)
         hit = np.flatnonzero(np.einsum("na,na->n", psi, psi.conj()).real < threshold[rows])
-        if not hit.size:
-            continue
-        jumped = rows[hit]
-        amp = np.einsum("oab,nb->noa", op, psi[hit])
-        cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
-        total = cum[:, -1]
-        if not total.all():
-            bad = int(jumped[np.argmin(total)])
-            raise ZeroNorm(f"jump annihilated the state in trajectory {bad}")
-        # a uniform u < 1 gives u * total < total, so chans < len(labels)
-        u = np.array([generators[r].random() for r in jumped]) * total
-        chans = (u[:, None] >= cum).sum(axis=1)
-        phi = amp[np.arange(hit.size), chans]
-        psi[hit] = phi / np.linalg.norm(phi, axis=1)[:, None]
-        t_jump = (k + 1) * dt
-        for r, c in zip(jumped, chans):
-            threshold[r] = generators[r].random()
-            jumps[int(r)].append((t_jump, labels[c]))
-            histogram[labels[c]] += 1
+        if hit.size:
+            psi[hit] = _jump(np.broadcast_to(op, (hit.size,) + op.shape), labels, psi[hit],
+                             rows[hit], np.full(hit.size, (k + 1) * dt),
+                             generators, threshold, jumps, histogram)
     return psi
 
 
@@ -151,18 +153,14 @@ def _run_batch(
     store_every: int,
     store,
 ):
-    """Advance a batch of trajectories from stored step to stored step.
+    """Advance a batch of trajectories from stored step to stored step, as the module says.
 
     Each block of dynamics.step_blocks builds its step table when the batch
-    reaches it. Each interval [a, b) is one propagation of the batch by its
-    no-jump product P_{b-1} ... P_a. The no-jump squared norm never rises,
-    so a row still at or above its threshold at b did not jump inside the
-    interval and keeps that state. The other rows restart from their state
-    at a and are stepped one step at a time by `_jump_steps`, which samples
-    their jumps (a row may jump more than once) exactly as a per-step loop
-    would, each at the end of the step in which its norm fell below its
-    threshold. The cut is widened by NORM_SLACK per step, so that rounding
-    in the product cannot hide a crossing the per-step loop would see.
+    reaches it. The cut on the norm at an interval's end is widened by
+    NORM_SLACK per step, so that rounding in the products cannot hide a
+    crossing; the rows below it read their norms in groups of at most
+    STEP_BLOCK, and one below its new threshold after a jump is stepped on
+    by `_jump_steps`, so it may jump more than once.
 
     store(psi) is called with the batch's (n, d) normalised states at t = 0
     and at every stored step. Returns (times, jumps per trajectory, jump
@@ -178,15 +176,35 @@ def _run_batch(
     for block, intervals in step_blocks(n_steps, store_every):
         props, ops, labels = _step_table(system, schedule, dt, block)
         histogram = histogram or dict.fromkeys(labels, 0)  # every block has the same channels
-        for steps, stored in intervals:
-            own = slice(steps.start - block.start, steps.stop - block.start)
-            product = functools.reduce(lambda acc, prop: prop @ acc, props[own])
-            end = np.einsum("ab,nb->na", product, psi)
-            cut = threshold * (1.0 + NORM_SLACK * len(steps))
-            rows = np.flatnonzero(np.einsum("na,na->n", end, end.conj()).real < cut)
-            if rows.size:
-                end[rows] = _jump_steps(props[own], ops[own], labels, psi, rows, steps,
-                                        dt, generators, threshold, jumps, histogram)
+        sampling = (generators, threshold, jumps, histogram)
+        intervals = list(intervals)
+        # each interval padded at its end with identities (exact): its last suffix is one
+        width = len(intervals[0][0])
+        layout = np.empty((len(intervals), width + 1) + props.shape[1:], dtype=complex)
+        layout[:] = np.eye(props.shape[-1])
+        layout[np.arange(len(block)) // width, np.arange(len(block)) % width] = props
+        prefix = prefix_products(layout)
+        suffix = prefix_products(layout[:, ::-1].swapaxes(-1, -2))[:, ::-1].swapaxes(-1, -2)
+        for i, (steps, stored) in enumerate(intervals):
+            m, first = len(steps), steps.start - block.start
+            end = np.einsum("ab,nb->na", prefix[i, m - 1], psi)
+            cut = threshold * (1.0 + NORM_SLACK * m)
+            below = np.flatnonzero(np.einsum("na,na->n", end, end.conj()).real < cut)
+            group = max(1, STEP_BLOCK // m)
+            for rows in (below[g:g + group] for g in range(0, below.size, group)):
+                amps = np.einsum("jab,nb->nja", prefix[i, :m], psi[rows])
+                crossed = np.einsum("nja,nja->nj", amps, amps.conj()).real < threshold[rows, None]
+                hit = np.flatnonzero(crossed.any(axis=1))
+                rows, j = rows[hit], crossed[hit].argmax(axis=1)
+                phi = _jump(ops[first + j], labels, amps[hit, j], rows,
+                            (steps.start + j + 1) * dt, *sampling)
+                out = end[rows] = np.einsum("nab,nb->na", suffix[i, j + 1], phi)
+                again = (np.einsum("na,na->n", out, out.conj()).real
+                         < threshold[rows] * (1.0 + NORM_SLACK * (m - 1 - j)))
+                for r, k, state in zip(rows[again], j[again] + 1, phi[again]):
+                    own = slice(first + k, first + m)
+                    end[r] = _jump_steps(props[own], ops[own], labels, state[None], np.array([r]),
+                                         steps[k:], dt, *sampling)[0]
             psi = end
             if stored:
                 store(psi / np.linalg.norm(psi, axis=1)[:, None])
@@ -213,7 +231,7 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """One stochastic pure-state trajectory; deterministic given (seed, dt)."""
     psi = _unit_state(psi0)
-    n_steps, step = _resolve_steps(schedule, t_final, dt)
+    n_steps, step = _resolve_steps(schedule, t_final, dt, store_every)
     states = []
     times, jumps, _hist = _run_batch(
         system, schedule, psi, step, n_steps, [_as_generator(seed)], store_every,
@@ -235,7 +253,7 @@ def run_ensemble(
     if n < 1:
         raise OutOfRange(f"ensemble size must be >= 1, got {n}")
     psi = _unit_state(psi0)
-    n_steps, step = _resolve_steps(schedule, t_final, dt)
+    n_steps, step = _resolve_steps(schedule, t_final, dt, store_every)
     generators = [_as_generator(split_seed(master_seed, i)) for i in range(n)]
     # the mean density is summed as the batch advances, so no stored state
     # of any trajectory is kept

@@ -223,6 +223,23 @@ def test_expm_matches_scipy_on_the_sweeps_step_stack():
         assert relative_error(got[k], scipy.linalg.expm(steps[k])) <= 1e-14
 
 
+@pytest.mark.parametrize("d", [4, 9])
+def test_expm_keeps_a_real_stack_real(rng, d):
+    # the Lindblad routes exponentiate real generators
+    norms = np.logspace(-8, np.log10(numerics.EXPM_NORM_BOUND), 21)
+    norms[-1] = numerics.EXPM_NORM_BOUND * (1.0 - 1e-12)
+    a = rng.normal(size=(len(norms), d, d))
+    a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+    got = numerics.expm(a)
+    assert got.dtype == np.float64
+    as_complex = numerics.expm(a.astype(complex))  # the route the test above ties to SciPy
+    for k, norm in enumerate(norms):
+        assert numerics.expm(a[k]).tobytes() == got[k].tobytes()
+        assert relative_error(got[k], as_complex[k]) <= 1e-13
+        if norm <= 1.0:
+            assert relative_error(got[k], scipy.linalg.expm(a[k])) <= 1e-14
+
+
 # --- trace_distance ---------------------------------------------------------
 
 

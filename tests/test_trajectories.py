@@ -1,10 +1,12 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import point_operators, sigma_x_mirror_deviation, system_on_path
-from liouvlab import dynamics
+from liouvlab import cli, config, dynamics
 from liouvlab import trajectories as tj
 from liouvlab.dynamics import integrate_constant, integrate_scheduled, step_count, stored_steps
 from liouvlab.errors import OutOfRange, ZeroNorm
@@ -142,6 +144,22 @@ def test_input_validation():
         tj.run_trajectory(sys2, 2.0 * EXCITED_KET, dt=1e-3, seed=0, t_final=1.0)
     with pytest.raises(OutOfRange):
         tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=0, master_seed=0, t_final=1.0)
+
+
+@pytest.mark.parametrize("store_every", [0, -1])
+def test_every_route_rejects_store_every_below_one(store_every, monkeypatch):
+    system, schedule = DEFAULT_LOOP
+    # the check comes before any trajectory's generator is made
+    monkeypatch.setattr(tj, "_as_generator", lambda seed: pytest.fail("a generator was made"))
+    with pytest.raises(OutOfRange, match="store_every"):
+        tj.run_trajectory(system, plus_x(), dt=1e-3, seed=1, schedule=schedule,
+                          store_every=store_every)
+    with pytest.raises(OutOfRange, match="store_every"):
+        tj.run_ensemble(system, schedule, plus_x(), dt=1e-3, n=4, master_seed=1,
+                        store_every=store_every)
+    with pytest.raises(OutOfRange, match="store_every"):
+        integrate_scheduled(system, schedule, np.full((2, 2), 0.5, dtype=complex), 2000,
+                            store_every=store_every)
 
 
 # --- physics checks ------------------------------------------------------------------
@@ -345,7 +363,7 @@ ORACLE_CASES = {
 
 def _both_kernels(name, store_every, seed=2024):
     system, schedule, psi0, dt, t_final, n = ORACLE_CASES[name]
-    n_steps, step = tj._resolve_steps(schedule, t_final, dt)
+    n_steps, step = tj._resolve_steps(schedule, t_final, dt, store_every)
     runs = []
     for kernel in (_reference_run_batch, tj._run_batch):
         states = []
@@ -377,6 +395,20 @@ def test_interval_stepping_matches_the_per_step_loop(name, store_every, step_blo
     assert sum(h_ref.values()) > 0
     assert s_new.shape == s_ref.shape
     assert np.max(np.abs(s_new - s_ref)) <= 1e-13
+
+
+def test_the_trajectories_ensemble_peaks_under_7_5_mb():
+    # the scans add no memory to the n = 4000 ensemble of the trajectories experiment
+    cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS["trajectories"]), "trajectories")
+    args = (cfg.system, cfg.schedule, plus_x(), cfg.ensemble_dt, 4000, cfg.master_seed,
+            cfg.ensemble_store_every)
+    tracemalloc.start()
+    try:
+        tj.run_ensemble(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
 
 
 def test_no_mcwf_expm_call_is_larger_than_one_block(monkeypatch):
@@ -451,35 +483,28 @@ def test_a_jump_that_annihilates_the_state_raises_zero_norm():
 
 
 def test_a_crossing_hidden_by_the_rounding_of_the_product_is_still_stepped(monkeypatch):
-    # find a start state whose per-step norm ends the interval one rounding
-    # below the product's, and put its threshold between the two: the
-    # per-step loop jumps in the last step, which the product alone misses
-    system = make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.5))
+    # near |g> under emission alone the no-jump norm is flat to 1e-18, so the
+    # prefix norms differ only by rounding; find a loop on which one step's
+    # prefix norm lies below the interval-end norm, and put the threshold
+    # between the two: only the widened cut sends the row to its prefix norms
     dt, n_steps = 1e-3, 20
-    props, _ops, _labels = tj._step_table(system, None, dt, range(n_steps))
-    product = props[0]
-    for k in range(1, n_steps):
-        product = props[k] @ product
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi0 /= np.linalg.norm(psi0)
-        psi = psi0[None]
-        for k in range(n_steps):
-            psi = np.einsum("ab,nb->na", props[k], psi)
-        end = np.einsum("ab,nb->na", product, psi0[None])
-        stepped, multiplied = (np.einsum("na,na->n", v, v.conj()).real[0] for v in (psi, end))
-        if stepped < multiplied:
+    psi0 = np.array([1.0, 1e-9], dtype=complex) / math.hypot(1.0, 1e-9)
+    for Delta in np.linspace(1.0, 30.0, 30):
+        system = make_system(DriveParams(J=0.0, Delta=float(Delta)), Rates(gamma_e=4.4))
+        props, _ops, _labels = tj._step_table(system, None, dt, range(n_steps))
+        prefix = dynamics.prefix_products(props)
+        amps = np.einsum("jab,nb->nja", prefix, psi0[None])
+        norms = np.einsum("nja,nja->nj", amps, amps.conj()).real[0]
+        if norms[-1] - norms[:-1].min() >= 4 * np.spacing(norms[-1]):
             break
-    assert stepped < multiplied
-    threshold = np.nextafter(stepped, np.inf)
+    assert norms[-1] - norms[:-1].min() >= 4 * np.spacing(norms[-1])
+    threshold = 0.5 * (norms[:-1].min() + norms[-1])
+    first = int(np.argmax(norms < threshold))
 
-    def jumps_of(kernel):
+    def jumps_of():
         draws = [_Draws(threshold, 0.5, 0.0)]
-        return kernel(system, None, psi0, dt, n_steps, draws, n_steps, lambda batch: None)[1]
+        return tj._run_batch(system, None, psi0, dt, n_steps, draws, n_steps, lambda batch: None)[1]
 
-    expected = jumps_of(_reference_run_batch)
-    assert expected[0] and expected[0][0][0] == n_steps * dt
-    assert jumps_of(tj._run_batch) == expected
+    assert jumps_of() == [[((first + 1) * dt, "e")]]
     monkeypatch.setattr(tj, "NORM_SLACK", 0.0)
-    assert jumps_of(tj._run_batch) == [[]]
+    assert jumps_of() == [[]]
