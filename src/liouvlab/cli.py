@@ -240,10 +240,7 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
             cfg.system, cfg.schedule, _density(psi0), n_steps, cfg.ensemble_store_every)
     else:
         lind = integrate_constant(build_superoperator(cfg.system), _density(psi0), ens.times)
-    td = np.array([
-        numerics.trace_distance(ens.mean_density[i], lind.states[i])
-        for i in range(len(ens.times))
-    ])
+    td = numerics.trace_distance(ens.mean_density, lind.states)
     return traj, ens, lind, td
 
 

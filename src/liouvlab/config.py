@@ -220,8 +220,10 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
     if ensemble_n < 1:
         raise ConfigError(f"ensemble.n must be >= 1, got {ensemble_n}")
     if ensemble_n > MAX_ENSEMBLE_N:
-        # run_ensemble builds one generator per trajectory before it steps
+        # run_ensemble builds one random stream per trajectory before it steps
         raise ConfigError(f"ensemble.n must be <= {MAX_ENSEMBLE_N}, got {ensemble_n}")
+    if master_seed < 0:
+        raise ConfigError(f"ensemble.master_seed must be >= 0, got {master_seed}")
     if ensemble_dt <= 0:
         raise ConfigError(f"ensemble.dt must be positive, got {ensemble_dt}")
     if ensemble_store_every < 1:

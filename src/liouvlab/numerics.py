@@ -164,21 +164,27 @@ def expm(a) -> np.ndarray:
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
-    m = as_complex_matrix(a)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    """a as a complex matrix or (n, m, m) stack, each slice Hermitian to within tol."""
+    m = as_complex_matrix(a, stacked=True)
+    dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2))) if m.size else 0.0
     if dev > tol:
         raise NotHermitian(f"{what} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return m
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of (a - b); in [0, 1] for density matrices."""
+def trace_distance(a, b):
+    """Half the trace norm of (a - b); in [0, 1] for density matrices.
+
+    Two (n, d, d) stacks give an (n,) array of slice-by-slice distances from
+    one stacked eigvalsh, each as the two slices would give alone.
+    """
     ma = require_hermitian(a, what="first argument")
     mb = require_hermitian(b, what="second argument")
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    diff = 0.5 * (ma - mb) + 0.5 * (ma - mb).conj().T
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    diff = 0.5 * (ma - mb) + 0.5 * (ma - mb).conj().swapaxes(-1, -2)
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def principal_angle(u: np.ndarray, v: np.ndarray) -> float:

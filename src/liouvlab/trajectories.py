@@ -21,9 +21,14 @@ reach the end through the suffix, and only one again below its new threshold
 is stepped on step by step. Each row sees the same arithmetic whatever the
 batch holds, so a batch of one reproduces any member bit for bit.
 
-Seed splitting: trajectory i of an ensemble draws its uniforms from
-numpy.random.SeedSequence(master_seed, spawn_key=(i,)). This counter-based
-construction is stable across runs, processes, and thread counts.
+Seed splitting: trajectory i of an ensemble draws its uniforms from the
+stream of numpy.random.Generator(PCG64(SeedSequence(master_seed,
+spawn_key=(i,)))).random(). `_Streams` reproduces that chain (SeedSequence's
+pool mixing and generate_state, PCG64's seeding, its 128-bit LCG step and
+XSL-RR output, and random()) bit for bit in vectorised uint32/uint64
+arithmetic, one row per trajectory, so no run imports numpy.random; numpy is
+only the oracle of the tests. This counter-based construction is stable
+across runs, processes, and thread counts.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +42,7 @@ from .dynamics import (
 from .errors import OutOfRange, ZeroNorm
 from .model import ParameterSchedule, QuantumSystem, operators
 
-SeedLike = Union[int, np.random.SeedSequence]
+SeedLike = Union[int, "np.random.SeedSequence"]
 
 # Relative widening, per step, of the end-of-interval norm test: above the
 # rounding of one 2x2 or 3x3 product and of one step's squared norm.
@@ -61,15 +66,122 @@ class EnsembleResult:
     jumps_per_trajectory: list[list[tuple[float, str]]] = field(default_factory=list)
 
 
-def split_seed(master_seed: int, index: int) -> np.random.SeedSequence:
+def split_seed(master_seed: int, index: int) -> "np.random.SeedSequence":
     """Child seed of trajectory `index`: SeedSequence(master, spawn_key=(index,))."""
-    return np.random.SeedSequence(master_seed, spawn_key=(index,))
+    from numpy.random import SeedSequence
+
+    return SeedSequence(master_seed, spawn_key=(index,))
 
 
-def _as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's multiplier
+MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R, XSHIFT, POOL_SIZE = 0xCA01F9DD, 0x4973F715, 16, 4
+PCG_MULT_HI, PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _uint32_words(value: int) -> list[int]:
+    """numpy's entropy words of a non-negative int (little-endian 32-bit), zero-padded to 4.
+
+    SeedSequence pads the run entropy with zeros only when there is a spawn
+    key; without one it hashes a zero into each pool word that no entropy word
+    fills, which is what the padding does, so both give numpy's pool.
+    """
+    if value < 0:
+        raise OutOfRange(f"a seed must be a non-negative integer, got {value}")
+    words = [value & MASK32]
+    while value := value >> 32:
+        words.append(value & MASK32)
+    return words + [0] * (POOL_SIZE - len(words))
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(...).generate_state(4, uint64) of each row of an (n, L >= 4) uint32 entropy array.
+
+    Returns (n, 4) uint64: initstate high and low, sequence high and low.
+    """
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * MULT_A & MASK32
+        value = value * hash_const
+        return value ^ value >> XSHIFT
+
+    def mix(x, y):
+        out = x * MIX_MULT_L - y * MIX_MULT_R
+        return out ^ out >> XSHIFT
+
+    pool = [hashmix(word) for word in entropy.T[:POOL_SIZE]]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy.T[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const, state = INIT_B, []
+    for i in range(2 * POOL_SIZE):
+        value = pool[i % POOL_SIZE] ^ hash_const
+        hash_const = hash_const * MULT_B & MASK32
+        value = value * hash_const
+        state.append((value ^ value >> XSHIFT).astype(np.uint64))
+    return np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)], axis=1)
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's 128-bit LCG step, state * multiplier + increment, on uint64 halves."""
+    lo0, lo1 = lo & MASK32, lo >> 32
+    mult0, mult1 = PCG_MULT_LO & MASK32, PCG_MULT_LO >> 32
+    p01, p10 = lo0 * mult1, lo1 * mult0
+    mid = (lo0 * mult0 >> 32) + (p01 & MASK32) + (p10 & MASK32)
+    carry = lo1 * mult1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # high word of lo * MULT_LO
+    new_lo = lo * PCG_MULT_LO + inc_lo
+    return hi * PCG_MULT_LO + lo * PCG_MULT_HI + carry + inc_hi + (new_lo < inc_lo), new_lo
+
+
+class _Streams:
+    """Row i draws what Generator(PCG64(seed i)).random() would, from (n, 4) generate_state words.
+
+    Each row holds its 128-bit LCG state and increment as uint64 halves, seeded
+    as PCG64 seeds: increment = sequence << 1 | 1, step, add initstate, step.
+    """
+
+    def __init__(self, words: np.ndarray):
+        init_hi, init_lo, seq_hi, seq_lo = words.T
+        self.inc_hi, self.inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        hi, lo = _lcg_step(0, np.zeros_like(seq_lo), self.inc_hi, self.inc_lo)
+        lo = lo + init_lo
+        self.hi, self.lo = _lcg_step(hi + init_hi + (lo < init_lo), lo, self.inc_hi, self.inc_lo)
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def random(self, rows=slice(None)) -> np.ndarray:
+        """The next uniform in [0, 1) of each of the given rows (distinct), as numpy's random()."""
+        hi, lo = _lcg_step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> 58  # XSL-RR: rotate the folded halves right by the top 6 bits
+        return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+
+
+def _spawned_streams(master_seed: int, n: int) -> _Streams:
+    """The streams of split_seed(master_seed, i) for i < n: entropy (master words, i)."""
+    run = _uint32_words(master_seed)
+    entropy = np.empty((n, len(run) + 1), dtype=np.uint32)
+    entropy[:, :-1] = run
+    entropy[:, -1] = np.arange(n)
+    return _Streams(_seed_words(entropy))
+
+
+def _seed_streams(seed: SeedLike) -> _Streams:
+    """One row: an int seeds as SeedSequence(seed), a SeedSequence by its generate_state."""
+    generate_state = getattr(seed, "generate_state", None)
+    if generate_state is not None:
+        return _Streams(generate_state(4, np.uint64)[None])
+    return _Streams(_seed_words(np.array([_uint32_words(int(seed))], dtype=np.uint32)))
 
 
 def _step_table(system: QuantumSystem, schedule: Optional[ParameterSchedule], dt: float, steps: range):
@@ -109,11 +221,11 @@ def _resolve_steps(
     return n_steps, total / n_steps
 
 
-def _jump(ops, labels, psi, rows, t_jump, generators, threshold, jumps, histogram):
+def _jump(ops, labels, psi, rows, t_jump, streams, threshold, jumps, histogram):
     """Jump rows at t_jump from their post-step states psi (n, d); returns the normalised images.
 
-    Channel k of ops[r] (c, d, d) has weight ||L_k psi||^2; trajectory r draws it and its new
-    threshold from generators[r], and the jump is recorded.
+    Channel k of ops[r] (c, d, d) has weight ||L_k psi||^2; trajectory r draws it and then its
+    new threshold from row r of streams, and the jump is recorded.
     """
     amp = np.einsum("noab,nb->noa", ops, psi)
     cum = np.cumsum(np.einsum("noa,noa->no", amp, amp.conj()).real, axis=1)
@@ -121,17 +233,17 @@ def _jump(ops, labels, psi, rows, t_jump, generators, threshold, jumps, histogra
     if not total.all():
         raise ZeroNorm(f"jump annihilated the state in trajectory {int(rows[np.argmin(total)])}")
     # a uniform u < 1 gives u * total < total, so chans < len(labels)
-    u = np.array([generators[r].random() for r in rows]) * total
+    u = streams.random(rows) * total
     chans = (u[:, None] >= cum).sum(axis=1)
+    threshold[rows] = streams.random(rows)
     for r, c, t in zip(rows, chans, t_jump):
-        threshold[r] = generators[r].random()
         jumps[int(r)].append((float(t), labels[c]))
         histogram[labels[c]] += 1
     phi = amp[np.arange(len(rows)), chans]
     return phi / np.linalg.norm(phi, axis=1)[:, None]
 
 
-def _jump_steps(props, ops, labels, psi, rows, steps, dt, generators, threshold, jumps, histogram):
+def _jump_steps(props, ops, labels, psi, rows, steps, dt, streams, threshold, jumps, histogram):
     """Step the rows' states psi through `steps` (table rows props and ops), jumping by `_jump`."""
     for k, prop, op in zip(steps, props, ops):
         psi = np.einsum("ab,nb->na", prop, psi)
@@ -139,7 +251,7 @@ def _jump_steps(props, ops, labels, psi, rows, steps, dt, generators, threshold,
         if hit.size:
             psi[hit] = _jump(np.broadcast_to(op, (hit.size,) + op.shape), labels, psi[hit],
                              rows[hit], np.full(hit.size, (k + 1) * dt),
-                             generators, threshold, jumps, histogram)
+                             streams, threshold, jumps, histogram)
     return psi
 
 
@@ -149,7 +261,7 @@ def _run_batch(
     psi0: np.ndarray,
     dt: float,
     n_steps: int,
-    generators: list[np.random.Generator],
+    streams: _Streams,
     store_every: int,
     store,
 ):
@@ -165,18 +277,18 @@ def _run_batch(
     store(psi) is called with the batch's (n, d) normalised states at t = 0
     and at every stored step. Returns (times, jumps per trajectory, jump
     histogram), the histogram keyed in channel order. Trajectory i draws its
-    thresholds and channel uniforms from generators[i].
+    thresholds and channel uniforms from row i of streams.
     """
-    psi = np.tile(np.asarray(psi0, dtype=complex), (len(generators), 1))
+    psi = np.tile(np.asarray(psi0, dtype=complex), (len(streams), 1))
     store(psi)
-    threshold = np.array([g.random() for g in generators])
-    jumps: list[list[tuple[float, str]]] = [[] for _ in generators]
+    threshold = streams.random()
+    jumps: list[list[tuple[float, str]]] = [[] for _ in range(len(streams))]
     histogram: dict[str, int] = {}
 
     for block, intervals in step_blocks(n_steps, store_every):
         props, ops, labels = _step_table(system, schedule, dt, block)
         histogram = histogram or dict.fromkeys(labels, 0)  # every block has the same channels
-        sampling = (generators, threshold, jumps, histogram)
+        sampling = (streams, threshold, jumps, histogram)
         intervals = list(intervals)
         # each interval padded at its end with identities (exact): its last suffix is one
         width = len(intervals[0][0])
@@ -234,7 +346,7 @@ def run_trajectory(
     n_steps, step = _resolve_steps(schedule, t_final, dt, store_every)
     states = []
     times, jumps, _hist = _run_batch(
-        system, schedule, psi, step, n_steps, [_as_generator(seed)], store_every,
+        system, schedule, psi, step, n_steps, _seed_streams(seed), store_every,
         lambda batch: states.append(batch[0].copy()))
     return TrajectoryRecord(seed=seed, times=times, states=np.array(states), jumps=jumps[0])
 
@@ -254,12 +366,11 @@ def run_ensemble(
         raise OutOfRange(f"ensemble size must be >= 1, got {n}")
     psi = _unit_state(psi0)
     n_steps, step = _resolve_steps(schedule, t_final, dt, store_every)
-    generators = [_as_generator(split_seed(master_seed, i)) for i in range(n)]
     # the mean density is summed as the batch advances, so no stored state
     # of any trajectory is kept
     sums = []
     times, jumps, histogram = _run_batch(
-        system, schedule, psi, step, n_steps, generators, store_every,
+        system, schedule, psi, step, n_steps, _spawned_streams(master_seed, n), store_every,
         lambda batch: sums.append(np.einsum("ni,nj->ij", batch, batch.conj())))
     mean_density = np.array(sums) / n
     return EnsembleResult(

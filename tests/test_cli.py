@@ -211,6 +211,9 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig2", "ensemble.dt=1e-300"),
     ("sweeps", "integrator.dt=1e-300"),
     ("trajectories", "ensemble.dt=1e-300"),
+    pytest.param("trajectories", ("ensemble.master_seed=-1", "ensemble.n=10"),
+                 id="trajectories-negative-master_seed"),
+    ("fig2", "ensemble.master_seed=-5"),
     pytest.param("trajectories",
                  ("schedule=null", "ensemble.t_final=0.001", "ensemble.n=100001"),
                  id="trajectories-ensemble.n=100001"),
@@ -448,35 +451,47 @@ def test_constant_trajectories_require_a_duration(tmp_path, capsys):
     assert "t_final" in capsys.readouterr().err
 
 
-# SciPy is loaded only where branch pairing runs; the damped-sine fits are numpy only
-NO_SCIPY_SCRIPT = """
+# SciPy is loaded only where branch pairing runs; the damped-sine fits are numpy only.
+# numpy.random is loaded by no run: the MCWF streams are liouvlab's own.
+NOT_LOADED_SCRIPT = """
 import sys
 from pathlib import Path
 
 from liouvlab import cli
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+out, package = Path(sys.argv[1]), sys.argv[2]
 
-out = Path(sys.argv[1])
-assert scipy_modules() == [], ("import", scipy_modules())
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name == package or name.startswith(package + "."))
+
+assert loaded() == [], ("import", loaded())
 for args in (
     ["sweeps", "--set", "scan.T_values=[0.25]", "--set", "scan.Delta_max_values=[3.0]"],
     ["trajectories", "--set", "ensemble.n=10"],
+    ["fig2", "--set", "ensemble.n=10"],
     ["ep-map", "--set", "scan.resolution=5"],
     ["fig1", "--set", "scan.J_values=[0.3, 0.9]", "--set", "scan.heatmap_samples=11"],
     ["fig4", "--set", "scan.J_values=[0.9, 1.3]", "--set", "scan.heatmap_samples=11"],
 ):
     assert cli.main([*args, "--output-dir", str(out / args[0])]) == 0, args[0]
-    assert scipy_modules() == [], (args[0], scipy_modules())
+    assert loaded() == [], (args[0], loaded())
 """
 
 
-def test_runs_without_fits_load_no_scipy(tmp_path):
+def _run_not_loaded_script(tmp_path, package):
     env = dict(os.environ, PYTHONPATH=str(Path(liouvlab.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", NOT_LOADED_SCRIPT, str(tmp_path), package],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_without_fits_load_no_scipy(tmp_path):
+    _run_not_loaded_script(tmp_path, "scipy")
+
+
+def test_no_run_loads_numpy_random(tmp_path):
+    _run_not_loaded_script(tmp_path, "numpy.random")
 
 
 # a J scan holds its whole generator stack and eigensolve at once; the grid cap bounds them

@@ -270,6 +270,17 @@ def test_trace_distance_symmetry_and_triangle(rng):
         assert 0.0 <= dab <= 1.0 + 1e-12
 
 
+def test_trace_distance_of_stacks_matches_each_slice_bitwise(rng):
+    a = np.array([random_density_matrix(rng, 3) for _ in range(7)])
+    b = np.array([random_density_matrix(rng, 3) for _ in range(7)])
+    stacked = numerics.trace_distance(a, b)
+    assert stacked.shape == (7,)
+    assert stacked.tolist() == [numerics.trace_distance(x, y) for x, y in zip(a, b)]
+    b[4, 0, 1] += 0.1
+    with pytest.raises(NotHermitian, match="second argument"):
+        numerics.trace_distance(a, b)
+
+
 def test_trace_distance_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotHermitian):

@@ -129,6 +129,36 @@ def test_store_decimation_grid():
     assert rec.states.shape == (11, 2)
 
 
+# --- the random streams against numpy's generators ---------------------------------
+
+STREAM_MASTERS = {"0": 0, "1": 1, "12345": 12345, "2**32-1": 2**32 - 1, "2**32": 2**32,
+                  "2**96+7": 2**96 + 7, "2**200+3": 2**200 + 3}
+
+
+def _numpy_generator(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+@pytest.mark.parametrize("master", STREAM_MASTERS.values(), ids=STREAM_MASTERS)
+def test_spawned_streams_draw_what_numpy_draws(master):
+    n = config.MAX_ENSEMBLE_N
+    picked = [0, 1, 65_536, n - 1]
+    streams = tj._spawned_streams(master, n)
+    oracle = {i: _numpy_generator(tj.split_seed(master, i)) for i in picked}
+    assert streams.random()[picked].tolist() == [oracle[i].random() for i in picked]
+    # uneven subsets, so the rows fall out of step with one another
+    for rows in ([n - 1, 1], [65_536], [0, n - 1, 65_536], [1], [n - 1]):
+        assert streams.random(np.array(rows)).tolist() == [oracle[i].random() for i in rows]
+
+
+@pytest.mark.parametrize("seed", STREAM_MASTERS.values(), ids=STREAM_MASTERS)
+def test_a_single_seed_draws_what_numpy_draws(seed):
+    for given, oracle in ((seed, _numpy_generator(np.random.SeedSequence(seed))),
+                          (tj.split_seed(seed, 7), _numpy_generator(tj.split_seed(seed, 7)))):
+        streams = tj._seed_streams(given)
+        assert [streams.random()[0] for _ in range(5)] == [oracle.random() for _ in range(5)]
+
+
 # --- input validation --------------------------------------------------------------
 
 
@@ -144,13 +174,18 @@ def test_input_validation():
         tj.run_trajectory(sys2, 2.0 * EXCITED_KET, dt=1e-3, seed=0, t_final=1.0)
     with pytest.raises(OutOfRange):
         tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=0, master_seed=0, t_final=1.0)
+    # a negative seed is rejected, never wrapped into 32-bit words
+    with pytest.raises(OutOfRange, match="non-negative"):
+        tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=4, master_seed=-1, t_final=1.0)
+    with pytest.raises(OutOfRange, match="non-negative"):
+        tj.run_trajectory(sys2, EXCITED_KET, dt=1e-3, seed=-5, t_final=1.0)
 
 
 @pytest.mark.parametrize("store_every", [0, -1])
 def test_every_route_rejects_store_every_below_one(store_every, monkeypatch):
     system, schedule = DEFAULT_LOOP
-    # the check comes before any trajectory's generator is made
-    monkeypatch.setattr(tj, "_as_generator", lambda seed: pytest.fail("a generator was made"))
+    # the check comes before any trajectory's random stream is made
+    monkeypatch.setattr(tj, "_Streams", lambda words: pytest.fail("a stream was made"))
     with pytest.raises(OutOfRange, match="store_every"):
         tj.run_trajectory(system, plus_x(), dt=1e-3, seed=1, schedule=schedule,
                           store_every=store_every)
@@ -308,7 +343,11 @@ def test_ensemble_reproduces_its_recorded_jumps():
 
 
 def _reference_run_batch(system, schedule, psi0, dt, n_steps, generators, store_every, store):
-    """The per-step kernel: one propagation of the whole batch per step."""
+    """The per-step kernel: one propagation of the whole batch per step.
+
+    Trajectory i draws from generators[i], one numpy Generator per row, so the
+    interval kernel's vectorised streams are checked against numpy draw for draw.
+    """
     props, ops, labels = tj._step_table(system, schedule, dt, range(n_steps))
     stored_idx, times = stored_steps(n_steps, store_every, dt)
 
@@ -365,10 +404,11 @@ def _both_kernels(name, store_every, seed=2024):
     system, schedule, psi0, dt, t_final, n = ORACLE_CASES[name]
     n_steps, step = tj._resolve_steps(schedule, t_final, dt, store_every)
     runs = []
-    for kernel in (_reference_run_batch, tj._run_batch):
+    generators = [_numpy_generator(tj.split_seed(seed, i)) for i in range(n)]
+    for kernel, draws in ((_reference_run_batch, generators),
+                          (tj._run_batch, tj._spawned_streams(seed, n))):
         states = []
-        generators = [tj._as_generator(tj.split_seed(seed, i)) for i in range(n)]
-        times, jumps, histogram = kernel(system, schedule, psi0, step, n_steps, generators,
+        times, jumps, histogram = kernel(system, schedule, psi0, step, n_steps, draws,
                                          store_every, lambda batch: states.append(batch.copy()))
         runs.append((times, np.array(states), jumps, histogram))
     return n_steps, step, runs
@@ -464,22 +504,27 @@ def test_no_jump_squared_norm_never_rises(system, schedule, n_steps):
 
 
 class _Draws:
-    """A generator stub: returns the given uniforms in turn, then the last forever."""
+    """A stream stub: row i returns its given uniforms in turn, then its last forever."""
 
-    def __init__(self, *values):
-        self.values = list(values)
+    def __init__(self, *rows):
+        self.rows = [list(values) for values in rows]
 
-    def random(self):
-        return self.values.pop(0) if len(self.values) > 1 else self.values[0]
+    def __len__(self):
+        return len(self.rows)
+
+    def random(self, rows=None):
+        rows = range(len(self.rows)) if rows is None else rows
+        return np.array([self.rows[r].pop(0) if len(self.rows[r]) > 1 else self.rows[r][0]
+                         for r in rows])
 
 
 def test_a_jump_that_annihilates_the_state_raises_zero_norm():
     # |g> under emission alone keeps norm 1, so a threshold above 1 makes it
     # jump at once, and its jump image L|g> is zero
     system = make_system(DriveParams(J=0.0), Rates(gamma_e=4.4))
-    generators = [tj._as_generator(0), _Draws(1.5)]
     with pytest.raises(ZeroNorm, match="trajectory 1"):
-        tj._run_batch(system, None, GROUND, 1e-3, 100, generators, 20, lambda batch: None)
+        tj._run_batch(system, None, GROUND, 1e-3, 100, _Draws([0.5], [1.5]), 20,
+                      lambda batch: None)
 
 
 def test_a_crossing_hidden_by_the_rounding_of_the_product_is_still_stepped(monkeypatch):
@@ -502,7 +547,7 @@ def test_a_crossing_hidden_by_the_rounding_of_the_product_is_still_stepped(monke
     first = int(np.argmax(norms < threshold))
 
     def jumps_of():
-        draws = [_Draws(threshold, 0.5, 0.0)]
+        draws = _Draws([threshold, 0.5, 0.0])
         return tj._run_batch(system, None, psi0, dt, n_steps, draws, n_steps, lambda batch: None)[1]
 
     assert jumps_of() == [[((first + 1) * dt, "e")]]
