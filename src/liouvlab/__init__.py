@@ -70,7 +70,6 @@ from .trajectories import (
     TrajectoryRecord,
     run_ensemble,
     run_trajectory,
-    split_seed,
 )
 from .analysis import (
     DampedSineFit,
@@ -109,7 +108,6 @@ __all__ = [
     "validate_density_matrix", "observables_from_states",
     # trajectories
     "TrajectoryRecord", "EnsembleResult", "run_trajectory", "run_ensemble",
-    "split_seed",
     # analysis
     "DampedSineFit", "TransitionScan", "SweepResult", "fit_damped_sine",
     "scan_transition", "chirality", "entropy", "sweep_metrics",

@@ -21,12 +21,10 @@ from .dynamics import (
     validate_density_matrix,
 )
 from .errors import DegenerateInput, DomainError, InsufficientData, LiouvlabError, OutOfRange
-from .liouvillian import superoperator_stack, vec, zero_modes
-from .model import ParameterSchedule, QuantumSystem, Rates, basis_ket, operators
+from .liouvillian import vec, zero_modes
+from .model import ParameterSchedule, QuantumSystem, Rates, basis_ket
 
 MIN_FIT_SAMPLES = 8
-DEFAULT_FIT_WINDOW = 10.0  # us, about forty decay times of the fast branch
-DEFAULT_FIT_SAMPLES = 500
 EP_FLAG_RADIUS = 0.05  # rad/us; fits this close to the EP see t*exp(lambda t) terms
 FIT_MAX_NFEV = 500  # residual evaluations per fit
 FIT_TOL = 1e-15  # tolerance of its gradient, cost-reduction and step tests
@@ -378,22 +376,21 @@ def initial_state_for(dim: int) -> np.ndarray:
 def scan_transition(
     system_template: QuantumSystem,
     J_values,
-    window: float = DEFAULT_FIT_WINDOW,
-    n_samples: int = DEFAULT_FIT_SAMPLES,
-    generators: Optional[np.ndarray] = None,
+    generators: np.ndarray,
+    window: float,
+    n_samples: int,
 ) -> TransitionScan:
     """Sweep J, fitting the simulated transient and attaching predictions.
 
     Qubit scans watch rho_ee from rho0 = |e><e|; qutrit scans watch |rho_gf|
-    from the superposition (|g> - |f>)/sqrt(2). The whole J grid is one
-    generator stack, integrated in one integrate_constant call; only the
-    prediction and the fit run per J. A caller that already holds the grid's
-    stack, superoperator_stack(operators(system_template, J_values, Delta,
-    gamma_e)), passes it as `generators` so it is not built twice. Per-point
-    fit failures are recorded in `failures` rather than aborting the sweep.
-    The prediction column is computed from the full jump-operator set, so
-    any extra f-level loss channels configured on the template shift it
-    automatically.
+    from the superposition (|g> - |f>)/sqrt(2), at n_samples times spanning
+    [0, window]. `generators` is the grid's stack,
+    superoperator_stack(operators(system_template, J_values, Delta, gamma_e)),
+    integrated in one integrate_constant call; only the prediction and the
+    fit run per J. Per-point fit failures are recorded in `failures` rather
+    than aborting the sweep. The prediction column is computed from the full
+    jump-operator set, so any extra f-level loss channels configured on the
+    template shift it automatically.
     """
     J_arr = np.asarray(J_values, dtype=float)
     if J_arr.ndim != 1 or len(J_arr) == 0:
@@ -411,10 +408,7 @@ def scan_transition(
     omega_pred = np.empty(len(J_arr))
     gamma_pred = np.empty(len(J_arr))
 
-    if generators is None:
-        generators = superoperator_stack(operators(
-            system_template, J_arr, system_template.drive.Delta, system_template.rates.gamma_e))
-    elif np.shape(generators) != (len(J_arr), dim * dim, dim * dim):
+    if np.shape(generators) != (len(J_arr), dim * dim, dim * dim):
         raise OutOfRange(f"generators must be a ({len(J_arr)}, {dim * dim}, {dim * dim}) stack, "
                          f"got {np.shape(generators)}")
     states = integrate_constant(generators, rho0, t_grid).states

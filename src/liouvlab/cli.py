@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +260,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     markers = [analysis.ep_coupling(cfg.system.rates, 2)]
     if cfg.system.dim == 3:
         markers.append(cfg.system.rates.gamma_e / 4.0)
-    step = float(J_grid[1] - J_grid[0]) if len(J_grid) > 1 else 0.0
+    step = abs(float(J_grid[1] - J_grid[0])) if len(J_grid) > 1 else 0.0
     near_ep = np.zeros(len(J_grid), dtype=int)
     for m in markers:
         near_ep |= np.abs(J_grid - m) <= max(step, 1e-12)
@@ -338,8 +338,7 @@ def _transition_figure(
     generators = superoperator_stack(
         operators(cfg.system, J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))
     states = integrate_constant(generators, analysis.initial_state_for(dim), t_hm).states
-    scan_result = analysis.scan_transition(
-        cfg.system, J_grid, window=window, n_samples=n_samples, generators=generators)
+    scan_result = analysis.scan_transition(cfg.system, J_grid, generators, window, n_samples)
     heat_axes = [np.repeat(J_grid, len(t_hm)), np.tile(t_hm, len(J_grid))]
     return heat_axes, states, t_hm, scan_result.table(), {
         "j_ep": scan_result.j_ep,
@@ -582,7 +581,7 @@ def _write_outputs(
     if "json" in cfg.formats:
         files.append(io.write_json(cfg.output_dir / f"{stem}_summary.json", summary))
     manifest = io.build_manifest(experiment, __version__, cfg.echo, files, started)
-    return files + [io.write_json(cfg.output_dir / f"{stem}_manifest.json", manifest.as_dict())]
+    return files + [io.write_json(cfg.output_dir / f"{stem}_manifest.json", asdict(manifest))]
 
 
 # ---------------------------------------------------------------------------

@@ -111,14 +111,10 @@ def validate_keys(raw: dict) -> None:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
 
 
-def _scale_angular(value, factor: float):
-    if isinstance(value, bool):
-        raise ConfigError("angular config values must be numbers")
-    if isinstance(value, (int, float)):
-        return value * factor
+def _scale_angular(section: str, key: str, value, factor: float):
     if isinstance(value, list):
-        return [_scale_angular(v, factor) for v in value]
-    raise ConfigError(f"angular config values must be numbers, got {value!r}")
+        return [_scale_angular(section, key, v, factor) for v in value]
+    return number(section, key, value) * factor
 
 
 def apply_units(raw: dict, units: str) -> dict:
@@ -133,7 +129,7 @@ def apply_units(raw: dict, units: str) -> dict:
         if not isinstance(body, dict):
             continue
         for key in keys & set(body):
-            body[key] = _scale_angular(body[key], 2.0 * math.pi)
+            body[key] = _scale_angular(section, key, body[key], 2.0 * math.pi)
     return out
 
 
@@ -146,7 +142,11 @@ def number(section: str, key: str, value, default=_REQUIRED) -> Optional[float]:
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int that no float can hold
+        finite = False
+    if not finite:
         raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     return float(value)
 

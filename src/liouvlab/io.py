@@ -6,7 +6,6 @@ RunManifest JSON recording the resolved configuration and a content hash of
 each written file.
 """
 
-import csv
 import hashlib
 import json
 import time
@@ -19,39 +18,38 @@ from .errors import ConfigError
 
 CSV_FLOAT_FORMAT = "%.12g"
 
-def fmt_float(x) -> str:
-    """Canonical CSV cell for a float: 12 significant digits."""
-    return CSV_FLOAT_FORMAT % float(x)
 
-
-def _cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return fmt_float(x)
+def _unquoted(cells):
+    """The cells, after checking that none is a string that CSV would quote."""
+    for cell in cells:
+        if isinstance(cell, str) and any(ch in cell for ch in ',"\r\n'):
+            raise ValueError(f"CSV cell {cell!r} holds a comma, quote or line break")
+    return cells
 
 
 def write_csv(path, header: list[str], rows) -> Path:
-    """RFC-4180-style CSV with a header row and pinned float formatting.
+    """CSV with a header row, CRLF line ends and pinned float formatting.
 
-    A 2-d float ndarray is formatted a row at a time from its Python floats,
-    which writes the same bytes as `_cell` on every value: no formatted float
-    holds a comma, quote or line break, so no cell needs quoting. Other rows
-    go through `_cell` one cell at a time.
+    `rows` is a list of rows or a 2-d array, written a row at a time with one
+    format string built from the first row: %s for a string cell and
+    CSV_FLOAT_FORMAT for any other, so ints below 10**12 and bools print as
+    their digits. No cell is quoted: a header or string cell that holds a
+    comma, quote or line break raises ValueError.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            line = ",".join([CSV_FLOAT_FORMAT] * rows.shape[1]) + "\r\n"
-            fh.writelines(line % tuple(row.tolist()) for row in rows)
-        else:
-            writer.writerows([_cell(x) for x in row] for row in rows)
+        fh.write(",".join(_unquoted(header)) + "\r\n")
+        line = None
+        for row in rows:
+            cells = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
+            if line is None:
+                text = [i for i, cell in enumerate(cells) if isinstance(cell, str)]
+                line = ",".join("%s" if isinstance(cell, str) else CSV_FLOAT_FORMAT
+                                for cell in cells) + "\r\n"
+            if text:
+                _unquoted([cells[i] for i in text])
+            fh.write(line % cells)
     return path
 
 
@@ -108,16 +106,6 @@ class RunManifest:
     duration_s: float
     config: dict
     files: list[dict] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "artifact_version": self.artifact_version,
-            "timestamp_utc": self.timestamp_utc,
-            "duration_s": self.duration_s,
-            "config": self.config,
-            "files": self.files,
-        }
 
 
 def build_manifest(

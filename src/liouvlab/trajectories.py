@@ -21,14 +21,16 @@ reach the end through the suffix, and only one again below its new threshold
 is stepped on step by step. Each row sees the same arithmetic whatever the
 batch holds, so a batch of one reproduces any member bit for bit.
 
-Seed splitting: trajectory i of an ensemble draws its uniforms from the
-stream of numpy.random.Generator(PCG64(SeedSequence(master_seed,
+Seeding: trajectory i of an ensemble draws its uniforms from the stream of
+numpy.random.Generator(PCG64(SeedSequence(master_seed,
 spawn_key=(i,)))).random(). `_Streams` reproduces that chain (SeedSequence's
 pool mixing and generate_state, PCG64's seeding, its 128-bit LCG step and
 XSL-RR output, and random()) bit for bit in vectorised uint32/uint64
-arithmetic, one row per trajectory, so no run imports numpy.random; numpy is
-only the oracle of the tests. This counter-based construction is stable
-across runs, processes, and thread counts.
+arithmetic, one row per trajectory, so no liouvlab module imports
+numpy.random; numpy is only the oracle of the tests. A single trajectory
+seeds from an int as SeedSequence(seed) would, or from a SeedSequence its
+caller built, through that object's generate_state. This counter-based
+construction is stable across runs, processes, and thread counts.
 """
 
 from dataclasses import dataclass, field
@@ -64,13 +66,6 @@ class EnsembleResult:
     mean_density: np.ndarray  # (n_stored, d, d)
     jump_count_histogram: dict[str, int] = field(default_factory=dict)
     jumps_per_trajectory: list[list[tuple[float, str]]] = field(default_factory=list)
-
-
-def split_seed(master_seed: int, index: int) -> "np.random.SeedSequence":
-    """Child seed of trajectory `index`: SeedSequence(master, spawn_key=(index,))."""
-    from numpy.random import SeedSequence
-
-    return SeedSequence(master_seed, spawn_key=(index,))
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's multiplier
@@ -168,7 +163,7 @@ class _Streams:
 
 
 def _spawned_streams(master_seed: int, n: int) -> _Streams:
-    """The streams of split_seed(master_seed, i) for i < n: entropy (master words, i)."""
+    """Streams of SeedSequence(master_seed, spawn_key=(i,)), i < n: entropy (master words, i)."""
     run = _uint32_words(master_seed)
     entropy = np.empty((n, len(run) + 1), dtype=np.uint32)
     entropy[:, :-1] = run
@@ -361,7 +356,7 @@ def run_ensemble(
     store_every: int = 20,
     t_final: Optional[float] = None,
 ) -> EnsembleResult:
-    """Average of n trajectories; trajectory i uses split_seed(master_seed, i)."""
+    """Average of n trajectories; trajectory i uses SeedSequence(master_seed, spawn_key=(i,))."""
     if n < 1:
         raise OutOfRange(f"ensemble size must be >= 1, got {n}")
     psi = _unit_state(psi0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from liouvlab.analysis import scan_transition
+from liouvlab.liouvillian import superoperator_stack
 from liouvlab.model import DriveParams, make_system, operators, path_points
 
 settings.register_profile(
@@ -31,6 +33,17 @@ def point_operators(system) -> tuple[np.ndarray, list[tuple[np.ndarray, str]]]:
     """(H, [(L, label), ...]) at the system's own drive and rates: a one-point operators call."""
     ops = operators(system, [system.drive.J], [system.drive.Delta], system.rates.gamma_e)
     return ops.hamiltonians[0], [(L[0], label) for L, label in ops.jumps]
+
+
+def transition_scan(system, J_values, window: float = 10.0, n_samples: int = 500):
+    """scan_transition on the grid's own generator stack, as fig1 and fig4 build it.
+
+    The window and sample count default to fig1's and fig4's `scan.window`
+    and `scan.n_samples`.
+    """
+    J = np.asarray(J_values, dtype=float)
+    generators = superoperator_stack(operators(system, J, system.drive.Delta, system.rates.gamma_e))
+    return scan_transition(system, J, generators, window, n_samples)
 
 
 def system_on_path(system, schedule, t: float):

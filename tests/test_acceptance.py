@@ -15,7 +15,7 @@ from time import perf_counter
 
 import numpy as np
 
-from liouvlab.analysis import chirality, scan_transition, sweep_metrics
+from liouvlab.analysis import chirality, sweep_metrics
 from liouvlab.dynamics import (
     integrate_bloch,
     integrate_constant,
@@ -32,6 +32,8 @@ from liouvlab.model import (
 )
 from liouvlab.numerics import trace_distance
 from liouvlab.trajectories import run_ensemble
+
+from conftest import transition_scan
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -177,7 +179,7 @@ def test_criterion_03_qubit_transition_scan(capsys):
     ge, gp = 4.4, 0.1
     template = make_system(DriveParams(J=0.1), Rates(gamma_e=ge, gamma_phi=gp))
     Js = np.linspace(0.1, 1.8, 35)
-    scan = scan_transition(template, Js)
+    scan = transition_scan(template, Js)
     hi = Js >= 0.65
     lo = Js <= 0.45
     omega_true = 0.5 * np.sqrt(16.0 * Js[hi] ** 2 - (ge / 2 - gp) ** 2)
@@ -201,7 +203,7 @@ def test_criterion_04_qutrit_transition_location(capsys):
     template = make_system(
         DriveParams(J=1.0), Rates(4.2, 0.2, 0.3, 0.75), dim=3, f_decay_to="e"
     )
-    scan = scan_transition(template, np.linspace(0.8, 1.4, 25))
+    scan = transition_scan(template, np.linspace(0.8, 1.4, 25))
     est = scan.transition_estimate(threshold=0.1)
     dev = abs(est - 4.2 / 4)
     elapsed = perf_counter() - t0

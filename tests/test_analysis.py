@@ -20,6 +20,8 @@ from liouvlab.errors import (
 from liouvlab.liouvillian import build_superoperator, superoperator_stack
 from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, operators, plus_x
 
+from conftest import transition_scan
+
 
 def damped_cosine(t, A, gamma, omega, phi, C):
     return A * np.exp(-gamma * t) * np.cos(omega * t + phi) + C
@@ -197,11 +199,11 @@ def test_an_exhausted_budget_is_reported_unconverged(monkeypatch):
     t = np.linspace(0.0, 10.0, 500)
     series = integrate_constant(build_superoperator(template), excited_projector(), t).states[:, 1, 1].real
     assert analysis.fit_damped_sine(t, series).converged
-    assert analysis.scan_transition(template, [0.3]).n_unconverged == 0
+    assert transition_scan(template, [0.3]).n_unconverged == 0
 
     monkeypatch.setattr(analysis, "FIT_MAX_NFEV", 2)
     assert not analysis.fit_damped_sine(t, series).converged
-    assert analysis.scan_transition(template, [0.3]).n_unconverged == 1
+    assert transition_scan(template, [0.3]).n_unconverged == 1
 
 
 # --- the SciPy oracle on the fig1 and fig4 default series --------------------------
@@ -218,7 +220,7 @@ def default_series():
         fit = analysis.fit_damped_sine
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "fit_damped_sine", lambda t, y: seen.append((t, y)) or fit(t, y))
-            analysis.scan_transition(cfg.system, J_grid, window=window, n_samples=n_samples)
+            transition_scan(cfg.system, J_grid, window, n_samples)
         series[experiment] = seen
     return series
 
@@ -352,7 +354,7 @@ def test_deep_relaxational_regime_fits_to_zero_frequency():
 def test_scan_transition_qubit():
     template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4, gamma_phi=0.1))
     Js = np.array([0.3, 0.45, 0.525, 0.6, 0.9, 1.2])
-    scan = analysis.scan_transition(template, Js)
+    scan = transition_scan(template, Js)
     assert scan.j_ep == pytest.approx(0.525)
     assert scan.failures == []
     assert list(scan.flagged) == [abs(J - 0.525) < 0.05 for J in Js]
@@ -366,7 +368,7 @@ def test_scan_transition_qubit():
 
 def test_scan_transition_qutrit_point_above_transition():
     template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.2), dim=3)
-    scan = analysis.scan_transition(template, [1.4])
+    scan = transition_scan(template, [1.4])
     assert scan.j_ep == pytest.approx(1.05)
     assert scan.omega_fit[0] > 0.1
 
@@ -374,7 +376,7 @@ def test_scan_transition_qutrit_point_above_transition():
 def test_qutrit_fits_below_the_transition_converge():
     # the acceptance-04 system just below its EP, where the series is overdamped
     template = make_system(DriveParams(J=1.0), Rates(4.2, 0.2, 0.3, 0.75), dim=3, f_decay_to="e")
-    scan = analysis.scan_transition(template, [0.9, 1.0, 1.025])
+    scan = transition_scan(template, [0.9, 1.0, 1.025])
     assert scan.failures == []
     assert [fit.converged for fit in scan.fits] == [True, True, True]
     assert scan.n_unconverged == 0
@@ -384,15 +386,19 @@ def test_scan_transition_takes_the_grids_generator_stack():
     template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4, gamma_phi=0.1))
     Js = np.array([0.3, 0.9])
     generators = superoperator_stack(operators(template, Js, 0.0, 4.4))
-    given = analysis.scan_transition(template, Js, generators=generators)
-    assert given.table() == analysis.scan_transition(template, Js).table()
+    # each row of the scan is what its J's own one-point stack gives
+    header, rows = analysis.scan_transition(template, Js, generators, 10.0, 500).table()
+    for J, row in zip(Js, rows):
+        alone = build_superoperator(make_system(DriveParams(J=J), template.rates))
+        one = analysis.scan_transition(template, [J], alone[None], 10.0, 500)
+        assert one.table() == (header, [row])
     with pytest.raises(OutOfRange, match="generators"):
-        analysis.scan_transition(template, Js, generators=generators[:1])
+        analysis.scan_transition(template, Js, generators[:1], 10.0, 500)
 
 
 def test_scan_transition_records_failures_instead_of_raising():
     template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4))
-    scan = analysis.scan_transition(template, [0.3, 0.6], n_samples=4)
+    scan = transition_scan(template, [0.3, 0.6], n_samples=4)
     assert len(scan.failures) == 2
     assert scan.fits == [None, None]
     assert np.all(np.isnan(scan.omega_fit))

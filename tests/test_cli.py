@@ -17,6 +17,9 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+BIG = "1" + "0" * 400  # a JSON integer that no float can hold
+
+
 # --- happy path -----------------------------------------------------------------
 
 
@@ -231,6 +234,10 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
                  id="fig1-fit-states-above-the-cap"),
     pytest.param("spectrum", "scan.J_values=" + json.dumps([0.0] * (cli.MAX_GRID_POINTS + 1)),
                  id="spectrum-J_values-above-the-cap"),
+    pytest.param("steady-state", f"system.J={BIG}", id="steady-state-system.J-beyond-float"),
+    pytest.param("sweeps", f"scan.T_values=[{BIG}]", id="sweeps-T_values-beyond-float"),
+    pytest.param("ep-map", f"scan.J_range=[0,{BIG}]", id="ep-map-J_range-beyond-float"),
+    pytest.param("fig1", f"scan.window={BIG}", id="fig1-window-beyond-float"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys, monkeypatch):
     # a run that gets past its config checks fails here, before it allocates
@@ -244,6 +251,31 @@ def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys, 
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment, override", [
+    pytest.param("steady-state", f"system.J={BIG}", id="steady-state-system.J"),
+    pytest.param("sweeps", f"scan.Delta_max_values=[1,{BIG}]", id="sweeps-Delta_max_values"),
+])
+def test_an_angular_value_beyond_float_exits_2_under_mhz_units(experiment, override, tmp_path, capsys):
+    code = run(experiment, "--units", "mhz", "--set", override, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_marks_the_ep_on_a_descending_grid(tmp_path, capsys):
+    # the qubit EP of the default rates is at J = 0.525: within one spacing
+    # (0.05) of 0.5 and 0.55, and 0.075 from the ends
+    marks = {}
+    for name, grid in (("up", "[0.45,0.5,0.55,0.6]"), ("down", "[0.6,0.55,0.5,0.45]")):
+        assert run("spectrum", "--set", f"scan.J_values={grid}",
+                   "--output-dir", str(tmp_path / name)) == 0
+        lines = (tmp_path / name / "spectrum.csv").read_text().splitlines()
+        marks[name] = [line.split(",")[-1] for line in lines[1:]]
+    capsys.readouterr()
+    assert marks["up"] == ["0", "1", "1", "0"]
+    assert marks["down"] == marks["up"][::-1]
 
 
 def test_j_grid_rejects_a_grid_above_the_cap():
@@ -280,7 +312,6 @@ def test_transition_figures_build_their_generator_stack_once(tmp_path, monkeypat
         return stack(ops)
 
     monkeypatch.setattr(cli, "superoperator_stack", counted)
-    monkeypatch.setattr(cli.analysis, "superoperator_stack", counted)
     assert run(experiment, "--set", "scan.J_values=[0.5, 1.2]", "--set", "scan.heatmap_samples=11",
                "--output-dir", str(tmp_path)) == 0
     assert built == [2]

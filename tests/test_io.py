@@ -16,16 +16,19 @@ from liouvlab.errors import ConfigError
 # --- float formatting -----------------------------------------------------------
 
 
-def test_fmt_float_short_decimals_are_exact():
-    assert lio.fmt_float(0.525) == "0.525"
-    assert lio.fmt_float(-3.35) == "-3.35"
-    assert lio.fmt_float(0.0) == "0"
-    assert lio.fmt_float(np.float64(2.0)) == "2"
+def one_row(tmp_path, row) -> list[str]:
+    """The cells of a one-row table as write_csv writes them."""
+    path = lio.write_csv(tmp_path / "row.csv", [f"c{i}" for i in range(len(row))], [row])
+    return path.read_bytes().decode().split("\r\n")[1].split(",")
+
+
+def test_short_decimals_are_written_exactly(tmp_path):
+    assert one_row(tmp_path, [0.525, -3.35, 0.0, np.float64(2.0)]) == ["0.525", "-3.35", "0", "2"]
 
 
 @given(st.floats(-1e6, 1e6, allow_nan=False))
-def test_fmt_float_round_trips_to_twelve_digits(x):
-    back = float(lio.fmt_float(x))
+def test_floats_round_trip_to_twelve_digits(tmp_path_factory, x):
+    back = float(one_row(tmp_path_factory.mktemp("row"), [x])[0])
     assert abs(back - x) <= 1e-11 * max(1.0, abs(x))
 
 
@@ -53,6 +56,36 @@ def test_write_csv_reads_back_with_stdlib(tmp_path):
     assert rows == [["a", "b"], ["1.5", "2.5"], ["3", "4"]]
 
 
+def test_string_int_and_bool_columns_mix_in_one_table(tmp_path):
+    path = lio.write_csv(tmp_path / "t.csv", ["label", "n", "flag", "big", "x"], [
+        ["e", 0, True, 999_999_999_999, 0.5],
+        ["phi", np.int64(-12), np.bool_(False), -7, np.float64(2.0)],
+        ["", 5, False, 10**11, 1e-300],
+    ])
+    assert path.read_bytes().decode().split("\r\n") == [
+        "label,n,flag,big,x",
+        "e,0,1,999999999999,0.5",
+        "phi,-12,0,-7,2",
+        ",5,0,100000000000,1e-300",
+        "",
+    ]
+
+
+def test_an_empty_table_writes_its_header_only(tmp_path):
+    # ep_map_lines at gamma_phi = gamma_e / 2 has no line point
+    for rows in ([], np.empty((0, 4))):
+        path = lio.write_csv(tmp_path / "t.csv", ["line_id", "point_idx", "J", "Delta"], rows)
+        assert path.read_bytes() == b"line_id,point_idx,J,Delta\r\n"
+
+
+@pytest.mark.parametrize("text", ["a,b", 'say "ep"', "two\nlines", "cr\r"])
+def test_a_cell_that_needs_quoting_raises(tmp_path, text):
+    with pytest.raises(ValueError, match="comma, quote or line break"):
+        lio.write_csv(tmp_path / "header.csv", ["J", text], [[0.5, 1.0]])
+    with pytest.raises(ValueError, match="comma, quote or line break"):
+        lio.write_csv(tmp_path / "cell.csv", ["J", "label"], [[0.5, "ok"], [1.0, text]])
+
+
 def test_float_array_rows_write_the_same_bytes_as_cell_by_cell(tmp_path):
     values = [2.0, -7.0, 123456789012345.0, 1e15, float("nan"), float("inf"),
               float("-inf"), -0.0, 0.0, 1e-300, 1e300, -1e-300, 1.0 / 3.0, 5e-324]
@@ -60,8 +93,8 @@ def test_float_array_rows_write_the_same_bytes_as_cell_by_cell(tmp_path):
     for columns in (table, table.reshape(-1, 1), table[:0]):
         header = [f"c{i}" for i in range(columns.shape[1])]
         fast = lio.write_csv(tmp_path / "fast.csv", header, columns)
-        # a list of rows is formatted through _cell
-        slow = lio.write_csv(tmp_path / "slow.csv", header, list(columns))
+        # a list of Python-float rows writes the same bytes as the array's rows
+        slow = lio.write_csv(tmp_path / "slow.csv", header, [row.tolist() for row in columns])
         assert fast.read_bytes() == slow.read_bytes()
     lio.write_csv(tmp_path / "fast.csv", ["a", "b", "c", "d"], table)
     lines = (tmp_path / "fast.csv").read_bytes().decode().split("\r\n")

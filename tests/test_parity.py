@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from liouvlab import cli
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
 
 
@@ -82,3 +84,8 @@ def test_a_differing_dataset_is_quantified_by_cells_and_largest_difference(
     assert ("DIFF default-fig1/fig1_summary.json: differs, 2 of 4 cells, "
             "largest |difference| 0.1 in cuts[1]") in out
     assert "0 datasets identical, 2 differ" in out
+
+
+def test_the_run_list_names_every_cli_experiment_once(parity):
+    # a new experiment missing here would skip the byte-parity check unnoticed
+    assert sorted(parity.EXPERIMENTS) == sorted(cli.EXPERIMENTS)

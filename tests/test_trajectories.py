@@ -30,6 +30,11 @@ def decay_system(gamma_e=4.4, J=0.0):
     return make_system(DriveParams(J=J), Rates(gamma_e=gamma_e))
 
 
+def spawned_seed(master_seed, index):
+    """numpy's seed of trajectory `index` of an ensemble, as run_ensemble derives its stream."""
+    return np.random.SeedSequence(master_seed, spawn_key=(index,))
+
+
 # --- bookkeeping ----------------------------------------------------------------
 
 
@@ -72,7 +77,7 @@ def test_ensemble_member_matches_standalone_run_bitwise():
     ens = tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=1,
                           master_seed=12345, t_final=1.0)
     solo = tj.run_trajectory(sys2, EXCITED_KET, dt=1e-3,
-                             seed=tj.split_seed(12345, 0), t_final=1.0)
+                             seed=spawned_seed(12345, 0), t_final=1.0)
     assert ens.jumps_per_trajectory[0] == solo.jumps
     expected = np.einsum("ti,tj->tij", solo.states, solo.states.conj())
     assert np.array_equal(ens.mean_density, expected)
@@ -84,7 +89,7 @@ def test_ensemble_mean_equals_the_mean_of_its_members_bitwise():
     n = 5
     ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=1e-3, n=n, master_seed=8)
     states = np.array([
-        tj.run_trajectory(sys2, plus_x(), dt=1e-3, seed=tj.split_seed(8, i),
+        tj.run_trajectory(sys2, plus_x(), dt=1e-3, seed=spawned_seed(8, i),
                           schedule=schedule).states
         for i in range(n)])
     expected = np.einsum("nti,ntj->tij", states, states.conj()) / n
@@ -107,12 +112,6 @@ def test_scheduled_step_table_keeps_each_steps_jump_set():
             acc = acc + L.conj().T @ L
         h_eff = h - 0.5j * acc
         assert props[k].tobytes() == expm(-1j * h_eff * dt).tobytes()
-
-
-def test_seed_splitting_is_stable():
-    ss = tj.split_seed(12345, 7)
-    assert ss.entropy == 12345
-    assert ss.spawn_key == (7,)
 
 
 def test_ensemble_mean_has_unit_trace():
@@ -144,7 +143,7 @@ def test_spawned_streams_draw_what_numpy_draws(master):
     n = config.MAX_ENSEMBLE_N
     picked = [0, 1, 65_536, n - 1]
     streams = tj._spawned_streams(master, n)
-    oracle = {i: _numpy_generator(tj.split_seed(master, i)) for i in picked}
+    oracle = {i: _numpy_generator(spawned_seed(master, i)) for i in picked}
     assert streams.random()[picked].tolist() == [oracle[i].random() for i in picked]
     # uneven subsets, so the rows fall out of step with one another
     for rows in ([n - 1, 1], [65_536], [0, n - 1, 65_536], [1], [n - 1]):
@@ -154,7 +153,7 @@ def test_spawned_streams_draw_what_numpy_draws(master):
 @pytest.mark.parametrize("seed", STREAM_MASTERS.values(), ids=STREAM_MASTERS)
 def test_a_single_seed_draws_what_numpy_draws(seed):
     for given, oracle in ((seed, _numpy_generator(np.random.SeedSequence(seed))),
-                          (tj.split_seed(seed, 7), _numpy_generator(tj.split_seed(seed, 7)))):
+                          (spawned_seed(seed, 7), _numpy_generator(spawned_seed(seed, 7)))):
         streams = tj._seed_streams(given)
         assert [streams.random()[0] for _ in range(5)] == [oracle.random() for _ in range(5)]
 
@@ -404,7 +403,7 @@ def _both_kernels(name, store_every, seed=2024):
     system, schedule, psi0, dt, t_final, n = ORACLE_CASES[name]
     n_steps, step = tj._resolve_steps(schedule, t_final, dt, store_every)
     runs = []
-    generators = [_numpy_generator(tj.split_seed(seed, i)) for i in range(n)]
+    generators = [_numpy_generator(spawned_seed(seed, i)) for i in range(n)]
     for kernel, draws in ((_reference_run_batch, generators),
                           (tj._run_batch, tj._spawned_streams(seed, n))):
         states = []
