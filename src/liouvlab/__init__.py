@@ -65,12 +65,7 @@ from .dynamics import (
     observables_from_states,
     validate_density_matrix,
 )
-from .trajectories import (
-    EnsembleResult,
-    TrajectoryRecord,
-    run_ensemble,
-    run_trajectory,
-)
+from .trajectories import EnsembleResult, run_ensemble
 from .analysis import (
     DampedSineFit,
     SweepResult,
@@ -107,7 +102,7 @@ __all__ = [
     "integrate_scheduled", "bloch_rhs", "integrate_bloch",
     "validate_density_matrix", "observables_from_states",
     # trajectories
-    "TrajectoryRecord", "EnsembleResult", "run_trajectory", "run_ensemble",
+    "EnsembleResult", "run_ensemble",
     # analysis
     "DampedSineFit", "TransitionScan", "SweepResult", "fit_damped_sine",
     "scan_transition", "chirality", "entropy", "sweep_metrics",

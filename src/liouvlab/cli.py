@@ -32,12 +32,10 @@ from .config import (
     resolve,
 )
 from .dynamics import (
-    MIN_SCHEDULED_STEPS,
     integrate_constant,
     integrate_scheduled,
     observables_from_states,
     scheduled_step_count,
-    step_count,
 )
 from .errors import ConfigError, LiouvlabError
 from .liouvillian import (
@@ -49,7 +47,7 @@ from .liouvillian import (
     zero_modes,
 )
 from .model import Rates, basis_ket, make_system, minus_x, operators, plus_x
-from .trajectories import run_ensemble, run_trajectory
+from .trajectories import run_ensemble
 
 TWO_PI = 2.0 * math.pi
 MAX_GRID_POINTS = 10_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
@@ -215,33 +213,25 @@ def _final_x(runs: dict) -> dict:
 
 
 def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
-    """One seeded trajectory, the ensemble, and the ensemble's Lindblad reference.
+    """The ensemble and its Lindblad reference.
 
     The runs follow the schedule when there is one and last ensemble.t_final
-    otherwise. Returns (trajectory, ensemble, reference, trace distance per
-    stored time).
+    otherwise. The shown single trajectory is the ensemble's trajectory 0.
+    Returns (ensemble, reference, trace distance per stored time).
     """
-    if cfg.schedule is not None:
-        n_steps = step_count(cfg.schedule.T, cfg.ensemble_dt)
-        if n_steps < MIN_SCHEDULED_STEPS:
-            raise ConfigError(
-                f"ensemble.dt too coarse: schedule needs >= {MIN_SCHEDULED_STEPS} steps")
-    traj = run_trajectory(
-        cfg.system, psi0, cfg.ensemble_dt, cfg.master_seed,
-        schedule=cfg.schedule, t_final=cfg.t_final, store_every=cfg.ensemble_store_every,
-    )
     ens = run_ensemble(
         cfg.system, cfg.schedule, psi0, cfg.ensemble_dt,
         cfg.ensemble_n, cfg.master_seed,
         store_every=cfg.ensemble_store_every, t_final=cfg.t_final,
     )
     if cfg.schedule is not None:
+        n_steps = scheduled_step_count(cfg.schedule.T, cfg.ensemble_dt)
         lind = integrate_scheduled(
             cfg.system, cfg.schedule, _density(psi0), n_steps, cfg.ensemble_store_every)
     else:
         lind = integrate_constant(build_superoperator(cfg.system), _density(psi0), ens.times)
     td = numerics.trace_distance(ens.mean_density, lind.states)
-    return traj, ens, lind, td
+    return ens, lind, td
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +250,12 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     markers = [analysis.ep_coupling(cfg.system.rates, 2)]
     if cfg.system.dim == 3:
         markers.append(cfg.system.rates.gamma_e / 4.0)
-    step = abs(float(J_grid[1] - J_grid[0])) if len(J_grid) > 1 else 0.0
+    # the window is the grid's smallest spacing, so it does not depend on the grid's order
+    spacings = np.diff(np.unique(J_grid))
+    window = max(float(spacings.min()) if spacings.size else 0.0, 1e-12)
     near_ep = np.zeros(len(J_grid), dtype=int)
     for m in markers:
-        near_ep |= np.abs(J_grid - m) <= max(step, 1e-12)
+        near_ep |= np.abs(J_grid - m) <= window
 
     header = (
         ["J"]
@@ -362,7 +354,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Encircling runs (Lindblad), one seeded trajectory, and an ensemble."""
+    """Encircling runs (Lindblad), and an ensemble with its trajectory 0."""
     if cfg.schedule is None or cfg.system.dim != 2:
         raise ConfigError("this experiment needs a dim=2 system with a schedule")
     _check_steps(cfg.schedule.T, cfg.integrator_dt, "integrator.dt")
@@ -382,15 +374,15 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     chi_minus = analysis.chirality(
         runs[("minus", "cw")].final_state, runs[("minus", "ccw")].final_state)
 
-    # stochastic side: one seeded trajectory plus the averaged ensemble
-    traj, ens, lind, td = _stochastic_runs(cfg, plus_x())
-    traj_obs = observables_from_states(_density(traj.states), 2)
+    # stochastic side: the averaged ensemble and its trajectory 0
+    ens, lind, td = _stochastic_runs(cfg, plus_x())
+    traj_obs = observables_from_states(_density(ens.trajectory0_states), 2)
     ens_obs = observables_from_states(ens.mean_density, 2)
 
     return {
         "fig2_bloch": (header, np.column_stack(columns)),
         "fig2_trajectory": (["t", "x", "y", "z"], np.column_stack(
-            [traj.times, traj_obs["x"], traj_obs["y"], traj_obs["z"]])),
+            [ens.times, traj_obs["x"], traj_obs["y"], traj_obs["z"]])),
         "fig2_ensemble": (
             ["t", "x_mean", "y_mean", "z_mean", "x_lindblad", "y_lindblad", "z_lindblad",
              "trace_distance"],
@@ -403,7 +395,7 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "chirality_plus": chi_plus,
         "chirality_minus": chi_minus,
         "final_x": _final_x(runs),
-        "trajectory_jumps": [[t, lab] for t, lab in traj.jumps],
+        "trajectory_jumps": [[t, lab] for t, lab in ens.jumps_per_trajectory[0]],
         "ensemble_n": cfg.ensemble_n,
         "master_seed": cfg.master_seed,
         "jump_count_histogram": ens.jump_count_histogram,
@@ -508,7 +500,7 @@ def cmd_steady_state(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Seeded single trajectory plus ensemble average with Lindblad reference."""
+    """Ensemble average with Lindblad reference, and the ensemble's trajectory 0."""
     dim = cfg.system.dim
     if cfg.schedule is not None:
         psi0 = plus_x(dim)
@@ -518,11 +510,12 @@ def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
         psi0 = basis_ket(dim, 1)
     total = cfg.schedule.T if cfg.schedule is not None else cfg.t_final
     _check_steps(total, cfg.ensemble_dt, "ensemble.dt")
-    traj, ens, _lind, td = _stochastic_runs(cfg, psi0)
+    ens, _lind, td = _stochastic_runs(cfg, psi0)
 
+    traj_states = ens.trajectory0_states
     if dim == 2:
-        obs = observables_from_states(_density(traj.states), 2)
-        traj_rows = np.column_stack([traj.times, obs["x"], obs["y"], obs["z"]])
+        obs = observables_from_states(_density(traj_states), 2)
+        traj_rows = np.column_stack([ens.times, obs["x"], obs["y"], obs["z"]])
         traj_header = ["t", "x", "y", "z"]
         pop_cols = [
             (ens.mean_density[:, 0, 0].real, "pop_g"),
@@ -530,7 +523,7 @@ def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
         ]
     else:
         traj_rows = np.column_stack(
-            [traj.times] + [np.abs(traj.states[:, k]) ** 2 for k in range(dim)])
+            [ens.times] + [np.abs(traj_states[:, k]) ** 2 for k in range(dim)])
         traj_header = ["t"] + [f"pop_{lvl}" for lvl in "gef"[:dim]]
         pop_cols = [
             (ens.mean_density[:, k, k].real, f"pop_{lvl}")
@@ -548,7 +541,7 @@ def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "dt": cfg.ensemble_dt,
         "jump_count_histogram": ens.jump_count_histogram,
         "mean_jumps_per_trajectory": float(per_traj.mean()),
-        "single_trajectory_jumps": [[t, lab] for t, lab in traj.jumps],
+        "single_trajectory_jumps": [[t, lab] for t, lab in ens.jumps_per_trajectory[0]],
         "max_trace_distance": float(td.max()),
     }
 

@@ -230,6 +230,8 @@ def resolve(raw: dict, experiment: str) -> ExperimentConfig:
         raise ConfigError(f"ensemble.store_every must be >= 1, got {ensemble_store_every}")
     if t_final is not None and t_final <= 0:
         raise ConfigError(f"ensemble.t_final must be positive, got {t_final}")
+    if t_final is not None and schedule is not None:
+        raise ConfigError("ensemble.t_final needs schedule=null: a scheduled run lasts schedule.T")
 
     scan = dict(raw.get("scan", {}))
 

@@ -27,24 +27,24 @@ spawn_key=(i,)))).random(). `_Streams` reproduces that chain (SeedSequence's
 pool mixing and generate_state, PCG64's seeding, its 128-bit LCG step and
 XSL-RR output, and random()) bit for bit in vectorised uint32/uint64
 arithmetic, one row per trajectory, so no liouvlab module imports
-numpy.random; numpy is only the oracle of the tests. A single trajectory
-seeds from an int as SeedSequence(seed) would, or from a SeedSequence its
-caller built, through that object's generate_state. This counter-based
+numpy.random; numpy is only the oracle of the tests. This counter-based
 construction is stable across runs, processes, and thread counts.
+
+run_ensemble is the one entry point. A single trajectory to show is its
+trajectory 0, whose states the result keeps beside the mean density.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import numerics
 from .dynamics import (
-    STEP_BLOCK, midpoint_path, prefix_products, step_blocks, step_count, stored_steps)
+    STEP_BLOCK, midpoint_path, prefix_products, scheduled_step_count, step_blocks, step_count,
+    stored_steps)
 from .errors import OutOfRange, ZeroNorm
 from .model import ParameterSchedule, QuantumSystem, operators
-
-SeedLike = Union[int, "np.random.SeedSequence"]
 
 # Relative widening, per step, of the end-of-interval norm test: above the
 # rounding of one 2x2 or 3x3 product and of one step's squared norm.
@@ -52,18 +52,11 @@ NORM_SLACK = 1e-14
 
 
 @dataclass
-class TrajectoryRecord:
-    seed: SeedLike
-    times: np.ndarray
-    states: np.ndarray  # (n_stored, d) unit-norm pure states
-    jumps: list[tuple[float, str]] = field(default_factory=list)
-
-
-@dataclass
 class EnsembleResult:
     n_trajectories: int
     times: np.ndarray
     mean_density: np.ndarray  # (n_stored, d, d)
+    trajectory0_states: np.ndarray  # (n_stored, d) unit-norm pure states of trajectory 0
     jump_count_histogram: dict[str, int] = field(default_factory=dict)
     jumps_per_trajectory: list[list[tuple[float, str]]] = field(default_factory=list)
 
@@ -78,9 +71,8 @@ PCG_MULT_HI, PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 def _uint32_words(value: int) -> list[int]:
     """numpy's entropy words of a non-negative int (little-endian 32-bit), zero-padded to 4.
 
-    SeedSequence pads the run entropy with zeros only when there is a spawn
-    key; without one it hashes a zero into each pool word that no entropy word
-    fills, which is what the padding does, so both give numpy's pool.
+    SeedSequence pads the run entropy with zeros to the pool size when there
+    is a spawn key, as every trajectory's stream has.
     """
     if value < 0:
         raise OutOfRange(f"a seed must be a non-negative integer, got {value}")
@@ -171,14 +163,6 @@ def _spawned_streams(master_seed: int, n: int) -> _Streams:
     return _Streams(_seed_words(entropy))
 
 
-def _seed_streams(seed: SeedLike) -> _Streams:
-    """One row: an int seeds as SeedSequence(seed), a SeedSequence by its generate_state."""
-    generate_state = getattr(seed, "generate_state", None)
-    if generate_state is not None:
-        return _Streams(generate_state(4, np.uint64)[None])
-    return _Streams(_seed_words(np.array([_uint32_words(int(seed))], dtype=np.uint32)))
-
-
 def _step_table(system: QuantumSystem, schedule: Optional[ParameterSchedule], dt: float, steps: range):
     """No-jump propagators and jump operators of the m given steps, one row per step.
 
@@ -206,14 +190,22 @@ def _step_table(system: QuantumSystem, schedule: Optional[ParameterSchedule], dt
 def _resolve_steps(
     schedule: Optional[ParameterSchedule], t_final: Optional[float], dt: float, store_every: int
 ) -> tuple[int, float]:
-    """(n_steps, step): the run covers its duration exactly in steps of about dt."""
+    """(n_steps, step): the run covers its duration exactly in steps of about dt.
+
+    A scheduled run lasts schedule.T in dynamics.scheduled_step_count steps,
+    as a scheduled Lindblad run does; a constant-parameter run lasts t_final.
+    """
     if store_every < 1:
         raise OutOfRange(f"store_every must be >= 1, got {store_every}")
-    if schedule is None and t_final is None:
+    if schedule is not None:
+        if t_final is not None:
+            raise OutOfRange("a scheduled run lasts schedule.T; t_final must be None")
+        n_steps = scheduled_step_count(schedule.T, dt)
+        return n_steps, schedule.T / n_steps
+    if t_final is None:
         raise OutOfRange("constant-parameter trajectories need t_final")
-    total = schedule.T if schedule is not None else float(t_final)
-    n_steps = step_count(total, dt)
-    return n_steps, total / n_steps
+    n_steps = step_count(t_final, dt)
+    return n_steps, t_final / n_steps
 
 
 def _jump(ops, labels, psi, rows, t_jump, streams, threshold, jumps, histogram):
@@ -319,33 +311,6 @@ def _run_batch(
     return stored_steps(n_steps, store_every, dt)[1], jumps, histogram
 
 
-def _unit_state(psi0) -> np.ndarray:
-    psi = np.asarray(psi0, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-8:
-        raise OutOfRange(f"psi0 must be unit norm, got norm {norm}")
-    return psi / norm
-
-
-def run_trajectory(
-    system: QuantumSystem,
-    psi0,
-    dt: float,
-    seed: SeedLike,
-    schedule: Optional[ParameterSchedule] = None,
-    t_final: Optional[float] = None,
-    store_every: int = 20,
-) -> TrajectoryRecord:
-    """One stochastic pure-state trajectory; deterministic given (seed, dt)."""
-    psi = _unit_state(psi0)
-    n_steps, step = _resolve_steps(schedule, t_final, dt, store_every)
-    states = []
-    times, jumps, _hist = _run_batch(
-        system, schedule, psi, step, n_steps, _seed_streams(seed), store_every,
-        lambda batch: states.append(batch[0].copy()))
-    return TrajectoryRecord(seed=seed, times=times, states=np.array(states), jumps=jumps[0])
-
-
 def run_ensemble(
     system: QuantumSystem,
     schedule: Optional[ParameterSchedule],
@@ -356,22 +321,32 @@ def run_ensemble(
     store_every: int = 20,
     t_final: Optional[float] = None,
 ) -> EnsembleResult:
-    """Average of n trajectories; trajectory i uses SeedSequence(master_seed, spawn_key=(i,))."""
+    """Average of n trajectories; trajectory i uses SeedSequence(master_seed, spawn_key=(i,)).
+
+    Of the trajectories only trajectory 0's states are kept: the mean density
+    is summed as the batch advances.
+    """
     if n < 1:
         raise OutOfRange(f"ensemble size must be >= 1, got {n}")
-    psi = _unit_state(psi0)
+    psi = np.asarray(psi0, dtype=complex)
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-8:
+        raise OutOfRange(f"psi0 must be unit norm, got norm {norm}")
     n_steps, step = _resolve_steps(schedule, t_final, dt, store_every)
-    # the mean density is summed as the batch advances, so no stored state
-    # of any trajectory is kept
-    sums = []
+    sums, first = [], []
+
+    def store(batch):
+        sums.append(np.einsum("ni,nj->ij", batch, batch.conj()))
+        first.append(batch[0].copy())
+
     times, jumps, histogram = _run_batch(
-        system, schedule, psi, step, n_steps, _spawned_streams(master_seed, n), store_every,
-        lambda batch: sums.append(np.einsum("ni,nj->ij", batch, batch.conj())))
-    mean_density = np.array(sums) / n
+        system, schedule, psi / norm, step, n_steps, _spawned_streams(master_seed, n),
+        store_every, store)
     return EnsembleResult(
         n_trajectories=n,
         times=times,
-        mean_density=mean_density,
+        mean_density=np.array(sums) / n,
+        trajectory0_states=np.array(first),
         jump_count_histogram=histogram,
         jumps_per_trajectory=jumps,
     )

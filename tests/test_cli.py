@@ -209,6 +209,8 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig2", "integrator.method=rk4"),
     ("trajectories", "ensemble.t_final=-1"),
     ("trajectories", "ensemble.t_final=0"),
+    ("trajectories", "ensemble.t_final=0.5"),
+    ("fig2", "ensemble.t_final=0.5"),
     ("ep-map", "scan.J_range=[-0.5, 1.1]"),
     ("fig2", "integrator.dt=1e-300"),
     ("fig2", "ensemble.dt=1e-300"),
@@ -268,7 +270,9 @@ def test_spectrum_marks_the_ep_on_a_descending_grid(tmp_path, capsys):
     # the qubit EP of the default rates is at J = 0.525: within one spacing
     # (0.05) of 0.5 and 0.55, and 0.075 from the ends
     marks = {}
-    for name, grid in (("up", "[0.45,0.5,0.55,0.6]"), ("down", "[0.6,0.55,0.5,0.45]")):
+    # on an uneven grid the window is the smallest spacing (0.07), whatever the order
+    for name, grid in (("up", "[0.45,0.5,0.55,0.6]"), ("down", "[0.6,0.55,0.5,0.45]"),
+                       ("uneven_up", "[0.45,0.53,0.6]"), ("uneven_down", "[0.6,0.53,0.45]")):
         assert run("spectrum", "--set", f"scan.J_values={grid}",
                    "--output-dir", str(tmp_path / name)) == 0
         lines = (tmp_path / name / "spectrum.csv").read_text().splitlines()
@@ -276,6 +280,8 @@ def test_spectrum_marks_the_ep_on_a_descending_grid(tmp_path, capsys):
     capsys.readouterr()
     assert marks["up"] == ["0", "1", "1", "0"]
     assert marks["down"] == marks["up"][::-1]
+    assert marks["uneven_up"] == ["0", "1", "0"]
+    assert marks["uneven_down"] == ["0", "1", "0"]
 
 
 def test_j_grid_rejects_a_grid_above_the_cap():
@@ -480,6 +486,34 @@ def test_constant_trajectories_require_a_duration(tmp_path, capsys):
     code = run("trajectories", "--output-dir", str(tmp_path), "--set", "schedule=null")
     assert code == 2
     assert "t_final" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("fig2", "trajectory_jumps"), ("trajectories", "single_trajectory_jumps")])
+def test_the_shown_trajectory_is_trajectory_0_of_the_ensemble(experiment, key, tmp_path, capsys):
+    sets = ["schedule.T=1.0", "ensemble.n=20", "ensemble.dt=0.001", "ensemble.master_seed=4"]
+    assert run(experiment, "--output-dir", str(tmp_path),
+               *[arg for value in sets for arg in ("--set", value)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / f"{experiment}_summary.json").read_text())
+    ens = liouvlab.run_ensemble(
+        liouvlab.make_system(liouvlab.DriveParams(J=0.0), liouvlab.Rates(gamma_e=4.6, gamma_phi=0.2)),
+        liouvlab.ParameterSchedule(T=1.0), liouvlab.plus_x(), dt=0.001, n=20, master_seed=4)
+    assert ens.jumps_per_trajectory[0]
+    assert summary[key] == [[t, label] for t, label in ens.jumps_per_trajectory[0]]
+
+
+def test_a_coarse_ensemble_dt_runs_the_scheduled_step_minimum(tmp_path, capsys):
+    # T = 2 at dt = 0.01 is 200 steps; the MCWF runs and their Lindblad reference
+    # both take the scheduled minimum of 1,000 steps of 2 ms, stored every 20th
+    code = run("trajectories", "--output-dir", str(tmp_path),
+               "--set", "ensemble.dt=0.01", "--set", "ensemble.n=10")
+    assert code == 0, capsys.readouterr().err
+    for name in ("trajectories_single.csv", "trajectories_ensemble.csv"):
+        times = [float(row.split(",")[0]) for row in (tmp_path / name).read_text().split()[1:]]
+        assert len(times) == 51
+        assert times[1] == pytest.approx(0.04, abs=1e-12)
+        assert times[-1] == pytest.approx(2.0, abs=1e-12)
 
 
 # SciPy is loaded only where branch pairing runs; the damped-sine fits are numpy only.

@@ -124,7 +124,7 @@ def test_resolve_full_document():
         "schedule": {"T": 1.5, "direction": "cw", "J_max": 8.0, "Delta_max": 6.0,
                      "gamma_e_schedule": "cosine"},
         "integrator": {"dt": 5e-4, "store_every": 10},
-        "ensemble": {"n": 250, "master_seed": 7, "dt": 1e-3, "t_final": 1.5},
+        "ensemble": {"n": 250, "master_seed": 7, "dt": 1e-3},
         "scan": {"J_start": 0.1, "J_stop": 1.8, "J_step": 0.05},
         "output_dir": "results/run1",
         "formats": ["csv"],
@@ -140,15 +140,15 @@ def test_resolve_full_document():
     assert out.schedule.direction == "cw"
     assert out.schedule.gamma_e_schedule == "cosine"
     assert out.ensemble_n == 250
-    assert out.t_final == 1.5
     assert out.scan["J_step"] == 0.05
     assert out.formats == ("csv",)
     assert out.echo["system"]["dim"] == 3
 
 
 def test_resolve_schedule_null_disables_the_loop():
-    out = cfg.resolve({"schedule": None}, "trajectories")
+    out = cfg.resolve({"schedule": None, "ensemble": {"t_final": 1.5}}, "trajectories")
     assert out.schedule is None
+    assert out.t_final == 1.5
 
 
 def test_resolve_error_paths():
@@ -164,6 +164,9 @@ def test_resolve_error_paths():
         cfg.resolve({"ensemble": {"n": 2.5}}, "trajectories")
     with pytest.raises(ConfigError):
         cfg.resolve({"ensemble": {"n": 0}}, "trajectories")
+    # a scheduled run lasts schedule.T, so a duration beside it would be ignored
+    with pytest.raises(ConfigError, match="t_final"):
+        cfg.resolve({"schedule": {"T": 2.0}, "ensemble": {"t_final": 0.5}}, "trajectories")
     with pytest.raises(ConfigError):
         cfg.resolve({"formats": []}, "spectrum")
     with pytest.raises(ConfigError):

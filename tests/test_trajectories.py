@@ -35,51 +35,68 @@ def spawned_seed(master_seed, index):
     return np.random.SeedSequence(master_seed, spawn_key=(index,))
 
 
+def solo(system, schedule, psi0, dt, master_seed, index, store_every=20, t_final=None):
+    """Trajectory `index` of an ensemble run alone: a batch of one on its own stream row.
+
+    psi0 is normalised as run_ensemble normalises it. Returns (times, states
+    (n_stored, d), jumps).
+    """
+    streams = tj._spawned_streams(master_seed, index + 1)
+    for name in ("hi", "lo", "inc_hi", "inc_lo"):
+        setattr(streams, name, getattr(streams, name)[index:].copy())
+    n_steps, step = tj._resolve_steps(schedule, t_final, dt, store_every)
+    states = []
+    psi0 = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
+    times, jumps, _histogram = tj._run_batch(system, schedule, psi0, step, n_steps, streams,
+                                             store_every, lambda batch: states.append(batch[0].copy()))
+    return times, np.array(states), jumps[0]
+
+
 # --- bookkeeping ----------------------------------------------------------------
 
 
 def test_trajectory_states_stay_normalized():
-    rec = tj.run_trajectory(
-        make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.2)),
-        EXCITED_KET, dt=1e-3, seed=7, t_final=2.0)
-    norms = np.linalg.norm(rec.states, axis=1)
+    ens = tj.run_ensemble(
+        make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.2)), None,
+        EXCITED_KET, dt=1e-3, n=1, master_seed=7, t_final=2.0)
+    norms = np.linalg.norm(ens.trajectory0_states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
-    assert rec.times[0] == 0.0
-    assert np.allclose(rec.states[0], EXCITED_KET)
+    assert ens.times[0] == 0.0
+    assert np.allclose(ens.trajectory0_states[0], EXCITED_KET)
 
 
 def test_jump_times_strictly_increase_and_land_on_the_grid():
     dt = 1e-3
-    rec = tj.run_trajectory(
-        make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.5)),
-        EXCITED_KET, dt=dt, seed=3, t_final=2.0)
-    t_jumps = np.array([t for t, _ in rec.jumps])
+    jumps = tj.run_ensemble(
+        make_system(DriveParams(J=1.3), Rates(gamma_e=4.4, gamma_phi=0.5)), None,
+        EXCITED_KET, dt=dt, n=1, master_seed=3, t_final=2.0).jumps_per_trajectory[0]
+    t_jumps = np.array([t for t, _ in jumps])
     assert len(t_jumps) >= 1
     assert np.all(np.diff(t_jumps) > 0)
     steps = t_jumps / dt
     assert np.allclose(steps, np.round(steps), atol=1e-9)
-    assert set(lbl for _, lbl in rec.jumps) <= {"e", "phi"}
+    assert set(lbl for _, lbl in jumps) <= {"e", "phi"}
 
 
 def test_trajectory_is_deterministic_in_the_seed():
-    kw = dict(dt=1e-3, t_final=1.0)
     sys2 = make_system(DriveParams(J=1.0), Rates(gamma_e=4.4))
-    a = tj.run_trajectory(sys2, EXCITED_KET, seed=42, **kw)
-    b = tj.run_trajectory(sys2, EXCITED_KET, seed=42, **kw)
-    c = tj.run_trajectory(sys2, EXCITED_KET, seed=43, **kw)
-    assert np.array_equal(a.states, b.states)
-    assert a.jumps == b.jumps
-    assert not (np.array_equal(a.states, c.states) and a.jumps == c.jumps)
+    a, b, c = (tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=1, master_seed=seed,
+                               t_final=1.0) for seed in (42, 42, 43))
+    assert np.array_equal(a.trajectory0_states, b.trajectory0_states)
+    assert a.jumps_per_trajectory == b.jumps_per_trajectory
+    assert not (np.array_equal(a.trajectory0_states, c.trajectory0_states)
+                and a.jumps_per_trajectory == c.jumps_per_trajectory)
 
 
 def test_ensemble_member_matches_standalone_run_bitwise():
     sys2 = make_system(DriveParams(J=1.0), Rates(gamma_e=4.4))
     ens = tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=1,
                           master_seed=12345, t_final=1.0)
-    solo = tj.run_trajectory(sys2, EXCITED_KET, dt=1e-3,
-                             seed=spawned_seed(12345, 0), t_final=1.0)
-    assert ens.jumps_per_trajectory[0] == solo.jumps
-    expected = np.einsum("ti,tj->tij", solo.states, solo.states.conj())
+    times, states, jumps = solo(sys2, None, EXCITED_KET, 1e-3, 12345, 0, t_final=1.0)
+    assert np.array_equal(ens.times, times)
+    assert ens.jumps_per_trajectory[0] == jumps
+    assert np.array_equal(ens.trajectory0_states, states)
+    expected = np.einsum("ti,tj->tij", states, states.conj())
     assert np.array_equal(ens.mean_density, expected)
 
 
@@ -88,12 +105,14 @@ def test_ensemble_mean_equals_the_mean_of_its_members_bitwise():
     sys2 = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=2.0))
     n = 5
     ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=1e-3, n=n, master_seed=8)
-    states = np.array([
-        tj.run_trajectory(sys2, plus_x(), dt=1e-3, seed=spawned_seed(8, i),
-                          schedule=schedule).states
-        for i in range(n)])
+    members = [solo(sys2, schedule, plus_x(), 1e-3, 8, i) for i in range(n)]
+    states = np.array([member_states for _t, member_states, _j in members])
     expected = np.einsum("nti,ntj->tij", states, states.conj()) / n
     assert ens.mean_density.tobytes() == expected.tobytes()
+    assert ens.jumps_per_trajectory == [jumps for _t, _s, jumps in members]
+    assert sum(map(len, ens.jumps_per_trajectory)) > 0
+    # the shown single trajectory is trajectory 0 of the batch, bit for bit
+    assert ens.trajectory0_states.tobytes() == states[0].tobytes()
 
 
 def test_scheduled_step_table_keeps_each_steps_jump_set():
@@ -122,10 +141,11 @@ def test_ensemble_mean_has_unit_trace():
 
 
 def test_store_decimation_grid():
-    rec = tj.run_trajectory(decay_system(), EXCITED_KET, dt=1e-3, seed=0,
-                            t_final=1.0, store_every=100)
-    assert np.allclose(rec.times, np.linspace(0.0, 1.0, 11))
-    assert rec.states.shape == (11, 2)
+    ens = tj.run_ensemble(decay_system(), None, EXCITED_KET, dt=1e-3, n=1, master_seed=0,
+                          t_final=1.0, store_every=100)
+    assert np.allclose(ens.times, np.linspace(0.0, 1.0, 11))
+    assert ens.trajectory0_states.shape == (11, 2)
+    assert ens.mean_density.shape == (11, 2, 2)
 
 
 # --- the random streams against numpy's generators ---------------------------------
@@ -150,34 +170,41 @@ def test_spawned_streams_draw_what_numpy_draws(master):
         assert streams.random(np.array(rows)).tolist() == [oracle[i].random() for i in rows]
 
 
-@pytest.mark.parametrize("seed", STREAM_MASTERS.values(), ids=STREAM_MASTERS)
-def test_a_single_seed_draws_what_numpy_draws(seed):
-    for given, oracle in ((seed, _numpy_generator(np.random.SeedSequence(seed))),
-                          (spawned_seed(seed, 7), _numpy_generator(spawned_seed(seed, 7)))):
-        streams = tj._seed_streams(given)
-        assert [streams.random()[0] for _ in range(5)] == [oracle.random() for _ in range(5)]
-
-
 # --- input validation --------------------------------------------------------------
 
 
 def test_input_validation():
     sys2 = decay_system()
+
+    def ensemble(psi0=EXCITED_KET, dt=1e-3, n=1, master_seed=0, schedule=None, **kw):
+        return tj.run_ensemble(sys2, schedule, psi0, dt=dt, n=n, master_seed=master_seed, **kw)
+
+    with pytest.raises(OutOfRange, match="t_final"):
+        ensemble()  # no duration
+    # a scheduled run lasts schedule.T, so a duration beside it is rejected
+    with pytest.raises(OutOfRange, match="t_final"):
+        ensemble(schedule=ParameterSchedule(T=1.0), t_final=0.5)
     with pytest.raises(OutOfRange):
-        tj.run_trajectory(sys2, EXCITED_KET, dt=1e-3, seed=0)  # no duration
+        ensemble(dt=-1e-3, t_final=1.0)
     with pytest.raises(OutOfRange):
-        tj.run_trajectory(sys2, EXCITED_KET, dt=-1e-3, seed=0, t_final=1.0)
+        ensemble(t_final=-1.0)
     with pytest.raises(OutOfRange):
-        tj.run_trajectory(sys2, EXCITED_KET, dt=1e-3, seed=0, t_final=-1.0)
+        ensemble(psi0=2.0 * EXCITED_KET, t_final=1.0)
     with pytest.raises(OutOfRange):
-        tj.run_trajectory(sys2, 2.0 * EXCITED_KET, dt=1e-3, seed=0, t_final=1.0)
-    with pytest.raises(OutOfRange):
-        tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=0, master_seed=0, t_final=1.0)
+        ensemble(n=0, t_final=1.0)
     # a negative seed is rejected, never wrapped into 32-bit words
     with pytest.raises(OutOfRange, match="non-negative"):
-        tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=4, master_seed=-1, t_final=1.0)
+        ensemble(n=4, master_seed=-1, t_final=1.0)
     with pytest.raises(OutOfRange, match="non-negative"):
-        tj.run_trajectory(sys2, EXCITED_KET, dt=1e-3, seed=-5, t_final=1.0)
+        ensemble(master_seed=-5, t_final=1.0)
+
+
+def test_a_scheduled_run_takes_the_scheduled_step_count():
+    # as a scheduled Lindblad run does: about dt each, and at least 1,000
+    schedule = ParameterSchedule(T=2.0)
+    assert tj._resolve_steps(schedule, None, 5e-4, 20) == (4000, 5e-4)
+    assert tj._resolve_steps(schedule, None, 0.01, 20) == (1000, 2e-3)
+    assert tj._resolve_steps(None, 2.0, 0.01, 20) == (200, 0.01)
 
 
 @pytest.mark.parametrize("store_every", [0, -1])
@@ -185,9 +212,6 @@ def test_every_route_rejects_store_every_below_one(store_every, monkeypatch):
     system, schedule = DEFAULT_LOOP
     # the check comes before any trajectory's random stream is made
     monkeypatch.setattr(tj, "_Streams", lambda words: pytest.fail("a stream was made"))
-    with pytest.raises(OutOfRange, match="store_every"):
-        tj.run_trajectory(system, plus_x(), dt=1e-3, seed=1, schedule=schedule,
-                          store_every=store_every)
     with pytest.raises(OutOfRange, match="store_every"):
         tj.run_ensemble(system, schedule, plus_x(), dt=1e-3, n=4, master_seed=1,
                         store_every=store_every)
@@ -201,12 +225,12 @@ def test_every_route_rejects_store_every_below_one(store_every, monkeypatch):
 
 def test_closed_system_rabi_oscillation():
     J = 1.0
-    rec = tj.run_trajectory(
-        make_system(DriveParams(J=J), Rates(gamma_e=0.0)),
-        GROUND, dt=1e-3, seed=11, t_final=1.5)
-    assert rec.jumps == []
-    p_e = np.abs(rec.states[:, 1]) ** 2
-    assert np.max(np.abs(p_e - np.sin(J * rec.times) ** 2)) <= 1e-8
+    ens = tj.run_ensemble(
+        make_system(DriveParams(J=J), Rates(gamma_e=0.0)), None,
+        GROUND, dt=1e-3, n=1, master_seed=11, t_final=1.5)
+    assert ens.jumps_per_trajectory == [[]]
+    p_e = np.abs(ens.trajectory0_states[:, 1]) ** 2
+    assert np.max(np.abs(p_e - np.sin(J * ens.times) ** 2)) <= 1e-8
 
 
 def test_closed_system_ensemble_matches_density_route():
@@ -219,18 +243,18 @@ def test_closed_system_ensemble_matches_density_route():
 
 def test_no_jump_segment_follows_nonhermitian_propagator():
     sys2 = make_system(DriveParams(J=1.3), Rates(gamma_e=0.3))
-    rec = None
+    ens = None
     for seed in range(30):
-        cand = tj.run_trajectory(sys2, EXCITED_KET, dt=1e-3, seed=seed, t_final=1.0)
-        if not cand.jumps:
-            rec = cand
+        cand = tj.run_ensemble(sys2, None, EXCITED_KET, dt=1e-3, n=1, master_seed=seed,
+                               t_final=1.0)
+        if cand.jumps_per_trajectory == [[]]:
+            ens = cand
             break
-    assert rec is not None, "expected at least one jump-free trajectory at gamma_e = 0.3"
-    from liouvlab.numerics import expm
+    assert ens is not None, "expected at least one jump-free trajectory at gamma_e = 0.3"
 
     h, jumps = point_operators(sys2)
     h_eff = h - 0.5j * sum(L.conj().T @ L for L, _ in jumps)
-    for t, psi in zip(rec.times, rec.states):
+    for t, psi in zip(ens.times, ens.trajectory0_states):
         ref = expm(-1j * h_eff * t) @ EXCITED_KET
         ref = ref / np.linalg.norm(ref)
         assert np.linalg.norm(psi - ref) <= 1e-8
@@ -333,8 +357,9 @@ def test_ensemble_reproduces_its_recorded_jumps():
     schedule = ParameterSchedule(T=0.6)
     sys2 = make_system(DriveParams(J=16.0), Rates(gamma_e=4.6, gamma_phi=2.0))
     ens = tj.run_ensemble(sys2, schedule, plus_x(), dt=1e-3, n=6, master_seed=11)
+    step = 0.6 / 1000  # a scheduled loop takes at least 1,000 steps
     assert ens.jump_count_histogram == {"e": 2, "phi": 3}
-    assert ens.jumps_per_trajectory[0] == [(0.037, "phi"), (0.132, "e"), (0.399, "phi")]
+    assert ens.jumps_per_trajectory[0] == [(62 * step, "phi"), (220 * step, "e"), (665 * step, "phi")]
     assert [len(j) for j in ens.jumps_per_trajectory] == [3, 2, 0, 0, 0, 0]
 
 
@@ -462,10 +487,10 @@ def test_no_mcwf_expm_call_is_larger_than_one_block(monkeypatch):
     monkeypatch.setattr(dynamics, "STEP_BLOCK", 64)
     monkeypatch.setattr(tj.numerics, "expm", spy)
     system, schedule = DEFAULT_LOOP
-    rec = tj.run_trajectory(system, plus_x(), dt=5e-3, seed=1, schedule=schedule, store_every=7)
-    n_steps = step_count(schedule.T, 5e-3)
+    ens = tj.run_ensemble(system, schedule, plus_x(), dt=5e-3, n=1, master_seed=1, store_every=7)
+    n_steps = dynamics.scheduled_step_count(schedule.T, 5e-3)
     assert n_steps >= 300
-    assert len(rec.times) == len(stored_steps(n_steps, 7, 5e-3)[0])
+    assert len(ens.times) == len(stored_steps(n_steps, 7, 5e-3)[0])
     assert sum(sizes) == n_steps
     assert max(sizes) <= 64
 
