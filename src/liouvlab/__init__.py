@@ -29,7 +29,6 @@ from .numerics import (
     eig_general,
     expm,
     kron,
-    principal_angle,
     trace_distance,
 )
 from .model import (
@@ -46,7 +45,6 @@ from .model import (
 from .liouvillian import (
     EpMap,
     SpectralResult,
-    analytic_qubit_eigensystem,
     bloch_transverse_rate,
     build_superoperator,
     ep_scan,
@@ -58,8 +56,6 @@ from .liouvillian import (
 )
 from .dynamics import (
     EvolutionResult,
-    bloch_rhs,
-    integrate_bloch,
     integrate_constant,
     integrate_scheduled,
     observables_from_states,
@@ -87,19 +83,16 @@ __all__ = [
     "DegenerateSteadyState", "ZeroNorm", "OutOfRange", "DomainError",
     "InsufficientData", "DegenerateInput",
     # numerics
-    "EigenDecomposition", "eig_general", "expm", "kron", "principal_angle",
-    "trace_distance",
+    "EigenDecomposition", "eig_general", "expm", "kron", "trace_distance",
     # model
     "Rates", "DriveParams", "QuantumSystem", "ParameterSchedule",
     "basis_ket", "plus_x", "minus_x", "sigma_z", "make_system",
     # liouvillian
     "SpectralResult", "EpMap", "vec", "unvec",
     "build_superoperator", "spectrum", "steady_state",
-    "analytic_qubit_eigensystem", "pair_branches", "ep_scan",
-    "bloch_transverse_rate",
+    "pair_branches", "ep_scan", "bloch_transverse_rate",
     # dynamics
-    "EvolutionResult", "integrate_constant",
-    "integrate_scheduled", "bloch_rhs", "integrate_bloch",
+    "EvolutionResult", "integrate_constant", "integrate_scheduled",
     "validate_density_matrix", "observables_from_states",
     # trajectories
     "EnsembleResult", "run_ensemble",

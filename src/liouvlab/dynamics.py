@@ -1,4 +1,4 @@
-"""Lindblad time evolution (constant and scheduled) and the Bloch-vector route.
+"""Lindblad time evolution, constant and scheduled.
 
 Matrix exponentials are the one Lindblad scheme, on real coordinates: a
 Lindbladian preserves Hermiticity, so on the coordinates of a Hermitian basis
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import numerics
 from .errors import NotDensityMatrix, OutOfRange
-from .liouvillian import bloch_transverse_rate, superoperator_stack
-from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, operators, path_points
+from .liouvillian import superoperator_stack
+from .model import ParameterSchedule, QuantumSystem, operators, path_points
 
 MIN_SCHEDULED_STEPS = 1000
 STEP_BLOCK = 4096  # most scheduled steps built and exponentiated at once
@@ -239,56 +239,3 @@ def integrate_scheduled(
         v = q[-1] @ v
     _hermitian(states)
     return EvolutionResult(times=times, states=states, observables=observables_from_states(states, d))
-
-
-# ---------------------------------------------------------------------------
-# Bloch-vector route
-
-def bloch_rhs(params: DriveParams, rates: Rates, v) -> np.ndarray:
-    """Right-hand side of the three-component Bloch equation.
-
-        dx/dt = -(gamma_e/2 + gamma_phi) x - Delta y
-        dy/dt = +Delta x - (gamma_e/2 + gamma_phi) y - 2J z
-        dz/dt = +2J y - gamma_e z + gamma_e
-
-    Fixed point at J = Delta = 0 is the ground state (0, 0, 1).
-    """
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
-    a = bloch_transverse_rate(rates)
-    return np.array(
-        [
-            -a * x - params.Delta * y,
-            params.Delta * x - a * y - 2.0 * params.J * z,
-            2.0 * params.J * y - rates.gamma_e * z + rates.gamma_e,
-        ]
-    )
-
-
-def integrate_bloch(
-    params: DriveParams,
-    rates: Rates,
-    v0,
-    t_grid,
-    dt: float = 1e-3,
-) -> np.ndarray:
-    """RK4 integration of the Bloch equation onto t_grid; returns (n, 3)."""
-    t = np.asarray(t_grid, dtype=float)
-    v = np.asarray(v0, dtype=float).copy()
-    if v.shape != (3,):
-        raise OutOfRange(f"v0 must have three components, got shape {v.shape}")
-    out = np.empty((len(t), 3))
-    prev_t = 0.0
-    for k, tk in enumerate(t):
-        span = tk - prev_t
-        if span > 0.0:
-            n_sub = max(1, int(math.ceil(span / dt)))
-            h = span / n_sub
-            for _ in range(n_sub):
-                k1 = bloch_rhs(params, rates, v)
-                k2 = bloch_rhs(params, rates, v + 0.5 * h * k1)
-                k3 = bloch_rhs(params, rates, v + 0.5 * h * k2)
-                k4 = bloch_rhs(params, rates, v + h * k3)
-                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k] = v
-        prev_t = tk
-    return out

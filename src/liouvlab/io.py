@@ -8,13 +8,12 @@ each written file.
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from .errors import ConfigError
 
 CSV_FLOAT_FORMAT = "%.12g"
 
@@ -54,6 +53,7 @@ def write_csv(path, header: list[str], rows) -> Path:
 
 
 def _jsonable(obj):
+    """obj as plain JSON values; a non-finite float, which JSON cannot hold, becomes None."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -65,9 +65,9 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, Path):
@@ -79,7 +79,7 @@ def write_json(path, obj) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -131,32 +131,3 @@ def build_manifest(
         config=config_echo,
         files=files,
     )
-
-
-def validate_manifest(doc: dict) -> None:
-    """Check the keys and types of a manifest dict; ConfigError on mismatch."""
-    if not isinstance(doc, dict):
-        raise ConfigError("manifest must be a JSON object")
-    for key in ("experiment", "artifact_version", "timestamp_utc", "duration_s", "config", "files"):
-        if key not in doc:
-            raise ConfigError(f"manifest missing required key {key!r}")
-    if not isinstance(doc["experiment"], str) or not isinstance(doc["artifact_version"], str):
-        raise ConfigError("manifest experiment/artifact_version must be strings")
-    if not isinstance(doc["timestamp_utc"], str):
-        raise ConfigError("manifest timestamp_utc must be a string")
-    if not isinstance(doc["duration_s"], (int, float)):
-        raise ConfigError("manifest duration_s must be a number")
-    if not isinstance(doc["config"], dict):
-        raise ConfigError("manifest config must be an object")
-    if not isinstance(doc["files"], list):
-        raise ConfigError("manifest files must be an array")
-    for entry in doc["files"]:
-        if not isinstance(entry, dict):
-            raise ConfigError("manifest file entries must be objects")
-        for key in ("name", "sha256", "bytes"):
-            if key not in entry:
-                raise ConfigError(f"manifest file entry missing {key!r}")
-        if not isinstance(entry["name"], str) or not isinstance(entry["sha256"], str):
-            raise ConfigError("manifest file name/sha256 must be strings")
-        if not isinstance(entry["bytes"], int):
-            raise ConfigError("manifest file bytes must be an integer")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
-from .model import DriveParams, OperatorStack, QuantumSystem, Rates, operators
+from .model import OperatorStack, QuantumSystem, Rates, operators
 
 GAP_TOL_FACTOR = 1e-4  # spectrum: coalescence gap bound, relative to ||L||_F
 ANGLE_TOL = 1e-3  # spectrum: coalescence bound on the eigenvector angle
@@ -86,8 +86,9 @@ def spectrum(L: np.ndarray) -> SpectralResult:
 
     The closest pair i < j is the first in row-major (i, then j) order on
     ties. Gaps are np.hypot of the eigenvalue differences, which is the
-    scalar abs() of each complex difference bit for bit; angles are those of
-    numerics.principal_angle, from |V^H V| over the column norms.
+    scalar abs() of each complex difference bit for bit; angles are the
+    principal angle between each pair of eigenvector rays, from |V^H V| over
+    the column norms.
     """
     m = numerics.as_complex_matrix(L, stacked=True)
     stack = m.reshape((-1,) + m.shape[-2:])
@@ -149,43 +150,6 @@ def steady_state(L: np.ndarray) -> np.ndarray:
     return rho
 
 
-def analytic_qubit_eigensystem(drive: DriveParams, rates: Rates) -> list[tuple[complex, np.ndarray]]:
-    """Closed-form qubit eigensystem, valid only at Delta=0 and gamma_phi=0.
-
-    Returns four (eigenvalue, d x d eigenmatrix) pairs: the steady state at
-    lambda = 0, the x-sector mode at -gamma_e/2, and the coupled pair at
-    -3 gamma_e/4 -+ sqrt(gamma_e^2 - 64 J^2)/4. Eigenmatrices of the pair are
-
-        [[-g -+ s, 8iJ], [-8iJ, g +- s]],   s = sqrt(g^2 - 64 J^2),
-
-    which coalesce at J = g/8. Serves as a golden oracle for spectrum().
-    """
-    if drive.Delta != 0.0:
-        raise DomainError(f"closed form requires Delta=0, got {drive.Delta}")
-    if rates.gamma_phi != 0.0:
-        raise DomainError(f"closed form requires gamma_phi=0, got {rates.gamma_phi}")
-    g = rates.gamma_e
-    J = drive.J
-    s = complex(g * g - 64.0 * J * J) ** 0.5
-
-    rho0 = np.array(
-        [[g * g + 4.0 * J * J, 2.0j * g * J], [-2.0j * g * J, 4.0 * J * J]],
-        dtype=complex,
-    ) / (g * g + 8.0 * J * J)
-    rho1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    rho2 = np.array([[-g - s, 8.0j * J], [-8.0j * J, g + s]], dtype=complex)
-    rho3 = np.array([[-g + s, 8.0j * J], [-8.0j * J, g - s]], dtype=complex)
-
-    lam2 = -0.75 * g - 0.25 * s
-    lam3 = -0.75 * g + 0.25 * s
-    return [
-        (0.0 + 0.0j, rho0),
-        (complex(-0.5 * g), rho1),
-        (lam2, rho2),
-        (lam3, rho3),
-    ]
-
-
 def pair_branches(spectra) -> np.ndarray:
     """Reorder eigenvalue arrays along a sweep so branches change continuously.
 
@@ -214,8 +178,12 @@ def pair_branches(spectra) -> np.ndarray:
 # EP maps over (J, Delta)
 #
 # A qubit's Liouvillian has the eigenvalue 0 (its trace) and the eigenvalues
-# of the Bloch matrix M that dynamics.bloch_rhs writes out. With
-# a = bloch_transverse_rate, u = J^2 and v = Delta^2, M's characteristic
+# of the Bloch matrix M, where the Bloch vector obeys
+# d(x, y, z)/dt = M (x, y, z) + (0, 0, gamma_e) and
+#
+#     M = [[-a, -Delta, 0], [Delta, -a, -2J], [0, 2J, -gamma_e]].
+#
+# With a = bloch_transverse_rate, u = J^2 and v = Delta^2, M's characteristic
 # polynomial is lambda^3 + b lambda^2 + c lambda + d with
 #
 #     b = 2a + gamma_e,  c = a^2 + 2a gamma_e + v + 4u,  d = gamma_e (a^2 + v) + 4au.

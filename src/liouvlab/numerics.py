@@ -185,13 +185,3 @@ def trace_distance(a, b):
     diff = 0.5 * (ma - mb) + 0.5 * (ma - mb).conj().swapaxes(-1, -2)
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
-
-
-def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi/2] between the rays spanned by two vectors."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    c = abs(np.vdot(u, v)) / (nu * nv)
-    return float(np.arccos(min(1.0, c)))

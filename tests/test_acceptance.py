@@ -16,11 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from liouvlab.analysis import chirality, sweep_metrics
-from liouvlab.dynamics import (
-    integrate_bloch,
-    integrate_constant,
-    integrate_scheduled,
-)
+from liouvlab.dynamics import integrate_constant, integrate_scheduled
 from liouvlab.liouvillian import build_superoperator, ep_scan, steady_state
 from liouvlab.model import (
     DriveParams,
@@ -34,6 +30,7 @@ from liouvlab.numerics import trace_distance
 from liouvlab.trajectories import run_ensemble
 
 from conftest import transition_scan
+from oracles import integrate_bloch
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

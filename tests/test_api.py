@@ -1,5 +1,6 @@
 """The package's public names and the README's minimal session match the code."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -23,3 +24,22 @@ def test_public_names_resolve_and_the_readme_session_runs():
     assert session["L"].shape == (4, 4)
     assert session["spec"].ep_order == 2  # J = 0.525 is the qubit's EP at these rates
     assert abs(np.trace(session["rho_ss"]) - 1.0) <= 1e-12
+
+
+def test_every_public_definition_in_src_has_a_caller_outside_the_tests():
+    """Code that only tests call belongs in tests/oracles.py, not in the package."""
+    root = README.parent
+    package = [p for p in sorted((root / "src" / "liouvlab").glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text()) for p in package + sorted((root / "scripts").glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    public = [(path.name, node.name) for path in package for node in trees[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    assert [(module, name) for module, name in public if name not in loaded] == []

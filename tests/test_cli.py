@@ -10,7 +10,7 @@ import pytest
 import liouvlab
 from liouvlab import __version__, cli
 from liouvlab.errors import ConfigError
-from liouvlab.io import validate_manifest
+from oracles import validate_manifest
 
 
 def run(*argv):
@@ -126,6 +126,20 @@ def test_config_file_and_override_flow(tmp_path, capsys):
     assert cells[(0, 0)][0] == pytest.approx(20.0 / 24.0, abs=1e-12)
     assert cells[(1, 1)][0] == pytest.approx(4.0 / 24.0, abs=1e-12)
     assert cells[(0, 1)][1] == pytest.approx(8.0 / 24.0, abs=1e-12)
+
+
+def test_summary_without_a_transition_estimate_is_strict_json(tmp_path, capsys):
+    # three samples are too few for any fit, so no J gives a transition estimate
+    code = run("fig1", "--output-dir", str(tmp_path), "--formats", "json", "--set", "scan.n_samples=3")
+    capsys.readouterr()
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((tmp_path / "fig1_summary.json").read_text(), parse_constant=reject)
+    assert summary["n_fit_failures"] == 35
+    assert summary["transition_estimate"] is None
 
 
 def test_version_flag(capsys):
@@ -561,7 +575,6 @@ def test_no_run_loads_numpy_random(tmp_path):
 
 # a J scan holds its whole generator stack and eigensolve at once; the grid cap bounds them
 GRID_CAP_SCRIPT = """
-import resource
 import sys
 
 from liouvlab import cli
@@ -570,12 +583,14 @@ cap = cli.MAX_GRID_POINTS
 assert cli.main(["spectrum", "--set", "system.dim=3", "--set", "scan.J_start=0",
                  "--set", f"scan.J_stop={(cap - 1) * 2e-4}", "--set", "scan.J_step=2e-4",
                  "--formats", "csv", "--output-dir", sys.argv[1]]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+# VmHWM is this process's own peak; ru_maxrss would keep the peak of the process it was forked from
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # kB
 """
 GRID_CAP_RSS_BOUND_MB = 200.0
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_qutrit_spectrum_at_the_grid_cap_stays_under_its_memory_bound(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(liouvlab.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", GRID_CAP_SCRIPT, str(tmp_path)],

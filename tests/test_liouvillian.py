@@ -9,7 +9,6 @@ from liouvlab import liouvillian as lv
 from liouvlab import numerics
 from liouvlab import trajectories as tj
 from liouvlab.analysis import ep_coupling
-from liouvlab.dynamics import bloch_rhs
 from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
 from liouvlab.model import (
     DriveParams,
@@ -20,6 +19,7 @@ from liouvlab.model import (
     path_points,
 )
 from liouvlab.numerics import expm, trace_distance
+from oracles import analytic_qubit_eigensystem, bloch_rhs, principal_angle
 
 
 def lindblad_rhs_dense(H, Ls, rho):
@@ -178,13 +178,13 @@ def spectrum_reference(L):
     gaps = [abs(lam[r] - lam[c]) for r, c in zip(rows, cols)]
     k = int(np.argmin(gaps))
     i, j = int(rows[k]), int(cols[k])
-    angle = numerics.principal_angle(vecs[:, i], vecs[:, j])
+    angle = principal_angle(vecs[:, i], vecs[:, j])
     order = 0
     if gaps[k] <= gap_tol and angle <= lv.ANGLE_TOL:
         cluster = {i, j}
         for m in sorted(set(range(len(lam))) - cluster, key=lambda m: abs(lam[m] - lam[i])):
             if abs(lam[m] - lam[i]) <= gap_tol and all(
-                    numerics.principal_angle(vecs[:, m], vecs[:, c]) <= lv.ANGLE_TOL for c in cluster):
+                    principal_angle(vecs[:, m], vecs[:, c]) <= lv.ANGLE_TOL for c in cluster):
                 cluster.add(m)
         order = min(len(cluster), 3)
     return gaps[k], angle, order
@@ -274,7 +274,7 @@ def test_steady_state_matches_closed_form_everywhere(rng):
         J = float(rng.uniform(0.0, 4.0))
         sop = lv.build_superoperator(make_system(DriveParams(J=J), Rates(gamma_e=ge)))
         rho = lv.steady_state(sop)
-        (lam0, rho0), *_ = lv.analytic_qubit_eigensystem(DriveParams(J=J), Rates(gamma_e=ge))
+        (lam0, rho0), *_ = analytic_qubit_eigensystem(DriveParams(J=J), Rates(gamma_e=ge))
         assert lam0 == 0.0
         assert np.max(np.abs(rho - rho0)) <= 1e-10
 
@@ -324,16 +324,16 @@ def test_steady_state_requires_a_null_mode():
 
 def test_analytic_eigensystem_domain_checks():
     with pytest.raises(DomainError):
-        lv.analytic_qubit_eigensystem(DriveParams(J=0.5, Delta=1.0), Rates(gamma_e=4.0))
+        analytic_qubit_eigensystem(DriveParams(J=0.5, Delta=1.0), Rates(gamma_e=4.0))
     with pytest.raises(DomainError):
-        lv.analytic_qubit_eigensystem(DriveParams(J=0.5), Rates(gamma_e=4.0, gamma_phi=0.1))
+        analytic_qubit_eigensystem(DriveParams(J=0.5), Rates(gamma_e=4.0, gamma_phi=0.1))
 
 
 def test_analytic_eigensystem_satisfies_eigenvalue_equation():
     for J in (0.0, 0.3, 0.5625, 0.8, 2.0):
         drive, rates = DriveParams(J=J), Rates(gamma_e=4.5)
         M = lv.build_superoperator(make_system(drive, rates))
-        for lam, rho in lv.analytic_qubit_eigensystem(drive, rates):
+        for lam, rho in analytic_qubit_eigensystem(drive, rates):
             v = lv.vec(rho)
             assert np.linalg.norm(M @ v - lam * v) <= 1e-10 * np.linalg.norm(v)
 
@@ -351,7 +351,7 @@ def test_analytic_eigenvalues_match_numerics_across_the_ep():
         drive = DriveParams(J=float(J))
         sop = lv.build_superoperator(make_system(drive, rates))
         numeric = ordered(lv.spectrum(sop).eigenvalues)
-        exact = ordered([lam for lam, _ in lv.analytic_qubit_eigensystem(drive, rates)])
+        exact = ordered([lam for lam, _ in analytic_qubit_eigensystem(drive, rates)])
         # where the decaying pair coalesces (J = gamma_e/8 is on this grid)
         # the eigenvalue is defective and its perturbation scales like
         # sqrt(machine eps), so the tolerance must widen there
@@ -363,7 +363,7 @@ def test_analytic_eigenvalues_match_numerics_across_the_ep():
 
 def test_analytic_pair_coalesces_at_one_eighth():
     drive, rates = DriveParams(J=4.0 / 8.0), Rates(gamma_e=4.0)
-    modes = lv.analytic_qubit_eigensystem(drive, rates)
+    modes = analytic_qubit_eigensystem(drive, rates)
     (lam2, rho2), (lam3, rho3) = modes[2], modes[3]
     assert lam2 == pytest.approx(lam3)
     assert np.allclose(rho2, rho3)
@@ -619,7 +619,7 @@ def test_ep_scan_finds_three_lines_and_two_triple_points_on_the_fine_window(reso
 
 
 def _bloch_matrix(J, Delta, rates):
-    """The Bloch matrix read off dynamics.bloch_rhs column by column."""
+    """The Bloch matrix read off oracles.bloch_rhs column by column."""
     drive = DriveParams(J=J, Delta=Delta)
     offset = bloch_rhs(drive, rates, np.zeros(3))
     return np.column_stack([bloch_rhs(drive, rates, np.eye(3)[k]) - offset for k in range(3)])
