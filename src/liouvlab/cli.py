@@ -143,7 +143,9 @@ def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
 
     Each J stack is integrated in one call that stores every J point's state
     at every sample, so J points times the larger of heatmap_samples and
-    n_samples is capped at MAX_TIME_STEPS before anything is allocated.
+    n_samples is capped at MAX_TIME_STEPS before anything is allocated. An
+    n_samples below analysis.MIN_FIT_SAMPLES, the fewest a fit takes, is a
+    config error, not a run in which every fit fails.
     """
     J_grid = _j_grid(scan)
     t_max = number("scan", "heatmap_t_max", scan["heatmap_t_max"])
@@ -157,6 +159,9 @@ def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
         raise ConfigError(
             f"scan.heatmap_samples and scan.n_samples must be between 1 and {MAX_TIME_STEPS}, "
             f"got {samples} and {n_samples}")
+    if n_samples < analysis.MIN_FIT_SAMPLES:
+        raise ConfigError(f"scan.n_samples must be at least {analysis.MIN_FIT_SAMPLES}, "
+                          f"the fewest samples a fit takes, got {n_samples}")
     if len(J_grid) * max(samples, n_samples) > MAX_TIME_STEPS:
         raise ConfigError(
             f"{len(J_grid)} J points x {max(samples, n_samples)} samples (scan.heatmap_samples="

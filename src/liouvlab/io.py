@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 CSV_FLOAT_FORMAT = "%.12g"
+CSV_CHUNK_ROWS = 256  # rows formatted by one % and written by one write
 
 
 def _unquoted(cells):
@@ -29,27 +30,42 @@ def _unquoted(cells):
 def write_csv(path, header: list[str], rows) -> Path:
     """CSV with a header row, CRLF line ends and pinned float formatting.
 
-    `rows` is a list of rows or a 2-d array, written a row at a time with one
-    format string built from the first row: %s for a string cell and
-    CSV_FLOAT_FORMAT for any other, so ints below 10**12 and bools print as
-    their digits. No cell is quoted: a header or string cell that holds a
-    comma, quote or line break raises ValueError.
+    `rows` is a list of rows or a 2-d array. One format string is built
+    from the first row: %s for a string cell and CSV_FLOAT_FORMAT for any
+    other, so ints below 10**12 and bools print as their digits. It is
+    repeated over chunks of up to CSV_CHUNK_ROWS rows, each formatted by one
+    % and written by one write. No cell is quoted: a header or string cell
+    that holds a comma, quote or line break raises ValueError, and so does a
+    row whose length differs from the first row's.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_unquoted(header)) + "\r\n")
-        line = None
-        for row in rows:
-            cells = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
-            if line is None:
-                text = [i for i, cell in enumerate(cells) if isinstance(cell, str)]
-                line = ",".join("%s" if isinstance(cell, str) else CSV_FLOAT_FORMAT
-                                for cell in cells) + "\r\n"
-            if text:
-                _unquoted([cells[i] for i in text])
-            fh.write(line % cells)
+        if len(rows):
+            first = rows[0].tolist() if isinstance(rows[0], np.ndarray) else rows[0]
+            text = [i for i, cell in enumerate(first) if isinstance(cell, str)]
+            line = ",".join("%s" if isinstance(cell, str) else CSV_FLOAT_FORMAT
+                            for cell in first) + "\r\n"
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start:start + CSV_CHUNK_ROWS]
+            cells = _cells(chunk, len(first))
+            _unquoted([cell for i in text for cell in cells[i::len(first)]])
+            fh.write((line * len(chunk)) % tuple(cells))
     return path
+
+
+def _cells(chunk, width: int) -> list:
+    """The cells of a chunk of rows, row after row; every row must hold `width` cells."""
+    if isinstance(chunk, np.ndarray):
+        return chunk.ravel().tolist()
+    cells = []
+    for row in chunk:
+        row = row.tolist() if isinstance(row, np.ndarray) else row
+        if len(row) != width:
+            raise ValueError(f"CSV row {row!r} has {len(row)} cells, the first row {width}")
+        cells.extend(row)
+    return cells
 
 
 def _jsonable(obj):

@@ -2,9 +2,11 @@
 
 All matrices are numpy arrays of complex doubles (expm takes real ones too).
 Hilbert dimensions in this package are at most 3 (Liouville space at most 9),
-so everything here is dense and direct.
+so everything here is dense and direct. expm is a truncated Taylor series
+with scaling and squaring, and takes matrix products only: no linear solve.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,25 +18,18 @@ EXPM_NORM_BOUND = 700.0
 
 HERMITICITY_TOL = 1e-8
 
-# Scaling and squaring with diagonal Pade approximants (Higham, SIAM J. Matrix
-# Anal. Appl. 26, 1179, 2005). PADE_COEFFS[m] holds b_0..b_m of the degree-m
-# numerator p_m(x) = sum_j b_j x^j, whose denominator is p_m(-x), and
-# PADE_THETA[i] is the largest 1-norm at which the degree PADE_DEGREES[i]
-# approximant meets double-precision unit roundoff (Table 2.3 there).
-PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-PADE_DEGREES = tuple(PADE_COEFFS)
-PADE_THETA = np.array([
-    1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
-    2.097847961257068e0, 5.371920351148152e0])
+# Scaling and squaring with truncated Taylor series T_m(x) = sum_{k<=m} x^k/k!,
+# each evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60, 1973) with
+# matrix products only (Bader, Blanes & Casas, Mathematics 7, 1174, 2019).
+# Degree TAYLOR_DEGREES[i] is evaluated in powers of x^TAYLOR_BLOCKS[i], and
+# TAYLOR_THETA[i] is the largest 1-norm theta (rounded down) with
+# theta^(m+1)/(m+1)! * e^(2 theta) <= 2^-53: the truncation error is at most
+# ||A||^(m+1)/(m+1)! * e^||A||, and ||e^A|| >= e^-||A||, so this bounds the
+# relative error of T_m(A) by the unit roundoff.
+TAYLOR_DEGREES = (6, 9, 12, 16)
+TAYLOR_BLOCKS = (3, 3, 4, 4)
+TAYLOR_THETA = np.array([1.768062661e-2, 1.123969815e-1, 3.197188032e-1, 7.564660662e-1])
+INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_DEGREES[-1] + 1))
 
 
 def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
@@ -101,40 +96,53 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (rows, cols))
 
 
-def _pade(a: np.ndarray, degree: int) -> np.ndarray:
-    """The degree-m diagonal Pade approximant of exp, q_m(a)^-1 p_m(a), of each slice of a stack.
+def _taylor(a: np.ndarray, degree: int, block: int) -> np.ndarray:
+    """T_m(a) of each slice of a stack, by Paterson-Stockmeyer in powers of a^s.
 
-    p_m(a) = V + U and q_m(a) = V - U, with U the odd and V the even powers
-    (Higham 2005, Algorithm 2.3).
+    Every degree m is a multiple of its s, so
+    T_m(a) = B_0 + a^s (B_1 + ... + a^s (B_{m/s-1} + a^s/m!)), with
+    B_j = sum_{i<s} a^i/(js+i)!, evaluated from the inside out: s - 1
+    products for the powers and m/s - 1 for the Horner steps.
     """
-    b = PADE_COEFFS[degree]
+    powers = [a]
+    for _ in range(block - 1):
+        powers.append(powers[-1] @ a)
+    top = powers.pop()
     ident = np.eye(a.shape[-1], dtype=a.dtype)
-    a2 = a @ a
-    if degree < 13:
-        powers = [ident, a2]
-        while len(powers) < (degree + 1) // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    return np.linalg.solve(v - u, v + u)
+    r = top * INV_FACTORIAL[degree]
+    for k in range(degree - block, -1, -block):
+        for i, p in enumerate(powers, start=k + 1):
+            r += INV_FACTORIAL[i] * p
+        r += INV_FACTORIAL[k] * ident
+        if k:
+            r = top @ r
+    return r
+
+
+def _scaled_taylor(a: np.ndarray, key: int) -> np.ndarray:
+    """e^a of a stack in one group, key = s * len(TAYLOR_DEGREES) + i.
+
+    Each slice is scaled by 2^-s, put through the degree TAYLOR_DEGREES[i]
+    polynomial and squared s times.
+    """
+    s, i = divmod(key, len(TAYLOR_DEGREES))
+    r = _taylor(a * 2.0**-s if s else a, TAYLOR_DEGREES[i], TAYLOR_BLOCKS[i])
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential of a real or complex matrix or stack, by scaling and squaring Pade.
+    """Matrix exponential of a real or complex matrix or stack, by scaling and squaring Taylor.
 
-    Each matrix gets the lowest Pade degree whose theta bound covers its
-    1-norm; above the degree-13 bound it is scaled by 2^-s into that bound,
-    and the result squared s times. A stack (n, m, m) is evaluated one
-    (degree, s) group at a time, and each slice exactly as it would be alone.
-    Raises Overflow when the 1-norm of any matrix exceeds EXPM_NORM_BOUND,
-    beyond which exp() leaves double range for generic matrices.
+    Each matrix gets the lowest Taylor degree whose theta bound covers its
+    1-norm; above the degree-16 bound it is scaled by 2^-s into that bound,
+    and the result squared s times. The polynomial takes matrix products
+    only, with no linear solve. A stack (n, m, m) is evaluated one
+    (degree, s) group at a time, and each slice exactly as it would be alone;
+    a stack that is one group is evaluated whole. Raises Overflow when the
+    1-norm of any matrix exceeds EXPM_NORM_BOUND, beyond which exp() leaves
+    double range for generic matrices.
     """
     m = _square(np.asarray(a, dtype=complex if np.iscomplexobj(a) else float), stacked=True)
     norm1 = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
@@ -144,22 +152,20 @@ def expm(a) -> np.ndarray:
         raise Overflow(
             f"matrix 1-norm {worst:.3e}{where} exceeds safe expm bound {EXPM_NORM_BOUND}"
         )
-    stack = m.reshape((-1,) + m.shape[-2:])
+    stack = np.ascontiguousarray(m).reshape((-1,) + m.shape[-2:])
     norm1 = norm1.reshape(-1)
-    degree = np.searchsorted(PADE_THETA, norm1)  # len(PADE_THETA) above the last bound
+    degree = np.searchsorted(TAYLOR_THETA, norm1)  # len(TAYLOR_THETA) above the last bound
     scale = np.zeros(len(stack), dtype=int)
-    over = degree == len(PADE_THETA)
-    scale[over] = np.ceil(np.log2(norm1[over] / PADE_THETA[-1]))
+    over = degree == len(TAYLOR_THETA)
+    scale[over] = np.ceil(np.log2(norm1[over] / TAYLOR_THETA[-1]))
     degree[over] -= 1
+    groups, group_of = np.unique(scale * len(TAYLOR_DEGREES) + degree, return_inverse=True)
+    if len(groups) == 1:
+        return _scaled_taylor(stack, int(groups[0])).reshape(m.shape)
     out = np.empty_like(stack)
-    groups, group_of = np.unique(scale * len(PADE_DEGREES) + degree, return_inverse=True)
     for g, key in enumerate(groups):
-        s, i = divmod(int(key), len(PADE_DEGREES))
         rows = np.nonzero(group_of == g)[0]
-        r = _pade(stack[rows] * 2.0**-s, PADE_DEGREES[i])
-        for _ in range(s):
-            r = r @ r
-        out[rows] = r
+        out[rows] = _scaled_taylor(stack[rows], int(key))
     return out.reshape(m.shape)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import liouvlab
-from liouvlab import __version__, cli
+from liouvlab import __version__, analysis, cli
 from liouvlab.errors import ConfigError
 from oracles import validate_manifest
 
@@ -129,8 +129,9 @@ def test_config_file_and_override_flow(tmp_path, capsys):
 
 
 def test_summary_without_a_transition_estimate_is_strict_json(tmp_path, capsys):
-    # three samples are too few for any fit, so no J gives a transition estimate
-    code = run("fig1", "--output-dir", str(tmp_path), "--formats", "json", "--set", "scan.n_samples=3")
+    # both J points lie below the EP (0.525), so no fit oscillates and no J gives an estimate
+    code = run("fig1", "--output-dir", str(tmp_path), "--formats", "json",
+               "--set", "scan.J_values=[0.1, 0.3]")
     capsys.readouterr()
     assert code == 0
 
@@ -138,7 +139,7 @@ def test_summary_without_a_transition_estimate_is_strict_json(tmp_path, capsys):
         raise ValueError(f"{constant} is not JSON")
 
     summary = json.loads((tmp_path / "fig1_summary.json").read_text(), parse_constant=reject)
-    assert summary["n_fit_failures"] == 35
+    assert summary["n_fit_failures"] == 0
     assert summary["transition_estimate"] is None
 
 
@@ -209,6 +210,8 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("fig1", "scan.window=NaN"),
     ("fig1", "scan.heatmap_t_max=Infinity"),
     ("fig1", "scan.n_samples=0"),
+    ("fig1", "scan.n_samples=3"),
+    ("fig4", "scan.n_samples=7"),
     ("fig4", "scan.heatmap_samples=0"),
     ("fig4", "scan.heatmap_t_max=0"),
     ("ep-map", "scan.J_range=[0.05, NaN]"),
@@ -320,6 +323,14 @@ def test_transition_scan_caps_the_heatmap_table():
     assert len(J) * n_samples == cap
     with pytest.raises(ConfigError, match=f"more than {cap} stored states"):
         cli._transition_scan({**fit, "n_samples": cap // 2 + 1})
+
+
+def test_transition_scan_takes_no_fewer_fit_samples_than_a_fit_needs():
+    scan = {"J_values": [0.5, 1.0], "heatmap_t_max": 1.0, "window": 1.0,
+            "heatmap_samples": 10, "n_samples": analysis.MIN_FIT_SAMPLES}
+    assert cli._transition_scan(scan)[3] == analysis.MIN_FIT_SAMPLES
+    with pytest.raises(ConfigError, match="scan.n_samples must be at least 8"):
+        cli._transition_scan({**scan, "n_samples": analysis.MIN_FIT_SAMPLES - 1})
 
 
 @pytest.mark.parametrize("experiment", ["fig1", "fig4"])

@@ -194,7 +194,7 @@ def test_scheduled_run_matches_a_per_step_reference_loop(dim, target, monkeypatc
     whole = integrate_scheduled(system, schedule, rho0, n_steps)
     # real coordinates and prefix products round differently from the loop
     assert np.max(np.abs(whole.final_state - v.reshape(dim, dim))) <= 1e-13
-    # the Pade exponential is SciPy's to rounding, step after step
+    # the Taylor exponential is SciPy's to rounding, step after step
     assert np.max(np.abs(whole.final_state - oracle.reshape(dim, dim))) <= 1e-12
     # building the stack in blocks changes each stored state by rounding only
     monkeypatch.setattr(dynamics, "STEP_BLOCK", 300)

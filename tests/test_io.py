@@ -103,6 +103,44 @@ def test_float_array_rows_write_the_same_bytes_as_cell_by_cell(tmp_path):
     assert lines[2] == "nan,inf,-inf,-0"
 
 
+def row_by_row_csv(header, rows) -> bytes:
+    """The bytes of one % and one line per row, write_csv's format without its chunks."""
+    out, line = [",".join(header) + "\r\n"], None
+    for row in rows:
+        cells = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
+        if line is None:
+            line = ",".join("%s" if isinstance(cell, str) else lio.CSV_FLOAT_FORMAT
+                            for cell in cells) + "\r\n"
+        out.append(line % cells)
+    return "".join(out).encode()
+
+
+@pytest.mark.parametrize("n_rows", [1, lio.CSV_CHUNK_ROWS, 2 * lio.CSV_CHUNK_ROWS + 3])
+def test_chunked_rows_write_the_same_bytes_as_row_by_row(tmp_path, rng, n_rows):
+    table = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 3))
+    header = ["J", "t", "rho_ee"]
+    path = lio.write_csv(tmp_path / "array.csv", header, table)
+    assert path.read_bytes() == row_by_row_csv(header, table)
+
+    labels = ["e", "phi", "", "ep_line"]
+    rows = [[labels[k % 4], k - 7, k % 3 == 0, np.int64(-k), np.bool_(k % 2), float(x)]
+            for k, x in enumerate(table[:, 0])]
+    header = ["label", "n", "flag", "m", "odd", "x"]
+    path = lio.write_csv(tmp_path / "rows.csv", header, rows)
+    assert path.read_bytes() == row_by_row_csv(header, rows)
+
+    rows[-1][0] = "a,b"  # in the last chunk
+    with pytest.raises(ValueError, match="comma, quote or line break"):
+        lio.write_csv(tmp_path / "bad.csv", header, rows)
+
+
+def test_a_row_of_another_length_raises(tmp_path):
+    # a short row and a long row must not pair up into whole lines
+    rows = [[1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0, 8.0, 9.0]]
+    with pytest.raises(ValueError, match="has 2 cells, the first row 3"):
+        lio.write_csv(tmp_path / "ragged.csv", ["a", "b", "c"], rows)
+
+
 # --- JSON ---------------------------------------------------------------------------
 
 

@@ -1,10 +1,14 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouvlab import numerics
+from liouvlab import cli, config, numerics
+from liouvlab import trajectories as tj
 from liouvlab.dynamics import scheduled_step_count
 from liouvlab.errors import NotHermitian, Overflow
 from liouvlab.liouvillian import superoperator_stack
@@ -189,6 +193,36 @@ def test_expm_rejects_non_finite_entries(value):
         numerics.expm(stack[2])
 
 
+def test_each_taylor_theta_is_the_largest_that_meets_unit_roundoff():
+    # theta_m^(m+1)/(m+1)! * e^(2 theta_m) <= 2^-53, in logs, and 1e-8 more would break it
+    def log_bound(theta, m):
+        return (m + 1) * math.log(theta) - math.lgamma(m + 2) + 2.0 * theta
+
+    assert len(numerics.TAYLOR_THETA) == len(numerics.TAYLOR_DEGREES) == len(numerics.TAYLOR_BLOCKS)
+    for theta, m, s in zip(numerics.TAYLOR_THETA, numerics.TAYLOR_DEGREES, numerics.TAYLOR_BLOCKS):
+        assert m % s == 0
+        assert log_bound(theta, m) <= -53.0 * math.log(2.0)
+        assert log_bound(theta * (1.0 + 1e-8), m) > -53.0 * math.log(2.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_makes_no_linear_solve(rng, monkeypatch, dtype):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called a linear solve")
+
+    # one slice inside each degree's bound, and one scaled beyond the last
+    norms = np.append(0.9 * numerics.TAYLOR_THETA, 10.0 * numerics.TAYLOR_THETA[-1])
+    a = rng.normal(size=(len(norms), 4, 4)).astype(dtype)
+    a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+    want = [scipy.linalg.expm(x) for x in a]
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    got = numerics.expm(a)
+    assert got.dtype == dtype
+    for k in range(len(norms)):
+        assert np.linalg.norm(got[k] - want[k]) <= 1e-14 * np.linalg.norm(want[k])
+
+
 # --- expm against SciPy's (Al-Mohy & Higham 2009) as the oracle -------------
 
 
@@ -220,6 +254,20 @@ def test_expm_matches_scipy_on_the_sweeps_step_stack():
     midpoints = (np.arange(n_steps) + 0.5) * dt
     steps = superoperator_stack(operators(system, *path_points(schedule, midpoints, 4.6))) * dt
     got = numerics.expm(steps)
+    for k in range(n_steps):
+        assert relative_error(got[k], scipy.linalg.expm(steps[k])) <= 1e-14
+
+
+def test_expm_matches_scipy_on_the_mcwf_step_table(monkeypatch):
+    # the default trajectories loop: -i H_eff dt of every step, as the MCWF kernel builds it
+    cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS["trajectories"]), "trajectories")
+    n_steps = scheduled_step_count(cfg.schedule.T, cfg.ensemble_dt)
+    expm, tables = numerics.expm, []
+    monkeypatch.setattr(numerics, "expm", lambda a: tables.append(a) or expm(a))
+    tj._step_table(cfg.system, cfg.schedule, cfg.schedule.T / n_steps, range(n_steps))
+    (steps,) = tables
+    assert steps.shape == (n_steps, 2, 2) and steps.dtype == complex
+    got = expm(steps)
     for k in range(n_steps):
         assert relative_error(got[k], scipy.linalg.expm(steps[k])) <= 1e-14
 
