@@ -1,15 +1,16 @@
 """Command-line entry point: named experiments with reproducible outputs.
 
 Each experiment loads a strict JSON config (all values in 1/us and rad/us, or
-MHz with --units mhz) and runs the corresponding pipeline. It returns its
-tables, an ordered mapping from file stem to (header, rows), and its summary
-dict; one writer turns them into CSV/JSON datasets with pinned number
-formatting and emits a RunManifest with content hashes. Exit codes: 0
-success, 2 configuration error, 3 numerical failure.
+MHz with --units mhz), which `config.resolve` checks against the keys that
+experiment reads (`config.SCHEMA`) and completes with their defaults, and
+runs the corresponding pipeline. It returns its tables, an ordered mapping
+from file stem to (header, rows), and its summary dict; one writer turns
+them into CSV datasets and a JSON summary with pinned number formatting and
+emits a RunManifest with content hashes. Exit codes: 0 success, 2
+configuration error, 3 numerical failure.
 """
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -21,7 +22,6 @@ import numpy as np
 from . import __version__, analysis, io, numerics
 from .config import (
     ExperimentConfig,
-    apply_units,
     deep_merge,
     integer,
     load_config_file,
@@ -49,63 +49,9 @@ from .liouvillian import (
 from .model import Rates, basis_ket, make_system, minus_x, operators, plus_x
 from .trajectories import run_ensemble
 
-TWO_PI = 2.0 * math.pi
 MAX_GRID_POINTS = 10_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
 MAX_TIME_STEPS = 1_000_000  # far above any shipped run (fig2's ensemble: 4,000 steps)
 SWEEP_METRICS = ("chirality", "entropy_cw", "entropy_ccw")  # the SweepResult columns
-
-EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "spectrum": {
-        "system": {"dim": 2, "gamma_e": 4.4, "gamma_phi": 0.1},
-        "scan": {"J_start": 0.0, "J_stop": 2.0, "J_step": 0.005, "Delta": 0.0},
-    },
-    "ep-map": {
-        "system": {"dim": 2, "gamma_e": 4.5, "gamma_phi": 0.0},
-        "scan": {"J_range": [0.05, 1.1], "Delta_range": [-1.1, 1.1], "resolution": 45},
-    },
-    "fig1": {
-        "system": {"dim": 2, "gamma_e": 4.4, "gamma_phi": 0.1},
-        "scan": {
-            "J_start": 0.1, "J_stop": 1.8, "J_step": 0.05,
-            "window": 10.0, "n_samples": 500,
-            "heatmap_t_max": 3.0, "heatmap_samples": 301,
-        },
-    },
-    "fig2": {
-        "system": {"dim": 2, "gamma_e": 4.6, "gamma_phi": 0.2},
-        "schedule": {"T": 2.0, "J_max": 16.0, "Delta_max": 10.0 * math.pi},
-        "integrator": {"dt": 1e-3},
-        "ensemble": {"n": 1000, "master_seed": 12345, "dt": 5e-4, "store_every": 20},
-    },
-    "fig4": {
-        "system": {
-            "dim": 3, "gamma_e": 4.2, "gamma_phi": 0.2,
-            "gamma_f": 0.3, "gamma_f_extra": 0.75,
-        },
-        "scan": {
-            "J_start": 0.2, "J_stop": 1.8, "J_step": 0.05,
-            "window": 10.0, "n_samples": 500,
-            "heatmap_t_max": 3.0, "heatmap_samples": 301,
-        },
-    },
-    "sweeps": {
-        "system": {"dim": 2, "gamma_e": 4.6, "gamma_phi": 0.2},
-        "schedule": {"T": 2.0, "J_max": 16.0, "Delta_max": 10.0 * math.pi},
-        "scan": {
-            "T_values": [0.25 + 0.125 * i for i in range(19)],
-            "Delta_max_values": [TWO_PI * (0.5 + 0.5 * i) for i in range(16)],
-        },
-    },
-    "steady-state": {
-        "system": {"dim": 2, "gamma_e": 4.4, "gamma_phi": 0.1, "J": 1.8, "Delta": 0.0},
-    },
-    "trajectories": {
-        "system": {"dim": 2, "gamma_e": 4.6, "gamma_phi": 0.2},
-        "schedule": {"T": 2.0, "J_max": 16.0, "Delta_max": 10.0 * math.pi},
-        "ensemble": {"n": 1000, "master_seed": 12345, "dt": 5e-4, "store_every": 20},
-    },
-}
-
 
 def _density(psi: np.ndarray) -> np.ndarray:
     """|psi><psi|, or the stack of them for an array of states (n, d)."""
@@ -114,7 +60,7 @@ def _density(psi: np.ndarray) -> np.ndarray:
 
 def _j_grid(scan: dict) -> np.ndarray:
     """scan.J_values, or the grid J_start, J_start + J_step, ... up to J_stop; all >= 0."""
-    if "J_values" in scan:
+    if scan.get("J_values") is not None:
         values = scan["J_values"]
         # check the raw list's length before converting it
         if isinstance(values, (list, tuple)) and len(values) > MAX_GRID_POINTS:
@@ -360,8 +306,8 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Encircling runs (Lindblad), and an ensemble with its trajectory 0."""
-    if cfg.schedule is None or cfg.system.dim != 2:
-        raise ConfigError("this experiment needs a dim=2 system with a schedule")
+    if cfg.system.dim != 2:
+        raise ConfigError("this experiment needs a dim=2 system")
     _check_steps(cfg.schedule.T, cfg.integrator_dt, "integrator.dt")
     _check_steps(cfg.schedule.T, cfg.ensemble_dt, "ensemble.dt")
     n_steps = scheduled_step_count(cfg.schedule.T, cfg.integrator_dt)
@@ -421,8 +367,8 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Duration/detuning sweeps, Hermitian-limit control, gamma_e schedules."""
-    if cfg.schedule is None or cfg.system.dim != 2:
-        raise ConfigError("this experiment needs a dim=2 system with a schedule")
+    if cfg.system.dim != 2:
+        raise ConfigError("this experiment needs a dim=2 system")
     schedule = cfg.schedule
     scan = cfg.scan
     rho_mx = _density(minus_x())
@@ -508,12 +454,9 @@ def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Ensemble average with Lindblad reference, and the ensemble's trajectory 0."""
     dim = cfg.system.dim
     if cfg.schedule is not None:
-        psi0 = plus_x(dim)
+        psi0, total = plus_x(dim), cfg.schedule.T
     else:
-        if cfg.t_final is None:
-            raise ConfigError("constant-parameter trajectories need ensemble.t_final")
-        psi0 = basis_ket(dim, 1)
-    total = cfg.schedule.T if cfg.schedule is not None else cfg.t_final
+        psi0, total = basis_ket(dim, 1), cfg.t_final
     _check_steps(total, cfg.ensemble_dt, "ensemble.dt")
     ens, _lind, td = _stochastic_runs(cfg, psi0)
 
@@ -566,18 +509,15 @@ EXPERIMENTS = {
 def _write_outputs(
     experiment: str, cfg: ExperimentConfig, tables: dict, summary: dict, started: float
 ) -> list[Path]:
-    """Write the run's datasets in the configured formats, then its manifest.
+    """Write the run's datasets, then its manifest.
 
     Returns the written paths in order: one <stem>.csv per table, the
     <experiment>_summary.json, and last the manifest, which lists the others.
     """
     stem = experiment.replace("-", "_")
-    files = []
-    if "csv" in cfg.formats:
-        for name, (header, rows) in tables.items():
-            files.append(io.write_csv(cfg.output_dir / f"{name}.csv", header, rows))
-    if "json" in cfg.formats:
-        files.append(io.write_json(cfg.output_dir / f"{stem}_summary.json", summary))
+    files = [io.write_csv(cfg.output_dir / f"{name}.csv", header, rows)
+             for name, (header, rows) in tables.items()]
+    files.append(io.write_json(cfg.output_dir / f"{stem}_summary.json", summary))
     manifest = io.build_manifest(experiment, __version__, cfg.echo, files, started)
     return files + [io.write_json(cfg.output_dir / f"{stem}_manifest.json", asdict(manifest))]
 
@@ -587,36 +527,18 @@ def _write_outputs(
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    experiment = args.experiment
-    defaults = EXPERIMENT_DEFAULTS.get(experiment, {})
-    file_cfg = load_config_file(args.config) if args.config else {}
-
-    file_exp = file_cfg.pop("experiment", None)
-    if file_exp is not None and file_exp != experiment:
-        raise ConfigError(
-            f"config file is for experiment {file_exp!r}, "
-            f"but {experiment!r} was requested"
-        )
-
-    overrides: dict = {}
+    user = load_config_file(args.config) if args.config else {}
     for spec in args.overrides:
         path, value = parse_set_override(spec)
-        overrides = deep_merge(overrides, nest_override(path, value))
-
-    user = deep_merge(file_cfg, overrides)
-    units = args.units or user.pop("units", "rad")
-    user = apply_units(user, units)
-    merged = deep_merge(defaults, user)
-
+        user = deep_merge(user, nest_override(path, value))
     # precedence for plumbing knobs: CLI flag > environment > config file
+    if args.units is not None:
+        user["units"] = args.units
     if args.output_dir is not None:
-        merged["output_dir"] = args.output_dir
+        user["output_dir"] = args.output_dir
     elif os.environ.get("LIOUVLAB_OUTPUT_DIR"):
-        merged["output_dir"] = os.environ["LIOUVLAB_OUTPUT_DIR"]
-    if args.formats is not None:
-        merged["formats"] = [f.strip() for f in args.formats.split(",") if f.strip()]
-
-    return resolve(merged, experiment)
+        user["output_dir"] = os.environ["LIOUVLAB_OUTPUT_DIR"]
+    return resolve(user, args.experiment)
 
 
 def main(argv=None) -> int:
@@ -629,7 +551,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output-dir", default=None, help="output directory")
     parser.add_argument("--units", choices=("rad", "mhz"), default=None,
                         help="unit system for angular config inputs")
-    parser.add_argument("--formats", default=None, help="comma list from {csv,json}")
     parser.add_argument("--set", action="append", dest="overrides", default=[],
                         metavar="SECTION.KEY=VALUE", help="override one config key")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

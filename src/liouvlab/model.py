@@ -54,10 +54,11 @@ class DriveParams:
     """Drive coupling J and detuning Delta, both rad/us.
 
     J >= 0 by convention; a negative J is gauge-equivalent to a positive one
-    and is rejected to keep parameterizations unique.
+    and is rejected to keep parameterizations unique. DriveParams() is no
+    drive at all.
     """
 
-    J: float
+    J: float = 0.0
     Delta: float = 0.0
 
     def __post_init__(self):

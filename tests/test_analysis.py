@@ -1,4 +1,3 @@
-import copy
 import math
 from dataclasses import replace
 
@@ -214,7 +213,7 @@ def default_scans():
     """The fig1 and fig4 default scans, by experiment: (TransitionScan, every (t, y) it fit)."""
     scans = {}
     for experiment in ("fig1", "fig4"):
-        cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS[experiment]), experiment)
+        cfg = config.resolve({}, experiment)
         J_grid, _, window, n_samples = cli._transition_scan(cfg.scan)
         seen = []
         fit = analysis.fit_damped_sine
@@ -271,7 +270,7 @@ def scipy_oracle(t, y):
 
 def test_each_fit_makes_one_least_squares_call_as_good_as_the_best_of_both_poles(
         default_series, monkeypatch):
-    cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS["fig1"]), "fig1")
+    cfg = config.resolve({}, "fig1")
     below = cli._transition_scan(cfg.scan)[0] < analysis.ep_coupling(cfg.system.rates, 2)
     assert np.count_nonzero(below) == 9
     solve = analysis.least_squares

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import liouvlab
+from liouvlab import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +44,17 @@ def test_every_public_definition_in_src_has_a_caller_outside_the_tests():
     public = [(path.name, node.name) for path in package for node in trees[path].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
     assert [(module, name) for module, name in public if name not in loaded] == []
+
+
+def test_the_readme_key_table_matches_the_schema():
+    lines = README.read_text().splitlines()
+    start = lines.index("| Experiment | Section | Keys |") + 2
+    table: dict = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        experiment, section, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        table.setdefault(experiment.strip("`"), {})[section.strip("`")] = re.findall(r"`(\w+)`", keys)
+    assert table == {experiment: {name: list(keys) for name, keys in schema.items()
+                                  if isinstance(keys, dict)}
+                     for experiment, schema in config.SCHEMA.items()}

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import liouvlab
-from liouvlab import __version__, analysis, cli
+from liouvlab import __version__, analysis, cli, config
 from liouvlab.errors import ConfigError
 from oracles import validate_manifest
 
@@ -17,6 +18,7 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+ROOT = Path(__file__).resolve().parents[1]
 BIG = "1" + "0" * 400  # a JSON integer that no float can hold
 
 
@@ -82,13 +84,14 @@ TINY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+# every run writes its full file set: the part "csv" checks its tables, "json" its summary
+@pytest.mark.parametrize("part", ["csv", "json"])
 @pytest.mark.parametrize("experiment", sorted(TINY_RUNS))
-def test_run_writes_its_fixed_file_set(experiment, fmt, tmp_path, capsys):
+def test_run_writes_its_fixed_file_set(experiment, part, tmp_path, capsys):
     extra, csv_names = TINY_RUNS[experiment]
     stem = experiment.replace("-", "_")
-    datasets = csv_names if fmt == "csv" else [f"{stem}_summary.json"]
-    code = run(experiment, "--output-dir", str(tmp_path), "--formats", fmt, *extra)
+    datasets = csv_names + [f"{stem}_summary.json"]
+    code = run(experiment, "--output-dir", str(tmp_path), *extra)
     out = capsys.readouterr().out
     assert code == 0
     written = datasets + [f"{stem}_manifest.json"]
@@ -97,9 +100,15 @@ def test_run_writes_its_fixed_file_set(experiment, fmt, tmp_path, capsys):
     manifest = json.loads((tmp_path / f"{stem}_manifest.json").read_text())
     validate_manifest(manifest)
     assert [e["name"] for e in manifest["files"]] == datasets
-    if fmt == "json" and experiment in ("fig1", "fig4"):
-        summary = json.loads((tmp_path / datasets[0]).read_text())
-        assert summary["n_fits_unconverged"] == 0
+    if part == "csv":
+        for name in csv_names:
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            assert header.count(",") >= 1 and rows
+    else:
+        summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+        assert summary
+        if experiment in ("fig1", "fig4"):
+            assert summary["n_fits_unconverged"] == 0
 
 
 def test_config_file_and_override_flow(tmp_path, capsys):
@@ -109,13 +118,12 @@ def test_config_file_and_override_flow(tmp_path, capsys):
         "system": {"gamma_e": 4.0, "gamma_phi": 0.0, "J": 1.0},
     }))
     out_dir = tmp_path / "out"
-    code = run("steady-state", "--config", str(config),
-               "--output-dir", str(out_dir), "--formats", "csv")
+    code = run("steady-state", "--config", str(config), "--output-dir", str(out_dir))
     assert code == 0
     capsys.readouterr()
-    # csv only: no summary json, manifest still written
     assert {p.name for p in out_dir.iterdir()} == {
-        "steady_state.csv", "steady_state_spectrum.csv", "steady_state_manifest.json"}
+        "steady_state.csv", "steady_state_spectrum.csv", "steady_state_summary.json",
+        "steady_state_manifest.json"}
     rows = (out_dir / "steady_state.csv").read_bytes().decode().strip().split("\r\n")
     assert rows[0] == "row,col,re,im"
     cells = dict()
@@ -130,8 +138,7 @@ def test_config_file_and_override_flow(tmp_path, capsys):
 
 def test_summary_without_a_transition_estimate_is_strict_json(tmp_path, capsys):
     # both J points lie below the EP (0.525), so no fit oscillates and no J gives an estimate
-    code = run("fig1", "--output-dir", str(tmp_path), "--formats", "json",
-               "--set", "scan.J_values=[0.1, 0.3]")
+    code = run("fig1", "--output-dir", str(tmp_path), "--set", "scan.J_values=[0.1, 0.3]")
     capsys.readouterr()
     assert code == 0
 
@@ -158,6 +165,78 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
                "--set", "system.gamma_x=1.0")
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+# every (section, key) some experiment reads, and each experiment paired with those it does not
+SCHEMA_KEYS = sorted({(section, key) for schema in config.SCHEMA.values()
+                       for section, keys in schema.items() if isinstance(keys, dict) for key in keys})
+UNREAD_KEYS = [pytest.param(experiment, f"{section}.{key}", id=f"{experiment}-{section}.{key}")
+               for experiment, schema in config.SCHEMA.items() for section, key in SCHEMA_KEYS
+               if key not in schema.get(section, {})]
+
+
+@pytest.mark.parametrize("experiment, dotted", UNREAD_KEYS)
+def test_each_experiment_rejects_each_key_it_does_not_read(experiment, dotted, tmp_path, capsys):
+    assert run(experiment, "--output-dir", str(tmp_path), "--set", f"{dotted}=1") == 2
+    assert f"config error: {experiment} does not read {dotted}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment, overrides, named", [
+    # a null took the resolver's fallback of 0, not the experiment's default of 4.4
+    ("steady-state", ["system.gamma_e=null"], "system.gamma_e may not be null"),
+    # each of these ran and wrote the same bytes as the run without the extra keys
+    ("spectrum", ["system.Delta=3", "system.J=1"], "spectrum does not read system.Delta, system.J"),
+    ("fig1", ["scan.Delta=3", "system.J=5", "ensemble.n=3"],
+     "fig1 does not read scan.Delta, system.J, ensemble.n"),
+    ("ep-map", ["system.J=0.5", "system.Delta=2", "scan.Delta=1"],
+     "ep-map does not read system.J, system.Delta, scan.Delta"),
+    ("trajectories", ["system.J=3", "integrator.dt=0.1"], "trajectories does not read integrator.dt"),
+    # a scheduled run follows its loop, so it reads no drive
+    ("trajectories", ["system.J=3"], "system.J given beside a schedule"),
+    ("trajectories", ["system.Delta=1", "ensemble.t_final=1"],
+     "system.Delta, ensemble.t_final given beside a schedule"),
+])
+def test_a_key_the_run_would_ignore_and_a_null_are_config_errors(
+        experiment, overrides, named, tmp_path, capsys):
+    sets = [arg for value in overrides for arg in ("--set", value)]
+    assert run(experiment, "--output-dir", str(tmp_path), *sets) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["5", "null", "[1]"])
+def test_an_output_dir_that_is_not_a_string_exits_2(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LIOUVLAB_OUTPUT_DIR", raising=False)
+    assert run("steady-state", "--set", f"output_dir={value}") == 2
+    (tmp_path / "cfg.json").write_text(f'{{"output_dir": {value}}}')
+    assert run("steady-state", "--config", "cfg.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: output_dir") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def _benchmark_steps_and_shipped_configs():
+    """(experiment, CLI arguments) of every benchmark step, tiny and full, and every config."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = [pytest.param(step.experiment, step.args(12345, tiny),
+                         id=f"{name}-{'tiny' if tiny else 'full'}")
+            for name, step in workloads.STEPS.items() for tiny in (True, False)]
+    return runs + [pytest.param(json.loads(path.read_text())["experiment"],
+                                ["--config", f"configs/{path.name}"], id=path.name)
+                   for path in sorted((ROOT / "configs").glob("*.json"))]
+
+
+@pytest.mark.parametrize("experiment, args", _benchmark_steps_and_shipped_configs())
+def test_the_benchmark_steps_and_shipped_configs_resolve(experiment, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # they name their config files from the checkout's root
+    resolved = []
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, lambda cfg: resolved.append(cfg) or ({}, {}))
+    assert run(experiment, *args, "--output-dir", str(tmp_path)) == 0
+    assert [cfg.experiment for cfg in resolved] == [experiment]
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -593,7 +672,7 @@ from liouvlab import cli
 cap = cli.MAX_GRID_POINTS
 assert cli.main(["spectrum", "--set", "system.dim=3", "--set", "scan.J_start=0",
                  "--set", f"scan.J_stop={(cap - 1) * 2e-4}", "--set", "scan.J_step=2e-4",
-                 "--formats", "csv", "--output-dir", sys.argv[1]]) == 0
+                 "--output-dir", sys.argv[1]]) == 0
 # VmHWM is this process's own peak; ru_maxrss would keep the peak of the process it was forked from
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # kB

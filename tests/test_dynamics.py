@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -13,7 +12,7 @@ from conftest import (
     superoperator_reference,
     system_on_path,
 )
-from liouvlab import cli, config, dynamics, numerics
+from liouvlab import config, dynamics, numerics
 from liouvlab.dynamics import integrate_constant, integrate_scheduled
 from liouvlab.errors import NotDensityMatrix, OutOfRange
 from liouvlab.liouvillian import build_superoperator, superoperator_stack
@@ -387,7 +386,7 @@ def test_every_stored_state_is_exactly_hermitian(dim, rng):
 
 
 def test_a_scheduled_run_of_the_trajectories_loop_peaks_under_6_mb():
-    cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS["trajectories"]), "trajectories")
+    cfg = config.resolve({}, "trajectories")
     n_steps = dynamics.step_count(cfg.schedule.T, cfg.ensemble_dt)
     assert n_steps == 4000
     rho0 = np.full((2, 2), 0.5, dtype=complex)

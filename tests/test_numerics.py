@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouvlab import cli, config, numerics
+from liouvlab import config, numerics
 from liouvlab import trajectories as tj
 from liouvlab.dynamics import scheduled_step_count
 from liouvlab.errors import NotHermitian, Overflow
@@ -260,7 +259,7 @@ def test_expm_matches_scipy_on_the_sweeps_step_stack():
 
 def test_expm_matches_scipy_on_the_mcwf_step_table(monkeypatch):
     # the default trajectories loop: -i H_eff dt of every step, as the MCWF kernel builds it
-    cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS["trajectories"]), "trajectories")
+    cfg = config.resolve({}, "trajectories")
     n_steps = scheduled_step_count(cfg.schedule.T, cfg.ensemble_dt)
     expm, tables = numerics.expm, []
     monkeypatch.setattr(numerics, "expm", lambda a: tables.append(a) or expm(a))

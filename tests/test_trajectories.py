@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import point_operators, sigma_x_mirror_deviation, system_on_path
-from liouvlab import cli, config, dynamics
+from liouvlab import config, dynamics
 from liouvlab import trajectories as tj
 from liouvlab.dynamics import integrate_constant, integrate_scheduled, step_count, stored_steps
 from liouvlab.errors import OutOfRange, ZeroNorm
@@ -463,7 +462,7 @@ def test_interval_stepping_matches_the_per_step_loop(name, store_every, step_blo
 
 def test_the_trajectories_ensemble_peaks_under_7_5_mb():
     # the scans add no memory to the n = 4000 ensemble of the trajectories experiment
-    cfg = config.resolve(copy.deepcopy(cli.EXPERIMENT_DEFAULTS["trajectories"]), "trajectories")
+    cfg = config.resolve({}, "trajectories")
     args = (cfg.system, cfg.schedule, plus_x(), cfg.ensemble_dt, 4000, cfg.master_seed,
             cfg.ensemble_store_every)
     tracemalloc.start()
