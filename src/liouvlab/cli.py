@@ -1,12 +1,13 @@
 """Command-line entry point: named experiments with reproducible outputs.
 
 Each experiment loads a strict JSON config (all values in 1/us and rad/us, or
-MHz with --units mhz), which `config.resolve` checks against the keys that
-experiment reads (`config.SCHEMA`) and completes with their defaults, and
-runs the corresponding pipeline. It returns its tables, an ordered mapping
-from file stem to (header, rows), and its summary dict; one writer turns
-them into CSV datasets and a JSON summary with pinned number formatting and
-emits a RunManifest with content hashes. Exit codes: 0 success, 2
+MHz with --units mhz). `config.resolve` checks it against the keys that
+experiment reads (`config.SCHEMA`), types and range-checks every value and
+fills in the defaults before the run starts; then the experiment runs its
+pipeline. It returns its tables, an ordered mapping from file stem to
+(header, rows), and its summary dict; one writer turns them into CSV
+datasets and a JSON summary with pinned number formatting and emits a
+RunManifest with content hashes. Exit codes: 0 success, 2
 configuration error, 3 numerical failure.
 """
 
@@ -23,11 +24,8 @@ from . import __version__, analysis, io, numerics
 from .config import (
     ExperimentConfig,
     deep_merge,
-    integer,
     load_config_file,
     nest_override,
-    number,
-    numbers,
     parse_set_override,
     resolve,
 )
@@ -49,103 +47,11 @@ from .liouvillian import (
 from .model import Rates, basis_ket, make_system, minus_x, operators, plus_x
 from .trajectories import run_ensemble
 
-MAX_GRID_POINTS = 10_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
-MAX_TIME_STEPS = 1_000_000  # far above any shipped run (fig2's ensemble: 4,000 steps)
 SWEEP_METRICS = ("chirality", "entropy_cw", "entropy_ccw")  # the SweepResult columns
 
 def _density(psi: np.ndarray) -> np.ndarray:
     """|psi><psi|, or the stack of them for an array of states (n, d)."""
     return psi[..., :, None] * psi[..., None, :].conj()
-
-
-def _j_grid(scan: dict) -> np.ndarray:
-    """scan.J_values, or the grid J_start, J_start + J_step, ... up to J_stop; all >= 0."""
-    if scan.get("J_values") is not None:
-        values = scan["J_values"]
-        # check the raw list's length before converting it
-        if isinstance(values, (list, tuple)) and len(values) > MAX_GRID_POINTS:
-            raise ConfigError(f"scan.J_values has more than {MAX_GRID_POINTS} points")
-        grid = np.asarray(numbers("scan", "J_values", values))
-    else:
-        start = number("scan", "J_start", scan["J_start"])
-        stop = number("scan", "J_stop", scan["J_stop"])
-        step = number("scan", "J_step", scan["J_step"])
-        if step <= 0.0 or stop < start:
-            raise ConfigError("scan needs J_values or J_start <= J_stop with J_step > 0")
-        # the grid's length is the ceiling of this; check it before allocating
-        if not (stop - start) / step + 0.5 <= MAX_GRID_POINTS:
-            raise ConfigError(
-                f"scan J_start/J_stop/J_step give more than {MAX_GRID_POINTS} points")
-        grid = np.arange(start, stop + 0.5 * step, step)
-    if len(grid) == 0:
-        raise ConfigError("empty J grid")
-    if np.any(grid < 0.0):
-        raise ConfigError(f"scan J values must be >= 0, got {grid.min()}")
-    return grid
-
-
-def _transition_scan(scan: dict) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(J grid, heatmap times, fit window, fit samples) of fig1 and fig4.
-
-    Each J stack is integrated in one call that stores every J point's state
-    at every sample, so J points times the larger of heatmap_samples and
-    n_samples is capped at MAX_TIME_STEPS before anything is allocated. An
-    n_samples below analysis.MIN_FIT_SAMPLES, the fewest a fit takes, is a
-    config error, not a run in which every fit fails.
-    """
-    J_grid = _j_grid(scan)
-    t_max = number("scan", "heatmap_t_max", scan["heatmap_t_max"])
-    samples = integer("scan", "heatmap_samples", scan["heatmap_samples"])
-    window = number("scan", "window", scan["window"])
-    n_samples = integer("scan", "n_samples", scan["n_samples"])
-    if t_max <= 0.0 or window <= 0.0:
-        raise ConfigError(
-            f"scan.heatmap_t_max and scan.window must be > 0, got {t_max} and {window}")
-    if not (1 <= samples <= MAX_TIME_STEPS and 1 <= n_samples <= MAX_TIME_STEPS):
-        raise ConfigError(
-            f"scan.heatmap_samples and scan.n_samples must be between 1 and {MAX_TIME_STEPS}, "
-            f"got {samples} and {n_samples}")
-    if n_samples < analysis.MIN_FIT_SAMPLES:
-        raise ConfigError(f"scan.n_samples must be at least {analysis.MIN_FIT_SAMPLES}, "
-                          f"the fewest samples a fit takes, got {n_samples}")
-    if len(J_grid) * max(samples, n_samples) > MAX_TIME_STEPS:
-        raise ConfigError(
-            f"{len(J_grid)} J points x {max(samples, n_samples)} samples (scan.heatmap_samples="
-            f"{samples}, scan.n_samples={n_samples}) give more than {MAX_TIME_STEPS} stored states")
-    return J_grid, np.linspace(0.0, t_max, samples), window, n_samples
-
-
-def _resolution(scan: dict, J_range, Delta_range) -> int:
-    """scan.resolution of an ep-map; its grid may hold at most MAX_GRID_POINTS points.
-
-    A range with equal endpoints contributes one row or column.
-    """
-    resolution = integer("scan", "resolution", scan["resolution"])
-    if resolution < 1:
-        raise ConfigError(f"scan.resolution must be an integer >= 1, got {resolution!r}")
-    n_points = 1
-    for lo, hi in (J_range, Delta_range):
-        n_points *= resolution if hi > lo else 1
-    if n_points > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"scan.resolution={resolution} gives more than {MAX_GRID_POINTS} grid points")
-    return resolution
-
-
-def _check_steps(total: float, dt: float, key: str) -> None:
-    """Reject a run of about total/dt steps above MAX_TIME_STEPS, before anything is allocated."""
-    if not total / dt <= MAX_TIME_STEPS:
-        raise ConfigError(
-            f"{key}={dt!r} over a duration of {total!r} gives more than {MAX_TIME_STEPS} steps")
-
-
-def _range(scan: dict, key: str) -> tuple[float, float]:
-    value = numbers("scan", key, scan[key])
-    if len(value) != 2:
-        raise ConfigError(f"scan.{key} must be two numbers, got {scan[key]!r}")
-    if value[1] < value[0]:
-        raise ConfigError(f"scan.{key} must be increasing or equal, got {scan[key]!r}")
-    return value[0], value[1]
 
 
 def _encircling_runs(system, schedule, n_steps: int, store_every: int) -> dict:
@@ -191,8 +97,7 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
 
 def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Eigenvalue branches versus J at fixed Delta, with EP markers."""
-    J_grid = _j_grid(cfg.scan)
-    Delta = number("scan", "Delta", cfg.scan["Delta"])
+    J_grid, Delta = cfg.J_grid, cfg.system.drive.Delta
     generators = superoperator_stack(
         operators(cfg.system, J_grid, Delta, cfg.system.rates.gamma_e))
     branches = pair_branches(numerics.eig_general(generators).eigenvalues)
@@ -229,14 +134,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Grid survey of the (J, Delta) plane with EP lines and triple points."""
-    if cfg.system.dim != 2:
-        raise ConfigError("this experiment needs a dim=2 system")
-    scan = cfg.scan
-    J_range = _range(scan, "J_range")
-    if J_range[0] < 0.0:
-        raise ConfigError(f"scan.J_range must be >= 0, got {scan['J_range']!r}")
-    Delta_range = _range(scan, "Delta_range")
-    resolution = _resolution(scan, J_range, Delta_range)
+    J_range, Delta_range = cfg.scan["J_range"], cfg.scan["Delta_range"]
+    resolution = cfg.scan["resolution"]
     ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution)
 
     # one row per grid point, J fastest; the float ep_order column writes as
@@ -257,31 +156,28 @@ def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "n_lines": len(ep_map.ep_lines),
         "line_lengths": [int(len(line)) for line in ep_map.ep_lines],
         "ep3_points": [list(p) for p in ep_map.ep3_points],
-        "J_range": list(J_range),
-        "Delta_range": list(Delta_range),
+        "J_range": J_range,
+        "Delta_range": Delta_range,
         "resolution": resolution,
     }
 
 
-def _transition_figure(
-    cfg: ExperimentConfig, dim: int
-) -> tuple[list, np.ndarray, np.ndarray, tuple, dict]:
-    """The body fig1 (dim 2) and fig4 (dim 3) share.
+def _transition_figure(cfg: ExperimentConfig) -> tuple[list, np.ndarray, np.ndarray, tuple, dict]:
+    """The body fig1 (a qubit) and fig4 (a qutrit) share.
 
-    Checks the system's dimension and the scan, builds the J grid's
-    generator stack once, integrates it on the heatmap times, and runs the
-    transition scan on the fit window with the same stack. Returns the
-    heatmap's J and t columns (one row per J point and time), the heatmap
-    states (n_J, n_t, d, d), the heatmap times, the transition table and the
-    summary keys both figures report.
+    Builds the J grid's generator stack once, integrates it on the heatmap
+    times, and runs the transition scan on the fit window with the same
+    stack. Returns the heatmap's J and t columns (one row per J point and
+    time), the heatmap states (n_J, n_t, d, d), the heatmap times, the
+    transition table and the summary keys both figures report.
     """
-    if cfg.system.dim != dim:
-        raise ConfigError(f"this experiment needs a dim={dim} system")
-    J_grid, t_hm, window, n_samples = _transition_scan(cfg.scan)
+    J_grid, scan = cfg.J_grid, cfg.scan
+    t_hm = np.linspace(0.0, scan["heatmap_t_max"], scan["heatmap_samples"])
     generators = superoperator_stack(
         operators(cfg.system, J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))
-    states = integrate_constant(generators, analysis.initial_state_for(dim), t_hm).states
-    scan_result = analysis.scan_transition(cfg.system, J_grid, generators, window, n_samples)
+    states = integrate_constant(generators, analysis.initial_state_for(cfg.system.dim), t_hm).states
+    scan_result = analysis.scan_transition(
+        cfg.system, J_grid, generators, scan["window"], scan["n_samples"])
     heat_axes = [np.repeat(J_grid, len(t_hm)), np.tile(t_hm, len(J_grid))]
     return heat_axes, states, t_hm, scan_result.table(), {
         "j_ep": scan_result.j_ep,
@@ -293,7 +189,7 @@ def _transition_figure(
 
 def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qubit excited-population dynamics across J plus the transition scan."""
-    heat_axes, states, t_hm, transition, summary = _transition_figure(cfg, 2)
+    heat_axes, states, t_hm, transition, summary = _transition_figure(cfg)
     pop_e = states[..., 1, 1].real
     cut_values = (float(heat_axes[0][0]), float(heat_axes[0][-1]))  # the first and last J
     return {
@@ -306,10 +202,6 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Encircling runs (Lindblad), and an ensemble with its trajectory 0."""
-    if cfg.system.dim != 2:
-        raise ConfigError("this experiment needs a dim=2 system")
-    _check_steps(cfg.schedule.T, cfg.integrator_dt, "integrator.dt")
-    _check_steps(cfg.schedule.T, cfg.ensemble_dt, "ensemble.dt")
     n_steps = scheduled_step_count(cfg.schedule.T, cfg.integrator_dt)
     runs = _encircling_runs(cfg.system, cfg.schedule, n_steps, cfg.integrator_store_every)
 
@@ -356,7 +248,7 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qutrit g-f coherence dynamics across J plus the transition scan."""
-    heat_axes, states, _t_hm, transition, summary = _transition_figure(cfg, 3)
+    heat_axes, states, _t_hm, transition, summary = _transition_figure(cfg)
     gf = states[..., 0, 2].ravel()
     return {
         "fig4_coherence": (["J", "t", "abs_rho_gf", "re_rho_gf", "im_rho_gf"],
@@ -367,17 +259,9 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Duration/detuning sweeps, Hermitian-limit control, gamma_e schedules."""
-    if cfg.system.dim != 2:
-        raise ConfigError("this experiment needs a dim=2 system")
     schedule = cfg.schedule
-    scan = cfg.scan
     rho_mx = _density(minus_x())
-
-    T_values = np.asarray(numbers("scan", "T_values", scan["T_values"]))
-    D_values = np.asarray(numbers("scan", "Delta_max_values", scan["Delta_max_values"]))
-    if np.any(T_values <= 0.0):
-        raise ConfigError(f"scan.T_values must be > 0, got {T_values.min()}")
-    _check_steps(max(schedule.T, float(T_values.max())), cfg.integrator_dt, "integrator.dt")
+    T_values, D_values = np.asarray(cfg.scan["T_values"]), np.asarray(cfg.scan["Delta_max_values"])
 
     def sweep(loops):
         return analysis.sweep_metrics(cfg.system, loops, rho_mx, cfg.integrator_dt)
@@ -453,11 +337,7 @@ def cmd_steady_state(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Ensemble average with Lindblad reference, and the ensemble's trajectory 0."""
     dim = cfg.system.dim
-    if cfg.schedule is not None:
-        psi0, total = plus_x(dim), cfg.schedule.T
-    else:
-        psi0, total = basis_ket(dim, 1), cfg.t_final
-    _check_steps(total, cfg.ensemble_dt, "ensemble.dt")
+    psi0 = plus_x(dim) if cfg.schedule is not None else basis_ket(dim, 1)
     ens, _lind, td = _stochastic_runs(cfg, psi0)
 
     traj_states = ens.trajectory0_states
@@ -565,9 +445,6 @@ def main(argv=None) -> int:
 
     try:
         tables, summary = EXPERIMENTS[args.experiment](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except LiouvlabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

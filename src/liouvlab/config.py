@@ -2,11 +2,13 @@
 
 `SCHEMA` is the one table of config keys and defaults. For each experiment
 it holds the top-level keys and the sections that experiment reads, and for
-each key its default; a default of None (JSON null) marks an optional key.
-`resolve` accepts only the keys of its experiment's entry, so a key that
-would be ignored is an error, not a silent no-op; it rejects a null except
-where the default is null, fills in the defaults, and builds only the
-sections the experiment reads.
+each key its default; a default of None (JSON null) marks an optional key,
+whose type `NULL_DEFAULT_TYPES` names. `resolve` is the one place that reads
+and checks a config value. It accepts only the keys of its experiment's
+entry, so a key that would be ignored is an error, not a silent no-op, and
+rejects a null except where the default is null. It types every value by
+its default's type, scales units, fills in the defaults and runs every
+range, cross-key and cap check, so a run that starts has a valid config.
 
 Precedence, highest first: command-line flags, then the LIOUVLAB_OUTPUT_DIR
 environment variable, then the config file, then the schema's defaults. All
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
+from .analysis import MIN_FIT_SAMPLES
 from .errors import ConfigError, LiouvlabError
 from .model import DriveParams, ParameterSchedule, QuantumSystem, Rates, make_system
 
@@ -37,8 +42,8 @@ SCHEMA: dict[str, dict] = {
     "spectrum": {
         **_TOP_LEVEL,
         "system": {"dim": 2, "gamma_e": 4.4, "gamma_phi": 0.1, "gamma_f": 0.0,
-                   "gamma_f_extra": 0.0, "f_decay_to": "e"},
-        "scan": {"J_values": None, "J_start": 0.0, "J_stop": 2.0, "J_step": 0.005, "Delta": 0.0},
+                   "gamma_f_extra": 0.0, "Delta": 0.0, "f_decay_to": "e"},
+        "scan": {"J_values": None, "J_start": 0.0, "J_stop": 2.0, "J_step": 0.005},
     },
     "ep-map": {
         **_TOP_LEVEL,
@@ -88,22 +93,31 @@ SCHEMA: dict[str, dict] = {
         "ensemble": {**_ENSEMBLE, "t_final": None},
     },
 }
+# the type of each key whose default is null; every other key takes its default's type
+NULL_DEFAULT_TYPES = {"experiment": str, "scan.J_values": list, "ensemble.t_final": float}
 NULLABLE_SECTION = ("trajectories", "schedule")  # the one section that may be null
+FIXED_DIM = {"ep-map": 2, "fig1": 2, "fig2": 2, "fig4": 3, "sweeps": 2}  # the others take 2 or 3
 
 MAX_ENSEMBLE_N = 100_000  # far above any shipped run (the largest, the benchmark's, is 4,000)
+MAX_GRID_POINTS = 10_000  # far above any shipped grid (spectrum's 401 J points, ep-map's 61^2)
+MAX_TIME_STEPS = 1_000_000  # far above any shipped run (fig2's ensemble: 4,000 steps)
 
 # keys holding angular quantities (rad/us), scaled by 2 pi under units="mhz"
 ANGULAR_KEYS = {
     "system": {"J", "Delta"},
     "schedule": {"J_max", "Delta_max"},
-    "scan": {"J_values", "J_start", "J_stop", "J_step", "Delta", "J_range",
-             "Delta_range", "Delta_max_values"},
+    "scan": {"J_values", "J_start", "J_stop", "J_step", "J_range", "Delta_range",
+             "Delta_max_values"},
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved run configuration; a section the experiment does not read is None."""
+    """Fully resolved run configuration; a section the experiment does not read is None.
+
+    J_grid is the J scan of spectrum, fig1 and fig4: scan.J_values, or the
+    grid J_start, J_start + J_step, ... up to J_stop.
+    """
 
     experiment: str
     system: QuantumSystem
@@ -118,6 +132,7 @@ class ExperimentConfig:
     ensemble_store_every: Optional[int] = None
     t_final: Optional[float] = None
     scan: Optional[dict] = None
+    J_grid: Optional[np.ndarray] = None
 
 
 def load_config_file(path) -> dict:
@@ -167,170 +182,252 @@ def validate_keys(user: dict, experiment: str) -> None:
         raise ConfigError(f"{', '.join(nulls)} may not be null: only a key whose default is null may be")
 
 
-def _scale_angular(section: str, key: str, value, factor: float):
-    if isinstance(value, list):
-        return [_scale_angular(section, key, v, factor) for v in value]
-    return number(section, key, value) * factor
+def _typed(name: str, kind: type, value, scale: float = 1.0):
+    """The value of key `name` as `kind`, the type of its default; a number times `scale`.
+
+    A str stays a str and an int an int; a float becomes a finite float,
+    and a list a non-empty list of finite floats.
+    """
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
+    if kind is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+        return [_typed(name, float, v, scale) for v in value]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if kind is int:
+        return value
+    try:
+        scaled = float(value) * scale
+    except OverflowError:  # an int that no float can hold
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return scaled
 
 
-def apply_units(raw: dict, units: str) -> dict:
-    """Scale angular inputs into rad/us when they were given in MHz."""
-    if units == "rad":
-        return raw
-    if units != "mhz":
+def _typed_user(user: dict, experiment: str) -> dict:
+    """The user's values, typed by SCHEMA[experiment] and with angular values in rad/us."""
+    def typed(name, default, value, scale=1.0):
+        # validate_keys took a null only where the default is null
+        kind = NULL_DEFAULT_TYPES.get(name, type(default))
+        return None if value is None else _typed(name, kind, value, scale)
+
+    schema = SCHEMA[experiment]
+    units = typed("units", schema["units"], user.get("units", schema["units"]))
+    if units not in ("rad", "mhz"):
         raise ConfigError(f"units must be 'rad' or 'mhz', got {units!r}")
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in raw.items()}
-    for section, keys in ANGULAR_KEYS.items():
-        body = out.get(section)
-        if not isinstance(body, dict):
-            continue
-        for key in keys & set(body):
-            body[key] = _scale_angular(section, key, body[key], 2.0 * math.pi)
+    scale = 2.0 * math.pi if units == "mhz" else 1.0
+    out = {}
+    for name, value in user.items():
+        default = schema[name]
+        if isinstance(default, dict) and value is not None:
+            angular = ANGULAR_KEYS.get(name, set())
+            out[name] = {key: typed(f"{name}.{key}", default[key], v,
+                                    scale if key in angular else 1.0) for key, v in value.items()}
+        else:
+            out[name] = typed(name, default, value)
     return out
 
 
-def number(section: str, key: str, value) -> float:
-    """The config value as a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int that no float can hold
-        finite = False
-    if not finite:
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
-    return float(value)
+def _read_only_under_null(user: dict, values: dict, keys: tuple, beside: str) -> None:
+    """Drop `keys`, the (section, key) pairs the run reads only under a null it was not given.
 
-
-def numbers(section: str, key: str, value) -> list[float]:
-    """The config value as a non-empty list of finite floats."""
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{section}.{key} must be a non-empty list of numbers, got {value!r}")
-    return [number(section, key, v) for v in value]
-
-
-def integer(section: str, key: str, value) -> int:
-    """The config value as an int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _count(section: str, key: str, value, low: int) -> int:
-    """The config value as an int >= low."""
-    value = integer(section, key, value)
-    if value < low:
-        raise ConfigError(f"{section}.{key} must be >= {low}, got {value}")
-    return value
-
-
-def _positive(section: str, key: str, value) -> float:
-    value = number(section, key, value)
-    if value <= 0:
-        raise ConfigError(f"{section}.{key} must be positive, got {value}")
-    return value
-
-
-def _system(body: dict) -> QuantumSystem:
-    """The system of a system section; a key the section lacks keeps the model's default."""
-    def given(*keys):
-        return {key: number("system", key, body[key]) for key in keys if key in body}
-
-    target = {"f_decay_to": body["f_decay_to"]} if "f_decay_to" in body else {}
-    try:
-        return make_system(
-            DriveParams(**given("J", "Delta")),
-            Rates(**given("gamma_e", "gamma_phi", "gamma_f", "gamma_f_extra")),
-            dim=integer("system", "dim", body["dim"]),
-            **target,
-        )
-    except LiouvlabError as exc:
-        raise ConfigError(f"invalid system section: {exc}") from exc
-
-
-def _schedule(body: dict) -> ParameterSchedule:
-    try:
-        return ParameterSchedule(**{
-            key: number("schedule", key, value) if key in ("T", "J_max", "Delta_max") else value
-            for key, value in body.items()})
-    except LiouvlabError as exc:
-        raise ConfigError(f"invalid schedule section: {exc}") from exc
-
-
-def _scheduled_or_constant(user: dict, values: dict) -> None:
-    """Trajectories follow a schedule for schedule.T, or a constant drive for ensemble.t_final.
-
-    A drive or duration given beside a schedule is an error; so is a
-    constant run with no duration. Beside a schedule, system.J,
-    system.Delta and ensemble.t_final are dropped from `values`, since the
-    run does not read them.
+    A key of them that the user gave anyway is an error; the dropped keys
+    stay out of the manifest's echo of the keys the run read.
     """
-    system, ensemble = values["system"], values["ensemble"]
-    if values["schedule"] is None:
-        if ensemble["t_final"] is None:
-            raise ConfigError("constant-parameter trajectories (schedule=null) need ensemble.t_final")
-        return
-    given = [f"system.{key}" for key in ("J", "Delta") if key in user.get("system", {})]
-    given += ["ensemble.t_final"] if ensemble["t_final"] is not None else []
+    given = [f"{section}.{key}" for section, key in keys
+             if user.get(section, {}).get(key) is not None]
     if given:
-        raise ConfigError(f"{', '.join(given)} given beside a schedule: these are read only "
-                          "under schedule=null, and a scheduled run follows its loop for schedule.T")
-    del system["J"], system["Delta"], ensemble["t_final"]
+        raise ConfigError(f"{', '.join(given)} given beside {beside}")
+    for section, key in keys:
+        del values[section][key]
+
+
+def _built(section: str, build, body: dict):
+    try:
+        return build(**body)
+    except LiouvlabError as exc:
+        raise ConfigError(f"invalid {section} section: {exc}") from exc
+
+
+def _system(dim, f_decay_to="e", J=0.0, Delta=0.0, **rates) -> QuantumSystem:
+    return make_system(DriveParams(J, Delta), Rates(**rates), dim=dim, f_decay_to=f_decay_to)
+
+
+def _j_grid(scan: dict) -> np.ndarray:
+    """scan.J_values, or the grid J_start, J_start + J_step, ... up to J_stop; all >= 0."""
+    if scan["J_values"] is not None:
+        grid = np.asarray(scan["J_values"])
+    else:
+        start, stop, step = scan["J_start"], scan["J_stop"], scan["J_step"]
+        if step <= 0.0 or stop < start:
+            raise ConfigError("scan needs J_values or J_start <= J_stop with J_step > 0")
+        # the grid's length is the ceiling of this; check it before allocating
+        if not (stop - start) / step + 0.5 <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"scan J_start/J_stop/J_step give more than {MAX_GRID_POINTS} points")
+        grid = np.arange(start, stop + 0.5 * step, step)
+    if len(grid) > MAX_GRID_POINTS:
+        raise ConfigError(f"scan.J_values has more than {MAX_GRID_POINTS} points")
+    if len(grid) == 0:
+        raise ConfigError("empty J grid")
+    if np.any(grid < 0.0):
+        raise ConfigError(f"scan J values must be >= 0, got {grid.min()}")
+    return grid
+
+
+def _check_fit_scan(scan: dict, n_J: int) -> None:
+    """The sample counts and times of fig1 and fig4.
+
+    Each J stack is integrated in one call that stores every J point's state
+    at every sample, so J points times the larger of heatmap_samples and
+    n_samples is capped at MAX_TIME_STEPS. An n_samples below
+    MIN_FIT_SAMPLES, the fewest a fit takes, is an error, not a run in
+    which every fit fails.
+    """
+    t_max, samples = scan["heatmap_t_max"], scan["heatmap_samples"]
+    window, n_samples = scan["window"], scan["n_samples"]
+    if t_max <= 0.0 or window <= 0.0:
+        raise ConfigError(
+            f"scan.heatmap_t_max and scan.window must be > 0, got {t_max} and {window}")
+    if not (1 <= samples <= MAX_TIME_STEPS and 1 <= n_samples <= MAX_TIME_STEPS):
+        raise ConfigError(
+            f"scan.heatmap_samples and scan.n_samples must be between 1 and {MAX_TIME_STEPS}, "
+            f"got {samples} and {n_samples}")
+    if n_samples < MIN_FIT_SAMPLES:
+        raise ConfigError(f"scan.n_samples must be at least {MIN_FIT_SAMPLES}, "
+                          f"the fewest samples a fit takes, got {n_samples}")
+    if n_J * max(samples, n_samples) > MAX_TIME_STEPS:
+        raise ConfigError(
+            f"{n_J} J points x {max(samples, n_samples)} samples (scan.heatmap_samples="
+            f"{samples}, scan.n_samples={n_samples}) give more than {MAX_TIME_STEPS} stored states")
+
+
+def _check_ep_map(scan: dict) -> None:
+    """Two increasing (or equal) ranges, J >= 0, and at most MAX_GRID_POINTS grid points.
+
+    A range with equal endpoints contributes one row or column.
+    """
+    n_points = 1
+    for key in ("J_range", "Delta_range"):
+        if len(scan[key]) != 2:
+            raise ConfigError(f"scan.{key} must be two numbers, got {scan[key]!r}")
+        lo, hi = scan[key]
+        if hi < lo:
+            raise ConfigError(f"scan.{key} must be increasing or equal, got {scan[key]!r}")
+        n_points *= scan["resolution"] if hi > lo else 1
+    if scan["J_range"][0] < 0.0:
+        raise ConfigError(f"scan.J_range must be >= 0, got {scan['J_range']!r}")
+    if scan["resolution"] < 1:
+        raise ConfigError(f"scan.resolution must be an integer >= 1, got {scan['resolution']!r}")
+    if n_points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"scan.resolution={scan['resolution']} gives more than {MAX_GRID_POINTS} grid points")
+
+
+def _check_steps(values: dict) -> None:
+    """Ensemble sizes and seeds, positive steps, and at most MAX_TIME_STEPS steps per run.
+
+    A run lasts schedule.T, or ensemble.t_final without a schedule; in
+    sweeps, the longest of schedule.T and scan.T_values.
+    """
+    ensemble = values.get("ensemble", {})
+    if ensemble and not 1 <= ensemble["n"] <= MAX_ENSEMBLE_N:
+        # run_ensemble builds one random stream per trajectory before it steps
+        raise ConfigError(f"ensemble.n must be between 1 and {MAX_ENSEMBLE_N}, got {ensemble['n']}")
+    if ensemble and ensemble["master_seed"] < 0:
+        raise ConfigError(f"ensemble.master_seed must be >= 0, got {ensemble['master_seed']}")
+    T_values = values.get("scan", {}).get("T_values", [])
+    if min(T_values, default=1.0) <= 0.0:
+        raise ConfigError(f"scan.T_values must be > 0, got {min(T_values)}")
+    if values.get("schedule") is not None:
+        total = max([values["schedule"]["T"], *T_values])
+    else:
+        total = ensemble.get("t_final")
+        if total is not None and total <= 0.0:
+            raise ConfigError(f"ensemble.t_final must be positive, got {total}")
+    for section in ("integrator", "ensemble"):
+        if section not in values:
+            continue
+        dt, store_every = values[section]["dt"], values[section]["store_every"]
+        if dt <= 0.0:
+            raise ConfigError(f"{section}.dt must be positive, got {dt}")
+        if store_every < 1:
+            raise ConfigError(f"{section}.store_every must be >= 1, got {store_every}")
+        if not total / dt <= MAX_TIME_STEPS:
+            raise ConfigError(f"{section}.dt={dt!r} over a duration of {total!r} gives "
+                              f"more than {MAX_TIME_STEPS} steps")
 
 
 def resolve(user: dict, experiment: str) -> ExperimentConfig:
-    """The typed configuration of `experiment` from the user's config.
+    """The typed and checked configuration of `experiment` from the user's config.
 
     `user` is the config file with the overrides merged in, in its own
     units. Its keys are checked against SCHEMA[experiment] before any value
-    is read; then its angular values are scaled to rad/us and the schema's
-    defaults filled in, and only the sections the experiment reads are
-    built.
+    is read; then each value is typed by its default and its angular values
+    scaled to rad/us, the schema's defaults are filled in, only the sections
+    the experiment reads are built, and every range, cross-key and cap
+    check runs.
     """
     named = user.get("experiment")
     if named is not None and named != experiment:
         raise ConfigError(
             f"config file is for experiment {named!r}, but {experiment!r} was requested")
     validate_keys(user, experiment)
-    schema = SCHEMA[experiment]
-    values = deep_merge(copy.deepcopy(schema),
-                        apply_units(user, user.get("units", schema["units"])))
-    if not isinstance(values["output_dir"], str):
-        raise ConfigError(f"output_dir must be a string, got {values['output_dir']!r}")
-    if experiment == "trajectories":
-        _scheduled_or_constant(user, values)
+    values = deep_merge(copy.deepcopy(SCHEMA[experiment]), _typed_user(user, experiment))
+    scan = values.get("scan", {})
+    # trajectories follow a schedule for schedule.T, or a constant drive for ensemble.t_final
+    if experiment == "trajectories" and values["schedule"] is not None:
+        _read_only_under_null(
+            user, values, (("system", "J"), ("system", "Delta"), ("ensemble", "t_final")),
+            "a schedule: these are read only under schedule=null, and a scheduled run "
+            "follows its loop for schedule.T")
+    elif experiment == "trajectories" and values["ensemble"]["t_final"] is None:
+        raise ConfigError("constant-parameter trajectories (schedule=null) need ensemble.t_final")
+    if scan.get("J_values") is not None:
+        _read_only_under_null(
+            user, values, (("scan", "J_start"), ("scan", "J_stop"), ("scan", "J_step")),
+            "scan.J_values: these are read only under scan.J_values=null")
 
     cfg = ExperimentConfig(
         experiment=experiment,
-        system=_system(values["system"]),
+        system=_built("system", _system, values["system"]),
         output_dir=Path(values["output_dir"]),
         # each key the run reads, in rad/us
         echo=_echo_dict({k: v for k, v in values.items() if k not in ("experiment", "units")}),
         scan=values.get("scan"),
     )
+    if FIXED_DIM.get(experiment, cfg.system.dim) != cfg.system.dim:
+        raise ConfigError(f"{experiment} needs system.dim={FIXED_DIM[experiment]}, "
+                          f"got {cfg.system.dim}")
     if values.get("schedule") is not None:
-        cfg.schedule = _schedule(values["schedule"])
+        cfg.schedule = _built("schedule", ParameterSchedule, values["schedule"])
     if "integrator" in values:
-        body = values["integrator"]
-        cfg.integrator_dt = _positive("integrator", "dt", body["dt"])
-        cfg.integrator_store_every = _count("integrator", "store_every", body["store_every"], 1)
+        cfg.integrator_dt = values["integrator"]["dt"]
+        cfg.integrator_store_every = values["integrator"]["store_every"]
     if "ensemble" in values:
         body = values["ensemble"]
-        cfg.ensemble_n = _count("ensemble", "n", body["n"], 1)
-        if cfg.ensemble_n > MAX_ENSEMBLE_N:
-            # run_ensemble builds one random stream per trajectory before it steps
-            raise ConfigError(f"ensemble.n must be <= {MAX_ENSEMBLE_N}, got {cfg.ensemble_n}")
-        cfg.master_seed = _count("ensemble", "master_seed", body["master_seed"], 0)
-        cfg.ensemble_dt = _positive("ensemble", "dt", body["dt"])
-        cfg.ensemble_store_every = _count("ensemble", "store_every", body["store_every"], 1)
-        if body.get("t_final") is not None:
-            cfg.t_final = _positive("ensemble", "t_final", body["t_final"])
+        cfg.ensemble_n, cfg.master_seed = body["n"], body["master_seed"]
+        cfg.ensemble_dt, cfg.ensemble_store_every = body["dt"], body["store_every"]
+        cfg.t_final = body.get("t_final")
+    _check_steps(values)
+    if "J_values" in scan:
+        cfg.J_grid = _j_grid(scan)
+    if "window" in scan:
+        _check_fit_scan(scan, len(cfg.J_grid))
+    if "resolution" in scan:
+        _check_ep_map(scan)
     return cfg
 
 
 def _echo_dict(raw: dict) -> dict:
-    """JSON-safe copy of the resolved config for the run manifest."""
-    return json.loads(json.dumps(raw, default=str))
+    """A deep copy of the typed config for the run manifest."""
+    return json.loads(json.dumps(raw))
 
 
 def parse_set_override(spec: str) -> tuple[list[str], object]:

@@ -7,7 +7,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouvlab import analysis, cli, config
+from liouvlab import analysis, config
 from liouvlab.dynamics import STEP_BLOCK, integrate_constant, scheduled_step_count
 from liouvlab.errors import (
     DegenerateInput,
@@ -214,7 +214,7 @@ def default_scans():
     scans = {}
     for experiment in ("fig1", "fig4"):
         cfg = config.resolve({}, experiment)
-        J_grid, _, window, n_samples = cli._transition_scan(cfg.scan)
+        J_grid, window, n_samples = cfg.J_grid, cfg.scan["window"], cfg.scan["n_samples"]
         seen = []
         fit = analysis.fit_damped_sine
         with pytest.MonkeyPatch.context() as mp:
@@ -271,7 +271,7 @@ def scipy_oracle(t, y):
 def test_each_fit_makes_one_least_squares_call_as_good_as_the_best_of_both_poles(
         default_series, monkeypatch):
     cfg = config.resolve({}, "fig1")
-    below = cli._transition_scan(cfg.scan)[0] < analysis.ep_coupling(cfg.system.rates, 2)
+    below = cfg.J_grid < analysis.ep_coupling(cfg.system.rates, 2)
     assert np.count_nonzero(below) == 9
     solve = analysis.least_squares
     calls = []

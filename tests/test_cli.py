@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liouvlab
@@ -20,6 +21,10 @@ def run(*argv):
 
 ROOT = Path(__file__).resolve().parents[1]
 BIG = "1" + "0" * 400  # a JSON integer that no float can hold
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("the run started")
 
 
 # --- happy path -----------------------------------------------------------------
@@ -167,9 +172,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# every (section, key) some experiment reads, and each experiment paired with those it does not
+# every (section, key) some experiment reads, and scan.Delta, which spectrum read before it
+# took system.Delta; each experiment paired with those it does not read
 SCHEMA_KEYS = sorted({(section, key) for schema in config.SCHEMA.values()
-                       for section, keys in schema.items() if isinstance(keys, dict) for key in keys})
+                       for section, keys in schema.items() if isinstance(keys, dict) for key in keys}
+                     | {("scan", "Delta")})
 UNREAD_KEYS = [pytest.param(experiment, f"{section}.{key}", id=f"{experiment}-{section}.{key}")
                for experiment, schema in config.SCHEMA.items() for section, key in SCHEMA_KEYS
                if key not in schema.get(section, {})]
@@ -186,7 +193,7 @@ def test_each_experiment_rejects_each_key_it_does_not_read(experiment, dotted, t
     # a null took the resolver's fallback of 0, not the experiment's default of 4.4
     ("steady-state", ["system.gamma_e=null"], "system.gamma_e may not be null"),
     # each of these ran and wrote the same bytes as the run without the extra keys
-    ("spectrum", ["system.Delta=3", "system.J=1"], "spectrum does not read system.Delta, system.J"),
+    ("spectrum", ["scan.Delta=3", "system.J=1"], "spectrum does not read scan.Delta, system.J"),
     ("fig1", ["scan.Delta=3", "system.J=5", "ensemble.n=3"],
      "fig1 does not read scan.Delta, system.J, ensemble.n"),
     ("ep-map", ["system.J=0.5", "system.Delta=2", "scan.Delta=1"],
@@ -196,6 +203,9 @@ def test_each_experiment_rejects_each_key_it_does_not_read(experiment, dotted, t
     ("trajectories", ["system.J=3"], "system.J given beside a schedule"),
     ("trajectories", ["system.Delta=1", "ensemble.t_final=1"],
      "system.Delta, ensemble.t_final given beside a schedule"),
+    # this ran on J_values, and wrote the same bytes as the run without J_start and J_step
+    ("fig1", ["scan.J_values=[0.5,1.0]", "scan.heatmap_samples=11", "scan.J_start=5",
+              "scan.J_step=0.3"], "scan.J_start, scan.J_step given beside scan.J_values"),
 ])
 def test_a_key_the_run_would_ignore_and_a_null_are_config_errors(
         experiment, overrides, named, tmp_path, capsys):
@@ -203,6 +213,31 @@ def test_a_key_the_run_would_ignore_and_a_null_are_config_errors(
     assert run(experiment, "--output-dir", str(tmp_path), *sets) == 2
     assert named in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# every key each experiment reads in a section
+READ_KEYS = [pytest.param(experiment, f"{section}.{key}", id=f"{experiment}-{section}.{key}")
+             for experiment, schema in config.SCHEMA.items()
+             for section, keys in schema.items() if isinstance(keys, dict) for key in keys]
+
+
+@pytest.mark.parametrize("experiment, dotted", READ_KEYS)
+def test_a_value_of_the_wrong_type_exits_2_before_the_run(experiment, dotted, tmp_path, capsys,
+                                                           monkeypatch):
+    # true is none of a string, an integer, a number and a list
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, no_run)
+    assert run(experiment, "--output-dir", str(tmp_path), "--set", f"{dotted}=true") == 2
+    assert f"config error: {dotted} must be " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_echo_of_a_j_values_run_lists_no_other_grid_key(tmp_path, capsys):
+    # J_start, J_stop and J_step are read only under scan.J_values=null
+    assert run("fig1", "--output-dir", str(tmp_path), "--set", "scan.J_values=[0.5,1.0]",
+               "--set", "scan.heatmap_samples=11") == 0
+    capsys.readouterr()
+    echo = json.loads((tmp_path / "fig1_manifest.json").read_text())["config"]["scan"]
+    assert [key for key in echo if key.startswith("J_")] == ["J_values"]
 
 
 @pytest.mark.parametrize("value", ["5", "null", "[1]"])
@@ -277,7 +312,7 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     ("ep-map", "scan.Delta_range=[-1, 0, 1]"),
     ("ep-map", "scan.J_range=[1.1, 0.05]"),
     ("ep-map", "scan.Delta_range=[1.1, -1.1]"),
-    ("spectrum", "scan.Delta=null"),
+    ("spectrum", "system.Delta=null"),
     ("spectrum", "scan.J_step=null"),
     ("fig1", "scan.J_start=null"),
     ("fig1", "scan.window=abc"),
@@ -328,9 +363,9 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     pytest.param("fig1", ("scan.heatmap_samples=1000000", "scan.J_step=0.25"),
                  id="fig1-heatmap-table-above-the-cap"),
     pytest.param("fig1", ("scan.J_values=[0.5,1.0,1.5]", "scan.heatmap_samples=1",
-                          f"scan.n_samples={cli.MAX_TIME_STEPS // 2}"),
+                          f"scan.n_samples={config.MAX_TIME_STEPS // 2}"),
                  id="fig1-fit-states-above-the-cap"),
-    pytest.param("spectrum", "scan.J_values=" + json.dumps([0.0] * (cli.MAX_GRID_POINTS + 1)),
+    pytest.param("spectrum", "scan.J_values=" + json.dumps([0.0] * (config.MAX_GRID_POINTS + 1)),
                  id="spectrum-J_values-above-the-cap"),
     pytest.param("steady-state", f"system.J={BIG}", id="steady-state-system.J-beyond-float"),
     pytest.param("sweeps", f"scan.T_values=[{BIG}]", id="sweeps-T_values-beyond-float"),
@@ -338,11 +373,8 @@ def test_f_level_rate_on_a_qubit_exits_2(tmp_path, capsys):
     pytest.param("fig1", f"scan.window={BIG}", id="fig1-window-beyond-float"),
 ])
 def test_malformed_config_value_exits_2(experiment, override, tmp_path, capsys, monkeypatch):
-    # a run that gets past its config checks fails here, before it allocates
-    def no_run(*args, **kwargs):
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(cli, "integrate_constant", no_run)
+    # every config check runs before the experiment is entered
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, no_run)
     overrides = [override] if isinstance(override, str) else override
     sets = [arg for value in overrides for arg in ("--set", value)]
     code = run(experiment, "--output-dir", str(tmp_path), *sets)
@@ -380,36 +412,46 @@ def test_spectrum_marks_the_ep_on_a_descending_grid(tmp_path, capsys):
     assert marks["uneven_down"] == ["0", "1", "0"]
 
 
+def transition_scan(scan):
+    """(J grid, heatmap samples, fit samples) of fig1 with this scan section."""
+    cfg = config.resolve({"scan": scan}, "fig1")
+    return cfg.J_grid, cfg.scan["heatmap_samples"], cfg.scan["n_samples"]
+
+
 def test_j_grid_rejects_a_grid_above_the_cap():
-    cap = cli.MAX_GRID_POINTS
-    assert len(cli._j_grid({"J_start": 0.0, "J_stop": cap - 1.0, "J_step": 1.0})) == cap
-    assert len(cli._j_grid({"J_values": [0.0] * cap})) == cap
+    cap = config.MAX_GRID_POINTS
+
+    def grid(scan):
+        return config.resolve({"scan": scan}, "spectrum").J_grid
+
+    assert len(grid({"J_start": 0.0, "J_stop": cap - 1.0, "J_step": 1.0})) == cap
+    assert len(grid({"J_values": [0.0] * cap})) == cap
     with pytest.raises(ConfigError, match=f"more than {cap} points"):
-        cli._j_grid({"J_start": 0.0, "J_stop": float(cap), "J_step": 1.0})
+        grid({"J_start": 0.0, "J_stop": float(cap), "J_step": 1.0})
 
 
 def test_transition_scan_caps_the_heatmap_table():
     # each J stack stores one state per J point and sample: the heatmap's and the fit's
-    cap = cli.MAX_TIME_STEPS
+    cap = config.MAX_TIME_STEPS
     scan = {"J_values": [0.5, 1.0], "heatmap_t_max": 1.0, "window": 1.0,
             "heatmap_samples": cap // 2, "n_samples": 10}
-    J, t_heatmap, _window, _n_samples = cli._transition_scan(scan)
-    assert len(J) * len(t_heatmap) == cap
+    J, heatmap_samples, _n_samples = transition_scan(scan)
+    assert len(J) * heatmap_samples == cap
     with pytest.raises(ConfigError, match=f"more than {cap} stored states"):
-        cli._transition_scan({**scan, "heatmap_samples": cap // 2 + 1})
+        transition_scan({**scan, "heatmap_samples": cap // 2 + 1})
     fit = {**scan, "heatmap_samples": 10, "n_samples": cap // 2}
-    J, _t_heatmap, _window, n_samples = cli._transition_scan(fit)
+    J, _heatmap_samples, n_samples = transition_scan(fit)
     assert len(J) * n_samples == cap
     with pytest.raises(ConfigError, match=f"more than {cap} stored states"):
-        cli._transition_scan({**fit, "n_samples": cap // 2 + 1})
+        transition_scan({**fit, "n_samples": cap // 2 + 1})
 
 
 def test_transition_scan_takes_no_fewer_fit_samples_than_a_fit_needs():
     scan = {"J_values": [0.5, 1.0], "heatmap_t_max": 1.0, "window": 1.0,
             "heatmap_samples": 10, "n_samples": analysis.MIN_FIT_SAMPLES}
-    assert cli._transition_scan(scan)[3] == analysis.MIN_FIT_SAMPLES
+    assert transition_scan(scan)[2] == analysis.MIN_FIT_SAMPLES
     with pytest.raises(ConfigError, match="scan.n_samples must be at least 8"):
-        cli._transition_scan({**scan, "n_samples": analysis.MIN_FIT_SAMPLES - 1})
+        transition_scan({**scan, "n_samples": analysis.MIN_FIT_SAMPLES - 1})
 
 
 @pytest.mark.parametrize("experiment", ["fig1", "fig4"])
@@ -452,34 +494,44 @@ def test_sweeps_makes_one_sweep_per_loop_list_and_each_run_stores_two_states(tmp
 
 
 def test_transition_scan_rejects_sample_counts_above_the_cap():
-    cap = cli.MAX_TIME_STEPS
+    cap = config.MAX_TIME_STEPS
     scan = {"J_values": [0.5], "heatmap_t_max": 1.0, "window": 1.0,
             "heatmap_samples": cap, "n_samples": cap}
-    _J, t_heatmap, _window, n_samples = cli._transition_scan(scan)
-    assert len(t_heatmap) == n_samples == cap
+    _J, heatmap_samples, n_samples = transition_scan(scan)
+    assert heatmap_samples == n_samples == cap
     for key in ("heatmap_samples", "n_samples"):
         with pytest.raises(ConfigError, match=f"between 1 and {cap}"):
-            cli._transition_scan({**scan, key: cap + 1})
+            transition_scan({**scan, key: cap + 1})
 
 
 def test_ep_map_resolution_rejects_a_grid_above_the_cap():
-    cap = cli.MAX_GRID_POINTS
+    cap = config.MAX_GRID_POINTS
     side = math.isqrt(cap)  # 100
-    plane = {"J_range": (0.0, 1.0), "Delta_range": (-1.0, 1.0)}
-    assert cli._resolution({"resolution": side}, *plane.values()) == side
+
+    def checked(J_range, Delta_range, resolution):
+        scan = {"J_range": J_range, "Delta_range": Delta_range, "resolution": resolution}
+        return config.resolve({"scan": scan}, "ep-map").scan["resolution"]
+
+    plane = {"J_range": [0.0, 1.0], "Delta_range": [-1.0, 1.0]}
+    assert checked(*plane.values(), side) == side
     with pytest.raises(ConfigError, match=f"more than {cap} grid points"):
-        cli._resolution({"resolution": side + 1}, *plane.values())
+        checked(*plane.values(), side + 1)
     # a range with equal endpoints scans one row: the grid has `resolution` points
-    assert cli._resolution({"resolution": cap}, (0.0, 1.0), (0.0, 0.0)) == cap
+    assert checked([0.0, 1.0], [0.0, 0.0], cap) == cap
     with pytest.raises(ConfigError, match=f"more than {cap} grid points"):
-        cli._resolution({"resolution": cap + 1}, (0.0, 1.0), (0.0, 0.0))
+        checked([0.0, 1.0], [0.0, 0.0], cap + 1)
 
 
 def test_check_steps_rejects_a_run_above_the_cap():
-    cap = cli.MAX_TIME_STEPS
-    cli._check_steps(float(cap), 1.0, "integrator.dt")
+    # sweeps runs about T/integrator.dt steps per loop
+    cap = config.MAX_TIME_STEPS
+
+    def sweeps(T):
+        return {"schedule": {"T": T}, "integrator": {"dt": 1.0}, "scan": {"T_values": [1.0]}}
+
+    config.resolve(sweeps(float(cap)), "sweeps")
     with pytest.raises(ConfigError, match=f"more than {cap} steps"):
-        cli._check_steps(cap + 1.0, 1.0, "integrator.dt")
+        config.resolve(sweeps(cap + 1.0), "sweeps")
 
 
 @pytest.mark.parametrize("overrides, ep3", [
@@ -536,6 +588,22 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
 
     # the target directory is the one input that legitimately differs
     assert without_output_dir(m1["config"]) == without_output_dir(m2["config"])
+
+
+def test_spectrum_reads_its_detuning_from_system_delta(tmp_path, capsys):
+    assert run(*spectrum_args(tmp_path / "d3", "--set", "system.Delta=3")) == 0
+    assert run(*spectrum_args(tmp_path / "d0")) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "d3" / "spectrum_summary.json").read_text())["Delta"] == 3.0
+    csv = (tmp_path / "d3" / "spectrum.csv").read_bytes()
+    assert csv != (tmp_path / "d0" / "spectrum.csv").read_bytes()
+    rates = liouvlab.Rates(gamma_e=4.4, gamma_phi=0.1)  # spectrum's defaults
+    for J, *cells in np.loadtxt(csv.decode().splitlines()[1:], delimiter=","):
+        system = liouvlab.make_system(liouvlab.DriveParams(J=J, Delta=3.0), rates)
+        expected = np.linalg.eigvals(liouvlab.build_superoperator(system))
+        written = np.array(cells[:4]) + 1j * np.array(cells[4:8])
+        gaps = np.abs(written[:, None] - expected[None, :])
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-9
 
 
 def test_mhz_units_scale_into_the_rad_pipeline(tmp_path, capsys):
@@ -667,9 +735,9 @@ def test_no_run_loads_numpy_random(tmp_path):
 GRID_CAP_SCRIPT = """
 import sys
 
-from liouvlab import cli
+from liouvlab import cli, config
 
-cap = cli.MAX_GRID_POINTS
+cap = config.MAX_GRID_POINTS
 assert cli.main(["spectrum", "--set", "system.dim=3", "--set", "scan.J_start=0",
                  "--set", f"scan.J_stop={(cap - 1) * 2e-4}", "--set", "scan.J_step=2e-4",
                  "--output-dir", sys.argv[1]]) == 0
@@ -687,5 +755,5 @@ def test_qutrit_spectrum_at_the_grid_cap_stays_under_its_memory_bound(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "spectrum.csv") as fh:
-        assert sum(1 for _ in fh) == cli.MAX_GRID_POINTS + 1  # the header and one row per J
+        assert sum(1 for _ in fh) == config.MAX_GRID_POINTS + 1  # the header and one row per J
     assert int(proc.stdout.split()[-1]) / 1024.0 < GRID_CAP_RSS_BOUND_MB

@@ -32,7 +32,7 @@ def test_the_schema_holds_the_keys_each_experiment_reads():
                       "sweeps": 11, "steady-state": 8, "trajectories": 18}
     assert sum(counts.values()) == 95
     distinct = {(name, key) for body in sections.values() for name, keys in body.items() for key in keys}
-    assert len(distinct) == 34
+    assert len(distinct) == 33
     for schema in cfg.SCHEMA.values():
         assert {name for name, default in schema.items() if not isinstance(default, dict)} == {
             "experiment", "units", "output_dir"}
@@ -67,39 +67,42 @@ def test_validate_keys_takes_null_only_where_the_default_is_null():
 
 
 def test_apply_units_rad_is_identity():
-    raw = {"system": {"J": 1.0}}
-    assert cfg.apply_units(raw, "rad") is raw
+    out = cfg.resolve({"system": {"J": 1.0, "Delta": -0.5}}, "steady-state")
+    assert (out.system.drive.J, out.system.drive.Delta) == (1.0, -0.5)
+    assert out.echo["system"]["J"] == 1.0
 
 
 def test_apply_units_mhz_scales_angular_keys_only():
-    raw = {
-        "system": {"J": 1.0, "Delta": -0.5, "gamma_e": 4.4},
-        "schedule": {"J_max": 2.0, "Delta_max": 5.0, "T": 2.0},
-        "scan": {"J_values": [0.1, 0.2], "J_range": [0.1, 1.8], "window": 10.0},
-        "integrator": {"dt": 1e-3},
-    }
-    out = cfg.apply_units(raw, "mhz")
     two_pi = 2.0 * math.pi
-    assert out["system"]["J"] == 1.0 * two_pi
-    assert out["system"]["Delta"] == -0.5 * two_pi
-    assert out["system"]["gamma_e"] == 4.4  # rates are plain 1/us, untouched
-    assert out["schedule"]["J_max"] == 2.0 * two_pi
-    assert out["schedule"]["Delta_max"] == 5.0 * two_pi
-    assert out["schedule"]["T"] == 2.0
-    assert out["scan"]["J_values"] == [0.1 * two_pi, 0.2 * two_pi]
-    assert out["scan"]["J_range"] == [0.1 * two_pi, 1.8 * two_pi]
-    assert out["scan"]["window"] == 10.0
-    assert out["integrator"]["dt"] == 1e-3
-    assert raw["system"]["J"] == 1.0  # original untouched
+    out = cfg.resolve({"units": "mhz", "system": {"J": 1.0, "Delta": -0.5, "gamma_e": 4.4}},
+                      "steady-state")
+    assert out.system.drive.J == 1.0 * two_pi
+    assert out.system.drive.Delta == -0.5 * two_pi
+    assert out.system.rates.gamma_e == 4.4  # rates are plain 1/us, untouched
+    out = cfg.resolve({"units": "mhz", "schedule": {"J_max": 2.0, "Delta_max": 5.0, "T": 2.0},
+                       "integrator": {"dt": 1e-3}}, "fig2")
+    assert out.schedule.J_max == 2.0 * two_pi
+    assert out.schedule.Delta_max == 5.0 * two_pi
+    assert out.schedule.T == 2.0
+    assert out.integrator_dt == 1e-3
+    out = cfg.resolve({"units": "mhz", "scan": {"J_values": [0.1, 0.2], "window": 10.0}}, "fig1")
+    assert out.scan["J_values"] == [0.1 * two_pi, 0.2 * two_pi]
+    assert out.J_grid.tolist() == [0.1 * two_pi, 0.2 * two_pi]
+    assert out.scan["window"] == 10.0
+    out = cfg.resolve({"units": "mhz", "scan": {"J_range": [0.1, 1.8]}}, "ep-map")
+    assert out.scan["J_range"] == [0.1 * two_pi, 1.8 * two_pi]
 
 
 def test_apply_units_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        cfg.apply_units({}, "ghz")
-    with pytest.raises(ConfigError):
-        cfg.apply_units({"system": {"J": True}}, "mhz")
-    with pytest.raises(ConfigError):
-        cfg.apply_units({"system": {"J": "fast"}}, "mhz")
+    with pytest.raises(ConfigError, match="units must be 'rad' or 'mhz'"):
+        cfg.resolve({"units": "ghz"}, "steady-state")
+    with pytest.raises(ConfigError, match="system.J must be a number, got True"):
+        cfg.resolve({"units": "mhz", "system": {"J": True}}, "steady-state")
+    with pytest.raises(ConfigError, match="system.J must be a number, got 'fast'"):
+        cfg.resolve({"units": "mhz", "system": {"J": "fast"}}, "steady-state")
+    # a finite value that is no longer finite in rad/us
+    with pytest.raises(ConfigError, match="scan.J_values must be finite"):
+        cfg.resolve({"units": "mhz", "scan": {"J_values": [1e308]}}, "spectrum")
 
 
 # --- --set overrides -----------------------------------------------------------------
@@ -150,8 +153,8 @@ def test_resolve_defaults():
 
     out = cfg.resolve({}, "spectrum")
     assert out.system.rates == Rates(gamma_e=4.4, gamma_phi=0.1)
-    assert out.scan == {"J_values": None, "J_start": 0.0, "J_stop": 2.0, "J_step": 0.005,
-                        "Delta": 0.0}
+    assert out.scan == {"J_values": None, "J_start": 0.0, "J_stop": 2.0, "J_step": 0.005}
+    assert out.system.drive.Delta == 0.0  # spectrum's detuning, like every other experiment's
     assert out.schedule is None
     assert (out.integrator_dt, out.ensemble_n, out.ensemble_dt, out.t_final) == (None,) * 4
 
