@@ -2,8 +2,9 @@
 """Check that a change leaves every dataset byte-identical.
 
 `run` executes the eight experiments at their defaults and every
-configs/*.json of a checkout, one child process each with BLAS at one thread,
-into OUT/default-<experiment>/ and OUT/config-<stem>/. `compare` reads the
+configs/*.json of a checkout, one child process each with BLAS at
+--blas-threads threads (default 1), into OUT/default-<experiment>/ and
+OUT/config-<stem>/. `compare` reads the
 manifests of two such directories and lists every dataset whose sha256
 differs or that one side lacks; it exits 1 when there is any, or when a run
 is missing on either side. For a CSV or JSON dataset that differs it also
@@ -11,11 +12,13 @@ prints how many cells (JSON: leaf values) differ, and the largest absolute
 difference between two numbers, with its column or key.
 
 Usage:
-    python3 scripts/parity.py run OUT [--checkout ROOT]
+    python3 scripts/parity.py run OUT [--checkout ROOT] [--blas-threads N]
     python3 scripts/parity.py compare BASE OUT
 
 A typical check runs a copy of the parent commit (from `git archive`) with
---checkout pointing at it, runs this tree, and compares the two.
+--checkout pointing at it, runs this tree, and compares the two; runs at
+--blas-threads 1 and 2 check that the datasets do not depend on the BLAS
+thread count.
 """
 
 import argparse
@@ -30,8 +33,7 @@ from pathlib import Path
 
 EXPERIMENTS = ["spectrum", "ep-map", "fig1", "fig2", "fig4", "sweeps",
                "steady-state", "trajectories"]
-ONE_THREAD = {name: "1" for name in
-              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _runs(checkout: Path) -> list[tuple[str, list[str]]]:
@@ -43,10 +45,11 @@ def _runs(checkout: Path) -> list[tuple[str, list[str]]]:
     return runs
 
 
-def run(out: Path, checkout: Path) -> int:
+def run(out: Path, checkout: Path, blas_threads: int = 1) -> int:
     checkout = checkout.resolve()
     out = out.resolve()
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **ONE_THREAD)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               **{name: str(blas_threads) for name in BLAS_THREAD_VARIABLES})
     failed = []
     for name, args in _runs(checkout):
         started = time.perf_counter()
@@ -143,12 +146,16 @@ def main(argv=None) -> int:
     p_run.add_argument("out", type=Path)
     p_run.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1],
                        help="root of the liouvlab checkout to run (default: this one)")
+    p_run.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                       help="threads for BLAS in every child (default: 1)")
     p_cmp = sub.add_parser("compare", help="compare the dataset hashes of two run directories")
     p_cmp.add_argument("base", type=Path)
     p_cmp.add_argument("other", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.out, args.checkout)
+        if args.blas_threads < 1:
+            parser.error("--blas-threads must be at least 1")
+        return run(args.out, args.checkout, args.blas_threads)
     return compare(args.base, args.other)
 
 

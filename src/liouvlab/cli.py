@@ -37,6 +37,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, LiouvlabError
 from .liouvillian import (
+    GRID_BLOCK,
     build_superoperator,
     ep_scan,
     pair_branches,
@@ -96,11 +97,18 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Eigenvalue branches versus J at fixed Delta, with EP markers."""
+    """Eigenvalue branches versus J at fixed Delta, with EP markers.
+
+    The generators are built and eigensolved GRID_BLOCK J points at a time,
+    so the run's working set does not grow with the grid.
+    """
     J_grid, Delta = cfg.J_grid, cfg.system.drive.Delta
-    generators = superoperator_stack(
-        operators(cfg.system, J_grid, Delta, cfg.system.rates.gamma_e))
-    branches = pair_branches(numerics.eig_general(generators).eigenvalues)
+    eigenvalues = np.empty((len(J_grid), cfg.system.dim**2), dtype=complex)
+    for start in range(0, len(J_grid), GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        eigenvalues[block] = numerics.eig_general(superoperator_stack(operators(
+            cfg.system, J_grid[block], Delta, cfg.system.rates.gamma_e))).eigenvalues
+    branches = pair_branches(eigenvalues)
     n_modes = branches.shape[1]
 
     markers = [analysis.ep_coupling(cfg.system.rates, 2)]
@@ -119,10 +127,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
         + [f"im_{k}" for k in range(n_modes)]
         + ["near_ep"]
     )
-    rows = [
-        [J, *branches[i].real, *branches[i].imag, int(near_ep[i])]
-        for i, J in enumerate(J_grid)
-    ]
+    # the float near_ep column writes as the same digits as its integers
+    rows = np.column_stack([J_grid, branches.real, branches.imag, near_ep])
     return {"spectrum": (header, rows)}, {
         "n_branches": n_modes,
         "ep_markers": markers,

@@ -3,10 +3,10 @@
 CSV numbers are pinned to 12 significant digits ("%.12g") so outputs are
 byte-identical across reruns and platforms. Every command run emits a
 RunManifest JSON recording the resolved configuration and a content hash of
-each written file.
+each written file; the hashing loads OpenSSL (via hashlib) only then, at
+write time.
 """
 
-import hashlib
 import json
 import math
 import time
@@ -101,6 +101,14 @@ def write_json(path, obj) -> Path:
 
 
 def sha256_file(path) -> str:
+    """Hex sha256 of the file's bytes.
+
+    hashlib is imported here, not with the module: it maps OpenSSL's
+    libcrypto, which a run then loads only when its manifest is built, after
+    the experiment's arrays are freed, and not at its peak.
+    """
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -25,6 +25,7 @@ GAP_TOL_FACTOR = 1e-4  # spectrum: coalescence gap bound, relative to ||L||_F
 ANGLE_TOL = 1e-3  # spectrum: coalescence bound on the eigenvector angle
 ZERO_EIGENVALUE_TOL = 1e-9
 LINE_POINT_XTOL = 1e-15  # ep_scan: bracket width at which an EP line point's bisection stops
+GRID_BLOCK = 256  # most grid points whose generators are built and eigensolved at once
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -156,22 +157,75 @@ def pair_branches(spectra) -> np.ndarray:
     spectra is a list of eigenvalue arrays or one (n_points, n_modes) array.
 
     The first point keeps its canonical order; each subsequent point is
-    matched to the previous one by minimal total eigenvalue displacement.
+    matched to the previous one by minimal total eigenvalue displacement
+    (_min_cost_assignment, in plain Python, so no run loads SciPy).
     Returns an array of shape (n_points, n_modes).
     """
-    from scipy.optimize import linear_sum_assignment  # loaded only where branches are paired
-
     if len(spectra) == 0:
         return np.zeros((0, 0), dtype=complex)
     out = np.empty((len(spectra), len(spectra[0])), dtype=complex)
     out[0] = spectra[0]
     for k in range(1, len(spectra)):
-        prev = out[k - 1]
         cur = np.asarray(spectra[k])
-        cost = np.abs(prev[:, None] - cur[None, :])
-        _rows, cols = linear_sum_assignment(cost)
-        out[k] = cur[cols]
+        cost = np.abs(out[k - 1][:, None] - cur[None, :])
+        out[k] = cur[_min_cost_assignment(cost.tolist())]
     return out
+
+
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """The column of each row in a minimal-cost assignment of the square matrix cost.
+
+    Crouse's shortest augmenting path form of Jonker-Volgenant (Crouse, IEEE
+    TAES 52, 1679, 2016; Jonker & Volgenant, Computing 38, 325, 1987), as
+    scipy.optimize.linear_sum_assignment runs it, step for step, so ties fall
+    the same way. Rows join one at a time; from each, a Dijkstra search on
+    the reduced costs cost[i][j] - u[i] - v[j] scans the columns still
+    unreached in a fixed order (n - 1 down to 0 at the start, each reached
+    column replaced by the last one), takes the first cheapest and, on a tie,
+    the last one that no row holds yet, and stops at a free column. The
+    duals u, v are then updated and the path flipped. Meant for the few modes
+    of a Liouvillian (at most 9): O(n^3) plain Python operations.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []  # the rows and columns the search reached
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            rows.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, shortest[j]
+            if lowest == math.inf:
+                raise ValueError("cost matrix holds no finite assignment")
+            min_val, j = lowest, remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +379,12 @@ def ep_scan(
     """Survey the (J, Delta) plane, extract EP lines and triple points.
 
     The grid stage classifies the spectrum at every grid point, with one
-    spectrum call on the grid's generator stack. The lines and third-order
-    points come from the closed form above, restricted to the window; at
-    gamma_phi = gamma_e/2 there are none. Each range must be
-    increasing or have equal endpoints; equal endpoints scan a single row or
-    column, which is the usual way to locate the on-axis EP.
+    spectrum call per block of at most GRID_BLOCK points, so its working set
+    does not grow with the grid; each point gets the arithmetic it would get
+    alone. The lines and third-order points come from the closed form above,
+    restricted to the window; at gamma_phi = gamma_e/2 there are none. Each
+    range must be increasing or have equal endpoints; equal endpoints scan a
+    single row or column, which is the usual way to locate the on-axis EP.
     """
     if resolution < 1:
         raise OutOfRange(f"resolution must be >= 1, got {resolution}")
@@ -346,10 +401,16 @@ def ep_scan(
     J_values = np.linspace(J_lo, J_hi, nJ)
     Delta_values = np.linspace(D_lo, D_hi, nD)
 
-    # every grid point's Liouvillian in one stack, row by row in Delta
-    grid = spectrum(superoperator_stack(operators(
-        system_template, np.tile(J_values, nD), np.repeat(Delta_values, nJ),
-        system_template.rates.gamma_e)))
+    # the grid row by row in Delta, built and classified GRID_BLOCK points at a time
+    J_points, Delta_points = np.tile(J_values, nD), np.repeat(Delta_values, nJ)
+    gap, angle = np.empty(nD * nJ), np.empty(nD * nJ)
+    order = np.empty(nD * nJ, dtype=int)
+    for start in range(0, nD * nJ, GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        grid = spectrum(superoperator_stack(operators(
+            system_template, J_points[block], Delta_points[block], system_template.rates.gamma_e)))
+        gap[block], angle[block], order[block] = (
+            grid.min_eigenvalue_gap, grid.min_eigenvector_angle, grid.ep_order)
 
     rates = system_template.rates
     e = bloch_transverse_rate(rates) - rates.gamma_e
@@ -357,9 +418,9 @@ def ep_scan(
     return EpMap(
         J_values=J_values,
         Delta_values=Delta_values,
-        gap=grid.min_eigenvalue_gap.reshape(nD, nJ),
-        angle=grid.min_eigenvector_angle.reshape(nD, nJ),
-        ep_order=grid.ep_order.reshape(nD, nJ),
+        gap=gap.reshape(nD, nJ),
+        angle=angle.reshape(nD, nJ),
+        ep_order=order.reshape(nD, nJ),
         ep_lines=lines,
         ep3_points=ep3,
     )

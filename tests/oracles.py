@@ -8,6 +8,8 @@ None of these is used by the package itself:
   Delta = gamma_phi = 0, against spectrum() and steady_state();
 - principal_angle: the angle between two eigenvector rays, one pair at a
   time, against spectrum()'s stacked angles;
+- pair_branches_scipy: branch pairing by scipy.optimize.linear_sum_assignment,
+  against pair_branches();
 - validate_manifest: the keys and types of a run manifest.
 """
 
@@ -121,6 +123,18 @@ def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
         return 0.0
     c = abs(np.vdot(u, v)) / (nu * nv)
     return float(np.arccos(min(1.0, c)))
+
+
+def pair_branches_scipy(spectra: np.ndarray) -> np.ndarray:
+    """pair_branches with SciPy's linear_sum_assignment matching each point to the one before."""
+    from scipy.optimize import linear_sum_assignment
+
+    out = np.empty_like(spectra)
+    out[0] = spectra[0]
+    for k in range(1, len(spectra)):
+        _rows, cols = linear_sum_assignment(np.abs(out[k - 1][:, None] - spectra[k][None, :]))
+        out[k] = spectra[k][cols]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -688,39 +688,53 @@ def test_a_coarse_ensemble_dt_runs_the_scheduled_step_minimum(tmp_path, capsys):
         assert times[-1] == pytest.approx(2.0, abs=1e-12)
 
 
-# SciPy is loaded only where branch pairing runs; the damped-sine fits are numpy only.
+# One small run of each experiment, for the checks of what a run loads.
+SMALL_RUNS = [
+    ["spectrum", "--set", "scan.J_stop=0.5"],
+    ["ep-map", "--set", "scan.resolution=5"],
+    ["fig1", "--set", "scan.J_values=[0.3, 0.9]", "--set", "scan.heatmap_samples=11"],
+    ["fig2", "--set", "ensemble.n=10"],
+    ["fig4", "--set", "scan.J_values=[0.9, 1.3]", "--set", "scan.heatmap_samples=11"],
+    ["sweeps", "--set", "scan.T_values=[0.25]", "--set", "scan.Delta_max_values=[3.0]"],
+    ["steady-state"],
+    ["trajectories", "--set", "ensemble.n=10"],
+]
+
+# No run loads SciPy: branch pairing and the damped-sine fits are numpy only.
 # numpy.random is loaded by no run: the MCWF streams are liouvlab's own.
 NOT_LOADED_SCRIPT = """
+import json
 import sys
 from pathlib import Path
 
 from liouvlab import cli
 
-out, package = Path(sys.argv[1]), sys.argv[2]
+out, package, runs = Path(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
 
 def loaded():
     return sorted(name for name in sys.modules
                   if name == package or name.startswith(package + "."))
 
 assert loaded() == [], ("import", loaded())
-for args in (
-    ["sweeps", "--set", "scan.T_values=[0.25]", "--set", "scan.Delta_max_values=[3.0]"],
-    ["trajectories", "--set", "ensemble.n=10"],
-    ["fig2", "--set", "ensemble.n=10"],
-    ["ep-map", "--set", "scan.resolution=5"],
-    ["fig1", "--set", "scan.J_values=[0.3, 0.9]", "--set", "scan.heatmap_samples=11"],
-    ["fig4", "--set", "scan.J_values=[0.9, 1.3]", "--set", "scan.heatmap_samples=11"],
-):
+for args in runs:
     assert cli.main([*args, "--output-dir", str(out / args[0])]) == 0, args[0]
     assert loaded() == [], (args[0], loaded())
 """
 
 
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(liouvlab.__file__).resolve().parents[1]))
+
+
 def _run_not_loaded_script(tmp_path, package):
-    env = dict(os.environ, PYTHONPATH=str(Path(liouvlab.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", NOT_LOADED_SCRIPT, str(tmp_path), package],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(
+        [sys.executable, "-c", NOT_LOADED_SCRIPT, str(tmp_path), package, json.dumps(SMALL_RUNS)],
+        env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_small_runs_name_every_experiment_once():
+    assert sorted(args[0] for args in SMALL_RUNS) == sorted(cli.EXPERIMENTS)
 
 
 def test_runs_without_fits_load_no_scipy(tmp_path):
@@ -731,29 +745,102 @@ def test_no_run_loads_numpy_random(tmp_path):
     _run_not_loaded_script(tmp_path, "numpy.random")
 
 
-# a J scan holds its whole generator stack and eigensolve at once; the grid cap bounds them
-GRID_CAP_SCRIPT = """
+# hashlib maps OpenSSL's libcrypto (_hashlib); a run loads it only when the
+# manifest hashes the written files, after the experiment's arrays are freed
+HASHLIB_SCRIPT = """
 import sys
 
-from liouvlab import cli, config
+from liouvlab import cli, io
 
-cap = config.MAX_GRID_POINTS
-assert cli.main(["spectrum", "--set", "system.dim=3", "--set", "scan.J_start=0",
-                 "--set", f"scan.J_stop={(cap - 1) * 2e-4}", "--set", "scan.J_step=2e-4",
-                 "--output-dir", sys.argv[1]]) == 0
+build_manifest, seen = io.build_manifest, []
+
+def recording(*args, **kwargs):
+    seen.append("_hashlib" in sys.modules)
+    return build_manifest(*args, **kwargs)
+
+io.build_manifest = recording
+assert cli.main(sys.argv[2:] + ["--output-dir", sys.argv[1]]) == 0
+assert seen == [False] and "_hashlib" in sys.modules, seen
+"""
+
+
+@pytest.mark.parametrize("args", SMALL_RUNS, ids=[args[0] for args in SMALL_RUNS])
+def test_no_run_loads_openssl_before_it_hashes_its_outputs(args, tmp_path):
+    proc = subprocess.run([sys.executable, "-c", HASHLIB_SCRIPT, str(tmp_path), *args],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("args", [
+    ["ep-map", "--set", "scan.resolution=21"],  # 441 grid points
+    ["spectrum", "--set", "system.dim=3"],  # 401 J points
+], ids=["ep-map", "spectrum-qutrit"])
+def test_grid_datasets_are_byte_identical_at_one_and_two_blas_threads(args, tmp_path):
+    # both grids are longer than one GRID_BLOCK, so each run is cut into blocks
+    assert cli.GRID_BLOCK < 401
+    hashes = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(_child_env(), **{name: threads for name in BLAS_THREAD_VARIABLES})
+        proc = subprocess.run([sys.executable, "-m", "liouvlab.cli", *args, "--output-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(next(out.glob("*_manifest.json")).read_text())
+        hashes.append({entry["name"]: entry["sha256"] for entry in manifest["files"]})
+    assert hashes[0] == hashes[1]
+
+
+def test_spectrum_is_the_same_in_any_grid_block(tmp_path, monkeypatch, capsys):
+    for block in (7, 10**9):
+        monkeypatch.setattr(cli, "GRID_BLOCK", block)
+        assert run("spectrum", "--set", "system.dim=3", "--output-dir", str(tmp_path / str(block))) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "7" / "spectrum.csv").read_bytes()
+            == (tmp_path / str(10**9) / "spectrum.csv").read_bytes())
+
+
+# spectrum and ep-map build and eigensolve their grids GRID_BLOCK points at a
+# time, so their peaks do not grow with the grid. Each bound is the peak
+# measured on a Linux x86-64 box with numpy 2.4 and OpenBLAS (38.9 MB and
+# 36.5 MB) plus a margin of about 7 MB; built whole, the same grids peak at
+# 74 MB and 48 MB.
+PEAK_SCRIPT = """
+import sys
+
+from liouvlab import cli
+
+assert cli.main(sys.argv[2:] + ["--output-dir", sys.argv[1]]) == 0
 # VmHWM is this process's own peak; ru_maxrss would keep the peak of the process it was forked from
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # kB
 """
-GRID_CAP_RSS_BOUND_MB = 200.0
+GRID_CAP_RSS_BOUND_MB = 46.0
+EP_MAP_100_RSS_BOUND_MB = 43.0
+
+
+def _peak_mb(tmp_path, *args) -> float:
+    proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, str(tmp_path), *args],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024.0
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_qutrit_spectrum_at_the_grid_cap_stays_under_its_memory_bound(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(liouvlab.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", GRID_CAP_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    cap = config.MAX_GRID_POINTS
+    peak = _peak_mb(tmp_path, "spectrum", "--set", "system.dim=3", "--set", "scan.J_start=0",
+                    "--set", f"scan.J_stop={(cap - 1) * 2e-4}", "--set", "scan.J_step=2e-4")
     with open(tmp_path / "spectrum.csv") as fh:
-        assert sum(1 for _ in fh) == config.MAX_GRID_POINTS + 1  # the header and one row per J
-    assert int(proc.stdout.split()[-1]) / 1024.0 < GRID_CAP_RSS_BOUND_MB
+        assert sum(1 for _ in fh) == cap + 1  # the header and one row per J
+    assert peak < GRID_CAP_RSS_BOUND_MB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_ep_map_at_resolution_100_stays_under_its_memory_bound(tmp_path):
+    peak = _peak_mb(tmp_path, "ep-map", "--set", "scan.resolution=100")
+    with open(tmp_path / "ep_map_grid.csv") as fh:
+        assert sum(1 for _ in fh) == 100 * 100 + 1
+    assert peak < EP_MAP_100_RSS_BOUND_MB

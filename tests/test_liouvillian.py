@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from conftest import point_operators, superoperator_reference, system_on_path
 from liouvlab import liouvillian as lv
-from liouvlab import numerics
+from liouvlab import config, numerics
 from liouvlab import trajectories as tj
 from liouvlab.analysis import ep_coupling
 from liouvlab.errors import DegenerateSteadyState, DomainError, NoSteadyState, OutOfRange
@@ -19,7 +20,7 @@ from liouvlab.model import (
     path_points,
 )
 from liouvlab.numerics import expm, trace_distance
-from oracles import analytic_qubit_eigensystem, bloch_rhs, principal_angle
+from oracles import analytic_qubit_eigensystem, bloch_rhs, pair_branches_scipy, principal_angle
 
 
 def lindblad_rhs_dense(H, Ls, rho):
@@ -402,6 +403,46 @@ def test_pair_branches_empty():
     assert lv.pair_branches([]).shape == (0, 0)
 
 
+def test_pair_branches_rejects_a_nan_eigenvalue():
+    # linear_sum_assignment raises on NaN costs too
+    with pytest.raises(ValueError, match="no finite assignment"):
+        lv.pair_branches(np.array([[0.0, -1.0], [np.nan, -1.0]], dtype=complex))
+
+
+def tied_cost_matrices(rng):
+    """Cost matrices of 1 x 1 to 9 x 9, generic and with exact ties."""
+    for n in range(1, 10):
+        for _ in range(30):
+            yield rng.random((n, n))
+            yield rng.integers(0, 3, (n, n)).astype(float)  # small integers: many ties
+            columns = rng.integers(0, 4, (n, max(1, n // 2))).astype(float)
+            yield columns[:, rng.integers(0, columns.shape[1], n)]  # repeated columns
+            yield columns[:, rng.integers(0, columns.shape[1], n)].T  # repeated rows
+            yield np.full((n, n), float(rng.integers(0, 3)))  # every assignment ties
+
+
+def test_min_cost_assignment_makes_scipys_assignment(rng):
+    for cost in tied_cost_matrices(rng):
+        assert lv._min_cost_assignment(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
+
+
+def spectrum_grid_eigenvalues(dim: int) -> np.ndarray:
+    """The eigenvalues along the default spectrum run's J grid."""
+    cfg = config.resolve({"system": {"dim": dim}}, "spectrum")
+    return numerics.eig_general(lv.superoperator_stack(operators(
+        cfg.system, cfg.J_grid, cfg.system.drive.Delta, cfg.system.rates.gamma_e))).eigenvalues
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_branches_pairs_the_default_spectrum_grid_as_scipy_does(dim):
+    lam = spectrum_grid_eigenvalues(dim)
+    cost = np.abs(lam[0][:, None] - lam[1][None, :])
+    # at J = 0 the eigenvalue -gamma_e/2 - gamma_phi is double: two equal rows, an exact tie
+    assert np.array_equal(cost[1], cost[2])
+    assert lv._min_cost_assignment(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
+    assert lv.pair_branches(lam).tobytes() == pair_branches_scipy(lam).tobytes()
+
+
 # --- stacked generators -------------------------------------------------------------
 
 
@@ -603,6 +644,17 @@ def test_ep_scan_without_a_decaying_trio_seeds_no_triple_point_search(gamma_phi,
     assert emap.gap.shape == (5, 5)
     assert emap.ep3_points == ep3
     assert emap.ep_lines == []
+
+
+def test_ep_scan_is_the_same_in_any_grid_block(monkeypatch):
+    system = make_system(DriveParams(J=0.0), Rates(gamma_e=4.4, gamma_phi=0.1))
+    scans = []
+    for block in (7, 10**9):
+        monkeypatch.setattr(lv, "GRID_BLOCK", block)
+        scans.append(lv.ep_scan(system, (0.0, 2.0), (-3.0, 3.0), 21))
+    for name in ("gap", "angle", "ep_order"):
+        blocked, whole = getattr(scans[0], name), getattr(scans[1], name)
+        assert blocked.dtype == whole.dtype and blocked.tobytes() == whole.tobytes()
 
 
 def test_ep_scan_rejects_qutrit():

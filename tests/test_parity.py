@@ -89,3 +89,26 @@ def test_a_differing_dataset_is_quantified_by_cells_and_largest_difference(
 def test_the_run_list_names_every_cli_experiment_once(parity):
     # a new experiment missing here would skip the byte-parity check unnoticed
     assert sorted(parity.EXPERIMENTS) == sorted(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv, threads", [([], "1"), (["--blas-threads", "2"], "2")])
+def test_run_sets_every_blas_thread_variable_of_its_children(parity, tmp_path, monkeypatch,
+                                                            capsys, argv, threads):
+    envs = []
+
+    def fake_run(cmd, env, **kwargs):
+        envs.append(env)
+        return parity.subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(parity.subprocess, "run", fake_run)
+    assert parity.main(["run", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    assert len(envs) == len(parity._runs(SCRIPT.parents[1]))
+    assert all(env[name] == threads for env in envs for name in parity.BLAS_THREAD_VARIABLES)
+
+
+def test_run_rejects_fewer_than_one_blas_thread(parity, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parity.main(["run", str(tmp_path), "--blas-threads", "0"])
+    assert exc.value.code == 2
+    assert "--blas-threads" in capsys.readouterr().err
