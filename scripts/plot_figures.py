@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Render the main datasets produced by reproduce_all.py as PNG figures.
+"""Render the main datasets of `scripts/parity.py run` as PNG figures.
 
 Plotting is optional: the package's outputs are plain CSV and this script is
-a thin matplotlib viewer over them. It never recomputes physics. Figures land
-next to the data they come from.
+a thin matplotlib viewer over them. It never recomputes physics. Each
+plotter reads one run directory, OUT/default-<experiment>/, and writes its
+figures next to the data they come from.
 
 Usage:
-    python3 scripts/reproduce_all.py          # first, generate the datasets
+    python3 scripts/parity.py run out          # first, generate the datasets
     python3 scripts/plot_figures.py [--output-root out]
 """
 
@@ -18,15 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-except ImportError:
-    print("matplotlib is not installed; install the 'plot' extra", file=sys.stderr)
-    sys.exit(1)
-
 
 def read_csv(path: Path) -> dict:
     """Columns of a numeric CSV keyed by header name."""
@@ -37,8 +29,8 @@ def read_csv(path: Path) -> dict:
     return {name: cols[i] for i, name in enumerate(header)}
 
 
-def plot_spectrum(root: Path) -> None:
-    d = read_csv(root / "spectrum" / "spectrum.csv")
+def plot_spectrum(plt, run: Path) -> None:
+    d = read_csv(run / "spectrum.csv")
     n_modes = sum(1 for k in d if k.startswith("re_"))
     fig, (ax_re, ax_im) = plt.subplots(2, 1, figsize=(6, 6), sharex=True)
     for k in range(n_modes):
@@ -48,14 +40,14 @@ def plot_spectrum(root: Path) -> None:
     ax_im.set_ylabel("Im eigenvalue (rad/us)")
     ax_im.set_xlabel("J (rad/us)")
     fig.tight_layout()
-    fig.savefig(root / "spectrum" / "spectrum.png", dpi=150)
+    fig.savefig(run / "spectrum.png", dpi=150)
     plt.close(fig)
 
 
-def plot_ep_map(root: Path) -> None:
-    grid = read_csv(root / "ep-map" / "ep_map_grid.csv")
-    lines = read_csv(root / "ep-map" / "ep_map_lines.csv")
-    summary = json.loads((root / "ep-map" / "ep_map_summary.json").read_text())
+def plot_ep_map(plt, run: Path) -> None:
+    grid = read_csv(run / "ep_map_grid.csv")
+    lines = read_csv(run / "ep_map_lines.csv")
+    summary = json.loads((run / "ep_map_summary.json").read_text())
     J = np.unique(grid["J"])
     D = np.unique(grid["Delta"])
     gap = grid["gap"].reshape(len(D), len(J))
@@ -71,11 +63,11 @@ def plot_ep_map(root: Path) -> None:
     ax.set_xlabel("J (rad/us)")
     ax.set_ylabel("Delta (rad/us)")
     fig.tight_layout()
-    fig.savefig(root / "ep-map" / "ep_map.png", dpi=150)
+    fig.savefig(run / "ep_map.png", dpi=150)
     plt.close(fig)
 
 
-def plot_transition(path: Path, out: Path) -> None:
+def plot_transition(plt, path: Path, out: Path) -> None:
     d = read_csv(path)
     fig, ax = plt.subplots(figsize=(6, 4))
     ok = d["flagged"] == 0
@@ -91,8 +83,8 @@ def plot_transition(path: Path, out: Path) -> None:
     plt.close(fig)
 
 
-def plot_fig1(root: Path) -> None:
-    d = read_csv(root / "fig1" / "fig1_heatmap.csv")
+def plot_fig1(plt, run: Path) -> None:
+    d = read_csv(run / "fig1_heatmap.csv")
     J = np.unique(d["J"])
     t = np.unique(d["t"])
     z = d["rho_ee"].reshape(len(J), len(t))
@@ -102,13 +94,13 @@ def plot_fig1(root: Path) -> None:
     ax.set_xlabel("t (us)")
     ax.set_ylabel("J (rad/us)")
     fig.tight_layout()
-    fig.savefig(root / "fig1" / "fig1_heatmap.png", dpi=150)
+    fig.savefig(run / "fig1_heatmap.png", dpi=150)
     plt.close(fig)
-    plot_transition(root / "fig1" / "fig1_transition.csv", root / "fig1" / "fig1_transition.png")
+    plot_transition(plt, run / "fig1_transition.csv", run / "fig1_transition.png")
 
 
-def plot_fig2(root: Path) -> None:
-    d = read_csv(root / "fig2" / "fig2_bloch.csv")
+def plot_fig2(plt, run: Path) -> None:
+    d = read_csv(run / "fig2_bloch.csv")
     fig, axes = plt.subplots(2, 2, figsize=(8, 5), sharex=True, sharey=True)
     for ax, tag in zip(axes.flat, ["plus_ccw", "plus_cw", "minus_ccw", "minus_cw"]):
         for comp, color in zip("xyz", ["C0", "C1", "C2"]):
@@ -119,11 +111,11 @@ def plot_fig2(root: Path) -> None:
     for ax in axes[1]:
         ax.set_xlabel("t (us)")
     fig.tight_layout()
-    fig.savefig(root / "fig2" / "fig2_bloch.png", dpi=150)
+    fig.savefig(run / "fig2_bloch.png", dpi=150)
     plt.close(fig)
 
-    e = read_csv(root / "fig2" / "fig2_ensemble.csv")
-    s = read_csv(root / "fig2" / "fig2_trajectory.csv")
+    e = read_csv(run / "fig2_ensemble.csv")
+    s = read_csv(run / "fig2_trajectory.csv")
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.plot(e["t"], e["x_lindblad"], "k-", lw=1.5, label="x, master equation")
     ax.plot(e["t"], e["x_mean"], "r--", lw=1.2, label="x, ensemble mean")
@@ -132,12 +124,12 @@ def plot_fig2(root: Path) -> None:
     ax.set_ylabel("x")
     ax.legend(fontsize=8)
     fig.tight_layout()
-    fig.savefig(root / "fig2" / "fig2_ensemble.png", dpi=150)
+    fig.savefig(run / "fig2_ensemble.png", dpi=150)
     plt.close(fig)
 
 
-def plot_fig4(root: Path) -> None:
-    d = read_csv(root / "fig4" / "fig4_coherence.csv")
+def plot_fig4(plt, run: Path) -> None:
+    d = read_csv(run / "fig4_coherence.csv")
     fig, ax = plt.subplots(figsize=(6, 4))
     for J in np.unique(d["J"]):
         sel = d["J"] == J
@@ -147,18 +139,18 @@ def plot_fig4(root: Path) -> None:
     if len(np.unique(d["J"])) <= 8:
         ax.legend(fontsize=8)
     fig.tight_layout()
-    fig.savefig(root / "fig4" / "fig4_coherence.png", dpi=150)
+    fig.savefig(run / "fig4_coherence.png", dpi=150)
     plt.close(fig)
-    plot_transition(root / "fig4" / "fig4_transition.csv", root / "fig4" / "fig4_transition.png")
+    plot_transition(plt, run / "fig4_transition.csv", run / "fig4_transition.png")
 
 
-def plot_sweeps(root: Path) -> None:
+def plot_sweeps(plt, run: Path) -> None:
     fig, (ax_t, ax_d) = plt.subplots(1, 2, figsize=(9, 4))
     for ax, name, xlab in [
         (ax_t, "sweeps_duration.csv", "T (us)"),
         (ax_d, "sweeps_detuning.csv", "Delta_max (rad/us)"),
     ]:
-        d = read_csv(root / "sweeps" / name)
+        d = read_csv(run / name)
         x = d[list(d)[0]]
         ax.plot(x, d["chirality"], "k.-", label="chirality")
         ax.plot(x, d["entropy_cw"], "r.-", label="entropy cw")
@@ -166,7 +158,7 @@ def plot_sweeps(root: Path) -> None:
         ax.set_xlabel(xlab)
         ax.legend(fontsize=8)
     fig.tight_layout()
-    fig.savefig(root / "sweeps" / "sweeps.png", dpi=150)
+    fig.savefig(run / "sweeps.png", dpi=150)
     plt.close(fig)
 
 
@@ -182,18 +174,27 @@ PLOTTERS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output-root", default="out")
+    parser.add_argument("--output-root", default="out",
+                        help="the OUT directory of `scripts/parity.py run` (default: out)")
     args = parser.parse_args(argv)
-    root = Path(args.output_root)
+    try:
+        import matplotlib
+
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:
+        print("matplotlib is not installed; install the 'plot' extra", file=sys.stderr)
+        return 1
 
     made = 0
     for name, fn in PLOTTERS.items():
-        if (root / name).is_dir():
-            fn(root)
+        run = Path(args.output_root) / f"default-{name}"
+        if run.is_dir():
+            fn(plt, run)
             made += 1
             print(f"plotted {name}")
         else:
-            print(f"skipping {name}: no dataset under {root / name}")
+            print(f"skipping {name}: no run directory {run}")
     return 0 if made else 1
 
 

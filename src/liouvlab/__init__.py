@@ -64,7 +64,6 @@ from .dynamics import (
 from .trajectories import EnsembleResult, run_ensemble
 from .analysis import (
     DampedSineFit,
-    SweepResult,
     TransitionScan,
     chirality,
     entropy,
@@ -97,7 +96,7 @@ __all__ = [
     # trajectories
     "EnsembleResult", "run_ensemble",
     # analysis
-    "DampedSineFit", "TransitionScan", "SweepResult", "fit_damped_sine",
+    "DampedSineFit", "TransitionScan", "fit_damped_sine",
     "scan_transition", "chirality", "entropy", "sweep_metrics",
     "ep_coupling", "predict_rates",
 ]

@@ -42,8 +42,8 @@ class DampedSineFit:
     which lies in (-pi, pi]. At omega = 0 the fitted curve is
     (P + S t) exp(-Gamma t) + C, whose t-term the (A, phi) form cannot
     carry: there amplitude = |P| and phase is 0 (P >= 0) or pi (P < 0), so
-    `model` gives the P exp(-Gamma t) + C part alone, while residual_rms is
-    that of the full curve.
+    the (A, phi) form gives the P exp(-Gamma t) + C part alone, while
+    residual_rms is that of the full curve.
     """
 
     omega: float
@@ -53,15 +53,6 @@ class DampedSineFit:
     offset: float
     residual_rms: float
     converged: bool
-
-    def model(self, times) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        return (
-            self.amplitude
-            * np.exp(-self.gamma * t)
-            * np.cos(self.omega * t + self.phase)
-            + self.offset
-        )
 
 
 # h(x) = (x cos x - sin x) / x^3 = sum_k (-1)^k 2k x^(2k-2) / (2k+1)!, k = 1..7,
@@ -462,22 +453,15 @@ def entropy(rho) -> float:
 # Loop sweeps: cw against ccw over a sequence of loops
 
 
-@dataclass
-class SweepResult:
-    """Chirality and cw/ccw final-state entropies, one entry per loop."""
-
-    chirality: np.ndarray
-    entropy_cw: np.ndarray
-    entropy_ccw: np.ndarray
-
-
 def sweep_metrics(system: QuantumSystem, loops: Sequence[ParameterSchedule], rho0,
-                  dt: float) -> SweepResult:
+                  dt: float) -> dict[str, np.ndarray]:
     """Chirality and entropies of the cw and ccw final states of each loop.
 
     Each loop of the sequence runs cw, then ccw, from rho0 in
     scheduled_step_count(loop.T, dt) steps; its own direction is ignored.
-    Every run stores only its start and final states.
+    Every run stores only its start and final states. Returns the columns
+    "chirality", "entropy_cw" and "entropy_ccw", in that order, one entry
+    per loop each.
     """
     if len(loops) == 0:
         raise OutOfRange("loops must be a non-empty sequence of schedules")
@@ -488,4 +472,4 @@ def sweep_metrics(system: QuantumSystem, loops: Sequence[ParameterSchedule], rho
                                        n_steps, store_every=n_steps).final_state
                    for direction in ("cw", "ccw"))
         metrics[:, i] = chirality(cw, ccw), entropy(cw), entropy(ccw)
-    return SweepResult(*metrics)
+    return dict(zip(("chirality", "entropy_cw", "entropy_ccw"), metrics))

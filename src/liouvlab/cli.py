@@ -37,10 +37,9 @@ from .dynamics import (
 )
 from .errors import ConfigError, LiouvlabError
 from .liouvillian import (
-    GRID_BLOCK,
     build_superoperator,
+    eigenvalue_branches,
     ep_scan,
-    pair_branches,
     steady_state,
     superoperator_stack,
     zero_modes,
@@ -48,7 +47,6 @@ from .liouvillian import (
 from .model import Rates, basis_ket, make_system, minus_x, operators, plus_x
 from .trajectories import run_ensemble
 
-SWEEP_METRICS = ("chirality", "entropy_cw", "entropy_ccw")  # the SweepResult columns
 
 def _density(psi: np.ndarray) -> np.ndarray:
     """|psi><psi|, or the stack of them for an array of states (n, d)."""
@@ -97,23 +95,14 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Eigenvalue branches versus J at fixed Delta, with EP markers.
-
-    The generators are built and eigensolved GRID_BLOCK J points at a time,
-    so the run's working set does not grow with the grid.
-    """
+    """Eigenvalue branches versus J at fixed Delta, with EP markers."""
     J_grid, Delta = cfg.J_grid, cfg.system.drive.Delta
-    eigenvalues = np.empty((len(J_grid), cfg.system.dim**2), dtype=complex)
-    for start in range(0, len(J_grid), GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
-        eigenvalues[block] = numerics.eig_general(superoperator_stack(operators(
-            cfg.system, J_grid[block], Delta, cfg.system.rates.gamma_e))).eigenvalues
-    branches = pair_branches(eigenvalues)
+    branches = eigenvalue_branches(cfg.system, J_grid)
     n_modes = branches.shape[1]
 
     markers = [analysis.ep_coupling(cfg.system.rates, 2)]
     if cfg.system.dim == 3:
-        markers.append(cfg.system.rates.gamma_e / 4.0)
+        markers.append(analysis.ep_coupling(cfg.system.rates, 3))
     # the window is the grid's smallest spacing, so it does not depend on the grid's order
     spacings = np.diff(np.unique(J_grid))
     window = max(float(spacings.min()) if spacings.size else 0.0, 1e-12)
@@ -272,16 +261,15 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
     def sweep(loops):
         return analysis.sweep_metrics(cfg.system, loops, rho_mx, cfg.integrator_dt)
 
-    def table(name, values, result):
-        return [name, *SWEEP_METRICS], np.column_stack(
-            [values] + [getattr(result, metric) for metric in SWEEP_METRICS])
+    def table(name, values, metrics):
+        return [name, *metrics], np.column_stack([values, *metrics.values()])
 
     duration = sweep([replace(schedule, T=T) for T in T_values.tolist()])
     detuning = sweep([replace(schedule, Delta_max=D) for D in D_values.tolist()])
     # constant versus ramped gamma_e at fixed (T, Delta_max)
     kinds = ("constant", "cosine")
     ramps = sweep([replace(schedule, gamma_e_schedule=kind) for kind in kinds])
-    schedule_metrics = {kind: {metric: float(getattr(ramps, metric)[i]) for metric in SWEEP_METRICS}
+    schedule_metrics = {kind: {metric: float(column[i]) for metric, column in ramps.items()}
                         for i, kind in enumerate(kinds)}
 
     # Hermitian limit: same path with all dissipation off
@@ -301,14 +289,14 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "sweeps_detuning": table("Delta_max", D_values, detuning),
         "sweeps_hermitian": (h_header, np.column_stack(h_cols)),
         "sweeps_schedule_comparison": (
-            ["gamma_e_schedule", *SWEEP_METRICS],
+            ["gamma_e_schedule", *ramps],
             [[kind, *metrics.values()] for kind, metrics in schedule_metrics.items()]),
     }, {
-        "duration_chirality_argmax_T": float(T_values[int(np.argmax(duration.chirality))]),
+        "duration_chirality_argmax_T": float(T_values[int(np.argmax(duration["chirality"]))]),
         "detuning_chirality_monotone_increasing":
-            bool(np.all(np.diff(detuning.chirality) > 0.0)),
+            bool(np.all(np.diff(detuning["chirality"]) > 0.0)),
         "detuning_entropy_ccw_monotone_decreasing":
-            bool(np.all(np.diff(detuning.entropy_ccw) < 0.0)),
+            bool(np.all(np.diff(detuning["entropy_ccw"]) < 0.0)),
         "hermitian_chirality": chi_hermitian,
         "hermitian_final_x": _final_x(hermitian_runs),
         "gamma_e_schedules": schedule_metrics,

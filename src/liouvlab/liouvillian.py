@@ -172,6 +172,36 @@ def pair_branches(spectra) -> np.ndarray:
     return out
 
 
+def _grid_generators(system: QuantumSystem, J_points: np.ndarray, Delta_points):
+    """(block, Liouvillians) of the grid points (J_points[k], Delta_points[k]), in order.
+
+    Each block is a slice of at most GRID_BLOCK points and comes with their
+    (n, d^2, d^2) superoperator_stack at the system's rates, so a grid's
+    working set does not grow with the grid; each point gets the arithmetic
+    it would get alone. Delta_points is one detuning for every point or one
+    per point.
+    """
+    Delta_points = np.broadcast_to(Delta_points, J_points.shape)
+    for start in range(0, len(J_points), GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        yield block, superoperator_stack(operators(
+            system, J_points[block], Delta_points[block], system.rates.gamma_e))
+
+
+def eigenvalue_branches(system: QuantumSystem, J_values) -> np.ndarray:
+    """The Liouvillian's eigenvalues at each J of J_values, paired into branches by pair_branches.
+
+    The detuning and rates are the system's. The generators are built and
+    eigensolved GRID_BLOCK points at a time. Returns an array of shape
+    (len(J_values), d^2).
+    """
+    J_points = np.asarray(J_values, dtype=float)
+    eigenvalues = np.empty((len(J_points), system.dim**2), dtype=complex)
+    for block, generators in _grid_generators(system, J_points, system.drive.Delta):
+        eigenvalues[block] = numerics.eig_general(generators).eigenvalues
+    return pair_branches(eigenvalues)
+
+
 def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
     """The column of each row in a minimal-cost assignment of the square matrix cost.
 
@@ -288,11 +318,6 @@ class EpMap:
     ep_lines: list[np.ndarray] = field(default_factory=list)
     ep3_points: list[tuple[float, float]] = field(default_factory=list)
 
-    def all_line_points(self) -> np.ndarray:
-        if not self.ep_lines:
-            return np.zeros((0, 2))
-        return np.vstack(self.ep_lines)
-
 
 def _discriminant(u, v, e: float):
     """(4p^3 + 27q^2)/4, expanded: 0 on the EP lines, < 0 where all three roots are real.
@@ -401,14 +426,12 @@ def ep_scan(
     J_values = np.linspace(J_lo, J_hi, nJ)
     Delta_values = np.linspace(D_lo, D_hi, nD)
 
-    # the grid row by row in Delta, built and classified GRID_BLOCK points at a time
-    J_points, Delta_points = np.tile(J_values, nD), np.repeat(Delta_values, nJ)
+    # the grid row by row in Delta
     gap, angle = np.empty(nD * nJ), np.empty(nD * nJ)
     order = np.empty(nD * nJ, dtype=int)
-    for start in range(0, nD * nJ, GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
-        grid = spectrum(superoperator_stack(operators(
-            system_template, J_points[block], Delta_points[block], system_template.rates.gamma_e)))
+    for block, generators in _grid_generators(
+            system_template, np.tile(J_values, nD), np.repeat(Delta_values, nJ)):
+        grid = spectrum(generators)
         gap[block], angle[block], order[block] = (
             grid.min_eigenvalue_gap, grid.min_eigenvector_angle, grid.ep_order)
 

@@ -10,6 +10,8 @@ None of these is used by the package itself:
   time, against spectrum()'s stacked angles;
 - pair_branches_scipy: branch pairing by scipy.optimize.linear_sum_assignment,
   against pair_branches();
+- all_line_points: the points of an EpMap's lines as one (n, 2) array;
+- damped_sine_model: a DampedSineFit's curve A exp(-Gamma t) cos(omega t + phi) + C;
 - validate_manifest: the keys and types of a run manifest.
 """
 
@@ -135,6 +137,26 @@ def pair_branches_scipy(spectra: np.ndarray) -> np.ndarray:
         _rows, cols = linear_sum_assignment(np.abs(out[k - 1][:, None] - spectra[k][None, :]))
         out[k] = spectra[k][cols]
     return out
+
+
+def all_line_points(ep_map) -> np.ndarray:
+    """Every point of ep_map's EP lines, line after line, as an (n, 2) array of (J, Delta)."""
+    if not ep_map.ep_lines:
+        return np.zeros((0, 2))
+    return np.vstack(ep_map.ep_lines)
+
+
+# ---------------------------------------------------------------------------
+# Damped-sine fits
+
+def damped_sine_model(fit, times) -> np.ndarray:
+    """The fit's curve A exp(-Gamma t) cos(omega t + phi) + C at times.
+
+    At omega = 0 this is the P exp(-Gamma t) + C part of the critically
+    damped curve alone (see DampedSineFit).
+    """
+    t = np.asarray(times, dtype=float)
+    return fit.amplitude * np.exp(-fit.gamma * t) * np.cos(fit.omega * t + fit.phase) + fit.offset
 
 
 # ---------------------------------------------------------------------------

