@@ -73,8 +73,10 @@ def plot_transition(plt, path: Path, out: Path) -> None:
     ok = d["flagged"] == 0
     ax.plot(d["J"], d["omega_pred"], "b-", lw=1, label="omega (eigenvalue)")
     ax.plot(d["J"], d["gamma_pred"], "r-", lw=1, label="gamma (eigenvalue)")
+    ax.plot(d["J"], d["gamma_fast_pred"], "m--", lw=1, label="fast gamma (eigenvalue; = gamma above the EP)")
     ax.plot(d["J"][ok], d["omega_fit"][ok], "bs", ms=4, label="omega (fit)")
     ax.plot(d["J"][ok], d["gamma_fit"][ok], "ro", ms=4, label="gamma (fit)")
+    ax.plot(d["J"][ok], d["gamma_fast_fit"][ok], "m^", ms=4, label="fast gamma (fit)")
     ax.set_xlabel("J (rad/us)")
     ax.set_ylabel("rate (1/us), frequency (rad/us)")
     ax.legend(fontsize=8)

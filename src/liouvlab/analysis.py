@@ -36,18 +36,25 @@ FIT_TOL = 1e-15  # tolerance of its gradient, cost-reduction and step tests
 
 @dataclass
 class DampedSineFit:
-    """Parameters of f(t) = A exp(-Gamma t) cos(omega t + phi) + C.
+    """Parameters of a damped sine, or of two decays below the EP, plus an offset.
 
-    omega >= 0 and A >= 0 by convention; signs are absorbed into the phase,
-    which lies in (-pi, pi]. At omega = 0 the fitted curve is
-    (P + S t) exp(-Gamma t) + C, whose t-term the (A, phi) form cannot
-    carry: there amplitude = |P| and phase is 0 (P >= 0) or pi (P < 0), so
-    the (A, phi) form gives the P exp(-Gamma t) + C part alone, while
-    residual_rms is that of the full curve.
+    The fitted curve is e^-Gt (P cos wt + S sin(wt) / w) + C, with s = w^2 of
+    either sign (see _basis):
+    - above the EP (s > 0) it is A exp(-gamma t) cos(omega t + phi) + offset,
+      with omega > 0, A >= 0 and phi in (-pi, pi]; gamma_fast = gamma = G;
+    - below it (s < 0) omega = 0, and with k = sqrt(-s) it is two decays,
+      at gamma = G - k and gamma_fast = G + k, plus the offset;
+    - at s = 0 both rates are G, and it is (P + S t) exp(-G t) + offset.
+    Where omega = 0 the (A, phi) form carries the slow decay's term alone:
+    amplitude is the absolute value of its coefficient, (P + S / k) / 2 (P at
+    s = 0), and phase is 0 or pi by its sign, while residual_rms is that of
+    the full curve. Near the EP that coefficient grows as 1 / k, since the
+    two decays nearly cancel there.
     """
 
     omega: float
     gamma: float
+    gamma_fast: float
     amplitude: float
     phase: float
     offset: float
@@ -55,91 +62,124 @@ class DampedSineFit:
     converged: bool
 
 
-# h(x) = (x cos x - sin x) / x^3 = sum_k (-1)^k 2k x^(2k-2) / (2k+1)!, k = 1..7,
-# highest power first; below x = 0.5 the series is exact to rounding
+# h(u) = (x cos x - sin x) / x^3 at x = sqrt(u), = sum_k (-1)^k 2k u^(k-1) / (2k+1)!,
+# and S(u) = sin(x) / x = sum_k (-u)^k / (2k+1)!, each highest power first;
+# for |u| < 0.25 (|x| < 0.5) both series are exact to rounding, at either sign of u
 _H_SERIES = [(-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(7, 0, -1)]
+_S_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(7, -1, -1)]
 
 
-def _basis(t: np.ndarray, gamma: float, omega_sq: float):
-    """Columns {e^-Gt cos wt, e^-Gt sin(wt)/w, 1}, and the G and w^2 derivatives of the first two.
+def _basis(t: np.ndarray, gamma: float, s: float):
+    """Columns {e^-Gt cos wt, e^-Gt sin(wt)/w, 1} at s = w^2, and the G and s derivatives of the first two.
 
-    Both columns are even in w, so they are smooth functions of w^2, and
-    sin(wt)/w = t sinc(wt) tends to t as w -> 0: the columns, their
-    derivatives and the projected residual are smooth through w = 0, where
-    the fit takes the critically damped form (P + S t) e^-Gt + C.
+    Both columns are entire in s, so s takes either sign: for s < 0, with
+    k = sqrt(-s), they are e^-Gt cosh kt and e^-Gt sinh(kt)/k, evaluated
+    from the two decays e^-(G-+k)t, which stay <= 1 while G >= k, so nothing
+    overflows; near x = kt = 0, cosh and the series in s t^2 avoid their
+    cancellation. The columns, their derivatives and the projected residual
+    are therefore smooth through s = 0, where the fit takes the critically
+    damped form (P + S t) e^-Gt + C.
     """
     env = np.exp(-gamma * t)
-    x = math.sqrt(omega_sq) * t
-    cos = env * np.cos(x)
-    sin_w = env * t * np.sinc(x / np.pi)
-    small = x < 0.5
-    x_big = np.where(small, 1.0, x)
-    h = np.where(small, np.polyval(_H_SERIES, x * x),
-                 (x_big * np.cos(x_big) - np.sin(x_big)) / x_big**3)
+    if s >= 0.0:
+        x = math.sqrt(s) * t
+        cos = env * np.cos(x)
+        sin_w = env * t * np.sinc(x / np.pi)
+        small = x < 0.5
+        x_big = np.where(small, 1.0, x)
+        env_h = env * np.where(small, np.polyval(_H_SERIES, x * x),
+                               (x_big * np.cos(x_big) - np.sin(x_big)) / x_big**3)
+    else:
+        kappa = math.sqrt(-s)
+        slow, fast = np.exp(-(gamma - kappa) * t), np.exp(-(gamma + kappa) * t)
+        x = kappa * t
+        u = s * t * t
+        small = x < 0.5
+        x_big = np.where(small, 1.0, x)
+        cos = np.where(small, env * np.cosh(np.where(small, x, 0.0)), 0.5 * (slow + fast))
+        sin_w = np.where(small, env * t * np.polyval(_S_SERIES, u), 0.5 * (slow - fast) / kappa)
+        # (x cos x - sin x) / x^3 at x = i kt is -(x cosh x - sinh x) / x^3
+        env_h = np.where(small, env * np.polyval(_H_SERIES, u),
+                         (0.5 * (slow - fast) / x_big - cos) / x_big**2)
     cols = np.column_stack([cos, sin_w, np.ones_like(t)])
     d_gamma = np.column_stack([-t * cos, -t * sin_w])
-    d_omega_sq = np.column_stack([-0.5 * t * sin_w, 0.5 * env * t**3 * h])
-    return cols, d_gamma, d_omega_sq
+    d_s = np.column_stack([-0.5 * t * sin_w, 0.5 * t**3 * env_h])
+    return cols, d_gamma, d_s
 
 
 def _projection(t: np.ndarray, y: np.ndarray, theta: np.ndarray):
-    """Coefficients c, residual r = y - Phi c and Kaufman's Jacobian at theta = (G, w^2).
+    """Residual r = y - Phi c, Kaufman's Jacobian and coefficients c at theta = (G, G^2 + s).
 
-    c is the minimum-norm least-squares solution (with np.linalg.lstsq's rank
-    cut), r = P_perp y, and the Jacobian's columns are -P_perp (dPhi/dtheta_k) c
-    (Kaufman, BIT 15, 49, 1975). It drops a term of the exact Jacobian whose
-    product with r vanishes, so the gradient J^T r is exact.
+    theta's second entry is the product of the two rates G -+ sqrt(-s)
+    below the EP and G^2 + omega^2 above it, so theta >= 0 is exactly the
+    set where both rates are >= 0. c is the minimum-norm least-squares
+    solution: singular values below n eps times the largest are cut, so a
+    rank-deficient basis (a coefficient of a series with fewer terms) gets
+    no spurious weight. r = P_perp y, and the Jacobian's columns are
+    -P_perp (dPhi/dtheta_k) c (Kaufman, BIT 15, 49, 1975). It drops a term
+    of the exact Jacobian whose product with r vanishes, so the gradient
+    J^T r is exact.
     """
-    cols, d_gamma, d_omega_sq = _basis(t, theta[0], theta[1])
+    gamma = theta[0]
+    cols, d_gamma, d_s = _basis(t, gamma, theta[1] - gamma * gamma)
     u, s, vt = np.linalg.svd(cols, full_matrices=False)
     keep = s > s[0] * len(t) * np.finfo(float).eps
     u, s, vt = u[:, keep], s[keep], vt[keep]
     uy = u.T @ y
     coef = vt.T @ (uy / s)
-    d = np.column_stack([d_gamma @ coef[:2], d_omega_sq @ coef[:2]])
-    return coef, y - u @ uy, u @ (u.T @ d) - d
+    dg, ds = d_gamma @ coef[:2], d_s @ coef[:2]
+    # d/dG at fixed G^2 + s is d/dG - 2G d/ds at fixed s
+    d = np.column_stack([dg - 2.0 * gamma * ds, ds])
+    return y - u @ uy, u @ (u.T @ d) - d, coef
 
 
-PENCIL_COLUMNS = 32  # Hankel columns of the seeding pencil; rank 3 needs few
+PENCIL_COLUMNS = 32  # Hankel columns of the seeding pencil; rank 2 needs few
+PENCIL_RANK_TOL = 1e-10  # singular values below this times the largest are noise
 
 
 def _pencil_seed(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """The (gamma, omega) seed of the slowest pole of a rank-3 matrix pencil.
+    """The start theta = (G, G^2 + s) of the pencil's two non-offset poles, taken as a pair.
 
     The series is resampled onto a uniform grid of the same length, since
-    the pencil needs uniform samples. Its Hankel matrix has PENCIL_COLUMNS
-    columns (fewer for a short series): noise-free data of rank 3 needs no
-    more, and the SVD stays small. Of the three poles, the real one closest
-    to z = 1 models the offset and is dropped: an offset's pole is real, and
-    a series with no offset would otherwise lose half of its conjugate pair
-    to the spare pole. Of the other two, the one with the largest |z| (a
-    conjugate pair's two share it) seeds gamma = -ln|z| / dt and
-    omega = |arg z| / dt, with omega = 0 for a real pole (a negative real
-    pole would otherwise seed omega at Nyquist).
+    the pencil needs uniform samples, and differenced: that drops the
+    offset and keeps every other pole. The differences' Hankel matrix has
+    PENCIL_COLUMNS columns (fewer for a short series): noise-free data of
+    rank 2 needs no more, and the SVD of its R factor stays small. The
+    pencil (Hua & Sarkar 1990) takes as many poles as the Hankel matrix has
+    singular values above PENCIL_RANK_TOL times the largest, two at most
+    (on the fig1 and fig4 series the noise is below 1e-14 and a second pole
+    above 1e-3). A single decay has one, which is then taken twice (s = 0),
+    so no noise pole seeds the fit. Each pole z gives a decay rate
+    -ln|z| / dt, clipped at 0, and a frequency |arg z| / dt, 0 for a real
+    pole (a negative real pole would otherwise seed omega at Nyquist). A
+    conjugate pair (g, +-w) seeds (g, g^2 + w^2) and two real poles
+    (g1, g2) seed ((g1 + g2) / 2, g1 g2): the mean rate and the product of
+    the two rates.
     """
     n = len(t)
     dt = (t[-1] - t[0]) / (n - 1)
-    u = np.interp(np.linspace(t[0], t[-1], n), t, y)
-    hankel = np.lib.stride_tricks.sliding_window_view(u, min(PENCIL_COLUMNS, n // 2 + 1))
-    v = np.linalg.svd(hankel, full_matrices=False)[2][:3].T
+    u = np.diff(np.interp(np.linspace(t[0], t[-1], n), t, y))
+    hankel = np.lib.stride_tricks.sliding_window_view(u, min(PENCIL_COLUMNS, n // 2))
+    # R of hankel = QR has hankel's singular values and right vectors, at half the cost
+    _, sv, vt = np.linalg.svd(np.linalg.qr(hankel, mode="r"))
+    v = vt[:max(np.count_nonzero(sv[:2] > PENCIL_RANK_TOL * sv[0]), 1)].T
     z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
-    real = np.flatnonzero(z.imag == 0.0)  # never empty: complex poles come in pairs
-    z = np.delete(z, real[np.argmin(np.abs(z[real] - 1.0))])
-    zk = z[np.argmax(np.abs(z))]
+    z = np.resize(z, 2)  # a single pole is taken twice
     # a zero pole (a step) seeds the largest finite decay rate
-    gamma = -math.log(max(abs(zk), np.finfo(float).tiny)) / dt
-    omega = 0.0 if zk.imag == 0.0 else abs(np.angle(zk)) / dt
-    return max(gamma, 0.0), omega
+    rate = np.maximum(-np.log(np.maximum(np.abs(z), np.finfo(float).tiny)) / dt, 0.0)
+    freq = np.where(z.imag == 0.0, 0.0, np.abs(np.angle(z)) / dt)
+    return float(rate.mean()), float(rate[0] * rate[1] + freq[0] * freq[1])
 
 
 @dataclass
 class LeastSquaresResult:
     """Where least_squares stopped.
 
-    x is the last accepted point, fun the residual there and cost half its
-    squared norm; nfev counts residual evaluations. status is 0 when the
-    evaluation budget ran out, and otherwise the test that was met:
-    1 gradient, 2 cost reduction, 3 step size, 4 both 2 and 3.
+    x is the last accepted point, fun the residual there, cost half its
+    squared norm and extra whatever else fun returned there; nfev counts
+    residual evaluations. status is 0 when the evaluation budget ran out,
+    and otherwise the test that was met: 1 gradient, 2 cost reduction,
+    3 step size, 4 both 2 and 3.
     """
 
     x: np.ndarray
@@ -147,13 +187,15 @@ class LeastSquaresResult:
     cost: float
     nfev: int
     status: int
+    extra: tuple
 
 
 def least_squares(fun, x0, *, tol: float, max_nfev: int) -> LeastSquaresResult:
     """Minimise cost(x) = |r(x)|^2 / 2 over x >= 0 by projected Levenberg-Marquardt.
 
-    fun(x) returns the residual r and its Jacobian J. A variable on its bound
-    is held there while its gradient component is >= 0; each step
+    fun(x) returns the residual r, its Jacobian J and any further values,
+    which the result keeps from the last accepted point. A variable on its
+    bound is held there while its gradient component is >= 0; each step
     solves (J^T J + mu I) h = -J^T r over the other variables, is projected
     onto x >= 0 and costs one evaluation, and is kept when it lowers the
     cost. mu starts at 1e-3 times the largest diagonal entry of J^T J and
@@ -170,7 +212,7 @@ def least_squares(fun, x0, *, tol: float, max_nfev: int) -> LeastSquaresResult:
     every fit.
     """
     x = np.maximum(np.asarray(x0, dtype=float), 0.0)
-    r, jac = fun(x)
+    r, jac, *extra = fun(x)
     nfev = 1
     cost = 0.5 * float(r @ r)
     a, g = jac.T @ jac, jac.T @ r
@@ -188,7 +230,7 @@ def least_squares(fun, x0, *, tol: float, max_nfev: int) -> LeastSquaresResult:
                                   -g[free])
         x_new = np.maximum(x + h, 0.0)
         step = x_new - x
-        r_new, jac_new = fun(x_new)
+        r_new, jac_new, *extra_new = fun(x_new)
         nfev += 1
         cost_new = 0.5 * float(r_new @ r_new)
         reduction = cost - cost_new if np.isfinite(cost_new) else -np.inf
@@ -197,7 +239,7 @@ def least_squares(fun, x0, *, tol: float, max_nfev: int) -> LeastSquaresResult:
         ftol_met = 0.0 < reduction < tol * cost and ratio > 0.25
         xtol_met = np.linalg.norm(h) < tol * (tol + np.linalg.norm(x))
         if reduction > 0.0:
-            x, r, cost = x_new, r_new, cost_new
+            x, r, cost, extra = x_new, r_new, cost_new, extra_new
             a, g = jac_new.T @ jac_new, jac_new.T @ r_new
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(ratio, 1.0) - 1.0) ** 3)
             nu = 2.0
@@ -207,23 +249,23 @@ def least_squares(fun, x0, *, tol: float, max_nfev: int) -> LeastSquaresResult:
         if ftol_met or xtol_met:
             status = 4 if ftol_met and xtol_met else (2 if ftol_met else 3)
             break
-    return LeastSquaresResult(x=x, fun=r, cost=cost, nfev=nfev, status=status)
+    return LeastSquaresResult(x=x, fun=r, cost=cost, nfev=nfev, status=status, extra=tuple(extra))
 
 
 def fit_damped_sine(times, values) -> DampedSineFit:
-    """Fit f(t) = A exp(-Gamma t) cos(omega t + phi) + C to a time series.
+    """Fit a damped sine, or two decays below the EP, plus an offset to a time series.
 
-    Variable projection (Golub & Pereyra 1973): for fixed (Gamma, omega) the
-    coefficients of e^-Gt cos wt, e^-Gt sin(wt)/w and 1 solve a linear
-    least-squares problem, so least_squares (Levenberg-Marquardt with
-    Kaufman's Jacobian) runs over (Gamma, omega^2) >= 0 only, on the
-    projected residual. The columns are smooth in omega^2 through omega = 0,
-    where the fit is the critically damped (P + S t) e^-Gt + C; so a start
-    at omega = 0 can leave it, and an overdamped series stops on it exactly.
-    The one iteration starts from the slowest non-offset pole of a rank-3
-    matrix pencil (Hua & Sarkar 1990), with FIT_TOL and FIT_MAX_NFEV as they
-    are at the call. `converged` reports whether it met a convergence test
-    within the evaluation budget.
+    Variable projection (Golub & Pereyra 1973): for fixed (G, s = w^2) the
+    coefficients of e^-Gt cos wt, e^-Gt sin(wt)/w and 1, continued to s < 0
+    (see _basis), solve a linear least-squares problem, so least_squares (Levenberg-Marquardt with
+    Kaufman's Jacobian) runs over theta = (G, G^2 + s) >= 0 only, on the
+    projected residual: s = omega^2 takes either sign, and both rates
+    G -+ sqrt(max(-s, 0)) stay >= 0. The columns are smooth in s through
+    s = 0, so one iteration crosses the EP from either side. It starts from
+    the pencil's two non-offset poles, taken as a pair (_pencil_seed), with
+    FIT_TOL and FIT_MAX_NFEV as they are at the call, and the coefficients
+    are those of its last accepted evaluation. `converged` reports whether it
+    met a convergence test within the evaluation budget.
     A constant series short-circuits to the degenerate fit A = 0,
     omega = 0, Gamma = 0.
     """
@@ -240,23 +282,27 @@ def fit_damped_sine(times, values) -> DampedSineFit:
 
     if np.ptp(y) == 0.0:
         return DampedSineFit(
-            omega=0.0, gamma=0.0, amplitude=0.0, phase=0.0,
+            omega=0.0, gamma=0.0, gamma_fast=0.0, amplitude=0.0, phase=0.0,
             offset=float(y[0]), residual_rms=0.0, converged=True,
         )
 
-    gamma, omega = _pencil_seed(t, y)
-    res = least_squares(lambda x: _projection(t, y, x)[1:], (gamma, omega * omega),
+    res = least_squares(lambda x: _projection(t, y, x), _pencil_seed(t, y),
                         tol=FIT_TOL, max_nfev=FIT_MAX_NFEV)
-    gamma, omega = res.x[0], math.sqrt(res.x[1])
-    (P, S, offset), _, _ = _projection(t, y, res.x)
+    (P, S, offset), = res.extra
+    gamma, product = res.x
+    s = product - gamma * gamma
+    omega, kappa = math.sqrt(max(s, 0.0)), math.sqrt(max(-s, 0.0))
     if omega > 0.0:
         amplitude = math.hypot(P, S / omega)
         phase = math.atan2(-S / omega, P) if amplitude > 0.0 else 0.0
     else:
-        amplitude, phase = abs(P), (math.pi if P < 0.0 else 0.0)
+        # e^-Gt (P cosh kt + S sinh(kt) / k) has the slow term (P + S / k) / 2 e^-(G-k)t
+        slow = 0.5 * (P + S / kappa) if kappa > 0.0 else P
+        amplitude, phase = abs(slow), (math.pi if slow < 0.0 else 0.0)
     return DampedSineFit(
         omega=float(omega),
-        gamma=float(gamma),
+        gamma=float(gamma - kappa),
+        gamma_fast=float(gamma + kappa),
         amplitude=float(amplitude),
         phase=float(phase),
         offset=float(offset),
@@ -284,39 +330,56 @@ def ep_coupling(rates: Rates, dim: int) -> float:
     raise DomainError(f"dim must be 2 or 3, got {dim}")
 
 
-def predict_rates(L: np.ndarray, rho0: np.ndarray, obs_index: int) -> tuple[float, float]:
-    """(omega, Gamma) predicted by the spectrum of the Liouvillian L for one observable.
+BLOCK_WEIGHT_TOL = 1e-8  # relative weight below which a mode is only rounding's
 
-    The initial state is expanded in the eigenbasis, each decaying mode is
-    weighted by |coefficient| x |its component on the observed matrix
-    element|, and the dominant mode plus its conjugate partner form the
-    predicted pair: omega = max |Im lambda|, Gamma = min(-Re lambda) over the
-    pair (the slower branch when the pair has split into two real rates).
+
+def predict_rates(L: np.ndarray, rho0: np.ndarray, obs_index: int):
+    """(omega, gamma, gamma_fast) predicted by the spectrum of L for one observable.
+
+    L is one generator or an (n, d^2, d^2) stack: one eig_general call and
+    one stacked solve, and each slice gives what it gives alone. The initial
+    state is expanded in the eigenbasis, and each decaying mode is weighted
+    by |coefficient| x |its component on the observed matrix element|. A
+    mode of a block that the start or the observable does not reach gets
+    weight from rounding alone (at most 1e-15 of the largest on the fig1 and
+    fig4 grids), so the modes above BLOCK_WEIGHT_TOL times the largest are
+    the observed block. The predicted pair is its heaviest mode and the
+    block's mode nearest that one's conjugate, whatever the partner's weight
+    (a mode with no partner pairs with its own conjugate). As in the fit,
+    the pair's mean rate G = -Re(l1 + l2) / 2 and s = -Re((l1 - l2)^2) / 4
+    give omega = sqrt(max(s, 0)) and the two rates G -+ sqrt(max(-s, 0)):
+    below the EP, gamma is the slow branch and gamma_fast the fast one, and
+    above it both are G. Each is an array of L's leading shape; all three
+    are 0 where no decaying mode is observed.
     """
     dec = numerics.eig_general(L)
     lam, V = dec.eigenvalues, dec.right_eigenvectors
-    coeff = np.linalg.solve(V, vec(rho0))
-    weight = np.abs(coeff) * np.abs(V[obs_index, :])
-    significant = ~zero_modes(lam, L) & (weight > 0.02 * max(weight.max(), 1e-300))
-    idx = np.nonzero(significant)[0]
-    if len(idx) == 0:
-        return 0.0, 0.0
-    lead = idx[np.argmax(weight[idx])]
-    others = idx[idx != lead]
-    if len(others) == 0:
-        pair = lam[[lead]]
-    else:
-        partner = others[np.argmin(np.abs(lam[others] - np.conj(lam[lead])))]
-        pair = lam[[lead, partner]]
-    return float(np.max(np.abs(pair.imag))), float(-np.max(pair.real))
+    start = np.broadcast_to(vec(rho0)[:, None], V.shape[:-1] + (1,))
+    weight = np.abs(np.linalg.solve(V, start)[..., 0]) * np.abs(V[..., obs_index, :])
+    weight[zero_modes(lam, L)] = 0.0
+    top = weight.max(axis=-1, keepdims=True)
+    lead = np.argmax(weight, axis=-1)[..., None]
+    first = np.take_along_axis(lam, lead, axis=-1)
+    block = (weight > BLOCK_WEIGHT_TOL * top) & (np.arange(lam.shape[-1]) != lead)
+    distance = np.where(block, np.abs(lam - np.conj(first)), np.inf)
+    second = np.where(block.any(axis=-1, keepdims=True),
+                      np.take_along_axis(lam, np.argmin(distance, axis=-1)[..., None], axis=-1),
+                      np.conj(first))
+    gamma = -0.5 * (first + second).real
+    s = -0.25 * ((first - second) ** 2).real
+    omega, kappa = np.sqrt(np.maximum(s, 0.0)), np.sqrt(np.maximum(-s, 0.0))
+    observed = top > 0.0
+    return tuple(np.where(observed, x, 0.0)[..., 0] for x in (omega, gamma - kappa, gamma + kappa))
 
 
 @dataclass
 class TransitionScan:
     """Fit-versus-prediction survey across coupling strengths.
 
-    fits holds one DampedSineFit per J (None where the fit raised), and
-    omega_pred, gamma_pred the spectrum's prediction at each J. Points
+    fits holds one DampedSineFit per J (None where the fit raised), its
+    omega, gamma and gamma_fast columns, and the spectrum's prediction of
+    each at every J (predict_rates). Below the EP gamma is the slow rate and
+    gamma_fast the fast one; above it they are equal. Points
     with |J - j_ep| < EP_FLAG_RADIUS are flagged: the defective-point dynamics
     carries secular t exp(lambda t) terms that bias the fit there.
     """
@@ -325,8 +388,10 @@ class TransitionScan:
     fits: list[Optional[DampedSineFit]]
     omega_fit: np.ndarray
     gamma_fit: np.ndarray
+    gamma_fast_fit: np.ndarray
     omega_pred: np.ndarray
     gamma_pred: np.ndarray
+    gamma_fast_pred: np.ndarray
     flagged: np.ndarray
     failures: list[tuple[int, str]] = field(default_factory=list)
     j_ep: float = 0.0
@@ -344,15 +409,11 @@ class TransitionScan:
         return float("nan")
 
     def table(self) -> tuple[list[str], list[list[float]]]:
-        header = ["J", "omega_fit", "gamma_fit", "omega_pred", "gamma_pred", "flagged"]
-        rows = [
-            [float(J), float(wf), float(gf), float(wp), float(gp), float(fl)]
-            for J, wf, gf, wp, gp, fl in zip(
-                self.J_values, self.omega_fit, self.gamma_fit,
-                self.omega_pred, self.gamma_pred, self.flagged,
-            )
-        ]
-        return header, rows
+        columns = {"J": self.J_values, "omega_fit": self.omega_fit, "gamma_fit": self.gamma_fit,
+                   "gamma_fast_fit": self.gamma_fast_fit, "omega_pred": self.omega_pred,
+                   "gamma_pred": self.gamma_pred, "gamma_fast_pred": self.gamma_fast_pred,
+                   "flagged": self.flagged}
+        return list(columns), [[float(x) for x in row] for row in zip(*columns.values())]
 
 
 def initial_state_for(dim: int) -> np.ndarray:
@@ -377,11 +438,12 @@ def scan_transition(
     from the superposition (|g> - |f>)/sqrt(2), at n_samples times spanning
     [0, window]. `generators` is the grid's stack,
     superoperator_stack(operators(system_template, J_values, Delta, gamma_e)),
-    integrated in one integrate_constant call; only the prediction and the
-    fit run per J. Per-point fit failures are recorded in `failures` rather
-    than aborting the sweep. The prediction column is computed from the full
-    jump-operator set, so any extra f-level loss channels configured on the
-    template shift it automatically.
+    integrated in one integrate_constant call and predicted in one
+    predict_rates call; only the fit runs per J. Per-point fit failures are
+    recorded in `failures` rather than aborting the sweep. The prediction
+    columns are computed from the full jump-operator set, so any extra
+    f-level loss channels configured on the template shift them
+    automatically.
     """
     J_arr = np.asarray(J_values, dtype=float)
     if J_arr.ndim != 1 or len(J_arr) == 0:
@@ -392,39 +454,36 @@ def scan_transition(
     t_grid = np.linspace(0.0, window, n_samples)
     j_ep = ep_coupling(system_template.rates, dim)
 
-    fits: list[Optional[DampedSineFit]] = []
-    failures: list[tuple[int, str]] = []
-    omega_fit = np.full(len(J_arr), np.nan)
-    gamma_fit = np.full(len(J_arr), np.nan)
-    omega_pred = np.empty(len(J_arr))
-    gamma_pred = np.empty(len(J_arr))
-
     if np.shape(generators) != (len(J_arr), dim * dim, dim * dim):
         raise OutOfRange(f"generators must be a ({len(J_arr)}, {dim * dim}, {dim * dim}) stack, "
                          f"got {np.shape(generators)}")
     states = integrate_constant(generators, rho0, t_grid).states
     series = states[..., 1, 1].real if dim == 2 else np.abs(states[..., 0, 2])
-    for i, L in enumerate(generators):
-        omega_pred[i], gamma_pred[i] = predict_rates(L, rho0, obs_index)
+    omega_pred, gamma_pred, gamma_fast_pred = predict_rates(generators, rho0, obs_index)
+
+    fits: list[Optional[DampedSineFit]] = []
+    failures: list[tuple[int, str]] = []
+    fitted = np.full((3, len(J_arr)), np.nan)  # omega, gamma, gamma_fast
+    for i, y in enumerate(series):
         try:
-            fit = fit_damped_sine(t_grid, series[i])
+            fit = fit_damped_sine(t_grid, y)
         except (LiouvlabError, ValueError) as exc:
             fits.append(None)
             failures.append((i, f"{type(exc).__name__}: {exc}"))
             continue
         fits.append(fit)
-        omega_fit[i] = fit.omega
-        gamma_fit[i] = fit.gamma
+        fitted[:, i] = fit.omega, fit.gamma, fit.gamma_fast
 
-    flagged = np.abs(J_arr - j_ep) < EP_FLAG_RADIUS
     return TransitionScan(
         J_values=J_arr,
         fits=fits,
-        omega_fit=omega_fit,
-        gamma_fit=gamma_fit,
+        omega_fit=fitted[0],
+        gamma_fit=fitted[1],
+        gamma_fast_fit=fitted[2],
         omega_pred=omega_pred,
         gamma_pred=gamma_pred,
-        flagged=flagged,
+        gamma_fast_pred=gamma_fast_pred,
+        flagged=np.abs(J_arr - j_ep) < EP_FLAG_RADIUS,
         failures=failures,
         j_ep=j_ep,
     )

@@ -121,8 +121,11 @@ def spectrum(L: np.ndarray) -> SpectralResult:
 
 
 def zero_modes(lam: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues lam of L that are numerically zero: |lambda| <= ZERO_EIGENVALUE_TOL * max(1, ||L||_F)."""
-    return np.abs(lam) <= ZERO_EIGENVALUE_TOL * max(1.0, np.linalg.norm(L))
+    """Mask of the eigenvalues lam of L that are numerically zero: |lambda| <= ZERO_EIGENVALUE_TOL * max(1, ||L||_F).
+
+    L may be an (n, m, m) stack with lam (n, m); each matrix takes its own norm.
+    """
+    return np.abs(lam) <= ZERO_EIGENVALUE_TOL * np.maximum(1.0, np.linalg.norm(L, axis=(-2, -1)))[..., None]
 
 
 def steady_state(L: np.ndarray) -> np.ndarray:

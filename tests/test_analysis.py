@@ -91,7 +91,7 @@ def test_fit_constant_series_short_circuits():
 
 def test_fit_model_roundtrip():
     fit = analysis.DampedSineFit(
-        omega=2.0, gamma=0.5, amplitude=1.2, phase=-0.3, offset=0.1,
+        omega=2.0, gamma=0.5, gamma_fast=0.5, amplitude=1.2, phase=-0.3, offset=0.1,
         residual_rms=0.0, converged=True)
     t = np.array([0.0, 0.5, 1.0])
     assert np.allclose(damped_sine_model(fit, t), damped_cosine(t, 1.2, 0.5, 2.0, -0.3, 0.1))
@@ -112,39 +112,55 @@ def test_fit_input_validation():
         analysis.fit_damped_sine(bad, y)
 
 
-# --- the fit near omega = 0 ----------------------------------------------------------
+# --- the fit near omega = 0 and below the EP ----------------------------------------
 
 
 def test_basis_and_projected_residual_are_smooth_at_zero_frequency():
     t = np.linspace(0.0, 10.0, 500)
     y = 0.4 * np.exp(-1.2 * t) * np.cos(0.8 * t + 0.3) + 0.1
     at_zero = analysis._basis(t, 1.2, 0.0)
-    near_zero = analysis._basis(t, 1.2, 1e-12**2)  # omega = 1e-12
     # the sin(wt)/w column is t e^-Gt at w = 0, not a column of zeros
     np.testing.assert_array_equal(at_zero[0][:, 1], t * np.exp(-1.2 * t))
-    for near, at in zip(near_zero, at_zero):  # the columns and both derivatives
-        np.testing.assert_allclose(near, at, rtol=1e-15, atol=0.0)
-    r_zero = analysis._projection(t, y, np.array([1.2, 0.0]))[1]
-    r_near = analysis._projection(t, y, np.array([1.2, 1e-12**2]))[1]
-    assert np.max(np.abs(r_near - r_zero)) <= 1e-15
+    for s in (1e-12**2, -1e-12**2):  # omega = 1e-12, and kappa = 1e-12 below the EP
+        for near, at in zip(analysis._basis(t, 1.2, s), at_zero):  # the columns and both derivatives
+            np.testing.assert_allclose(near, at, rtol=1e-15, atol=0.0)
+    # theta = (G, G^2 + s): one ulp of G^2 either side of s = 0
+    r_zero = analysis._projection(t, y, np.array([1.2, 1.2 * 1.2]))[0]
+    for p in (np.nextafter(1.44, 2.0), np.nextafter(1.44, 0.0)):
+        r_near = analysis._projection(t, y, np.array([1.2, p]))[0]
+        assert np.max(np.abs(r_near - r_zero)) <= 1e-15
 
 
-@pytest.mark.parametrize("theta", [(1.2, 0.0), (1.2, 0.09), (0.4, 6.25)])
+def test_the_basis_below_the_ep_is_the_two_decays_and_never_overflows():
+    t = np.linspace(0.0, 10.0, 500)
+    for gamma, kappa in [(3.0, 1.0), (3.0, 0.01), (400.0, 399.5), (1e3, 1e3)]:
+        cols, d_gamma, d_s = analysis._basis(t, gamma, -kappa * kappa)
+        assert all(np.all(np.isfinite(m)) for m in (cols, d_gamma, d_s))
+        slow, fast = np.exp(-(gamma - kappa) * t), np.exp(-(gamma + kappa) * t)
+        np.testing.assert_allclose(cols[:, 0], 0.5 * (slow + fast), rtol=1e-14, atol=0.0)
+        if gamma < 10.0:  # where cosh and sinh themselves stay finite
+            env = np.exp(-gamma * t)
+            np.testing.assert_allclose(cols[:, 0], env * np.cosh(kappa * t), rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(cols[:, 1], env * np.sinh(kappa * t) / kappa, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("theta", [(1.2, 0.0), (1.2, 0.09), (0.4, 6.25), (2.0, -1.0), (1.0, -1e-4)])
 def test_kaufman_jacobian_gives_the_exact_gradient(theta):
-    # theta = (Gamma, omega^2); the fit's cost is smooth in both
+    # theta = (Gamma, s) with s = omega^2 of either sign; the fit runs over (Gamma, Gamma^2 + s)
+    theta = (theta[0], theta[0] ** 2 + theta[1])
     t = np.linspace(0.0, 10.0, 500)
     y = 0.4 * np.exp(-1.0 * t) * np.cos(0.7 * t + 0.3) + 0.3 * np.exp(-2.0 * t) + 0.1
 
     def cost(x):
-        r = analysis._projection(t, y, np.asarray(x, dtype=float))[1]
+        r = analysis._projection(t, y, np.asarray(x, dtype=float))[0]
         return 0.5 * float(r @ r)
 
-    _, r, jac = analysis._projection(t, y, np.array(theta))
+    r, jac, _ = analysis._projection(t, y, np.array(theta))
     h = 1e-6
     for k in range(2):
         up, down = np.array(theta), np.array(theta)
         up[k] += h
-        down[k] = max(down[k] - h, 0.0)  # one-sided on the bound omega^2 = 0
+        down[k] -= h
         slope = (cost(up) - cost(down)) / (up[k] - down[k])
         assert (jac.T @ r)[k] == pytest.approx(slope, rel=1e-4, abs=1e-12)
 
@@ -154,29 +170,67 @@ def test_critically_damped_series_fits_with_zero_frequency(P, S, gamma, C):
     t = np.linspace(0.0, 10.0, 500)
     fit = analysis.fit_damped_sine(t, (P + S * t) * np.exp(-gamma * t) + C)
     assert fit.converged
-    # omega = 0 to what rounding resolves: an exact series fixes omega^2 to about 1e-16
+    # s = 0 to what rounding resolves: an exact series fixes s to about 1e-16,
+    # so omega and the split of the two rates are each about 1e-8
     assert fit.omega <= 1e-6
     assert abs(fit.gamma - gamma) <= 1e-6
+    assert abs(fit.gamma_fast - gamma) <= 1e-6
     assert fit.residual_rms <= 1e-9
 
 
 @pytest.mark.parametrize("a, b", [(0.7, -0.5), (-0.7, 0.2)])
 def test_overdamped_series_fits_on_zero_frequency_with_the_t_term_outside_amplitude(a, b):
+    # below the EP the fitted curve is e^-Gt (P cosh kt + S sinh(kt) / k) + C, the
+    # continuation of (P + S t) e^-Gt + C: two decays at the rates G -+ k
     t = np.linspace(0.0, 10.0, 500)
     y = a * np.exp(-1.0 * t) + b * np.exp(-3.0 * t) + 0.1
     fit = analysis.fit_damped_sine(t, y)
     assert fit.converged
-    assert fit.omega == 0.0  # the bound holds omega^2 at 0 exactly
-    # the fitted curve is (P + S t) e^-Gt + C; (A, phi) carry P alone: A = |P|,
-    # phi = 0 or pi, so the (A, phi) curve is P e^-Gt + C without the t-term
-    (P, S, C), r, _ = analysis._projection(t, y, np.array([fit.gamma, 0.0]))
-    assert abs(S) > 0.01
-    assert fit.amplitude == abs(P)
-    assert fit.phase == (0.0 if P >= 0.0 else math.pi)
-    assert fit.offset == C
-    assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(r**2)), rel=1e-12)
-    np.testing.assert_allclose(damped_sine_model(fit, t), P * np.exp(-fit.gamma * t) + C,
-                               rtol=0.0, atol=1e-15)
+    assert fit.omega == 0.0
+    assert abs(fit.gamma - 1.0) <= 1e-6
+    assert abs(fit.gamma_fast - 3.0) <= 1e-6
+    assert fit.residual_rms <= 1e-12
+    # (A, phi) carry the slow decay's term alone: A = |a|, phi = 0 or pi, so the
+    # (A, phi) curve is a e^-t + C without the fast term
+    assert fit.amplitude == pytest.approx(abs(a), rel=1e-9)
+    assert fit.phase == (0.0 if a >= 0.0 else math.pi)
+    assert fit.offset == pytest.approx(0.1, rel=1e-9)
+    np.testing.assert_allclose(damped_sine_model(fit, t), a * np.exp(-t) + 0.1, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.3, 2.2847739, 2.8])
+def test_a_single_decay_with_no_offset_fits_its_rate_or_reports_unconverged(gamma):
+    # rank 1 in the basis: the pencil finds one pole and takes it twice, so no
+    # noise pole seeds the fit
+    t = np.linspace(0.0, 10.0, 500)
+    fit = analysis.fit_damped_sine(t, 1.2 * np.exp(-gamma * t))
+    if fit.converged:
+        assert abs(fit.gamma - gamma) <= 1e-9 * gamma
+        assert fit.amplitude == pytest.approx(1.2, rel=1e-9)
+        assert fit.residual_rms <= 1e-12
+
+
+def test_the_fit_is_continuous_through_the_ep():
+    # fig1's system on a fine J grid across its EP at J = 0.525: the fit's mean
+    # rate G and s = omega^2 - kappa^2 follow the spectrum's, smoothly through s = 0
+    template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4, gamma_phi=0.1))
+    Js = np.linspace(0.45, 0.6, 61)
+    scan = transition_scan(template, Js)
+    assert scan.failures == [] and scan.n_unconverged == 0
+
+    def mean_rate_and_s(omega, gamma, gamma_fast):
+        return 0.5 * (gamma + gamma_fast), omega**2 - (0.5 * (gamma_fast - gamma))**2
+
+    fit_g, fit_s = mean_rate_and_s(scan.omega_fit, scan.gamma_fit, scan.gamma_fast_fit)
+    pred_g, pred_s = mean_rate_and_s(scan.omega_pred, scan.gamma_pred, scan.gamma_fast_pred)
+    assert pred_s[0] < 0.0 < pred_s[-1]
+    assert np.max(np.abs(fit_g - pred_g)) <= 1e-6
+    assert np.max(np.abs(fit_s - pred_s)) <= 1e-6
+    # away from the EP each rate and the frequency match to 1e-6
+    far = np.abs(Js - scan.j_ep) >= 0.02
+    for fitted, predicted in [(scan.omega_fit, scan.omega_pred), (scan.gamma_fit, scan.gamma_pred),
+                              (scan.gamma_fast_fit, scan.gamma_fast_pred)]:
+        assert np.max(np.abs(fitted[far] - predicted[far])) <= 1e-6
 
 
 # --- the Levenberg-Marquardt iteration and its budget -------------------------------
@@ -195,16 +249,24 @@ def test_least_squares_stops_on_the_bound_with_a_met_test():
 
 
 def test_an_exhausted_budget_is_reported_unconverged(monkeypatch):
-    # below the EP each start needs more than two evaluations
-    template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4, gamma_phi=0.1))
+    # fig4's |rho_gf| above the qutrit EP is no damped sine, so its fit needs
+    # more than two evaluations
+    template = replace(config.resolve({}, "fig4").system, drive=DriveParams(J=1.4))
     t = np.linspace(0.0, 10.0, 500)
-    series = integrate_constant(build_superoperator(template), excited_projector(), t).states[:, 1, 1].real
+    start = analysis.initial_state_for(3)
+    series = np.abs(integrate_constant(build_superoperator(template), start, t).states[:, 0, 2])
+    solve = analysis.least_squares
+    runs = []
+    monkeypatch.setattr(analysis, "least_squares",
+                        lambda *args, **kwargs: runs.append(solve(*args, **kwargs)) or runs[-1])
     assert analysis.fit_damped_sine(t, series).converged
-    assert transition_scan(template, [0.3]).n_unconverged == 0
+    assert runs[-1].nfev > 2
+    assert transition_scan(template, [1.4]).n_unconverged == 0
 
     monkeypatch.setattr(analysis, "FIT_MAX_NFEV", 2)
     assert not analysis.fit_damped_sine(t, series).converged
-    assert transition_scan(template, [0.3]).n_unconverged == 1
+    assert runs[-1].status == 0 and runs[-1].nfev == 2
+    assert transition_scan(template, [1.4]).n_unconverged == 1
 
 
 # --- the SciPy oracle on the fig1 and fig4 default series --------------------------
@@ -233,11 +295,10 @@ def default_series(default_scans):
 
 
 def pencil_poles(t, y, columns=analysis.PENCIL_COLUMNS):
-    """(gamma, omega) of both pencil poles but the one closest to z = 1, a conjugate pair once.
+    """(gamma, omega) of both poles of a rank-3 pencil but the one closest to z = 1, a conjugate pair once.
 
-    These are the two starts fit_damped_sine used to run, keeping the lower
-    cost. Where the dropped pole is real, analysis._pencil_seed drops the
-    same one and keeps the slowest of these.
+    These are the single-pole starts that fit_damped_sine used to take, on
+    the basis whose second parameter was omega^2 >= 0.
     """
     n = len(t)
     dt = (t[-1] - t[0]) / (n - 1)
@@ -256,7 +317,7 @@ def scipy_oracle(t, y):
 
     The starts come from a wide pencil (n/2 + 1 Hankel columns), and the
     run with the lower cost is kept; its cost is half the sum of squared
-    residuals.
+    residuals. omega >= 0 bounds it to one side of the EP.
     """
     def residual(x):
         env = np.exp(-x[0] * t)
@@ -270,8 +331,15 @@ def scipy_oracle(t, y):
     return min(runs, key=lambda run: run.cost)
 
 
+def rounding_cost(t):
+    """Half the squared norm of a residual of 4 eps per sample: where two exact fits' costs tie."""
+    return 0.5 * len(t) * (4.0 * np.finfo(float).eps) ** 2
+
+
 def test_each_fit_makes_one_least_squares_call_as_good_as_the_best_of_both_poles(
         default_series, monkeypatch):
+    # below the EP the one start is the pencil's pair; a start from either of its
+    # poles alone, on the same basis, ends no lower
     cfg = config.resolve({}, "fig1")
     below = cfg.J_grid < analysis.ep_coupling(cfg.system.rates, 2)
     assert np.count_nonzero(below) == 9
@@ -286,37 +354,73 @@ def test_each_fit_makes_one_least_squares_call_as_good_as_the_best_of_both_poles
         assert analysis.fit_damped_sine(t, y).converged
         assert len(calls) == 1
         poles = pencil_poles(t, y)
-        assert len(poles) == 2  # two real poles, each of which the fit used to start from
-        assert analysis._pencil_seed(t, y) == min(poles)
+        assert len(poles) == 2  # two real poles
+        gamma, p = analysis._pencil_seed(t, y)
+        (g1, _), (g2, _) = poles
+        assert gamma == pytest.approx(0.5 * (g1 + g2), rel=1e-6)
+        assert p == pytest.approx(g1 * g2, rel=1e-6)
         best_of_both = min(
-            solve(lambda x: analysis._projection(t, y, x)[1:], (gamma, omega * omega),
+            solve(lambda x: analysis._projection(t, y, x), (g, g * g + w * w),
                   tol=analysis.FIT_TOL, max_nfev=analysis.FIT_MAX_NFEV).cost
-            for gamma, omega in poles)
-        assert abs(calls[0].cost - best_of_both) <= 1e-12 * best_of_both
+            for g, w in poles)
+        assert calls[0].cost <= best_of_both + rounding_cost(t)
+
+
+def test_the_default_fig1_scan_makes_at_most_60_evaluations(monkeypatch):
+    cfg = config.resolve({}, "fig1")
+    solve = analysis.least_squares
+    runs = []
+    monkeypatch.setattr(analysis, "least_squares",
+                        lambda *args, **kwargs: runs.append(solve(*args, **kwargs)) or runs[-1])
+    scan = transition_scan(cfg.system, cfg.J_grid, cfg.scan["window"], cfg.scan["n_samples"])
+    assert len(runs) == len(cfg.J_grid) == 35
+    assert scan.n_unconverged == 0
+    assert sum(run.nfev for run in runs) <= 60
 
 
 @pytest.mark.parametrize("experiment, n_fits", [("fig1", 35), ("fig4", 33)])
 def test_fits_match_scipy_on_the_default_series(default_scans, experiment, n_fits):
-    # At the qutrit EP the series is critically damped, (P + S t) exp(-Gamma t) + C.
-    # The oracle's {cos, sin, 1} basis reaches that form only as omega -> 0, so its
-    # omega there is set by rounding noise in the series. At that point omega is held
-    # to the spectrum's prediction instead, and the fit's cost to at most the oracle's.
+    # Below the EP the oracle, held to omega >= 0, fits neither rate; the fit's
+    # cost is at most the oracle's there, and its two rates are the
+    # Liouvillian's. At the qutrit EP the series is critically damped,
+    # (P + S t) exp(-Gamma t) + C, which the oracle's {cos, sin, 1} basis reaches
+    # only as omega -> 0, so its omega is set by rounding noise in the series.
+    # There omega is held to the spectrum's prediction instead.
     scan, series = default_scans[experiment]
     assert len(series) == len(scan.J_values) == n_fits
-    at_ep = 0
-    for J, omega_pred, (t, y) in zip(scan.J_values, scan.omega_pred, series):
+    at_ep = below = 0
+    for i, (J, (t, y)) in enumerate(zip(scan.J_values, series)):
         fit = analysis.fit_damped_sine(t, y)
         oracle = scipy_oracle(t, y)
         gamma, omega = oracle.x
         assert fit.converged
-        assert abs(fit.gamma - gamma) <= 1e-6
+        assert 0.5 * len(t) * fit.residual_rms**2 <= oracle.cost * (1.0 + 1e-12) + rounding_cost(t)
         if experiment == "fig4" and math.isclose(J, scan.j_ep, abs_tol=1e-12):
             at_ep += 1
-            assert abs(fit.omega - omega_pred) <= 1e-5
-            assert 0.5 * len(t) * fit.residual_rms**2 <= oracle.cost
+            assert abs(fit.omega - scan.omega_pred[i]) <= 1e-5
+            assert abs(fit.gamma - gamma) <= 1e-6
+        elif J < scan.j_ep:
+            below += 1
+            assert fit.omega == 0.0
+            assert abs(fit.gamma - scan.gamma_pred[i]) <= 1e-6 * scan.gamma_pred[i]
+            assert abs(fit.gamma_fast - scan.gamma_fast_pred[i]) <= 1e-6 * scan.gamma_fast_pred[i]
         else:
+            assert abs(fit.gamma - gamma) <= 1e-6
+            assert fit.gamma_fast == fit.gamma
             assert abs(fit.omega - omega) <= 1e-5
     assert at_ep == (experiment == "fig4")
+    assert below == {"fig1": 9, "fig4": 17}[experiment]
+
+
+def test_below_the_ep_gamma_pred_reads_the_slow_branch(default_scans):
+    # at J = 0.10 the slow mode carries 1.3% of the largest weight, under the
+    # 2% cut that used to pick the pair
+    scan, _series = default_scans["fig1"]
+    rows = {round(float(J), 2): i for i, J in enumerate(scan.J_values)}
+    for J, slow, fast in [(0.10, 2.3192, 4.3808), (0.15, 2.3438, 4.3562)]:
+        assert scan.gamma_pred[rows[J]] == pytest.approx(slow, abs=5e-5)
+        assert scan.gamma_fast_pred[rows[J]] == pytest.approx(fast, abs=5e-5)
+        assert scan.gamma_fit[rows[J]] == pytest.approx(scan.gamma_pred[rows[J]], rel=1e-6)
 
 
 # --- spectral predictions ----------------------------------------------------------
@@ -329,14 +433,22 @@ def excited_projector():
 def test_predict_rates_above_and_below_the_critical_coupling():
     rates = Rates(gamma_e=4.0)
     above = build_superoperator(make_system(DriveParams(J=1.8), rates))
-    w, g = analysis.predict_rates(above, excited_projector(), obs_index=3)
+    w, g, g_fast = analysis.predict_rates(above, excited_projector(), obs_index=3)
     assert w == pytest.approx(0.25 * math.sqrt(64.0 * 1.8**2 - 16.0), abs=1e-9)
     assert g == pytest.approx(3.0, abs=1e-9)
+    assert g_fast == g  # one rate above the EP
 
     below = build_superoperator(make_system(DriveParams(J=0.3), rates))
-    w, g = analysis.predict_rates(below, excited_projector(), obs_index=3)
-    assert w == pytest.approx(0.0, abs=1e-9)
+    w, g, g_fast = analysis.predict_rates(below, excited_projector(), obs_index=3)
+    assert w == 0.0
     assert g == pytest.approx(2.2, abs=1e-9)  # the slower real branch
+    assert g_fast == pytest.approx(3.8, abs=1e-9)
+
+    # a stack takes one call, and each slice is what it gives alone
+    stacked = analysis.predict_rates(np.stack([above, below]), excited_projector(), obs_index=3)
+    for k, L in enumerate((above, below)):
+        alone = analysis.predict_rates(L, excited_projector(), obs_index=3)
+        assert [float(x[k]) for x in stacked] == [float(x) for x in alone]
 
 
 def test_ep_coupling_formulas():
@@ -383,8 +495,14 @@ def test_scan_transition_qubit():
     assert scan.omega_fit[-1] == pytest.approx(scan.omega_pred[-1], rel=0.02)
     assert scan.transition_estimate(threshold=0.1) == pytest.approx(0.6)
     header, rows = scan.table()
-    assert header == ["J", "omega_fit", "gamma_fit", "omega_pred", "gamma_pred", "flagged"]
+    assert header == ["J", "omega_fit", "gamma_fit", "gamma_fast_fit", "omega_pred", "gamma_pred",
+                      "gamma_fast_pred", "flagged"]
     assert len(rows) == len(Js)
+    above = Js > scan.j_ep
+    assert np.array_equal(scan.gamma_fast_fit[above], scan.gamma_fit[above])
+    assert np.array_equal(scan.gamma_fast_pred[above], scan.gamma_pred[above])
+    below = Js < scan.j_ep
+    assert np.all(scan.gamma_fast_fit[below] > scan.gamma_fit[below])
 
 
 def test_scan_transition_qutrit_point_above_transition():

@@ -780,7 +780,9 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
     ["spectrum", "--set", "system.dim=3"],  # 401 J points
     ["fig2", "--config", str(ROOT / "configs" / "fig2_fast.json")],  # scheduled Lindblad and MCWF
     ["trajectories", "--set", "ensemble.n=50"],  # scheduled MCWF with its Lindblad reference
-], ids=["ep-map", "spectrum-qutrit", "fig2-fast", "trajectories"])
+    ["fig1"],  # the fits, and one stacked eigensolve and solve for the predictions
+    ["fig4"],
+], ids=["ep-map", "spectrum-qutrit", "fig2-fast", "trajectories", "fig1", "fig4"])
 def test_datasets_are_byte_identical_at_one_and_two_blas_threads(args, tmp_path):
     # both grids are longer than one GRID_BLOCK, so each grid run is cut into blocks
     assert lv.GRID_BLOCK < 401

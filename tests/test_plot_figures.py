@@ -105,6 +105,29 @@ def test_every_plotter_reads_its_default_run_and_saves_its_figures(plot_figures,
     assert read and all(path.is_file() and path.parent.name.startswith("default-") for path in read)
 
 
+class _Columns(dict):
+    """A read_csv result that records the name of each column a plotter reads."""
+
+    def __init__(self, columns: dict, seen: set):
+        super().__init__(columns)
+        self._seen = seen
+
+    def __getitem__(self, name):
+        self._seen.add(name)
+        return super().__getitem__(name)
+
+
+def test_the_transition_plots_read_both_rates_of_fit_and_prediction(plot_figures, out, saved,
+                                                                     monkeypatch):
+    seen: dict[str, set] = {}
+    read_csv = plot_figures.read_csv
+    monkeypatch.setattr(plot_figures, "read_csv",
+                        lambda path: _Columns(read_csv(path), seen.setdefault(path.name, set())))
+    assert plot_figures.main(["--output-root", str(out)]) == 0
+    for table in ("fig1_transition.csv", "fig4_transition.csv"):
+        assert {"gamma_fit", "gamma_fast_fit", "gamma_pred", "gamma_fast_pred"} <= seen[table]
+
+
 def test_a_missing_run_is_skipped(plot_figures, out, saved, tmp_path, capsys):
     (tmp_path / "default-sweeps").symlink_to(out / "default-sweeps")
     assert plot_figures.main(["--output-root", str(tmp_path)]) == 0
