@@ -201,9 +201,12 @@ def test_overdamped_series_fits_on_zero_frequency_with_the_t_term_outside_amplit
 @pytest.mark.parametrize("gamma", [0.5, 1.3, 2.2847739, 2.8])
 def test_a_single_decay_with_no_offset_fits_its_rate_or_reports_unconverged(gamma):
     # rank 1 in the basis: the pencil finds one pole and takes it twice, so no
-    # noise pole seeds the fit
+    # noise pole seeds the fit. Only at 2.2847739, where the pencil once seeded
+    # from a noise pole, may the fit report that it did not converge.
     t = np.linspace(0.0, 10.0, 500)
     fit = analysis.fit_damped_sine(t, 1.2 * np.exp(-gamma * t))
+    if gamma != 2.2847739:
+        assert fit.converged
     if fit.converged:
         assert abs(fit.gamma - gamma) <= 1e-9 * gamma
         assert fit.amplitude == pytest.approx(1.2, rel=1e-9)
@@ -332,7 +335,7 @@ def scipy_oracle(t, y):
 
 
 def rounding_cost(t):
-    """Half the squared norm of a residual of 4 eps per sample: where two exact fits' costs tie."""
+    """Half the squared norm of a residual of 4 eps per sample: the cost of a fit exact to rounding."""
     return 0.5 * len(t) * (4.0 * np.finfo(float).eps) ** 2
 
 
@@ -359,11 +362,16 @@ def test_each_fit_makes_one_least_squares_call_as_good_as_the_best_of_both_poles
         (g1, _), (g2, _) = poles
         assert gamma == pytest.approx(0.5 * (g1 + g2), rel=1e-6)
         assert p == pytest.approx(g1 * g2, rel=1e-6)
-        best_of_both = min(
-            solve(lambda x: analysis._projection(t, y, x), (g, g * g + w * w),
-                  tol=analysis.FIT_TOL, max_nfev=analysis.FIT_MAX_NFEV).cost
-            for g, w in poles)
-        assert calls[0].cost <= best_of_both + rounding_cost(t)
+        runs = [solve(lambda x: analysis._projection(t, y, x), (g, g * g + w * w),
+                      tol=analysis.FIT_TOL, max_nfev=analysis.FIT_MAX_NFEV)
+                for g, w in poles]
+        # the pair reaches the exact fit, a residual at rounding, in at most 2
+        # evaluations; each pole alone heads for the same point and takes 10 or more
+        assert calls[0].cost <= rounding_cost(t)
+        assert calls[0].nfev <= 2
+        for run in runs:
+            assert run.nfev >= 10
+            np.testing.assert_allclose(run.x, calls[0].x, rtol=1e-9, atol=0.0)
 
 
 def test_the_default_fig1_scan_makes_at_most_60_evaluations(monkeypatch):
@@ -385,7 +393,10 @@ def test_fits_match_scipy_on_the_default_series(default_scans, experiment, n_fit
     # Liouvillian's. At the qutrit EP the series is critically damped,
     # (P + S t) exp(-Gamma t) + C, which the oracle's {cos, sin, 1} basis reaches
     # only as omega -> 0, so its omega is set by rounding noise in the series.
-    # There omega is held to the spectrum's prediction instead.
+    # There omega is held to the spectrum's prediction instead, and the cost to
+    # at most the oracle's. Above the EP both fit the same model, and their costs
+    # tie at rounding (fig1's within 1e-28, fig4's within 3e-15 relative), so
+    # there the parameters are held to the oracle's.
     scan, series = default_scans[experiment]
     assert len(series) == len(scan.J_values) == n_fits
     at_ep = below = 0
@@ -393,14 +404,16 @@ def test_fits_match_scipy_on_the_default_series(default_scans, experiment, n_fit
         fit = analysis.fit_damped_sine(t, y)
         oracle = scipy_oracle(t, y)
         gamma, omega = oracle.x
+        cost = 0.5 * len(t) * fit.residual_rms**2
         assert fit.converged
-        assert 0.5 * len(t) * fit.residual_rms**2 <= oracle.cost * (1.0 + 1e-12) + rounding_cost(t)
         if experiment == "fig4" and math.isclose(J, scan.j_ep, abs_tol=1e-12):
             at_ep += 1
+            assert cost <= oracle.cost
             assert abs(fit.omega - scan.omega_pred[i]) <= 1e-5
             assert abs(fit.gamma - gamma) <= 1e-6
         elif J < scan.j_ep:
             below += 1
+            assert cost <= oracle.cost
             assert fit.omega == 0.0
             assert abs(fit.gamma - scan.gamma_pred[i]) <= 1e-6 * scan.gamma_pred[i]
             assert abs(fit.gamma_fast - scan.gamma_fast_pred[i]) <= 1e-6 * scan.gamma_fast_pred[i]
