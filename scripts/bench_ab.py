@@ -4,9 +4,11 @@ Each pair runs `perfbench/run.py` once in the base checkout and once in the
 head checkout, and the side that runs first alternates from pair to pair, so
 slow drift of the machine falls on both sides alike. For every workload the
 record holds each side's samples of the end-to-end metrics, their median and
-quartiles, and how many pairs the head won, and per step of the workload
+quartiles, how many pairs the head won and how many tied, and whether a gain
+may be claimed (`claim_met`, by `gain_rule`), and per step of the workload
 the same summaries of the step's median wall time and of the peak RSS of
-its children, so the record shows which step sets `peak_rss_mb`. It also
+its children, so the record shows which step sets `peak_rss_mb`. Each
+metric's medians, pair wins, ties and verdict are also printed. The record
 holds the environment line the benchmark prints and, with --parity, the
 dataset sha256 sets of two `scripts/parity.py run` directories.
 
@@ -59,6 +61,20 @@ def summary(samples: list[float]) -> dict:
     return {"samples": samples, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def gain_rule(base: list[float], head: list[float]) -> dict:
+    """Pair wins and whether a lower-is-better gain may be claimed.
+
+    The claim is met when the head wins at least 9 in 10 of all pairs, a tie
+    counting for neither side, and its median is below the base's by more
+    than the base's interquartile range.
+    """
+    wins = sum(y < x for x, y in zip(base, head))
+    ties = sum(y == x for x, y in zip(base, head))
+    b, h = summary(base), summary(head)
+    return {"head_wins": wins, "ties": ties,
+            "claim_met": bool(10 * wins >= 9 * len(base) and b["median"] - h["median"] > b["iqr"])}
+
+
 def compare(workload: str, pairs: int, roots: dict, seconds: float, seed: int) -> dict:
     runs = {"base": [], "head": []}
     for i in range(pairs):
@@ -77,11 +93,12 @@ def compare(workload: str, pairs: int, roots: dict, seconds: float, seed: int) -
         base = [r["metrics"][m] for r in runs["base"]]
         head = [r["metrics"][m] for r in runs["head"]]
         b, h = summary(base), summary(head)
-        record["metrics"][m] = {
-            "base": b, "head": h,
-            "head_wins": sum(y < x for x, y in zip(base, head)),
-            "median_change": h["median"] / b["median"] - 1.0,
-        }
+        r = record["metrics"][m] = {"base": b, "head": h, **gain_rule(base, head),
+                                    "median_change": h["median"] / b["median"] - 1.0}
+        print(f"{workload} {m}: median {b['median']:.4g} -> {h['median']:.4g} "
+              f"({100 * r['median_change']:+.1f}%), base IQR {b['iqr']:.2g}, head won "
+              f"{r['head_wins']} of {pairs}, ties {r['ties']}, "
+              f"claim met: {'yes' if r['claim_met'] else 'no'}", flush=True)
     record["steps"] = {
         step: {name: {side: summary([r["steps"][step][name] for r in runs[side]])
                       for side in runs}

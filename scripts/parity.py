@@ -8,8 +8,10 @@ OUT/config-<stem>/. `compare` reads the
 manifests of two such directories and lists every dataset whose sha256
 differs or that one side lacks; it exits 1 when there is any, or when a run
 is missing on either side. For a CSV or JSON dataset that differs it also
-prints how many cells (JSON: leaf values) differ, and the largest absolute
-difference between two numbers, with its column or key.
+prints how many cells (JSON: leaf values) differ, which CSV columns one side
+adds or lacks, and the largest absolute difference between two numbers, with
+its column or key. CSV cells are matched by row and column name, so a column
+added in the middle of a table is not compared against its neighbours.
 
 Usage:
     python3 scripts/parity.py run OUT [--checkout ROOT] [--blas-threads N]
@@ -85,32 +87,38 @@ def _leaves(obj, key: str = ""):
         yield key, obj
 
 
-def _cells(path: Path) -> dict:
-    """position -> (column or key, value) of every cell of a CSV or JSON dataset."""
+def _cells(path: Path) -> tuple[list[str], dict]:
+    """A CSV's header ([] for JSON), and (row, column name) or key -> value of every cell."""
     if path.suffix == ".json":
-        return {key: (key, value) for key, value in _leaves(json.loads(path.read_text()))}
+        return [], dict(_leaves(json.loads(path.read_text())))
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
-    return {(i, j): (header[j] if j < len(header) else f"column {j}", cell)
-            for i, row in enumerate(rows) for j, cell in enumerate(row)}
+    width = max(map(len, rows), default=0)
+    names = header + [f"column {j}" for j in range(len(header), width)]
+    return header, {(i, name): cell for i, row in enumerate(rows) for name, cell in zip(names, row)}
 
 
 def _quantify(a: Path, b: Path) -> str:
-    """', n of m cells' that differ and ', largest |difference| x in column', or ''."""
+    """', n of m cells' that differ, the columns added or removed, and
+    ', largest |difference| x in column', or ''."""
     if a.suffix not in (".csv", ".json") or not (a.is_file() and b.is_file()):
         return ""
-    ca, cb = _cells(a), _cells(b)
+    (ha, ca), (hb, cb) = _cells(a), _cells(b)
     positions = sorted(ca.keys() | cb.keys())
     differ = [p for p in positions if ca.get(p) != cb.get(p)]
     worst, where = 0.0, None
     for p in differ:
         try:
-            d = abs(float(ca[p][1]) - float(cb[p][1]))
+            d = abs(float(ca[p]) - float(cb[p]))
         except (KeyError, TypeError, ValueError):
             continue
         if math.isfinite(d) and (where is None or d > worst):
-            worst, where = d, ca[p][0]
+            worst, where = d, p[1] if isinstance(p, tuple) else p
     text = f", {len(differ)} of {len(positions)} cells"
+    for verb, names in (("added", [n for n in hb if n not in ha]),
+                        ("removed", [n for n in ha if n not in hb])):
+        if names:
+            text += f", {verb} column{'s' if len(names) > 1 else ''} {', '.join(names)}"
     if where is not None:
         text += f", largest |difference| {worst:.2g} in {where}"
     return text

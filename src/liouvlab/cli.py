@@ -12,6 +12,7 @@ configuration error, 3 numerical failure.
 """
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -416,6 +417,10 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    # Everything alive at entry (modules, functions, the schema) lives until
+    # the process exits, so move it out of the collector's reach: neither the
+    # run's collections nor interpreter shutdown traverse the import heap again.
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="liouvlab",
         description="Open-system spectral analysis and dynamics experiments.",

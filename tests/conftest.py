@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_the_heap():
+    """Undo `cli.main`'s gc.freeze after each test, so this process's own cycles stay collectable."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

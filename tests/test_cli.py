@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import math
@@ -770,6 +771,35 @@ def test_no_run_loads_openssl_before_it_hashes_its_outputs(args, tmp_path):
     proc = subprocess.run([sys.executable, "-c", HASHLIB_SCRIPT, str(tmp_path), *args],
                           env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# main freezes the heap it is entered with (conftest unfreezes it after each
+# test), so the import heap is not traversed again by the run or at exit
+FREEZE_SCRIPT = """
+import gc
+import sys
+
+from liouvlab import cli
+
+assert gc.get_freeze_count() == 0  # importing the package leaves the collector alone
+n0 = len(gc.get_objects())
+assert cli.main(["steady-state", "--output-dir", sys.argv[1]]) == 0
+print(n0, gc.get_freeze_count())
+"""
+
+
+def test_main_freezes_every_object_the_imports_left_tracked(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", FREEZE_SCRIPT, str(tmp_path)],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    n0, frozen = map(int, proc.stdout.split()[-2:])
+    assert frozen >= n0 > 0
+
+
+def test_an_in_process_run_freezes_the_heap(tmp_path, capsys):
+    assert run("steady-state", "--output-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() > 0
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

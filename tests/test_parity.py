@@ -86,6 +86,25 @@ def test_a_differing_dataset_is_quantified_by_cells_and_largest_difference(
     assert "0 datasets identical, 2 differ" in out
 
 
+def test_cells_are_matched_by_column_name_and_changed_columns_are_named(parity, tmp_path, capsys):
+    # gamma_fast_fit is inserted before omega_pred, as a change of the fig1 table did; matched by
+    # position, omega_pred's 0 would be compared with gamma_fast_fit's 4.5 and named instead
+    files = {"fig1_transition.csv": ("J,gamma_fit,omega_pred\r\n0.1,4.0,0\r\n0.2,3.5,0\r\n",
+                                     "J,gamma_fit,gamma_fast_fit,omega_pred\r\n"
+                                     "0.1,2.0,4.0,0\r\n0.2,3.5,4.5,0\r\n"),
+             "fig1_cuts.csv": ("J,a,b,c\r\n1,2,3,4\r\n", "J,c\r\n1,4\r\n")}
+    base = write_runs(tmp_path / "base", {"default-fig1": {name: "aa" for name in files}})
+    other = write_runs(tmp_path / "other", {"default-fig1": {name: "bb" for name in files}})
+    for name, (text_base, text_other) in files.items():
+        (base / "default-fig1" / name).write_text(text_base)
+        (other / "default-fig1" / name).write_text(text_other)
+    assert parity.compare(base, other) == 1
+    out = capsys.readouterr().out
+    assert ("DIFF default-fig1/fig1_transition.csv: differs, 3 of 8 cells, "
+            "added column gamma_fast_fit, largest |difference| 2 in gamma_fit") in out
+    assert "DIFF default-fig1/fig1_cuts.csv: differs, 2 of 4 cells, removed columns a, b\n" in out
+
+
 def test_the_run_list_names_every_cli_experiment_once(parity):
     # a new experiment missing here would skip the byte-parity check unnoticed
     assert sorted(parity.EXPERIMENTS) == sorted(cli.EXPERIMENTS)
