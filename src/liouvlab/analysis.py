@@ -28,6 +28,7 @@ MIN_FIT_SAMPLES = 8
 EP_FLAG_RADIUS = 0.05  # rad/us; fits this close to the EP see t*exp(lambda t) terms
 FIT_MAX_NFEV = 500  # residual evaluations per fit
 FIT_TOL = 1e-15  # tolerance of its gradient, cost-reduction and step tests
+TRANSITION_OMEGA = 0.1  # rad/us; a fitted omega above this is past the transition
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +402,20 @@ class TransitionScan:
         """Fits that returned without meeting a convergence test."""
         return sum(1 for f in self.fits if f is not None and not f.converged)
 
-    def transition_estimate(self, threshold: float = 0.1) -> float:
-        """Smallest scanned J whose fitted omega exceeds the threshold."""
-        for J, w in zip(self.J_values, self.omega_fit):
-            if np.isfinite(w) and w > threshold:
-                return float(J)
-        return float("nan")
+    def transition_estimate(self) -> float:
+        """Smallest scanned J whose fitted omega exceeds TRANSITION_OMEGA; nan if none.
 
-    def table(self) -> tuple[list[str], list[list[float]]]:
-        columns = {"J": self.J_values, "omega_fit": self.omega_fit, "gamma_fit": self.gamma_fit,
-                   "gamma_fast_fit": self.gamma_fast_fit, "omega_pred": self.omega_pred,
-                   "gamma_pred": self.gamma_pred, "gamma_fast_pred": self.gamma_fast_pred,
-                   "flagged": self.flagged}
-        return list(columns), [[float(x) for x in row] for row in zip(*columns.values())]
+        The smallest in value, whatever the grid's order.
+        """
+        past = self.J_values[self.omega_fit > TRANSITION_OMEGA]  # a nan omega is never past
+        return float(past.min()) if past.size else float("nan")
+
+    def table(self) -> dict[str, np.ndarray]:
+        """The scan's columns by name, in table order."""
+        return {"J": self.J_values, "omega_fit": self.omega_fit, "gamma_fit": self.gamma_fit,
+                "gamma_fast_fit": self.gamma_fast_fit, "omega_pred": self.omega_pred,
+                "gamma_pred": self.gamma_pred, "gamma_fast_pred": self.gamma_fast_pred,
+                "flagged": self.flagged}
 
 
 def initial_state_for(dim: int) -> np.ndarray:
@@ -434,9 +436,11 @@ def scan_transition(
 ) -> TransitionScan:
     """Sweep J, fitting the simulated transient and attaching predictions.
 
-    Qubit scans watch rho_ee from rho0 = |e><e|; qutrit scans watch |rho_gf|
+    Qubit scans watch rho_ee from rho0 = |e><e|; qutrit scans watch Re rho_gf
     from the superposition (|g> - |f>)/sqrt(2), at n_samples times spanning
-    [0, window]. `generators` is the grid's stack,
+    [0, window]. rho_gf is real at Delta = 0 and changes sign above the
+    qutrit EP, so its real part, not its absolute value, is the damped sine
+    (or pair of decays) that the fit's model holds. `generators` is the grid's stack,
     superoperator_stack(operators(system_template, J_values, Delta, gamma_e)),
     integrated in one integrate_constant call and predicted in one
     predict_rates call; only the fit runs per J. Per-point fit failures are
@@ -458,7 +462,7 @@ def scan_transition(
         raise OutOfRange(f"generators must be a ({len(J_arr)}, {dim * dim}, {dim * dim}) stack, "
                          f"got {np.shape(generators)}")
     states = integrate_constant(generators, rho0, t_grid).states
-    series = states[..., 1, 1].real if dim == 2 else np.abs(states[..., 0, 2])
+    series = states[..., 1, 1].real if dim == 2 else states[..., 0, 2].real
     omega_pred, gamma_pred, gamma_fast_pred = predict_rates(generators, rho0, obs_index)
 
     fits: list[Optional[DampedSineFit]] = []

@@ -4,11 +4,11 @@ Each experiment loads a strict JSON config (all values in 1/us and rad/us, or
 MHz with --units mhz). `config.resolve` checks it against the keys that
 experiment reads (`config.SCHEMA`), types and range-checks every value and
 fills in the defaults before the run starts; then the experiment runs its
-pipeline. It returns its tables, an ordered mapping from file stem to
-(header, rows), and its summary dict; one writer turns them into CSV
-datasets and a JSON summary with pinned number formatting and emits a
-RunManifest with content hashes. Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+pipeline. It returns its tables, a mapping from file stem to a table (a
+dict from column name to its values), and its summary dict; one writer
+turns them into CSV datasets and a JSON summary with pinned number
+formatting and emits a manifest with content hashes. Exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import gc
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,8 @@ def _stochastic_runs(cfg: ExperimentConfig, psi0: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (tables, summary) for _write_outputs
+# Commands: each returns (tables, summary) for _write_outputs, a table being
+# a dict from column name to a 1-d array or list
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -107,19 +108,13 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     # the window is the grid's smallest spacing, so it does not depend on the grid's order
     spacings = np.diff(np.unique(J_grid))
     window = max(float(spacings.min()) if spacings.size else 0.0, 1e-12)
-    near_ep = np.zeros(len(J_grid), dtype=int)
-    for m in markers:
-        near_ep |= np.abs(J_grid - m) <= window
-
-    header = (
-        ["J"]
-        + [f"re_{k}" for k in range(n_modes)]
-        + [f"im_{k}" for k in range(n_modes)]
-        + ["near_ep"]
-    )
-    # the float near_ep column writes as the same digits as its integers
-    rows = np.column_stack([J_grid, branches.real, branches.imag, near_ep])
-    return {"spectrum": (header, rows)}, {
+    near_ep = np.any(np.abs(J_grid[:, None] - np.array(markers)) <= window, axis=1)
+    return {"spectrum": {
+        "J": J_grid,
+        **{f"re_{k}": branches[:, k].real for k in range(n_modes)},
+        **{f"im_{k}": branches[:, k].imag for k in range(n_modes)},
+        "near_ep": near_ep,
+    }}, {
         "n_branches": n_modes,
         "ep_markers": markers,
         "J_min": float(J_grid[0]),
@@ -134,20 +129,17 @@ def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     resolution = cfg.scan["resolution"]
     ep_map = ep_scan(cfg.system, J_range, Delta_range, resolution)
 
-    # one row per grid point, J fastest; the float ep_order column writes as
-    # the same digits as its integers
+    # one grid row per grid point, J fastest
     nJ, nD = len(ep_map.J_values), len(ep_map.Delta_values)
-    grid_rows = np.column_stack([
-        np.tile(ep_map.J_values, nD), np.repeat(ep_map.Delta_values, nJ),
-        ep_map.gap.ravel(), ep_map.angle.ravel(), ep_map.ep_order.ravel()])
-    line_rows = [
-        [line_id, k, point[0], point[1]]
-        for line_id, line in enumerate(ep_map.ep_lines)
-        for k, point in enumerate(line)
-    ]
+    line_points = [(line_id, k, J, Delta) for line_id, line in enumerate(ep_map.ep_lines)
+                   for k, (J, Delta) in enumerate(line)]
     return {
-        "ep_map_grid": (["J", "Delta", "gap", "angle", "ep_order"], grid_rows),
-        "ep_map_lines": (["line_id", "point_idx", "J", "Delta"], line_rows),
+        "ep_map_grid": {
+            "J": np.tile(ep_map.J_values, nD), "Delta": np.repeat(ep_map.Delta_values, nJ),
+            "gap": ep_map.gap.ravel(), "angle": ep_map.angle.ravel(),
+            "ep_order": ep_map.ep_order.ravel()},
+        "ep_map_lines": {name: [point[i] for point in line_points]
+                         for i, name in enumerate(("line_id", "point_idx", "J", "Delta"))},
     }, {
         "n_lines": len(ep_map.ep_lines),
         "line_lengths": [int(len(line)) for line in ep_map.ep_lines],
@@ -158,7 +150,7 @@ def cmd_ep_map(cfg: ExperimentConfig) -> tuple[dict, dict]:
     }
 
 
-def _transition_figure(cfg: ExperimentConfig) -> tuple[list, np.ndarray, np.ndarray, tuple, dict]:
+def _transition_figure(cfg: ExperimentConfig) -> tuple[dict, np.ndarray, np.ndarray, dict, dict]:
     """The body fig1 (a qubit) and fig4 (a qutrit) share.
 
     Builds the J grid's generator stack once, integrates it on the heatmap
@@ -174,7 +166,7 @@ def _transition_figure(cfg: ExperimentConfig) -> tuple[list, np.ndarray, np.ndar
     states = integrate_constant(generators, analysis.initial_state_for(cfg.system.dim), t_hm).states
     scan_result = analysis.scan_transition(
         cfg.system, J_grid, generators, scan["window"], scan["n_samples"])
-    heat_axes = [np.repeat(J_grid, len(t_hm)), np.tile(t_hm, len(J_grid))]
+    heat_axes = {"J": np.repeat(J_grid, len(t_hm)), "t": np.tile(t_hm, len(J_grid))}
     return heat_axes, states, t_hm, scan_result.table(), {
         "j_ep": scan_result.j_ep,
         "transition_estimate": scan_result.transition_estimate(),
@@ -186,14 +178,15 @@ def _transition_figure(cfg: ExperimentConfig) -> tuple[list, np.ndarray, np.ndar
 def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Qubit excited-population dynamics across J plus the transition scan."""
     heat_axes, states, t_hm, transition, summary = _transition_figure(cfg)
-    pop_e = states[..., 1, 1].real
-    cut_values = (float(heat_axes[0][0]), float(heat_axes[0][-1]))  # the first and last J
+    # a copy, so the columns below do not keep the states alive
+    pop_e = states[..., 1, 1].real.copy()
+    first, last = float(heat_axes["J"][0]), float(heat_axes["J"][-1])
     return {
-        "fig1_heatmap": (["J", "t", "rho_ee"], np.column_stack([*heat_axes, pop_e.ravel()])),
-        "fig1_cuts": (["t"] + [f"rho_ee_J{J:g}" for J in cut_values],
-                      np.column_stack([t_hm, pop_e[0], pop_e[-1]])),
+        "fig1_heatmap": {**heat_axes, "rho_ee": pop_e.ravel()},
+        # a one-point grid's two cuts are one column
+        "fig1_cuts": {"t": t_hm, f"rho_ee_J{first:g}": pop_e[0], f"rho_ee_J{last:g}": pop_e[-1]},
         "fig1_transition": transition,
-    }, {**summary, "cut_J_values": list(cut_values)}
+    }, {**summary, "cut_J_values": [first, last]}
 
 
 def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -201,12 +194,9 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     n_steps = scheduled_step_count(cfg.schedule.T, cfg.integrator_dt)
     runs = _encircling_runs(cfg.system, cfg.schedule, n_steps, cfg.integrator_store_every)
 
-    header = ["t"]
-    columns = [runs[("plus", "ccw")].times]
-    for (tag, direction), evo in runs.items():
-        for comp in ("x", "y", "z"):
-            header.append(f"{comp}_{tag}_{direction}")
-            columns.append(evo.observables[comp])
+    bloch = {"t": runs[("plus", "ccw")].times,
+             **{f"{comp}_{tag}_{direction}": evo.observables[comp]
+                for (tag, direction), evo in runs.items() for comp in ("x", "y", "z")}}
 
     chi_plus = analysis.chirality(
         runs[("plus", "cw")].final_state, runs[("plus", "ccw")].final_state)
@@ -219,17 +209,14 @@ def cmd_fig2(cfg: ExperimentConfig) -> tuple[dict, dict]:
     ens_obs = observables_from_states(ens.mean_density, 2)
 
     return {
-        "fig2_bloch": (header, np.column_stack(columns)),
-        "fig2_trajectory": (["t", "x", "y", "z"], np.column_stack(
-            [ens.times, traj_obs["x"], traj_obs["y"], traj_obs["z"]])),
-        "fig2_ensemble": (
-            ["t", "x_mean", "y_mean", "z_mean", "x_lindblad", "y_lindblad", "z_lindblad",
-             "trace_distance"],
-            np.column_stack([
-                ens.times, ens_obs["x"], ens_obs["y"], ens_obs["z"],
-                lind.observables["x"], lind.observables["y"], lind.observables["z"], td,
-            ]),
-        ),
+        "fig2_bloch": bloch,
+        "fig2_trajectory": {"t": ens.times, **traj_obs},
+        "fig2_ensemble": {
+            "t": ens.times,
+            **{f"{comp}_mean": ens_obs[comp] for comp in ("x", "y", "z")},
+            **{f"{comp}_lindblad": lind.observables[comp] for comp in ("x", "y", "z")},
+            "trace_distance": td,
+        },
     }, {
         "chirality_plus": chi_plus,
         "chirality_minus": chi_minus,
@@ -247,8 +234,8 @@ def cmd_fig4(cfg: ExperimentConfig) -> tuple[dict, dict]:
     heat_axes, states, _t_hm, transition, summary = _transition_figure(cfg)
     gf = states[..., 0, 2].ravel()
     return {
-        "fig4_coherence": (["J", "t", "abs_rho_gf", "re_rho_gf", "im_rho_gf"],
-                           np.column_stack([*heat_axes, np.abs(gf), gf.real, gf.imag])),
+        "fig4_coherence": {**heat_axes, "abs_rho_gf": np.abs(gf), "re_rho_gf": gf.real,
+                           "im_rho_gf": gf.imag},
         "fig4_transition": transition,
     }, summary
 
@@ -261,9 +248,6 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     def sweep(loops):
         return analysis.sweep_metrics(cfg.system, loops, rho_mx, cfg.integrator_dt)
-
-    def table(name, values, metrics):
-        return [name, *metrics], np.column_stack([values, *metrics.values()])
 
     duration = sweep([replace(schedule, T=T) for T in T_values.tolist()])
     detuning = sweep([replace(schedule, Delta_max=D) for D in D_values.tolist()])
@@ -281,17 +265,15 @@ def cmd_sweeps(cfg: ExperimentConfig) -> tuple[dict, dict]:
         hermitian_runs[("plus", "cw")].final_state,
         hermitian_runs[("plus", "ccw")].final_state,
     )
-    h_header = ["t"] + [f"x_{tag}_{direction}" for tag, direction in hermitian_runs]
-    h_cols = [hermitian_runs[("plus", "ccw")].times] + [
-        evo.observables["x"] for evo in hermitian_runs.values()]
 
     return {
-        "sweeps_duration": table("T", T_values, duration),
-        "sweeps_detuning": table("Delta_max", D_values, detuning),
-        "sweeps_hermitian": (h_header, np.column_stack(h_cols)),
-        "sweeps_schedule_comparison": (
-            ["gamma_e_schedule", *ramps],
-            [[kind, *metrics.values()] for kind, metrics in schedule_metrics.items()]),
+        "sweeps_duration": {"T": T_values, **duration},
+        "sweeps_detuning": {"Delta_max": D_values, **detuning},
+        "sweeps_hermitian": {
+            "t": hermitian_runs[("plus", "ccw")].times,
+            **{f"x_{tag}_{direction}": evo.observables["x"]
+               for (tag, direction), evo in hermitian_runs.items()}},
+        "sweeps_schedule_comparison": {"gamma_e_schedule": list(kinds), **ramps},
     }, {
         "duration_chirality_argmax_T": float(T_values[int(np.argmax(duration["chirality"]))]),
         "detuning_chirality_monotone_increasing":
@@ -308,24 +290,19 @@ def cmd_steady_state(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Steady state and spectrum of the configured system."""
     L = build_superoperator(cfg.system)
     rho_inf = steady_state(L)
-    dec = numerics.eig_general(L)
+    lam = numerics.eig_general(L).eigenvalues
 
     d = cfg.system.dim
-    rows = [
-        [i, j, rho_inf[i, j].real, rho_inf[i, j].imag]
-        for i in range(d) for j in range(d)
-    ]
-    spec_rows = [[k, lam.real, lam.imag] for k, lam in enumerate(dec.eigenvalues)]
+    row, col = np.indices((d, d)).reshape(2, -1)
     return {
-        "steady_state": (["row", "col", "re", "im"], rows),
-        "steady_state_spectrum": (["index", "re", "im"], spec_rows),
+        "steady_state": {"row": row, "col": col, "re": rho_inf.real.ravel(),
+                         "im": rho_inf.imag.ravel()},
+        "steady_state_spectrum": {"index": np.arange(len(lam)), "re": lam.real, "im": lam.imag},
     }, {
         "purity": float(np.trace(rho_inf @ rho_inf).real),
         "entropy_bits": analysis.entropy(rho_inf),
         "populations": [float(rho_inf[i, i].real) for i in range(d)],
-        "slowest_decay_rate": float(
-            -dec.eigenvalues[~zero_modes(dec.eigenvalues, L)].real.max()
-        ),
+        "slowest_decay_rate": float(-lam[~zero_modes(lam, L)].real.max()),
     }
 
 
@@ -336,28 +313,18 @@ def cmd_trajectories(cfg: ExperimentConfig) -> tuple[dict, dict]:
     ens, _lind, td = _stochastic_runs(cfg, psi0)
 
     traj_states = ens.trajectory0_states
+    levels = "gef"[:dim]
     if dim == 2:
-        obs = observables_from_states(_density(traj_states), 2)
-        traj_rows = np.column_stack([ens.times, obs["x"], obs["y"], obs["z"]])
-        traj_header = ["t", "x", "y", "z"]
-        pop_cols = [
-            (ens.mean_density[:, 0, 0].real, "pop_g"),
-            (ens.mean_density[:, 1, 1].real, "pop_e"),
-        ]
+        single = observables_from_states(_density(traj_states), 2)
     else:
-        traj_rows = np.column_stack(
-            [ens.times] + [np.abs(traj_states[:, k]) ** 2 for k in range(dim)])
-        traj_header = ["t"] + [f"pop_{lvl}" for lvl in "gef"[:dim]]
-        pop_cols = [
-            (ens.mean_density[:, k, k].real, f"pop_{lvl}")
-            for k, lvl in enumerate("gef"[:dim])
-        ]
-    ens_header = ["t"] + [name for _, name in pop_cols] + ["trace_distance"]
-    ens_rows = np.column_stack([ens.times] + [c for c, _ in pop_cols] + [td])
+        single = {f"pop_{lvl}": np.abs(traj_states[:, k]) ** 2 for k, lvl in enumerate(levels)}
     per_traj = np.array([len(j) for j in ens.jumps_per_trajectory])
     return {
-        "trajectories_single": (traj_header, traj_rows),
-        "trajectories_ensemble": (ens_header, ens_rows),
+        "trajectories_single": {"t": ens.times, **single},
+        "trajectories_ensemble": {
+            "t": ens.times,
+            **{f"pop_{lvl}": ens.mean_density[:, k, k].real for k, lvl in enumerate(levels)},
+            "trace_distance": td},
     }, {
         "ensemble_n": cfg.ensemble_n,
         "master_seed": cfg.master_seed,
@@ -390,11 +357,11 @@ def _write_outputs(
     <experiment>_summary.json, and last the manifest, which lists the others.
     """
     stem = experiment.replace("-", "_")
-    files = [io.write_csv(cfg.output_dir / f"{name}.csv", header, rows)
-             for name, (header, rows) in tables.items()]
+    files = [io.write_csv(cfg.output_dir / f"{name}.csv", columns)
+             for name, columns in tables.items()]
     files.append(io.write_json(cfg.output_dir / f"{stem}_summary.json", summary))
     manifest = io.build_manifest(experiment, __version__, cfg.echo, files, started)
-    return files + [io.write_json(cfg.output_dir / f"{stem}_manifest.json", asdict(manifest))]
+    return files + [io.write_json(cfg.output_dir / f"{stem}_manifest.json", manifest)]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .model import ParameterSchedule, QuantumSystem, operators, path_points
 
 MIN_SCHEDULED_STEPS = 1000
 STEP_BLOCK = 4096  # most scheduled steps built and exponentiated at once
+DENSITY_MATRIX_TOL = 1e-8  # allowed departure from Hermiticity, unit trace and positivity
 
 
 def step_count(total: float, dt: float) -> int:
@@ -135,18 +136,19 @@ class EvolutionResult:
         return self.states[..., -1, :, :]
 
 
-def validate_density_matrix(rho, d: Optional[int] = None, tol: float = 1e-8) -> np.ndarray:
+def validate_density_matrix(rho, d: Optional[int] = None) -> np.ndarray:
     m = numerics.as_complex_matrix(rho)
     if d is not None and m.shape != (d, d):
         raise NotDensityMatrix(f"expected {d}x{d} density matrix, got shape {m.shape}")
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol:
-        raise NotDensityMatrix(f"not Hermitian within {tol:.1e} (deviation {dev:.3e})")
+    if dev > DENSITY_MATRIX_TOL:
+        raise NotDensityMatrix(
+            f"not Hermitian within {DENSITY_MATRIX_TOL:.1e} (deviation {dev:.3e})")
     tr = np.trace(m).real
-    if abs(tr - 1.0) > tol:
-        raise NotDensityMatrix(f"trace {tr} differs from 1 beyond {tol:.1e}")
+    if abs(tr - 1.0) > DENSITY_MATRIX_TOL:
+        raise NotDensityMatrix(f"trace {tr} differs from 1 beyond {DENSITY_MATRIX_TOL:.1e}")
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if w.min() < -tol:
+    if w.min() < -DENSITY_MATRIX_TOL:
         raise NotDensityMatrix(f"negative eigenvalue {w.min():.3e} beyond tolerance")
     return m
 

@@ -1,16 +1,16 @@
 """Dataset persistence: CSV/JSON writers and run manifests.
 
-CSV numbers are pinned to 12 significant digits ("%.12g") so outputs are
-byte-identical across reruns and platforms. Every command run emits a
-RunManifest JSON recording the resolved configuration and a content hash of
-each written file; the hashing loads OpenSSL (via hashlib) only then, at
-write time.
+A table is a dict from column name, in table order, to a 1-d array or list
+of its values. CSV numbers are pinned to 12 significant digits ("%.12g") so
+outputs are byte-identical across reruns and platforms. Every command run
+emits a manifest, a plain dict written as JSON, recording the resolved
+configuration and a content hash of each written file; the hashing loads
+OpenSSL (via hashlib) only then, at write time.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,45 +27,40 @@ def _unquoted(cells):
     return cells
 
 
-def write_csv(path, header: list[str], rows) -> Path:
-    """CSV with a header row, CRLF line ends and pinned float formatting.
+def write_csv(path, columns: dict) -> Path:
+    """CSV of named columns, with a header row, CRLF line ends and pinned float formatting.
 
-    `rows` is a list of rows or a 2-d array. One format string is built
-    from the first row: %s for a string cell and CSV_FLOAT_FORMAT for any
-    other, so ints below 10**12 and bools print as their digits. It is
-    repeated over chunks of up to CSV_CHUNK_ROWS rows, each formatted by one
-    % and written by one write. No cell is quoted: a header or string cell
-    that holds a comma, quote or line break raises ValueError, and so does a
-    row whose length differs from the first row's.
+    `columns` maps each name, in table order, to a 1-d array or list of its
+    values, every one of the same length (ValueError naming the first that
+    differs). A column whose first value is a string prints as %s, any
+    other as CSV_FLOAT_FORMAT, so ints below 10**12 and bools print as
+    their digits. The table is written in chunks of up to CSV_CHUNK_ROWS
+    rows, each built from the columns' slices (an object array when a
+    column holds text, a float array otherwise), formatted by one % and
+    written by one write. No cell is quoted: a name or string cell that
+    holds a comma, quote or line break raises ValueError.
     """
     path = Path(path)
+    names, values = _unquoted(list(columns)), list(columns.values())
+    n_rows = len(values[0]) if values else 0
+    for name, column in columns.items():
+        if len(column) != n_rows:
+            raise ValueError(f"CSV column {name!r} has {len(column)} values, "
+                             f"column {names[0]!r} {n_rows}")
+    text = [n_rows > 0 and isinstance(column[0], str) for column in values]
+    line = ",".join("%s" if is_text else CSV_FLOAT_FORMAT for is_text in text) + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_unquoted(header)) + "\r\n")
-        if len(rows):
-            first = rows[0].tolist() if isinstance(rows[0], np.ndarray) else rows[0]
-            text = [i for i, cell in enumerate(first) if isinstance(cell, str)]
-            line = ",".join("%s" if isinstance(cell, str) else CSV_FLOAT_FORMAT
-                            for cell in first) + "\r\n"
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[start:start + CSV_CHUNK_ROWS]
-            cells = _cells(chunk, len(first))
-            _unquoted([cell for i in text for cell in cells[i::len(first)]])
-            fh.write((line * len(chunk)) % tuple(cells))
+        fh.write(",".join(names) + "\r\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, n_rows)
+            chunk = np.empty((stop - start, len(values)), dtype=object if any(text) else float)
+            for j, column in enumerate(values):
+                chunk[:, j] = column[start:stop]
+                if text[j]:
+                    _unquoted(chunk[:, j])
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
     return path
-
-
-def _cells(chunk, width: int) -> list:
-    """The cells of a chunk of rows, row after row; every row must hold `width` cells."""
-    if isinstance(chunk, np.ndarray):
-        return chunk.ravel().tolist()
-    cells = []
-    for row in chunk:
-        row = row.tolist() if isinstance(row, np.ndarray) else row
-        if len(row) != width:
-            raise ValueError(f"CSV row {row!r} has {len(row)} cells, the first row {width}")
-        cells.extend(row)
-    return cells
 
 
 def _jsonable(obj):
@@ -116,42 +111,25 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record: config echo plus hashes of every output.
-
-    File hashes are stable across reruns with the same config and seeds;
-    timestamp and duration naturally differ.
-    """
-
-    experiment: str
-    artifact_version: str
-    timestamp_utc: str
-    duration_s: float
-    config: dict
-    files: list[dict] = field(default_factory=list)
-
-
 def build_manifest(
     experiment: str,
     artifact_version: str,
     config_echo: dict,
     output_files: list,
     started: float,
-) -> RunManifest:
-    files = [
-        {
-            "name": Path(p).name,
-            "sha256": sha256_file(p),
-            "bytes": Path(p).stat().st_size,
-        }
-        for p in output_files
-    ]
-    return RunManifest(
-        experiment=experiment,
-        artifact_version=artifact_version,
-        timestamp_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        duration_s=round(time.monotonic() - started, 3),
-        config=config_echo,
-        files=files,
-    )
+) -> dict:
+    """Reproducibility record: the config echo and the name, sha256 and size of every output.
+
+    The hashes are stable across reruns with the same config and seeds;
+    timestamp_utc and duration_s naturally differ.
+    """
+    files = [{"name": Path(p).name, "sha256": sha256_file(p), "bytes": Path(p).stat().st_size}
+             for p in output_files]
+    return {
+        "experiment": experiment,
+        "artifact_version": artifact_version,
+        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "duration_s": round(time.monotonic() - started, 3),
+        "config": config_echo,
+        "files": files,
+    }

@@ -169,12 +169,13 @@ def expm(a) -> np.ndarray:
     return out.reshape(m.shape)
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
-    """a as a complex matrix or (n, m, m) stack, each slice Hermitian to within tol."""
+def require_hermitian(a, what: str = "matrix") -> np.ndarray:
+    """a as a complex matrix or (n, m, m) stack, each slice Hermitian to within HERMITICITY_TOL."""
     m = as_complex_matrix(a, stacked=True)
     dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2))) if m.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"{what} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"{what} deviates from Hermiticity by {dev:.3e} "
+                           f"(tol {HERMITICITY_TOL:.1e})")
     return m
 
 

@@ -201,7 +201,7 @@ def test_criterion_04_qutrit_transition_location(capsys):
         DriveParams(J=1.0), Rates(4.2, 0.2, 0.3, 0.75), dim=3, f_decay_to="e"
     )
     scan = transition_scan(template, np.linspace(0.8, 1.4, 25))
-    est = scan.transition_estimate(threshold=0.1)
+    est = scan.transition_estimate()
     dev = abs(est - 4.2 / 4)
     elapsed = perf_counter() - t0
     ok = scan.failures == [] and dev <= 0.05 and elapsed < 30.0

@@ -252,8 +252,8 @@ def test_least_squares_stops_on_the_bound_with_a_met_test():
 
 
 def test_an_exhausted_budget_is_reported_unconverged(monkeypatch):
-    # fig4's |rho_gf| above the qutrit EP is no damped sine, so its fit needs
-    # more than two evaluations
+    # |rho_gf| above the qutrit EP folds a damped sine at each sign change, so
+    # no fit model holds it and its fit needs more than two evaluations
     template = replace(config.resolve({}, "fig4").system, drive=DriveParams(J=1.4))
     t = np.linspace(0.0, 10.0, 500)
     start = analysis.initial_state_for(3)
@@ -269,6 +269,9 @@ def test_an_exhausted_budget_is_reported_unconverged(monkeypatch):
     monkeypatch.setattr(analysis, "FIT_MAX_NFEV", 2)
     assert not analysis.fit_damped_sine(t, series).converged
     assert runs[-1].status == 0 and runs[-1].nfev == 2
+    # the scan fits Re rho_gf, which the model holds, in exactly 2 evaluations,
+    # so a budget of 1 leaves it unconverged
+    monkeypatch.setattr(analysis, "FIT_MAX_NFEV", 1)
     assert transition_scan(template, [1.4]).n_unconverged == 1
 
 
@@ -372,6 +375,18 @@ def test_each_fit_makes_one_least_squares_call_as_good_as_the_best_of_both_poles
         for run in runs:
             assert run.nfev >= 10
             np.testing.assert_allclose(run.x, calls[0].x, rtol=1e-9, atol=0.0)
+
+
+def test_the_default_fig4_fits_read_the_predicted_rates_away_from_the_ep(default_scans):
+    # Re rho_gf is one damped sine (or two decays) of the g-f block, so away
+    # from the EP each fit reads the Liouvillian's rates to rounding
+    scan, _series = default_scans["fig4"]
+    table = scan.table()
+    away = np.abs(scan.J_values - scan.j_ep) >= analysis.EP_FLAG_RADIUS
+    assert np.count_nonzero(away) >= 30
+    for rate in ("omega", "gamma", "gamma_fast"):
+        np.testing.assert_allclose(table[f"{rate}_fit"][away], table[f"{rate}_pred"][away],
+                                   rtol=0.0, atol=1e-9, err_msg=rate)
 
 
 def test_the_default_fig1_scan_makes_at_most_60_evaluations(monkeypatch):
@@ -506,16 +521,24 @@ def test_scan_transition_qubit():
     assert list(scan.flagged) == [abs(J - 0.525) < 0.05 for J in Js]
     assert scan.omega_fit[0] <= 0.1
     assert scan.omega_fit[-1] == pytest.approx(scan.omega_pred[-1], rel=0.02)
-    assert scan.transition_estimate(threshold=0.1) == pytest.approx(0.6)
-    header, rows = scan.table()
-    assert header == ["J", "omega_fit", "gamma_fit", "gamma_fast_fit", "omega_pred", "gamma_pred",
-                      "gamma_fast_pred", "flagged"]
-    assert len(rows) == len(Js)
+    assert scan.transition_estimate() == pytest.approx(0.6)
+    table = scan.table()
+    assert list(table) == ["J", "omega_fit", "gamma_fit", "gamma_fast_fit", "omega_pred",
+                           "gamma_pred", "gamma_fast_pred", "flagged"]
+    assert [len(column) for column in table.values()] == [len(Js)] * len(table)
     above = Js > scan.j_ep
     assert np.array_equal(scan.gamma_fast_fit[above], scan.gamma_fit[above])
     assert np.array_equal(scan.gamma_fast_pred[above], scan.gamma_pred[above])
     below = Js < scan.j_ep
     assert np.all(scan.gamma_fast_fit[below] > scan.gamma_fit[below])
+
+
+def test_the_transition_estimate_is_the_smallest_j_past_it_in_any_grid_order():
+    # 1.5 and 1.2 lie above the EP (0.525) and 0.3 below it; 1.5 comes first in the grid
+    template = make_system(DriveParams(J=0.3), Rates(gamma_e=4.4, gamma_phi=0.1))
+    scan = transition_scan(template, [1.5, 0.3, 1.2])
+    assert list(scan.omega_fit > analysis.TRANSITION_OMEGA) == [True, False, True]
+    assert scan.transition_estimate() == 1.2
 
 
 def test_scan_transition_qutrit_point_above_transition():
@@ -539,11 +562,13 @@ def test_scan_transition_takes_the_grids_generator_stack():
     Js = np.array([0.3, 0.9])
     generators = superoperator_stack(operators(template, Js, 0.0, 4.4))
     # each row of the scan is what its J's own one-point stack gives
-    header, rows = analysis.scan_transition(template, Js, generators, 10.0, 500).table()
-    for J, row in zip(Js, rows):
+    table = analysis.scan_transition(template, Js, generators, 10.0, 500).table()
+    for i, J in enumerate(Js):
         alone = build_superoperator(make_system(DriveParams(J=J), template.rates))
-        one = analysis.scan_transition(template, [J], alone[None], 10.0, 500)
-        assert one.table() == (header, [row])
+        one = analysis.scan_transition(template, [J], alone[None], 10.0, 500).table()
+        assert list(one) == list(table)
+        for name, column in one.items():
+            assert np.array_equal(column, table[name][i:i + 1]), name
     with pytest.raises(OutOfRange, match="generators"):
         analysis.scan_transition(template, Js, generators[:1], 10.0, 500)
 

@@ -157,6 +157,15 @@ def test_summary_without_a_transition_estimate_is_strict_json(tmp_path, capsys):
     assert summary["transition_estimate"] is None
 
 
+def test_fig1_on_a_one_point_grid_writes_one_cut_column(tmp_path, capsys):
+    # the first and last J are one J, so the cuts table holds one column of it
+    assert run("fig1", "--output-dir", str(tmp_path), "--set", "scan.J_values=[0.5]") == 0
+    capsys.readouterr()
+    lines = (tmp_path / "fig1_cuts.csv").read_text().splitlines()
+    assert lines[0] == "t,rho_ee_J0.5"
+    assert {len(line.split(",")) for line in lines} == {2}
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
