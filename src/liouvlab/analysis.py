@@ -8,8 +8,8 @@ loops.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,8 +35,7 @@ TRANSITION_OMEGA = 0.1  # rad/us; a fitted omega above this is past the transiti
 # Damped-sinusoid fitting
 
 
-@dataclass
-class DampedSineFit:
+class DampedSineFit(NamedTuple):
     """Parameters of a damped sine, or of two decays below the EP, plus an offset.
 
     The fitted curve is e^-Gt (P cos wt + S sin(wt) / w) + C, with s = w^2 of
@@ -172,8 +171,7 @@ def _pencil_seed(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(rate.mean()), float(rate[0] * rate[1] + freq[0] * freq[1])
 
 
-@dataclass
-class LeastSquaresResult:
+class LeastSquaresResult(NamedTuple):
     """Where least_squares stopped.
 
     x is the last accepted point, fun the residual there, cost half its
@@ -373,8 +371,7 @@ def predict_rates(L: np.ndarray, rho0: np.ndarray, obs_index: int):
     return tuple(np.where(observed, x, 0.0)[..., 0] for x in (omega, gamma - kappa, gamma + kappa))
 
 
-@dataclass
-class TransitionScan:
+class TransitionScan(NamedTuple):
     """Fit-versus-prediction survey across coupling strengths.
 
     fits holds one DampedSineFit per J (None where the fit raised), its
@@ -394,8 +391,8 @@ class TransitionScan:
     gamma_pred: np.ndarray
     gamma_fast_pred: np.ndarray
     flagged: np.ndarray
-    failures: list[tuple[int, str]] = field(default_factory=list)
-    j_ep: float = 0.0
+    failures: list[tuple[int, str]]
+    j_ep: float
 
     @property
     def n_unconverged(self) -> int:

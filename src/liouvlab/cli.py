@@ -181,10 +181,12 @@ def cmd_fig1(cfg: ExperimentConfig) -> tuple[dict, dict]:
     # a copy, so the columns below do not keep the states alive
     pop_e = states[..., 1, 1].real.copy()
     first, last = float(heat_axes["J"][0]), float(heat_axes["J"][-1])
+    # each cut is named by its J as the CSV prints numbers; a one-point grid's
+    # two cuts are one column
+    cut = "rho_ee_J" + io.CSV_FLOAT_FORMAT
     return {
         "fig1_heatmap": {**heat_axes, "rho_ee": pop_e.ravel()},
-        # a one-point grid's two cuts are one column
-        "fig1_cuts": {"t": t_hm, f"rho_ee_J{first:g}": pop_e[0], f"rho_ee_J{last:g}": pop_e[-1]},
+        "fig1_cuts": {"t": t_hm, cut % first: pop_e[0], cut % last: pop_e[-1]},
         "fig1_transition": transition,
     }, {**summary, "cut_J_values": [first, last]}
 

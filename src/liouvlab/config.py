@@ -19,9 +19,8 @@ quantities are in 1/us and rad/us; under `units = "mhz"` the angular inputs
 import copy
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -111,8 +110,7 @@ ANGULAR_KEYS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Fully resolved run configuration; a section the experiment does not read is None.
 
     J_grid is the J scan of spectrum, fig1 and fig4: scan.J_values, or the
@@ -123,16 +121,16 @@ class ExperimentConfig:
     system: QuantumSystem
     output_dir: Path
     echo: dict
-    schedule: Optional[ParameterSchedule] = None
-    integrator_dt: Optional[float] = None
-    integrator_store_every: Optional[int] = None
-    ensemble_n: Optional[int] = None
-    master_seed: Optional[int] = None
-    ensemble_dt: Optional[float] = None
-    ensemble_store_every: Optional[int] = None
-    t_final: Optional[float] = None
-    scan: Optional[dict] = None
-    J_grid: Optional[np.ndarray] = None
+    schedule: Optional[ParameterSchedule]
+    integrator_dt: Optional[float]
+    integrator_store_every: Optional[int]
+    ensemble_n: Optional[int]
+    master_seed: Optional[int]
+    ensemble_dt: Optional[float]
+    ensemble_store_every: Optional[int]
+    t_final: Optional[float]
+    scan: Optional[dict]
+    J_grid: Optional[np.ndarray]
 
 
 def load_config_file(path) -> dict:
@@ -394,35 +392,37 @@ def resolve(user: dict, experiment: str) -> ExperimentConfig:
             user, values, (("scan", "J_start"), ("scan", "J_stop"), ("scan", "J_step")),
             "scan.J_values: these are read only under scan.J_values=null")
 
-    cfg = ExperimentConfig(
+    system = _built("system", _system, values["system"])
+    if FIXED_DIM.get(experiment, system.dim) != system.dim:
+        raise ConfigError(f"{experiment} needs system.dim={FIXED_DIM[experiment]}, "
+                          f"got {system.dim}")
+    schedule = values.get("schedule")
+    if schedule is not None:
+        schedule = _built("schedule", ParameterSchedule, schedule)
+    _check_steps(values)
+    J_grid = _j_grid(scan) if "J_values" in scan else None
+    if "window" in scan:
+        _check_fit_scan(scan, len(J_grid))
+    if "resolution" in scan:
+        _check_ep_map(scan)
+    integrator, ensemble = values.get("integrator", {}), values.get("ensemble", {})
+    return ExperimentConfig(
         experiment=experiment,
-        system=_built("system", _system, values["system"]),
+        system=system,
         output_dir=Path(values["output_dir"]),
         # each key the run reads, in rad/us
         echo=_echo_dict({k: v for k, v in values.items() if k not in ("experiment", "units")}),
+        schedule=schedule,
+        integrator_dt=integrator.get("dt"),
+        integrator_store_every=integrator.get("store_every"),
+        ensemble_n=ensemble.get("n"),
+        master_seed=ensemble.get("master_seed"),
+        ensemble_dt=ensemble.get("dt"),
+        ensemble_store_every=ensemble.get("store_every"),
+        t_final=ensemble.get("t_final"),
         scan=values.get("scan"),
+        J_grid=J_grid,
     )
-    if FIXED_DIM.get(experiment, cfg.system.dim) != cfg.system.dim:
-        raise ConfigError(f"{experiment} needs system.dim={FIXED_DIM[experiment]}, "
-                          f"got {cfg.system.dim}")
-    if values.get("schedule") is not None:
-        cfg.schedule = _built("schedule", ParameterSchedule, values["schedule"])
-    if "integrator" in values:
-        cfg.integrator_dt = values["integrator"]["dt"]
-        cfg.integrator_store_every = values["integrator"]["store_every"]
-    if "ensemble" in values:
-        body = values["ensemble"]
-        cfg.ensemble_n, cfg.master_seed = body["n"], body["master_seed"]
-        cfg.ensemble_dt, cfg.ensemble_store_every = body["dt"], body["store_every"]
-        cfg.t_final = body.get("t_final")
-    _check_steps(values)
-    if "J_values" in scan:
-        cfg.J_grid = _j_grid(scan)
-    if "window" in scan:
-        _check_fit_scan(scan, len(cfg.J_grid))
-    if "resolution" in scan:
-        _check_ep_map(scan)
-    return cfg
 
 
 def _echo_dict(raw: dict) -> dict:

@@ -15,8 +15,7 @@ second-order accurate in dt, robust where the Liouvillian is defective.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -118,8 +117,7 @@ def _real_generators(L: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(images.view(float)[..., _slots(d)].swapaxes(-1, -2))
 
 
-@dataclass
-class EvolutionResult:
+class EvolutionResult(NamedTuple):
     """Density-matrix trajectory with per-time observables.
 
     For dim 2 the observables are the Bloch components x, y, z; for dim 3
@@ -129,7 +127,7 @@ class EvolutionResult:
 
     times: np.ndarray
     states: np.ndarray  # (n_times, d, d), or (n, n_times, d, d) for a stack
-    observables: dict = field(default_factory=dict)
+    observables: dict
 
     @property
     def final_state(self) -> np.ndarray:

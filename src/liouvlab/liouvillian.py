@@ -13,7 +13,7 @@ is the d^2 x d^2 matrix
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def superoperator_stack(ops: OperatorStack) -> np.ndarray:
     return m
 
 
-@dataclass
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Eigensystem of one superoperator, or of each in a stack, with EP classification.
 
     ep_order is 0 unless the closest eigenvalue pair coalesces in both value
@@ -162,17 +161,34 @@ def pair_branches(spectra) -> np.ndarray:
     The first point keeps its canonical order; each subsequent point is
     matched to the previous one by minimal total eigenvalue displacement
     (_min_cost_assignment, in plain Python, so no run loads SciPy).
-    Returns an array of shape (n_points, n_modes).
+    Where every previous mode has one strictly nearest mode, and no two
+    share it, those nearest modes are the unique optimum, which the search
+    returns whatever its tie rule, so they are taken with numpy and the
+    search runs only at the other points. Returns an array of shape
+    (n_points, n_modes).
     """
     if len(spectra) == 0:
         return np.zeros((0, 0), dtype=complex)
-    out = np.empty((len(spectra), len(spectra[0])), dtype=complex)
-    out[0] = spectra[0]
-    for k in range(1, len(spectra)):
-        cur = np.asarray(spectra[k])
-        cost = np.abs(out[k - 1][:, None] - cur[None, :])
-        out[k] = cur[_min_cost_assignment(cost.tolist())]
-    return out
+    values = np.asarray(spectra, dtype=complex)
+    n, m = values.shape
+    order = np.empty((n, m), dtype=int)  # out[k] = values[k][order[k]]
+    order[0] = np.arange(m)
+    for start in range(1, n, GRID_BLOCK):
+        stop = min(start + GRID_BLOCK, n)
+        # cost[k, i, j]: from mode i of the point before to mode j, in input order
+        cost = np.abs(values[start - 1:stop - 1, :, None] - values[start:stop, None, :])
+        nearest, ranked = cost.argmin(axis=2), np.sort(cost, axis=2)
+        runner_up = ranked[:, :, 1] if m > 1 else np.inf
+        clear = (np.isfinite(cost).all(axis=(1, 2)) & (ranked[:, :, 0] < runner_up).all(axis=1)
+                 & (np.diff(np.sort(nearest, axis=1), axis=1) != 0).all(axis=1))
+        for k, is_clear in enumerate(clear.tolist(), start):
+            # the rows of the point before, in its output order
+            rows = order[k - 1]
+            if is_clear:
+                order[k] = nearest[k - start][rows]
+            else:
+                order[k] = _min_cost_assignment(cost[k - start][rows].tolist())
+    return np.take_along_axis(values, order, axis=1)
 
 
 def _grid_generators(system: QuantumSystem, J_points: np.ndarray, Delta_points):
@@ -303,8 +319,7 @@ def bloch_transverse_rate(rates: Rates) -> float:
     return 0.5 * rates.gamma_e + rates.gamma_phi
 
 
-@dataclass
-class EpMap:
+class EpMap(NamedTuple):
     """Grid survey of the spectrum with extracted EP lines and triple points.
 
     ep_lines is a list of polylines, each an (n, 2) array of (J, Delta)
@@ -318,8 +333,8 @@ class EpMap:
     gap: np.ndarray  # (nD, nJ)
     angle: np.ndarray  # (nD, nJ)
     ep_order: np.ndarray  # (nD, nJ) int
-    ep_lines: list[np.ndarray] = field(default_factory=list)
-    ep3_points: list[tuple[float, float]] = field(default_factory=list)
+    ep_lines: list[np.ndarray]
+    ep3_points: list[tuple[float, float]]
 
 
 def _discriminant(u, v, e: float):

@@ -11,6 +11,7 @@ points, and every route's generators are built from its OperatorStack.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,8 +233,7 @@ class ParameterSchedule:
             )
 
 
-@dataclass(frozen=True)
-class OperatorStack:
+class OperatorStack(NamedTuple):
     """A system's Hamiltonian and collapse operators at n parameter points.
 
     hamiltonians is (n, d, d). Each jump entry is (L, label): L is (n, d, d),

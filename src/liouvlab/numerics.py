@@ -7,7 +7,7 @@ with scaling and squaring, and takes matrix products only: no linear solve.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ def _square(m: np.ndarray, stacked: bool) -> np.ndarray:
     return m
 
 
-@dataclass
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Eigenvalues in canonical order with unit-norm right eigenvectors.
 
     Canonical order: ascending real part, ties broken by imaginary part.

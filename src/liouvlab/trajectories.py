@@ -34,8 +34,7 @@ run_ensemble is the one entry point. A single trajectory to show is its
 trajectory 0, whose states the result keeps beside the mean density.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,14 +50,13 @@ from .model import ParameterSchedule, QuantumSystem, operators
 NORM_SLACK = 1e-14
 
 
-@dataclass
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     n_trajectories: int
     times: np.ndarray
     mean_density: np.ndarray  # (n_stored, d, d)
     trajectory0_states: np.ndarray  # (n_stored, d) unit-norm pure states of trajectory 0
-    jump_count_histogram: dict[str, int] = field(default_factory=dict)
-    jumps_per_trajectory: list[list[tuple[float, str]]] = field(default_factory=list)
+    jump_count_histogram: dict[str, int]
+    jumps_per_trajectory: list[list[tuple[float, str]]]
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's multiplier

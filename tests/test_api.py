@@ -2,12 +2,13 @@
 
 import ast
 import re
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 import liouvlab
-from liouvlab import config
+from liouvlab import analysis, config, dynamics, liouvillian, model, numerics, trajectories
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,3 +75,21 @@ def test_the_readme_key_table_matches_the_schema():
     assert table == {experiment: {name: list(keys) for name, keys in schema.items()
                                   if isinstance(keys, dict)}
                      for experiment, schema in config.SCHEMA.items()}
+
+
+def test_only_the_validated_model_records_are_dataclasses():
+    """The result records are NamedTuples; the four checked model records stay frozen dataclasses."""
+    modules = (analysis, config, dynamics, liouvillian, model, numerics, trajectories)
+    decorated = {name for module in modules for name, value in vars(module).items()
+                 if isinstance(value, type) and value.__module__ == module.__name__
+                 and is_dataclass(value)}
+    assert decorated == {"Rates", "DriveParams", "QuantumSystem", "ParameterSchedule"}
+    records = (numerics.EigenDecomposition, model.OperatorStack, liouvillian.SpectralResult,
+               liouvillian.EpMap, dynamics.EvolutionResult, trajectories.EnsembleResult,
+               analysis.DampedSineFit, analysis.LeastSquaresResult, analysis.TransitionScan,
+               config.ExperimentConfig)
+    assert all(issubclass(record, tuple) and record._field_defaults == {} for record in records)
+    # the fields that perfbench/tracer.py reads from a result
+    assert {"nfev", "status"} <= set(analysis.LeastSquaresResult._fields)
+    assert {"n_trajectories", "times", "jump_count_histogram"} <= set(
+        trajectories.EnsembleResult._fields)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import json
 import math
@@ -164,6 +165,16 @@ def test_fig1_on_a_one_point_grid_writes_one_cut_column(tmp_path, capsys):
     lines = (tmp_path / "fig1_cuts.csv").read_text().splitlines()
     assert lines[0] == "t,rho_ee_J0.5"
     assert {len(line.split(",")) for line in lines} == {2}
+
+
+def test_fig1_names_two_cuts_apart_where_their_j_print_alike_at_six_digits(tmp_path, capsys):
+    # both J print as 0.5 at six digits; at the CSV's %.12g each keeps its own column
+    assert run("fig1", "--output-dir", str(tmp_path),
+               "--set", "scan.J_values=[0.5, 0.5000001]") == 0
+    capsys.readouterr()
+    lines = (tmp_path / "fig1_cuts.csv").read_text().splitlines()
+    assert lines[0] == "t,rho_ee_J0.5,rho_ee_J0.5000001"
+    assert {len(line.split(",")) for line in lines} == {3}
 
 
 def test_version_flag(capsys):
@@ -756,22 +767,23 @@ def test_no_run_loads_numpy_random(tmp_path):
     _run_not_loaded_script(tmp_path, "numpy.random")
 
 
-# hashlib maps OpenSSL's libcrypto (_hashlib); a run loads it only when the
-# manifest hashes the written files, after the experiment's arrays are freed
+# hashlib maps OpenSSL's libcrypto (_hashlib); the manifest hashes with
+# CPython's builtin SHA-256, so no run loads it, manifest included
 HASHLIB_SCRIPT = """
 import sys
 
 from liouvlab import cli, io
 
-build_manifest, seen = io.build_manifest, []
+build_manifest, built = io.build_manifest, []
 
 def recording(*args, **kwargs):
-    seen.append("_hashlib" in sys.modules)
-    return build_manifest(*args, **kwargs)
+    built.append(build_manifest(*args, **kwargs))
+    return built[-1]
 
 io.build_manifest = recording
 assert cli.main(sys.argv[2:] + ["--output-dir", sys.argv[1]]) == 0
-assert seen == [False] and "_hashlib" in sys.modules, seen
+assert len(built) == 1 and built[0]["files"], built
+assert "_hashlib" not in sys.modules
 """
 
 
@@ -780,6 +792,13 @@ def test_no_run_loads_openssl_before_it_hashes_its_outputs(args, tmp_path):
     proc = subprocess.run([sys.executable, "-c", HASHLIB_SCRIPT, str(tmp_path), *args],
                           env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    # the manifest's digests are hashlib's, file by file
+    manifest = json.loads((tmp_path / f"{args[0].replace('-', '_')}_manifest.json").read_text())
+    assert manifest["files"]
+    for entry in manifest["files"]:
+        data = (tmp_path / entry["name"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest(), entry["name"]
+        assert entry["bytes"] == len(data)
 
 
 # main freezes the heap it is entered with (conftest unfreezes it after each

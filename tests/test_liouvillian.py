@@ -449,6 +449,53 @@ def test_pair_branches_pairs_the_default_spectrum_grid_as_scipy_does(dim):
     assert lv.pair_branches(lam).tobytes() == pair_branches_scipy(lam).tobytes()
 
 
+def pair_branches_searched(spectra) -> np.ndarray:
+    """pair_branches with the assignment search run at every point."""
+    out = np.empty((len(spectra), len(spectra[0])), dtype=complex)
+    out[0] = spectra[0]
+    for k in range(1, len(spectra)):
+        cost = np.abs(out[k - 1][:, None] - spectra[k][None, :])
+        out[k] = spectra[k][lv._min_cost_assignment(cost.tolist())]
+    return out
+
+
+def tied_spectra(rng):
+    """Sweeps of 1 to 9 modes, generic and with exact ties between and within points."""
+    for m in range(1, 10):
+        for _ in range(10):
+            yield rng.random((40, m)) + 1j * rng.random((40, m))
+            yield rng.integers(0, 3, (40, m)) + 1j * rng.integers(0, 2, (40, m))  # many ties
+            smooth = np.cumsum(rng.normal(0.0, 0.05, (40, m)), axis=0) + np.arange(m)
+            yield smooth[:, rng.integers(0, m, m)].astype(complex)  # repeated modes
+            yield np.repeat(smooth[::4], 4, axis=0)[:, rng.permutation(m)].astype(complex)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_branches_takes_the_searchs_pairing_on_the_default_grid(dim):
+    lam = spectrum_grid_eigenvalues(dim)
+    assert lv.pair_branches(lam).tobytes() == pair_branches_searched(lam).tobytes()
+    shuffled = lam[:, np.random.default_rng(dim).permutation(dim**2)]
+    assert lv.pair_branches(shuffled).tobytes() == pair_branches_searched(shuffled).tobytes()
+
+
+def test_pair_branches_takes_the_searchs_pairing_on_tied_sweeps(rng):
+    for spectra in tied_spectra(rng):
+        assert lv.pair_branches(spectra).tobytes() == pair_branches_searched(spectra).tobytes()
+
+
+def test_pair_branches_searches_only_where_a_nearest_mode_is_not_clear(monkeypatch):
+    # on the default qubit grid only the first steps need the search (3 of 400
+    # here): J = 0 has a double eigenvalue, an exact tie, and just past it both
+    # modes of the split pair have one mode of the next point nearest
+    lam = spectrum_grid_eigenvalues(2)
+    searched = []
+    search = lv._min_cost_assignment
+    monkeypatch.setattr(lv, "_min_cost_assignment", lambda cost: searched.append(cost) or search(cost))
+    out = lv.pair_branches(lam)
+    assert 0 < len(searched) < 10
+    assert out.tobytes() == pair_branches_scipy(lam).tobytes()
+
+
 # --- stacked generators -------------------------------------------------------------
 
 
